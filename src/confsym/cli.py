@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--p", type=int, default=2, help="positive part of the signature")
     parser.add_argument("--q", type=int, default=1, help="negative part of the signature")
-    parser.add_argument("--d", type=int, default=2, help="square-free field parameter (r = sqrt d)")
+    parser.add_argument("--d", type=int, default=2, help="square-free field parameter, at most 10^12 (r = sqrt d)")
     parser.add_argument("--machine", action="store_true", help="emit canonical JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -77,6 +77,13 @@ class Vector:
         return cls([0] * n)
 
     @classmethod
+    def _of_scalars(cls, entries) -> Vector:
+        """Wrap entries that are all Scalars already, skipping the coercion."""
+        v = cls.__new__(cls)
+        object.__setattr__(v, "entries", tuple(entries))
+        return v
+
+    @classmethod
     def unit(cls, n: int, i: int) -> Vector:
         return cls([1 if j == i else 0 for j in range(n)])
 
@@ -294,23 +301,29 @@ def _rref_scalar_rows(rows, d=None):
 
 def kernel_sparse(rows, ncols: int, d: int) -> list[Vector]:
     """Canonical kernel basis of a sparse Z[sqrt d] system (one vector per
-    free column, unit at its free column, zero at the other free columns)."""
+    free column, unit at its free column, zero at the other free columns).
+
+    Every fully reduced pivot row holds its pivot column (first, monic) and
+    free columns only, so one pass over the rows scatters each entry into
+    the vector of its free column."""
     pivots, reduced = _core.rref_sparse(rows, d)
     pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    slot = {f: k for k, f in enumerate(free)}
+    zero = Scalar(0)
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        entries = [Scalar(0)] * ncols
+    for f in free:
+        entries = [zero] * ncols
         entries[f] = Scalar(1)
-        for (cols, triples), pc in zip(reduced, pivots):
-            for k, c in enumerate(cols):
-                if c == f:
-                    entries[pc] = -Scalar(
-                        triples[3 * k], triples[3 * k + 1], triples[3 * k + 2], d
-                    )
-                    break
-        basis.append(Vector(entries))
+        basis.append(entries)
+    for (cols, triples), pc in zip(reduced, pivots):
+        for k in range(1, len(cols)):
+            basis[slot[cols[k]]][pc] = Scalar(
+                -triples[3 * k], -triples[3 * k + 1], triples[3 * k + 2], d
+            )
+    # In place, so each entry list is freed as soon as its Vector exists.
+    for k, entries in enumerate(basis):
+        basis[k] = Vector._of_scalars(entries)
     return basis
 
 
@@ -411,7 +424,9 @@ class AffineSubspace:
         return all(other.contains(p) for p in self.points())
 
     def __hash__(self):
-        return hash((self.ambient, self.base, self.directions))
+        # Only what geometrically equal subspaces share: base points and
+        # directions differ between descriptions of one subspace.
+        return hash((self.ambient, None if self.is_empty else self.dim))
 
     def translate(self, v: Vector) -> AffineSubspace:
         if self.is_empty:

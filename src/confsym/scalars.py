@@ -18,7 +18,15 @@ class FieldMismatchError(ArithmeticError):
     """Raised when two irrational scalars from different Q(sqrt(d)) meet."""
 
 
+# Largest accepted field parameter.  Square-freeness is decided by trial
+# division up to sqrt(d): at most 10**6 steps, well under a second.
+MAX_FIELD_PARAMETER = 10**12
+
+
 def is_squarefree(d: int) -> bool:
+    """Trial division; raises ValueError above MAX_FIELD_PARAMETER."""
+    if d > MAX_FIELD_PARAMETER:
+        raise ValueError(f"field parameter {d} exceeds the limit {MAX_FIELD_PARAMETER}")
     if d < 2:
         return False
     k = 2
@@ -30,7 +38,8 @@ def is_squarefree(d: int) -> bool:
 
 
 def check_field_parameter(d: int) -> int:
-    """Validate the ambient field parameter (square-free, >= 2; default 2)."""
+    """Validate the ambient field parameter (square-free, 2 <= d <=
+    MAX_FIELD_PARAMETER; default 2)."""
     if not isinstance(d, int) or not is_squarefree(d):
         raise ValueError(f"field parameter must be a square-free integer >= 2, got {d!r}")
     return d

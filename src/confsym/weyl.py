@@ -3,17 +3,21 @@
 A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The space of all of them is computed as one exact kernel
-of the flattened constraint system over all n^4 components; co(p, q) acts on
-a tensor viewed as a (1,3)-tensor (one index raised with J), so the pure
-scaling a acts as -2a.  The first prolongation collects the covectors Y whose
-induced endomorphisms annihilate the tensor for every direction xi.
+of the flattened constraint system over all n^4 components.  Those sparse
+integer rows (`_constraint_rows`) are the one statement of the symmetries:
+`WeylTensor.validate` evaluates them on a tensor's components.  co(p, q)
+acts on a tensor viewed as a (1,3)-tensor (one index raised with J), so the
+pure scaling a acts as -2a.  The first prolongation collects the covectors Y
+whose induced endomorphisms annihilate the tensor for every direction xi.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .flatmodel import MobiusSpace
 from .liealg import CoElement, upsilon_action
@@ -66,36 +70,41 @@ class WeylTensor:
     def is_zero(self) -> bool:
         return not any(self.components)
 
-    def validate(self):
-        """Exact check of all four symmetry families; raises on violation."""
-        n = self.n
-        w = self.__getitem__
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if w((i, j, k, l)) != -w((j, i, k, l)):
-                            raise ValueError(f"antisymmetry (12) fails at {(i, j, k, l)}")
-                        if w((i, j, k, l)) != -w((i, j, l, k)):
-                            raise ValueError(f"antisymmetry (34) fails at {(i, j, k, l)}")
-                        if w((i, j, k, l)) != w((k, l, i, j)):
-                            raise ValueError(f"pair symmetry fails at {(i, j, k, l)}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        total = w((i, j, k, l)) + w((i, k, l, j)) + w((i, l, j, k))
-                        if total:
-                            raise ValueError(f"first Bianchi fails at {(i, j, k, l)}")
-        for j in range(n):
-            for l in range(n):
-                tr = Scalar(0)
-                for i in range(n):
-                    term = w((i, j, i, l))
-                    if term:
-                        tr = tr + Scalar(self._sign(i)) * term
-                if tr:
-                    raise ValueError(f"trace-free condition fails at (j, l) = {(j, l)}")
+    def validate(self, system: _ConstraintSystem | None = None):
+        """Exact check of all four symmetry families; raises on violation.
+
+        Evaluates the integer rows of `_constraint_rows` on the component
+        numerators over one common denominator.  Only rows that touch a
+        nonzero component are evaluated; every other row has residual 0.
+        Pass a prebuilt `system` for the same signature to skip building it.
+        """
+        p, q = self.p, self.q
+        if system is None:
+            ends = []
+            system = _ConstraintSystem(p, q, _constraint_rows(p, q, ends), ends)
+        elif (system.p, system.q) != (p, q):
+            raise ValueError("constraint system of another signature")
+        nonzero = [(t, c) for t, c in enumerate(self.components) if c.a or c.b]
+        denom = lcm(*(c.q for _, c in nonzero))
+        index = system.index
+        res_a = {}
+        res_b = {}
+        for t, c in nonzero:
+            if c.b and c.d != self.d:
+                raise ValueError(
+                    f"component {_unflat(self.n, t)} lies in Q(sqrt {c.d}), "
+                    f"not in the tensor's field Q(sqrt {self.d})"
+                )
+            f = denom // c.q
+            a = c.a * f
+            b = c.b * f
+            for r, coef in index[t]:
+                res_a[r] = res_a.get(r, 0) + coef * a
+                if b:
+                    res_b[r] = res_b.get(r, 0) + coef * b
+        failed = [r for r, v in res_a.items() if v] + [r for r, v in res_b.items() if v]
+        if failed:
+            raise ValueError(system.describe(min(failed)))
 
     def scale(self, c) -> WeylTensor:
         c = c if isinstance(c, Scalar) else Scalar(c)
@@ -132,10 +141,29 @@ def _flat(n: int, i: int, j: int, k: int, l: int) -> int:
     return ((i * n + j) * n + k) * n + l
 
 
-def _constraint_rows(p: int, q: int):
+def _unflat(n: int, t: int) -> tuple[int, int, int, int]:
+    t, l = divmod(t, n)
+    t, k = divmod(t, n)
+    i, j = divmod(t, n)
+    return i, j, k, l
+
+
+_FAMILIES = (
+    "antisymmetry (12)",
+    "antisymmetry (34)",
+    "pair symmetry",
+    "first Bianchi",
+    "trace-free condition",
+)
+
+
+def _constraint_rows(p: int, q: int, ends: list | None = None):
     """Sparse integer rows of the flattened constraint system, one family at a
-    time: antisymmetries, pair interchange, first Bianchi, J-trace."""
+    time (in the order of `_FAMILIES`): antisymmetries, pair interchange,
+    first Bianchi, J-trace.  When `ends` is a list, the row count after each
+    family is appended to it."""
     n = p + q
+    ends = [] if ends is None else ends
     sign = lambda i: 1 if i < p else -1
     rows = []
     for i in range(n):
@@ -151,6 +179,7 @@ def _constraint_rows(p: int, q: int):
                                 [1, 0, 1, 0],
                             )
                         )
+    ends.append(len(rows))
     for k in range(n):
         for l in range(k, n):
             for i in range(n):
@@ -164,6 +193,7 @@ def _constraint_rows(p: int, q: int):
                                 [1, 0, 1, 0],
                             )
                         )
+    ends.append(len(rows))
     for a in range(n * n):
         for b in range(a + 1, n * n):
             i, j = divmod(a, n)
@@ -174,6 +204,7 @@ def _constraint_rows(p: int, q: int):
                     [1, 0, -1, 0],
                 )
             )
+    ends.append(len(rows))
     for i in range(n):
         for j in range(n):
             for k in range(j + 1, n):
@@ -188,6 +219,7 @@ def _constraint_rows(p: int, q: int):
                             [1, 0, 1, 0, 1, 0],
                         )
                     )
+    ends.append(len(rows))
     for j in range(n):
         for l in range(n):
             cols = []
@@ -197,16 +229,50 @@ def _constraint_rows(p: int, q: int):
                 vals.append(sign(i))
                 vals.append(0)
             rows.append((cols, vals))
+    ends.append(len(rows))
     return rows
+
+
+class _ConstraintSystem:
+    """The rows of `_constraint_rows` for one signature, indexed by column:
+    `index[t]` lists (row, integer coefficient) for every row touching
+    component t."""
+
+    __slots__ = ("p", "q", "rows", "ends", "index")
+
+    def __init__(self, p: int, q: int, rows: list, ends: list):
+        self.p = p
+        self.q = q
+        self.rows = rows
+        self.ends = ends
+        index = [[] for _ in range((p + q) ** 4)]
+        for r, (cols, vals) in enumerate(rows):
+            for k, c in enumerate(cols):
+                index[c].append((r, vals[2 * k]))
+        self.index = index
+
+    def describe(self, r: int) -> str:
+        """Failure message for row r: its family and its first component."""
+        family = _FAMILIES[bisect_right(self.ends, r)]
+        i, j, k, l = _unflat(self.p + self.q, self.rows[r][0][0])
+        if family == _FAMILIES[-1]:
+            return f"{family} fails at (j, l) = {(j, l)}"
+        return f"{family} fails at {(i, j, k, l)}"
 
 
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
-    n = p + q
-    vectors = kernel_sparse(_constraint_rows(p, q), n**4, d)
-    return tuple(
-        WeylTensor(p, q, v.entries, d, validate=True) for v in vectors
-    )
+    ends = []
+    rows = _constraint_rows(p, q, ends)
+    vectors = kernel_sparse(rows, (p + q) ** 4, d)
+    # Indexed only now, so the index does not add to the elimination's peak.
+    system = _ConstraintSystem(p, q, rows, ends)
+    out = []
+    for v in vectors:
+        W = WeylTensor(p, q, v.entries, d, validate=False)
+        W.validate(system)
+        out.append(W)
+    return tuple(out)
 
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:

@@ -162,3 +162,8 @@ def test_bad_signature_rejected(capsys):
 def test_bad_field_parameter_rejected(capsys):
     code = main(["--d", "4", "weyl", "basis-dim"])
     assert code == 2
+
+
+def test_huge_field_parameter_rejected(capsys):
+    assert main(["--d", str(10**18 + 9), "weyl", "basis-dim"]) == 2
+    assert "limit" in capsys.readouterr().err

@@ -10,12 +10,92 @@ from confsym.linalg import (
     Vector,
     canonical_span,
     kernel,
+    kernel_sparse,
     rank,
     solve_affine,
 )
 from confsym.scalars import Scalar
 
 from conftest import rand_scalar
+
+
+def rand_sparse_system(rng: random.Random, nrows: int, ncols: int):
+    """Random sparse Z[sqrt 2] rows (cols, [a0, b0, ...]) with 1-3 entries
+    each; some rows are integer multiples of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            cols, vals = rng.choice(rows)
+            m = rng.choice((-2, -1, 3))
+            rows.append((cols, [m * x for x in vals]))
+            continue
+        cols = sorted(rng.sample(range(ncols), rng.randint(1, min(3, ncols))))
+        vals = []
+        for _ in cols:
+            a = b = 0
+            while not (a or b):
+                a, b = rng.randint(-3, 3), rng.randint(-2, 2)
+            vals += [a, b]
+        rows.append((cols, vals))
+    return rows
+
+
+def sparse_to_matrix(rows, ncols: int) -> Matrix:
+    dense = []
+    for cols, vals in rows:
+        row = [Scalar(0)] * ncols
+        for k, c in enumerate(cols):
+            row[c] = Scalar(vals[2 * k], vals[2 * k + 1])
+        dense.append(row)
+    return Matrix(dense)
+
+
+def rand_sparse_matrices(rng: random.Random, count: int) -> list[Matrix]:
+    out = []
+    for _ in range(count):
+        ncols = rng.randint(1, 9)
+        out.append(sparse_to_matrix(rand_sparse_system(rng, rng.randint(1, 8), ncols), ncols))
+    return out
+
+
+def naive_rank(M: Matrix) -> int:
+    """Gaussian elimination on Scalars, independent of the sparse engine."""
+    rows = [list(r) for r in M.rows]
+    r = 0
+    for c in range(M.ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def kernel_by_column_scan(rows, ncols: int, d: int) -> list[Vector]:
+    """The former kernel_sparse: one rescan of every reduced row per free
+    column.  Reference for the output order and form."""
+    from confsym import _core
+
+    pivots, reduced = _core.rref_sparse(rows, d)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        entries = [Scalar(0)] * ncols
+        entries[f] = Scalar(1)
+        for (cols, triples), pc in zip(reduced, pivots):
+            for k, c in enumerate(cols):
+                if c == f:
+                    entries[pc] = -Scalar(
+                        triples[3 * k], triples[3 * k + 1], triples[3 * k + 2], d
+                    )
+                    break
+        basis.append(Vector(entries))
+    return basis
 
 
 def test_kernel_of_identity_is_trivial():
@@ -65,14 +145,16 @@ def test_solve_affine_inconsistent():
 
 
 def test_rank_nullity(rng):
+    dense = []
     for _ in range(25):
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 5)
-        M = Matrix(
-            [[rand_scalar(rng, 4) for _ in range(ncols)] for _ in range(nrows)]
+        dense.append(
+            Matrix([[rand_scalar(rng, 4) for _ in range(ncols)] for _ in range(nrows)])
         )
+    for M in dense + rand_sparse_matrices(rng, 25):
         ker = kernel(M)
-        assert rank(M) + len(ker) == ncols
+        assert rank(M) + len(ker) == M.ncols
         for v in ker:
             assert M.matvec(v).is_zero()
 
@@ -92,20 +174,45 @@ def test_solution_set_is_exact(seed):
         assert M.matvec(v) == rhs
 
 
-def test_kernel_basis_is_canonical_reduced():
+def test_kernel_basis_is_canonical_reduced(rng):
     # each kernel vector carries a 1 at its own free column and 0 at the others
-    M = Matrix([[1, 2, 3, 4], [0, 0, 1, 1]])
-    ker = kernel(M)
-    free_cols = []
+    for M in [Matrix([[1, 2, 3, 4], [0, 0, 1, 1]])] + rand_sparse_matrices(rng, 25):
+        ker = kernel(M)
+        free_cols = []
+        for v in ker:
+            units = [i for i, e in enumerate(v) if e == Scalar(1)]
+            assert units
+            free_cols.append(units[-1])
+        assert len(set(free_cols)) == len(ker)
+        for v, f in zip(ker, free_cols):
+            for w, g in zip(ker, free_cols):
+                if f != g:
+                    assert w[f] == Scalar(0)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_sparse_on_random_sparse_systems(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 12)
+    rows = rand_sparse_system(rng, rng.randint(1, 10), ncols)
+    M = sparse_to_matrix(rows, ncols)
+    ker = kernel_sparse(rows, ncols, 2)
     for v in ker:
-        units = [i for i, e in enumerate(v) if e == Scalar(1)]
-        assert units
-        free_cols.append(units[-1])
-    assert len(set(free_cols)) == len(ker)
-    for v, f in zip(ker, free_cols):
-        for w, g in zip(ker, free_cols):
-            if f != g:
-                assert w[f] == Scalar(0)
+        assert M.matvec(v).is_zero()
+    assert len(ker) == ncols - naive_rank(M)
+    # the last nonzero entry of each vector is a 1 at its own free column
+    free = []
+    for v in ker:
+        f = max(i for i, e in enumerate(v) if e)
+        assert v[f] == Scalar(1)
+        free.append(f)
+    assert free == sorted(set(free))
+    for v, f in zip(ker, free):
+        assert all(not v[g] for g in free if g != f)
+    # same vectors, entries and field tags as the per-column scan
+    form = lambda vs: [[(e.a, e.b, e.q, e.d) for e in v] for v in vs]
+    assert form(ker) == form(kernel_by_column_scan(rows, ncols, 2))
 
 
 def test_matrix_inverse_exact():
@@ -127,6 +234,15 @@ def test_affine_subspace_equality_is_geometric():
     assert a != c
     assert AffineSubspace.empty(3) == AffineSubspace.empty(3)
     assert AffineSubspace.empty(3) != a
+
+
+def test_equal_affine_subspaces_hash_equal():
+    a = AffineSubspace(3, Vector([1, 0, 0]), [Vector([0, 1, 0])])
+    b = AffineSubspace(3, Vector([1, 5, 0]), [Vector([0, -2, 0])])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({AffineSubspace.empty(3), AffineSubspace.empty(3)}) == 1
 
 
 def test_affine_subspace_rejects_dependent_directions():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsym.scalars import (
+    MAX_FIELD_PARAMETER,
     FieldMismatchError,
     Scalar,
     as_scalar,
@@ -58,6 +59,17 @@ def test_field_parameter_validation():
         check_field_parameter(8)
     with pytest.raises(ValueError):
         check_field_parameter(1)
+
+
+def test_field_parameter_is_bounded():
+    # trial division up to sqrt(10**18) would not return; the bound refuses first
+    huge = 10**18 + 9
+    assert huge > MAX_FIELD_PARAMETER
+    with pytest.raises(ValueError, match="limit"):
+        is_squarefree(huge)
+    with pytest.raises(ValueError, match="limit"):
+        check_field_parameter(huge)
+    assert not is_squarefree(4 * 10**11)
 
 
 @pytest.mark.parametrize(

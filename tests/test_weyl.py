@@ -1,13 +1,18 @@
+import re
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import CoElement, upsilon_action
 from confsym.linalg import Matrix, Vector, solve_affine
 from confsym.scalars import Scalar
 from confsym.weyl import (
+    _FAMILIES,
     WeylTensor,
+    _constraint_rows,
     annihilator,
     co_action,
     co_basis,
@@ -243,3 +248,122 @@ def test_co_basis_spans_co(space22):
 
     for c in basis[1:]:
         assert so_block_condition(space22, c.A)
+
+
+# -- validate against the former hand-written checks --------------------------
+
+
+def reference_violations(W: WeylTensor) -> set[str]:
+    """The former quadruple-loop validator, kept as an independent reference:
+    the set of symmetry families that W violates."""
+    n = W.n
+    w = W.__getitem__
+    out = set()
+    for i, j, k, l in product(range(n), repeat=4):
+        if w((i, j, k, l)) != -w((j, i, k, l)):
+            out.add("antisymmetry (12)")
+        if w((i, j, k, l)) != -w((i, j, l, k)):
+            out.add("antisymmetry (34)")
+        if w((i, j, k, l)) != w((k, l, i, j)):
+            out.add("pair symmetry")
+        if w((i, j, k, l)) + w((i, k, l, j)) + w((i, l, j, k)):
+            out.add("first Bianchi")
+    for j, l in product(range(n), repeat=2):
+        tr = Scalar(0)
+        for i in range(n):
+            tr = tr + Scalar(W._sign(i)) * w((i, j, i, l))
+        if tr:
+            out.add("trace-free condition")
+    return out
+
+
+def _symmetric_orbit(n, t):
+    """{component: sign} of the images of component t under the pair
+    antisymmetries and the pair interchange (later images overwrite)."""
+    i, j, k, l = t // n**3, t // n**2 % n, t // n % n, t % n
+    flat = lambda a, b, c, e: ((a * n + b) * n + c) * n + e
+    images = {}
+    for idx, s in (
+        ((i, j, k, l), 1), ((j, i, k, l), -1), ((i, j, l, k), -1), ((j, i, l, k), 1),
+        ((k, l, i, j), 1), ((l, k, i, j), -1), ((k, l, j, i), -1), ((l, k, j, i), 1),
+    ):
+        images[flat(*idx)] = s
+    return images
+
+
+_PERTURBATIONS = st.builds(
+    Scalar, st.integers(-3, 3), st.sampled_from([0, 0, 1, -2]), st.integers(1, 3)
+).filter(bool)
+
+
+@given(
+    pq=st.sampled_from([(4, 0), (2, 2), (3, 1), (5, 0)]),
+    seed=st.integers(0, 40),
+    kind=st.sampled_from(["components", "orbits", "weyl"]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_validate_agrees_with_the_reference_validator(pq, seed, kind, data):
+    """Corrupt 1-3 components (or symmetric orbits of components, or add a
+    valid tensor) of a random Weyl tensor: the row-based validator accepts
+    exactly when the reference does, and its message names a family that the
+    reference finds violated."""
+    p, q = pq
+    n = p + q
+    comps = list(random_weyl(p, q, seed).components)
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(_PERTURBATIONS)
+        if kind == "weyl":
+            other = random_weyl(p, q, data.draw(st.integers(100, 140)))
+            comps = [x + c * y for x, y in zip(comps, other.components)]
+            continue
+        t = data.draw(st.integers(0, n**4 - 1))
+        spots = {t: 1} if kind == "components" else _symmetric_orbit(n, t)
+        for u, s in spots.items():
+            comps[u] = comps[u] + c * Scalar(s)
+    bent = WeylTensor(p, q, comps, validate=False)
+    want = reference_violations(bent)
+    try:
+        bent.validate()
+    except ValueError as exc:
+        assert want, f"rejected a tensor the reference accepts: {exc}"
+        assert any(str(exc).startswith(family + " fails") for family in want), (exc, want)
+    else:
+        assert not want, f"accepted a tensor violating {want}"
+
+
+def test_validate_names_each_family():
+    n = 4
+    flat = lambda i, j, k, l: ((i * n + j) * n + k) * n + l
+    cases = {
+        "antisymmetry (12)": {flat(0, 0, 1, 2): 1},
+        "antisymmetry (34)": {flat(0, 1, 2, 2): 1, flat(1, 0, 2, 2): -1},
+        "pair symmetry": {flat(0, 1, 2, 3): 1, flat(1, 0, 2, 3): -1,
+                          flat(0, 1, 3, 2): -1, flat(1, 0, 3, 2): 1},
+        "first Bianchi": _symmetric_orbit(n, flat(0, 1, 2, 3)),
+        "trace-free condition": _symmetric_orbit(n, flat(0, 1, 0, 1)),
+    }
+    for family, spots in cases.items():
+        comps = [Scalar(0)] * n**4
+        for t, c in spots.items():
+            comps[t] = Scalar(c)
+        with pytest.raises(ValueError, match="^" + re.escape(family) + " fails"):
+            WeylTensor(4, 0, comps)
+        assert family in reference_violations(WeylTensor(4, 0, comps, validate=False))
+
+
+def test_constraint_rows_report_their_family_ends():
+    ends = []
+    rows = _constraint_rows(3, 2, ends)
+    assert len(ends) == len(_FAMILIES)
+    assert ends == sorted(ends) and ends[-1] == len(rows)
+    assert _constraint_rows(3, 2) == rows
+
+
+def test_validate_rejects_components_from_another_field():
+    # A valid tensor over Q(sqrt 3) must not pass as one over Q(sqrt 2).
+    W = random_weyl(4, 0, seed=7, d=3)
+    comps = [Scalar(0, 1, 1, d=3) * c for c in W.components]
+    WeylTensor(4, 0, comps, d=3)
+    with pytest.raises(ValueError, match="field"):
+        WeylTensor(4, 0, comps, d=2)
