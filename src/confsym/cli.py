@@ -47,6 +47,8 @@ class SessionConfig:
     machine: bool = False
 
     def __post_init__(self):
+        if self.p < 0 or self.q < 0:
+            raise ValueError(f"need p >= 0 and q >= 0, got ({self.p}, {self.q})")
         if self.p + self.q < 3:
             raise ValueError("need p + q >= 3")
         check_field_parameter(self.d)
@@ -62,6 +64,28 @@ def _parse_vector_arg(text: str, d: int) -> Vector:
         raise SystemExit(f"error: bad vector {text!r}: {exc}")
 
 
+class InputError(Exception):
+    """Malformed input file; `main` reports it on one line and exits 2."""
+
+
+def _int_field(data: dict, key: str, default=None) -> int:
+    value = data.get(key, default)
+    if value is None:
+        raise InputError(f"input file has no {key!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _file_vector(space: MobiusSpace, data: dict, key: str) -> Vector:
+    if key not in data:
+        raise InputError(f"input file has no {key!r}")
+    try:
+        return space.vector(data[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad vector {key!r}: {exc}") from None
+
+
 def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, NullLine, NullLine]:
     if args.file:
         try:
@@ -69,14 +93,18 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"error: cannot read {args.file}: {exc}")
-        config = SessionConfig(
-            p=int(data["p"]), q=int(data["q"]), d=int(data.get("d", config.d)),
-            machine=config.machine,
-        )
+        if not isinstance(data, dict):
+            raise InputError("input file must hold a JSON object")
+        p, q = _int_field(data, "p"), _int_field(data, "q")
+        d = _int_field(data, "d", config.d)
+        try:
+            config = SessionConfig(p=p, q=q, d=d, machine=config.machine)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         space = config.space()
-        u = space.vector(data["u"])
-        v = space.vector(data["v"])
-        w = space.vector(data["w"]) if "w" in data else space.basis_vector(0)
+        u = _file_vector(space, data, "u")
+        v = _file_vector(space, data, "v")
+        w = _file_vector(space, data, "w") if "w" in data else space.basis_vector(0)
     else:
         if not (args.u and args.v):
             raise SystemExit("error: provide --file or both --u and --v")
@@ -482,7 +510,11 @@ def main(argv=None) -> int:
         "extension": cmd_extension,
         "reproduce-paper": cmd_reproduce,
     }
-    return handlers[args.command](config, args)
+    try:
+        return handlers[args.command](config, args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

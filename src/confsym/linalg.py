@@ -9,10 +9,11 @@ produce identical bases.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _core
-from .scalars import Scalar, as_scalar
+from .scalars import FieldMismatchError, Scalar, as_scalar
 
 
 class Vector:
@@ -251,14 +252,21 @@ def _same_len(u: Vector, v: Vector):
 # -- bridges to the sparse exact engine -------------------------------------
 
 
-def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]]):
-    """Clear denominators row by row: Scalar rows -> Z[sqrt d] sparse rows."""
+def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]], d: int):
+    """Clear denominators row by row: Scalar rows -> Z[sqrt d] sparse rows.
+
+    Raises FieldMismatchError on an irrational entry of another Q(sqrt d):
+    the rows carry only numerators, so the field must be checked here."""
     out = []
     for row in rows:
         denom = 1
         for e in row:
             if e:
-                denom = denom * e.q // _int_gcd(denom, e.q)
+                if e.b and e.d != d:
+                    raise FieldMismatchError(
+                        f"entry {e} lies in Q(sqrt {e.d}), not in Q(sqrt {d})"
+                    )
+                denom = lcm(denom, e.q)
         cols = []
         vals = []
         for j, e in enumerate(row):
@@ -272,12 +280,6 @@ def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]]):
     return out
 
 
-def _int_gcd(x: int, y: int) -> int:
-    from math import gcd
-
-    return gcd(x, y)
-
-
 def _infer_d(entries: Iterable[Scalar], default: int = 2) -> int:
     for e in entries:
         if e.b != 0:
@@ -289,7 +291,7 @@ def _rref_scalar_rows(rows, d=None):
     """RREF of dense Scalar rows; returns (pivot cols, list of {col: Scalar})."""
     if d is None:
         d = _infer_d(e for row in rows for e in row)
-    pivots, reduced = _core.rref_sparse(sparse_rows_from_scalars(rows), d)
+    pivots, reduced = _core.rref_sparse(sparse_rows_from_scalars(rows, d), d)
     dict_rows = []
     for cols, triples in reduced:
         entry = {}
@@ -330,14 +332,14 @@ def kernel_sparse(rows, ncols: int, d: int) -> list[Vector]:
 def rank(M: Matrix) -> int:
     """Exact rank."""
     d = _infer_d(e for r in M.rows for e in r)
-    pivots, _ = _core.rref_sparse(sparse_rows_from_scalars(M.rows), d)
+    pivots, _ = _core.rref_sparse(sparse_rows_from_scalars(M.rows, d), d)
     return len(pivots)
 
 
 def kernel(M: Matrix) -> list[Vector]:
     """Exact basis of the null space {v : M v = 0}; empty when M is injective."""
     d = _infer_d(e for r in M.rows for e in r)
-    return kernel_sparse(sparse_rows_from_scalars(M.rows), M.ncols, d)
+    return kernel_sparse(sparse_rows_from_scalars(M.rows, d), M.ncols, d)
 
 
 class AffineSubspace:

@@ -7,8 +7,12 @@ of the flattened constraint system over all n^4 components.  Those sparse
 integer rows (`_constraint_rows`) are the one statement of the symmetries:
 `WeylTensor.validate` evaluates them on a tensor's components.  co(p, q)
 acts on a tensor viewed as a (1,3)-tensor (one index raised with J), so the
-pure scaling a acts as -2a.  The first prolongation collects the covectors Y
-whose induced endomorphisms annihilate the tensor for every direction xi.
+pure scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
+numerators over one common denominator.  The first prolongation collects the
+covectors Y whose induced endomorphisms annihilate the tensor for every
+direction xi.  `prolongation` builds that system lazily, one xi-block at a
+time, drops rows that repeat up to a scalar factor, and stops as soon as the
+rank reaches n: a trivial kernel is then certified without the other blocks.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
+from . import _core
 from .flatmodel import MobiusSpace
 from .liealg import CoElement, upsilon_action
-from .linalg import Matrix, Vector, kernel, kernel_sparse
-from .scalars import Scalar
+from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
+from .scalars import FieldMismatchError, Scalar
 
 
 class WeylTensor:
@@ -286,64 +291,69 @@ def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:
 def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     """Natural action of co(p, q) on W as a (1,3)-tensor, re-lowered:
     (F.W)^i_jkl = F^i_m W^m_jkl - W^i_mkl F^m_j - W^i_jml F^m_k - W^i_jkm F^m_l
-    for F = a id + A.  Pure scaling acts as -2a W in this convention."""
+    for F = a id + A.  Pure scaling acts as -2a W in this convention.
+
+    Computed on integer numerators: with F = (Fa + Fb sqrt d) / qF and
+    W = (Wa + Wb sqrt d) / qW, F.W = ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa)
+    sqrt d) / (qF qW), each product an `_integer_action`.  Raises
+    FieldMismatchError when F and W have irrational entries from different
+    fields."""
     n = W.n
     if c.A.shape != (n, n):
         raise ValueError("endomorphism size does not match the tensor")
     F = c.endomorphism()
-    nz = [
-        (r, m, F[r, m])
-        for r in range(n)
-        for m in range(n)
-        if F[r, m]
-    ]
+    f_entries = [(r, m, F[r, m]) for r in range(n) for m in range(n) if F[r, m]]
+    w_entries = [(t, x) for t, x in enumerate(W.components) if x]
+    d = None
+    for x in [f for _, _, f in f_entries] + [x for _, x in w_entries]:
+        if x.b:
+            if d is None:
+                d = x.d
+            elif x.d != d:
+                raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+    d = W.d if d is None else d
+    qf = lcm(*(f.q for _, _, f in f_entries))
+    qw = lcm(*(x.q for _, x in w_entries))
+    fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
+    fb = [(r, m, f.b * (qf // f.q)) for r, m, f in f_entries if f.b]
+    wa = [(t, x.a * (qw // x.q)) for t, x in w_entries if x.a]
+    wb = [(t, x.b * (qw // x.q)) for t, x in w_entries if x.b]
+    p = W.p
+    out_a = [0] * n**4
+    out_b = [0] * n**4
+    _integer_action(p, n, fa, wa, out_a)
+    if fb and wb:
+        _integer_action(p, n, [(r, m, d * f) for r, m, f in fb], wb, out_a)
+    _integer_action(p, n, fa, wb, out_b)
+    _integer_action(p, n, fb, wa, out_b)
+    q = qf * qw
+    zero = Scalar(0, 0, 1, d)
+    out = [Scalar(a, b, q, d) if a or b else zero for a, b in zip(out_a, out_b)]
+    return WeylTensor(W.p, W.q, out, W.d, validate=False)
+
+
+def _integer_action(p: int, n: int, f: list, w: list, out: list):
+    """Add the action of `co_action` for an integer matrix F, given as its
+    nonzero entries (r, m, F[r, m]), on integer components w, given as their
+    nonzero entries (t, W[t]), into the flat integer list `out`.
+
+    Each source component t feeds the components that differ from it in one
+    index: the first index (F^i_m, raised and re-lowered with J, hence the
+    signs) and each of the last three (-F^m_j)."""
     n2 = n * n
     n3 = n2 * n
-    raised = list(W.components)
-    for m in range(n):
-        if W._sign(m) < 0:
-            base = m * n3
-            for t in range(n3):
-                v = raised[base + t]
-                if v:
-                    raised[base + t] = -v
-    out = [Scalar(0)] * (n * n3)
-    for r, m, f in nz:
-        dst = r * n3
-        src = m * n3
-        for t in range(n3):
-            v = raised[src + t]
-            if v:
-                out[dst + t] = out[dst + t] + f * v
-    for m, j, f in nz:
-        for i in range(n):
-            src = (i * n + m) * n2
-            dst = (i * n + j) * n2
-            for t in range(n2):
-                v = raised[src + t]
-                if v:
-                    out[dst + t] = out[dst + t] - v * f
-    for m, k, f in nz:
-        for a in range(n2):
-            src = (a * n + m) * n
-            dst = (a * n + k) * n
-            for t in range(n):
-                v = raised[src + t]
-                if v:
-                    out[dst + t] = out[dst + t] - v * f
-    for m, l, f in nz:
-        for a in range(n3):
-            v = raised[a * n + m]
-            if v:
-                out[a * n + l] = out[a * n + l] - v * f
-    for i in range(n):
-        if W._sign(i) < 0:
-            base = i * n3
-            for t in range(n3):
-                v = out[base + t]
-                if v:
-                    out[base + t] = -v
-    return WeylTensor(W.p, W.q, out, W.d, validate=False)
+    sign = lambda i: 1 if i < p else -1
+    first = [[] for _ in range(n)]
+    later = [[] for _ in range(n)]
+    for r, m, v in f:
+        first[m].append(((r - m) * n3, sign(r) * sign(m) * v))
+        later[r].append((m - r, v))
+    for t, v in w:
+        for shift, x in first[t // n3]:
+            out[t + shift] += x * v
+        for stride in (n2, n, 1):
+            for step, x in later[t // stride % n]:
+                out[t + step * stride] -= x * v
 
 
 def co_basis(space: MobiusSpace) -> list[CoElement]:
@@ -377,18 +387,37 @@ def annihilator(W: WeylTensor) -> list[CoElement]:
 
 def prolongation(W: WeylTensor) -> list[Vector]:
     """Exact basis of {Y : co_action(upsilon_action(Y, xi_i), W) = 0 for every
-    basis direction xi_i}, computed as one stacked kernel over the Y basis."""
+    basis direction xi_i}.
+
+    The system has a row per (xi_i, component) and a column per Y = e_j.  It
+    is built lazily, one xi-block at a time.  Each row is divided by the gcd
+    of its integer entries and given a positive leading entry, and rows
+    already seen are dropped; the row space stays exact.  After each block
+    the distinct rows so far are reduced, and once the rank is n the kernel
+    is trivial: that certifies [] without building the remaining blocks.
+    Otherwise the result is the canonical kernel of all distinct rows, which
+    by the uniqueness of the RREF equals that of the whole stacked system."""
     space = MobiusSpace(W.p, W.q, W.d)
     n = W.n
-    columns = []
-    for j in range(n):
-        Y = Vector.unit(n, j)
-        stacked = []
-        for i in range(n):
-            xi = Vector.unit(n, i)
-            stacked.extend(co_action(upsilon_action(space, Y, xi), W).components)
-        columns.append(Vector(stacked))
-    return kernel(Matrix.from_columns(columns))
+    units = [Vector.unit(n, j) for j in range(n)]
+    seen = set()
+    rows = []
+    for i in range(n):
+        block = [co_action(upsilon_action(space, Y, units[i]), W).components for Y in units]
+        grew = False
+        for cols, vals in sparse_rows_from_scalars(list(zip(*block)), W.d):
+            g = gcd(*vals)
+            if next(v for v in vals if v) < 0:
+                g = -g
+            vals = [v // g for v in vals]
+            key = (tuple(cols), tuple(vals))
+            if key not in seen:
+                seen.add(key)
+                rows.append((cols, vals))
+                grew = True
+        if i < n - 1 and grew and len(_core.rref_sparse(rows, W.d)[0]) == n:
+            return []
+    return kernel_sparse(rows, n, W.d)
 
 
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:

@@ -167,3 +167,44 @@ def test_bad_field_parameter_rejected(capsys):
 def test_huge_field_parameter_rejected(capsys):
     assert main(["--d", str(10**18 + 9), "weyl", "basis-dim"]) == 2
     assert "limit" in capsys.readouterr().err
+
+
+def test_negative_signature_part_rejected(capsys):
+    code = main(["--p", "-1", "--q", "5", "weyl", "basis-dim"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: need p >= 0 and q >= 0") and err.count("\n") == 1
+
+
+_LINES = {"p": 2, "q": 1, "u": ["1", "r", "0", "0", "-1"], "v": ["1", "0", "0", "-r", "1"]}
+
+
+def _solve_file(tmp_path, capsys, payload):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(payload))
+    code = main(["solve", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("key", ["u", "v", "p", "q"])
+def test_input_file_missing_field(tmp_path, capsys, key):
+    payload = {k: v for k, v in _LINES.items() if k != key}
+    code, err = _solve_file(tmp_path, capsys, payload)
+    assert code == 2
+    assert err == f"error: input file has no {key!r}\n"
+
+
+@pytest.mark.parametrize("key, value", [("p", "two"), ("q", 1.5), ("p", None), ("q", True)])
+def test_input_file_non_integer_signature(tmp_path, capsys, key, value):
+    code, err = _solve_file(tmp_path, capsys, {**_LINES, key: value})
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_input_file_small_signature(tmp_path, capsys):
+    code, err = _solve_file(tmp_path, capsys, {**_LINES, "p": 1, "q": 1})
+    assert code == 2
+    assert err == "error: need p + q >= 3\n"

@@ -14,7 +14,7 @@ from confsym.linalg import (
     rank,
     solve_affine,
 )
-from confsym.scalars import Scalar
+from confsym.scalars import FieldMismatchError, Scalar
 
 from conftest import rand_scalar
 
@@ -123,6 +123,22 @@ def test_rank_examples():
     u = Vector([1, 2, -1])
     w = Vector([3, 0, 5, 7])
     assert rank(Matrix.outer(u, w)) == 1
+
+
+def test_entry_points_reject_mixed_fields():
+    # sqrt 2 and sqrt 3 in one system: the rank is 2, but numerators read in
+    # one field would give 1.
+    M = Matrix([[Scalar.sqrt_d(2), 1], [Scalar.sqrt_d(3), 1]])
+    with pytest.raises(FieldMismatchError):
+        rank(M)
+    with pytest.raises(FieldMismatchError):
+        kernel(M)
+    with pytest.raises(FieldMismatchError):
+        solve_affine(M, Vector([0, 0]))
+    with pytest.raises(FieldMismatchError):
+        solve_affine(Matrix([[Scalar.sqrt_d(2), 1]]), Vector([Scalar.sqrt_d(3)]))
+    # rational entries belong to every field
+    assert rank(Matrix([[Scalar.sqrt_d(3), 1], [Scalar(1, 0, 2), 1]])) == 2
 
 
 def test_solve_affine_hyperplane():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import CoElement, upsilon_action
-from confsym.linalg import Matrix, Vector, solve_affine
-from confsym.scalars import Scalar
+from confsym.linalg import Matrix, Vector, kernel, solve_affine
+from confsym.scalars import FieldMismatchError, Scalar
+import confsym.weyl as weyl_module
 from confsym.weyl import (
     _FAMILIES,
     WeylTensor,
@@ -367,3 +368,169 @@ def test_validate_rejects_components_from_another_field():
     WeylTensor(4, 0, comps, d=3)
     with pytest.raises(ValueError, match="field"):
         WeylTensor(4, 0, comps, d=2)
+
+
+# -- co_action and prolongation against the former Scalar loops ----------------
+
+
+def reference_co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
+    """The former co_action, one Scalar operation per term, kept as an
+    independent reference."""
+    n = W.n
+    F = c.endomorphism()
+    nz = [(r, m, F[r, m]) for r in range(n) for m in range(n) if F[r, m]]
+    n2 = n * n
+    n3 = n2 * n
+    raised = list(W.components)
+    for m in range(n):
+        if W._sign(m) < 0:
+            for t in range(n3):
+                if raised[m * n3 + t]:
+                    raised[m * n3 + t] = -raised[m * n3 + t]
+    out = [Scalar(0)] * (n * n3)
+    for r, m, f in nz:
+        for t in range(n3):
+            v = raised[m * n3 + t]
+            if v:
+                out[r * n3 + t] = out[r * n3 + t] + f * v
+    for m, j, f in nz:
+        for i in range(n):
+            for t in range(n2):
+                v = raised[(i * n + m) * n2 + t]
+                if v:
+                    out[(i * n + j) * n2 + t] = out[(i * n + j) * n2 + t] - v * f
+    for m, k, f in nz:
+        for a in range(n2):
+            for t in range(n):
+                v = raised[(a * n + m) * n + t]
+                if v:
+                    out[(a * n + k) * n + t] = out[(a * n + k) * n + t] - v * f
+    for m, l, f in nz:
+        for a in range(n3):
+            v = raised[a * n + m]
+            if v:
+                out[a * n + l] = out[a * n + l] - v * f
+    for i in range(n):
+        if W._sign(i) < 0:
+            for t in range(n3):
+                if out[i * n3 + t]:
+                    out[i * n3 + t] = -out[i * n3 + t]
+    return WeylTensor(W.p, W.q, out, W.d, validate=False)
+
+
+def reference_prolongation(W: WeylTensor) -> list[Vector]:
+    """The former prolongation: the kernel of the whole stacked n^5 x n
+    system, built from reference_co_action."""
+    space = MobiusSpace(W.p, W.q, W.d)
+    n = W.n
+    columns = []
+    for j in range(n):
+        stacked = []
+        for i in range(n):
+            c = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i))
+            stacked.extend(reference_co_action(c, W).components)
+        columns.append(Vector(stacked))
+    return kernel(Matrix.from_columns(columns))
+
+
+def assert_same_scalars(got, want):
+    """Equal values with identical text; irrational entries keep their field
+    tag (a rational entry's tag now follows the tensor's d)."""
+    assert got == want
+    assert [str(x) for x in got] == [str(x) for x in want]
+    assert [x.d for x in got if x.b] == [x.d for x in want if x.b]
+
+
+_SIGNATURES = st.sampled_from([(4, 0), (3, 1), (2, 2), (5, 0)])
+_IRRATIONAL = st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def _tensors(draw):
+    """random_weyl tensors, their scalings by 1 + sqrt 2, W = 0, and tensors
+    with one to three nonzero components (not Weyl-type; their first xi-block
+    can fall short of full rank)."""
+    p, q = draw(_SIGNATURES)
+    n = p + q
+    kind = draw(st.sampled_from(["weyl", "irrational", "zero", "sparse"]))
+    if kind == "zero":
+        return WeylTensor(p, q, [Scalar(0)] * n**4, validate=False)
+    if kind == "sparse":
+        comps = [Scalar(0)] * n**4
+        for _ in range(draw(st.integers(1, 3))):
+            comps[draw(st.integers(0, n**4 - 1))] = draw(_PERTURBATIONS)
+        return WeylTensor(p, q, comps, validate=False)
+    W = random_weyl(p, q, draw(st.integers(0, 10**6)))
+    return W.scale(Scalar(1, 1)) if kind == "irrational" else W
+
+
+@st.composite
+def _co_elements(draw, p, q, d=2):
+    """a id + A with a and A's entries in Q(sqrt d), irrational unless drawn 0."""
+    n = p + q
+    space = MobiusSpace(p, q, d)
+    scalar = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3), st.just(d))
+    rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(scalar)
+            rows[i][j] = x * Scalar(space.signature.j_sign(j))
+            rows[j][i] = -x * Scalar(space.signature.j_sign(i))
+    return CoElement(draw(scalar), Matrix(rows))
+
+
+@given(W=_tensors(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_co_action_matches_the_reference(W, data):
+    c = data.draw(_co_elements(W.p, W.q))
+    got = co_action(c, W)
+    want = reference_co_action(c, W)
+    assert got.d == want.d and (got.p, got.q) == (want.p, want.q)
+    assert_same_scalars(got.components, want.components)
+
+
+@given(W=_tensors())
+@settings(max_examples=40, deadline=None)
+def test_prolongation_matches_the_reference(W):
+    got = prolongation(W)
+    want = reference_prolongation(W)
+    assert len(got) == len(want)
+    for y, z in zip(got, want):
+        assert_same_scalars(y.entries, z.entries)
+    if W.is_zero():
+        assert len(got) == W.n
+
+
+@given(pq=_SIGNATURES, seed=st.integers(0, 10**6), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_co_action_rejects_mixed_fields(pq, seed, data):
+    W = random_weyl(*pq, seed).scale(Scalar(1, 1))
+    c = data.draw(_co_elements(*pq, d=3))
+    if not any(x.b for x in [c.a] + list(c.A.flatten().entries)):
+        c = CoElement(c.a + Scalar.sqrt_d(3), c.A)
+    with pytest.raises(FieldMismatchError):
+        reference_co_action(c, W)
+    with pytest.raises(FieldMismatchError):
+        co_action(c, W)
+
+
+@pytest.mark.parametrize(
+    "pq, component, blocks",
+    [((4, 0), None, 1), ((5, 0), None, 1), ((3, 1), (2, 2, 2, 2), 3), ((3, 1), (1, 1, 1, 2), 2)],
+)
+def test_prolongation_stops_at_the_first_full_rank_block(monkeypatch, pq, component, blocks):
+    """A random Weyl tensor reaches rank n in its first xi-block.  A lone
+    component W_2222 at (3, 1) reaches ranks 2, 3, 4 after blocks 1, 2, 3,
+    and W_1112 ranks 3, 4: the remaining blocks are never built."""
+    p, q = pq
+    n = p + q
+    if component is None:
+        W = random_weyl(p, q, seed=3)
+    else:
+        comps = [Scalar(0)] * n**4
+        comps[((component[0] * n + component[1]) * n + component[2]) * n + component[3]] = Scalar(1)
+        W = WeylTensor(p, q, comps, validate=False)
+    calls = []
+    monkeypatch.setattr(weyl_module, "co_action", lambda c, T: calls.append(c) or co_action(c, T))
+    assert weyl_module.prolongation(W) == reference_prolongation(W) == []
+    assert len(calls) == blocks * n
