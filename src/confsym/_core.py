@@ -1,4 +1,4 @@
-"""Pure-Python exact row-echelon engine over Q(sqrt(d)).
+"""Exact row-echelon engine over Q(sqrt(d)).
 
 Rows enter over the ring Z[sqrt(d)] as (cols, vals): `cols` a strictly
 increasing list of column indices and `vals` a flat list [a0, b0, a1, b1, ...]
@@ -8,8 +8,8 @@ gcd(a, b, q) = 1, and pivot rows are kept monic; entries of reduced rows are
 then ratios of minors of the input, so coefficient growth stays polynomial.
 The output is the (unique) reduced row echelon form, entries as flat triples.
 
-A Cython twin of this module (confsym._core._speed) implements the identical
-algorithm; either backend must produce bit-identical output.
+Entries stay Python ints throughout: a machine-word fast path would risk
+silent overflow, and exactness is the whole point.
 """
 
 from math import gcd

@@ -57,15 +57,15 @@ class SessionConfig:
         return MobiusSpace(self.p, self.q, self.d)
 
 
+class InputError(Exception):
+    """Bad input; `main` reports it on one line and exits 2."""
+
+
 def _parse_vector_arg(text: str, d: int) -> Vector:
     try:
         return Vector(parse_scalar(part.strip(), d) for part in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad vector {text!r}: {exc}")
-
-
-class InputError(Exception):
-    """Malformed input file; `main` reports it on one line and exits 2."""
+        raise InputError(f"bad vector {text!r}: {exc}") from None
 
 
 def _int_field(data: dict, key: str, default=None) -> int:
@@ -92,7 +92,7 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
             with open(args.file) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"error: cannot read {args.file}: {exc}")
+            raise InputError(f"cannot read {args.file}: {exc}") from None
         if not isinstance(data, dict):
             raise InputError("input file must hold a JSON object")
         p, q = _int_field(data, "p"), _int_field(data, "q")
@@ -107,7 +107,7 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
         w = _file_vector(space, data, "w") if "w" in data else space.basis_vector(0)
     else:
         if not (args.u and args.v):
-            raise SystemExit("error: provide --file or both --u and --v")
+            raise InputError("provide --file or both --u and --v")
         space = config.space()
         u = _parse_vector_arg(args.u, config.d)
         v = _parse_vector_arg(args.v, config.d)
@@ -115,7 +115,7 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
     try:
         return space, space.line(u), space.line(v), space.line(w)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise InputError(str(exc)) from None
 
 
 def _emit(config: SessionConfig, machine_obj, human_lines):
@@ -141,7 +141,7 @@ def cmd_classify(config: SessionConfig, args) -> int:
     try:
         label = classify_orbit(space, w, u, v)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise InputError(str(exc)) from None
     pair_u = space.pairing(w.representative, u.representative)
     pair_v = space.pairing(w.representative, v.representative)
     _emit(
@@ -164,7 +164,7 @@ def cmd_solve(config: SessionConfig, args) -> int:
     try:
         report = find_symmetries(space, u, v, w)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise InputError(str(exc)) from None
     _emit(
         config,
         report_to_dict(space, report),
@@ -229,12 +229,12 @@ def cmd_extension(config: SessionConfig, args) -> int:
         return 0
 
     if not args.file:
-        raise SystemExit(f"error: extension {args.ext_command} needs --file")
+        raise InputError(f"extension {args.ext_command} needs --file")
     try:
         with open(args.file) as fh:
             ext = extension_from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise SystemExit(f"error: cannot load extension from {args.file}: {exc}")
+    except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
+        raise InputError(f"cannot load extension from {args.file}: {exc}") from None
 
     if args.ext_command == "validate":
         report = validate_extension(ext)

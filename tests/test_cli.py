@@ -49,14 +49,24 @@ def test_classify_command(capsys):
     assert "iso_u=False iso_v=False in_span=False" in out
 
 
+def _bad_input(capsys, *argv):
+    """Run a command that must exit 2 with one `error:` line and no output."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def test_classify_rejects_removed_point(capsys):
-    with pytest.raises(SystemExit, match="removed point"):
-        main(["classify", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1", "--w", "0,1,0,1,0"])
+    err = _bad_input(capsys, "classify", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1", "--w", "0,1,0,1,0")
+    assert "removed point" in err
 
 
 def test_classify_rejects_bad_literal(capsys):
-    with pytest.raises(SystemExit, match="bad vector"):
-        main(["classify", "--u", "1,oops,0,0,-1", "--v", "0,0,0,0,1"])
+    err = _bad_input(capsys, "classify", "--u", "1,oops,0,0,-1", "--v", "0,0,0,0,1")
+    assert "bad vector" in err
 
 
 def test_solve_human_output(capsys):
@@ -140,6 +150,14 @@ def test_extension_validate_machine(tmp_path, capsys):
     assert data["quotient"]["passed"]
     assert data["equivariance"]["passed"]
     assert dump_canonical(data) == out.strip()
+
+
+def test_extension_file_with_non_list_alpha(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    run(capsys, "extension", "make-flat", "-o", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "alpha": 5}))
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert "cannot load extension" in err
 
 
 def test_commands_are_deterministic(capsys):
