@@ -111,12 +111,14 @@ class Extension:
         self.space = space
         self.pair = pair
         self.alpha = alpha
+        self._alpha_t = alpha.transpose()
 
     def apply(self, x: Vector) -> GradedElement:
+        """alpha(x): the transpose of alpha, taken once in __init__, times the
+        coordinates of x, decoded into graded blocks."""
         if len(x) != self.pair.alg.dim:
             raise ValueError("coordinate vector has wrong length")
-        coords = self.alpha.transpose().matvec(x)
-        return graded_from_coords(self.space, coords)
+        return graded_from_coords(self.space, self._alpha_t.matvec(x))
 
 
 @dataclass
@@ -154,10 +156,11 @@ def validate_extension(ext: Extension) -> ExtensionReport:
             f"dim k - dim h = {pair.alg.dim - len(pair.h_basis)} does not match p+q = {n}"
         )
 
-    bad_h = []
-    for idx, h in enumerate(pair.h_basis):
-        if not ext.apply(h).X.is_zero():
-            bad_h.append(idx)
+    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
+    k_images = [ext.apply(y) for y in k_basis]
+    h_images = [ext.apply(h) for h in pair.h_basis]
+
+    bad_h = [idx for idx, ah in enumerate(h_images) if not ah.X.is_zero()]
     cond1 = ConditionReport(
         passed=not bad_h,
         detail="alpha(h) inside the stabilizer subalgebra",
@@ -173,13 +176,10 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     )
 
     bad_pairs = []
-    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
-    for hi, h in enumerate(pair.h_basis):
-        ah = ext.apply(h)
-        for yi, y in enumerate(k_basis):
+    for hi, (h, ah) in enumerate(zip(pair.h_basis, h_images)):
+        for yi, (y, ay) in enumerate(zip(k_basis, k_images)):
             lhs = ext.apply(pair.alg.bracket(h, y))
-            rhs = bracket(space, ah, ext.apply(y))
-            if not (lhs - rhs).is_zero():
+            if not (lhs - bracket(space, ah, ay)).is_zero():
                 bad_pairs.append((hi, yi))
     cond3 = ConditionReport(
         passed=not bad_pairs,

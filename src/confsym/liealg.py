@@ -260,7 +260,11 @@ def ad_s0(space: MobiusSpace, M: Matrix) -> Matrix:
 class StructureAlgebra:
     """Finite-dimensional algebra over Q(sqrt d) given by its bracket table
     c[i][j] with [b_i, b_j] = sum_k c[i][j][k] b_k; antisymmetry and the
-    Jacobi identity are validated exactly at construction."""
+    Jacobi identity are validated exactly at construction.
+
+    Besides the dense table the algebra keeps one sparse view of it, the
+    nonzero (k, c[i][j][k]) pairs of every (i, j); `bracket` and the Jacobi
+    check both expand brackets through that view."""
 
     def __init__(self, dim: int, table: list[list[Vector]]):
         if len(table) != dim or any(len(row) != dim for row in table):
@@ -271,46 +275,62 @@ class StructureAlgebra:
                     raise ValueError("bracket table entries have wrong length")
         self.dim = dim
         self.table = table
+        self._sparse = [[_nonzero(table[i][j]) for j in range(dim)] for i in range(dim)]
         self._check_antisymmetry()
         self._check_jacobi()
 
     def _check_antisymmetry(self):
+        sp = self._sparse
         for i in range(self.dim):
             for j in range(i, self.dim):
-                if self.table[i][j] != -self.table[j][i]:
+                if sp[i][j] != [(k, -c) for k, c in sp[j][i]]:
                     raise ValueError(f"bracket table is not antisymmetric at ({i}, {j})")
 
     def _check_jacobi(self):
+        sp = self._sparse
+        one = Scalar(1)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    total = (
-                        self.bracket(Vector.unit(self.dim, i), self.table[j][k])
-                        + self.bracket(Vector.unit(self.dim, j), self.table[k][i])
-                        + self.bracket(Vector.unit(self.dim, k), self.table[i][j])
-                    )
-                    if not total.is_zero():
+                    total = {}
+                    self._add_bracket(total, ((i, one),), sp[j][k])
+                    self._add_bracket(total, ((j, one),), sp[k][i])
+                    self._add_bracket(total, ((k, one),), sp[i][j])
+                    if any(total.values()):
                         raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
+
+    def _add_bracket(self, acc: dict, xs, ys) -> None:
+        """acc[k] += [x, y]_k for x, y given by their nonzero (index, value)
+        pairs; absent keys of acc stand for zero."""
+        sp = self._sparse
+        for i, xi in xs:
+            row = sp[i]
+            for j, yj in ys:
+                terms = row[j]
+                if not terms:
+                    continue
+                s = xi * yj
+                for k, c in terms:
+                    t = s * c
+                    acc[k] = acc[k] + t if k in acc else t
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors have wrong length")
-        out = Vector.zero(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = self.table[i][j]
-                if not cij.is_zero():
-                    out = out + cij.scale(xi * yj)
-        return out
+        acc = {}
+        self._add_bracket(acc, _nonzero(x), _nonzero(y))
+        zero = Scalar(0)
+        return Vector._of_scalars(acc.get(k, zero) for k in range(self.dim))
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad_x in the defining basis."""
         cols = [self.bracket(x, Vector.unit(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_columns(cols)
+
+
+def _nonzero(v: Vector) -> list:
+    """The nonzero entries of v as (index, value) pairs, in index order."""
+    return [(k, c) for k, c in enumerate(v.entries) if c]
 
 
 def killing_form(alg: StructureAlgebra, x: Vector, y: Vector) -> Scalar:
@@ -378,11 +398,27 @@ def graded_to_coords(space: MobiusSpace, e: GradedElement) -> Vector:
 
 
 def graded_from_coords(space: MobiusSpace, coords: Vector) -> GradedElement:
+    """The inverse of graded_to_coords, read straight off the coordinates:
+    a = c_0, X = c_1..c_n, Z = the last n coordinates, and each (i<j)
+    coordinate c gives A[i, j] = J_j c and A[j, i] = -J_i c."""
     n = space.n
     if len(coords) != graded_dim(space):
         raise ValueError(f"expected {graded_dim(space)} coordinates")
-    out = GradedElement.zero(space)
-    for c, b in zip(coords, so_basis(space)):
-        if c:
-            out = out + b.scale(c)
-    return out
+    sign = space.signature.j_sign
+    c = coords.entries
+    zero = Scalar(0)
+    rows = [[zero] * n for _ in range(n)]
+    k = n + 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = c[k]
+            k += 1
+            if v:
+                rows[i][j] = v if sign(j) > 0 else -v
+                rows[j][i] = -v if sign(i) > 0 else v
+    return GradedElement(
+        a=c[0],
+        X=Vector._of_scalars(c[1 : n + 1]),
+        A=Matrix(rows),
+        Z=Vector._of_scalars(c[k:]),
+    )

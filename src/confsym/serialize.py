@@ -160,13 +160,25 @@ def structure_algebra_to_dict(alg: StructureAlgebra) -> dict:
 
 
 def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
+    """Rejects any bracket entry whose indices are not integers 0 <= i < j < dim,
+    a repeated (i, j), and a coefficient list whose length is not dim."""
     dim = int(data["dim"])
     zero = Vector.zero(dim)
     table = [[zero for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for i, j, coeffs in data["brackets"]:
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
+            raise ValueError(f"bracket entry {[i, j]!r} needs integers 0 <= i < j < {dim}")
+        if (i, j) in seen:
+            raise ValueError(f"bracket entry {[i, j]!r} is repeated")
+        seen.add((i, j))
+        if len(coeffs) != dim:
+            raise ValueError(
+                f"bracket entry {[i, j]!r} has {len(coeffs)} coefficients, expected {dim}"
+            )
         v = vector_from_literals(coeffs, d)
-        table[int(i)][int(j)] = v
-        table[int(j)][int(i)] = -v
+        table[i][j] = v
+        table[j][i] = -v
     return StructureAlgebra(dim, table)
 
 
@@ -194,6 +206,13 @@ def extension_to_dict(ext: Extension) -> dict:
 
 def extension_from_dict(data: dict) -> Extension:
     space = MobiusSpace(int(data["p"]), int(data["q"]), int(data.get("d", 2)))
+    # The lists of the file bound dim before the O(dim^2) table is built.
+    dim = int(data["algebra"]["dim"])
+    if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):
+        raise ValueError(
+            f"algebra dim {dim} does not match {len(data['alpha'])} alpha rows "
+            f"and {len(data['h'])} + {len(data['m'])} h and m indices"
+        )
     alg = structure_algebra_from_dict(data["algebra"], space.d)
     h = [Vector.unit(alg.dim, int(i)) for i in data["h"]]
     m = [Vector.unit(alg.dim, int(i)) for i in data["m"]]

@@ -160,6 +160,66 @@ def test_extension_file_with_non_list_alpha(tmp_path, capsys):
     assert "cannot load extension" in err
 
 
+def _edited_flat_file(tmp_path, capsys, edit):
+    path = tmp_path / "flat.json"
+    run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [0, 99],  # past the dimension
+        [-1, 2],  # would wrap to the last basis element
+        [3, 1],  # not i < j
+        [2, 2],
+        [0, "1"],  # not an integer
+        [0, 1.0],
+    ],
+)
+def test_extension_file_with_bad_bracket_indices(tmp_path, capsys, entry):
+    def edit(data):
+        coeffs = data["algebra"]["brackets"][0][2]
+        data["algebra"]["brackets"].append(entry + [coeffs])
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert "bracket entry" in err
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_extension_file_with_wrong_coefficient_count(tmp_path, capsys, delta):
+    def edit(data):
+        coeffs = data["algebra"]["brackets"][0][2]
+        data["algebra"]["brackets"][0][2] = coeffs[:-1] if delta < 0 else coeffs + ["0"]
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert "coefficients" in err
+
+
+def test_extension_file_with_repeated_bracket_entry(tmp_path, capsys):
+    def edit(data):
+        data["algebra"]["brackets"].append(data["algebra"]["brackets"][0])
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert "repeated" in err
+
+
+@pytest.mark.parametrize("dim", [10**9, 11, 9])
+def test_extension_file_dim_is_bounded_by_its_lists(tmp_path, capsys, dim):
+    def edit(data):
+        data["algebra"]["dim"] = dim
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert f"algebra dim {dim} does not match" in err
+
+
 def test_commands_are_deterministic(capsys):
     args = ["--machine", "solve", "--u", "0,1,0,1,0", "--v", "1,1,0,1,0"]
     _, first = run(capsys, *args)

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsym.extension import (
+    ConditionReport,
     Extension,
+    ExtensionReport,
     HomogeneousPair,
     SymmetricPair,
     curvature,
@@ -12,16 +16,18 @@ from confsym.extension import (
     symmetry_criterion_search,
     validate_extension,
 )
+from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     GradedElement,
     StructureAlgebra,
     algebra_condition,
+    bracket,
     graded_dim,
     graded_to_coords,
     killing_form,
     realize,
 )
-from confsym.linalg import Matrix, Vector
+from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import Scalar
 
 from conftest import heisenberg_pair, rand_symmetric_pair, so_k_pair
@@ -258,3 +264,89 @@ def test_flat_pair_is_not_symmetric(space21):
     alg = ext.pair.alg
     with pytest.raises(ValueError, match="closure"):
         SymmetricPair(alg, ext.pair.h_basis, ext.pair.m_basis)
+
+
+# -- the report against the former per-pair validation -----------------------
+
+
+def reference_validate_extension(ext):
+    """The former validate_extension: alpha applied afresh for every h, every
+    m and every (h, y) pair."""
+    space = ext.space
+    pair = ext.pair
+    n = space.n
+    bad_h = [idx for idx, h in enumerate(pair.h_basis) if not ext.apply(h).X.is_zero()]
+    x_rows = [ext.apply(m).X.entries for m in pair.m_basis]
+    r = rank(Matrix(x_rows)) if x_rows else 0
+    bad_pairs = []
+    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
+    for hi, h in enumerate(pair.h_basis):
+        ah = ext.apply(h)
+        for yi, y in enumerate(k_basis):
+            lhs = ext.apply(pair.alg.bracket(h, y))
+            rhs = bracket(space, ah, ext.apply(y))
+            if not (lhs - rhs).is_zero():
+                bad_pairs.append((hi, yi))
+    return ExtensionReport(
+        ConditionReport(not bad_h, "alpha(h) inside the stabilizer subalgebra", bad_h),
+        ConditionReport(r == n, f"induced map on the quotient has rank {r} (need {n})", [r]),
+        ConditionReport(not bad_pairs, "alpha is equivariant over h", bad_pairs),
+    )
+
+
+_FLAT = {}
+
+
+def _flat(pq):
+    if pq not in _FLAT:
+        _FLAT[pq] = flat_model_extension(MobiusSpace(*pq))
+    return _FLAT[pq]
+
+
+def _with_rows(ext, rows):
+    return Extension(ext.space, ext.pair, Matrix(rows))
+
+
+def _assert_same_report(ext):
+    got = validate_extension(ext)
+    want = reference_validate_extension(ext)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+def test_flat_model_report_matches_the_reference(pq):
+    report = _assert_same_report(_flat(pq))
+    assert report.passed
+
+
+_SHIFTS = st.sampled_from(
+    [Scalar(1), Scalar(2), Scalar(-1, 0, 2), Scalar(0, 1), Scalar(1, -1)]
+)
+
+
+@given(pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_scaling_perturbation_report_matches_the_reference(pq, data):
+    # a constant added to the scaling coordinate of one h row of alpha
+    ext = _flat(pq)
+    h_rows = [h.entries.index(Scalar(1)) for h in ext.pair.h_basis]
+    row = data.draw(st.sampled_from(h_rows))
+    rows = [list(r) for r in ext.alpha.rows]
+    rows[row][0] = rows[row][0] + data.draw(_SHIFTS)
+    report = _assert_same_report(_with_rows(ext, rows))
+    assert report.stabilizer_condition.passed and report.quotient_condition.passed
+    assert not report.equivariance_condition.passed
+
+
+@given(pq=st.sampled_from([(2, 1), (2, 1), (3, 1), (2, 2)]), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_random_perturbation_report_matches_the_reference(pq, data):
+    ext = _flat(pq)
+    dim = ext.pair.alg.dim
+    rows = [list(r) for r in ext.alpha.rows]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, dim - 1))
+        j = data.draw(st.integers(0, dim - 1))
+        rows[i][j] = rows[i][j] + data.draw(_SHIFTS)
+    _assert_same_report(_with_rows(ext, rows))

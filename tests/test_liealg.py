@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
@@ -15,6 +17,7 @@ from confsym.liealg import (
     killing_form,
     realize,
     so_basis,
+    so_block_condition,
     structure_constants_from_matrices,
     upsilon_action,
     upsilon_bracket_constant,
@@ -22,7 +25,7 @@ from confsym.liealg import (
 from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import Scalar
 
-from conftest import rand_covector, rand_so_matrix, rand_vector
+from conftest import heisenberg_pair, rand_covector, rand_so_matrix, rand_vector, so_k_pair
 
 
 def rand_graded(space, rng):
@@ -273,3 +276,167 @@ def test_so_basis_is_a_basis(space21):
     assert len(basis) == graded_dim(space21)
     rows = [graded_to_coords(space21, b).entries for b in basis]
     assert rank(Matrix(rows)) == len(basis)
+
+
+# -- the direct decoder against the former sum over so_basis -----------------
+
+
+def reference_graded_from_coords(space, coords):
+    """The former decoder: every so_basis element scaled by its coordinate,
+    summed."""
+    out = GradedElement.zero(space)
+    for c, b in zip(coords, so_basis(space)):
+        if c:
+            out = out + b.scale(c)
+    return out
+
+
+def _entry_strings(e):
+    return (
+        [str(e.a)]
+        + [str(x) for x in e.X]
+        + [str(x) for row in e.A.rows for x in row]
+        + [str(x) for x in e.Z]
+    )
+
+
+@st.composite
+def _graded_coords(draw):
+    p, q = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (4, 0)]))
+    d = draw(st.sampled_from([2, 3]))
+    space = MobiusSpace(p, q, d)
+    radical = st.integers(-2, 2) if draw(st.booleans()) else st.just(0)
+    entry = st.one_of(
+        st.just(Scalar(0)),
+        st.builds(Scalar, st.integers(-4, 4), radical, st.integers(1, 3), st.just(d)),
+    )
+    dim = graded_dim(space)
+    return space, Vector(draw(st.lists(entry, min_size=dim, max_size=dim)))
+
+
+@given(_graded_coords())
+@settings(max_examples=150, deadline=None)
+def test_graded_from_coords_matches_the_basis_sum(case):
+    space, coords = case
+    got = graded_from_coords(space, coords)
+    want = reference_graded_from_coords(space, coords)
+    assert got == want
+    assert _entry_strings(got) == _entry_strings(want)
+    assert so_block_condition(space, got.A)
+    assert graded_to_coords(space, got) == coords
+
+
+# -- the sparse structure table against the former dense loops ---------------
+
+
+def reference_bracket(dim, table, x, y):
+    """The former dense bracket: sum of c[i][j] scaled by x_i y_j."""
+    out = Vector.zero(dim)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            cij = table[i][j]
+            if not cij.is_zero():
+                out = out + cij.scale(xi * yj)
+    return out
+
+
+def reference_jacobi_failure(dim, table):
+    """The former dense Jacobi loop; the first failing (i, j, k) or None."""
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                total = (
+                    reference_bracket(dim, table, Vector.unit(dim, i), table[j][k])
+                    + reference_bracket(dim, table, Vector.unit(dim, j), table[k][i])
+                    + reference_bracket(dim, table, Vector.unit(dim, k), table[i][j])
+                )
+                if not total.is_zero():
+                    return (i, j, k)
+    return None
+
+
+_TABLE_ENTRY = st.one_of(
+    st.just(Scalar(0)),
+    st.builds(Scalar, st.integers(-2, 2)),
+    st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1), st.integers(1, 2)),
+)
+
+
+@st.composite
+def _antisymmetric_tables(draw):
+    """Antisymmetric tables with about two thirds of the brackets nonzero;
+    about half of them violate Jacobi (no table of dimension 2 does)."""
+    dim = draw(st.integers(2, 5))
+    table = [[Vector.zero(dim) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if draw(st.integers(0, 2)) != 0:
+                v = Vector(draw(st.lists(_TABLE_ENTRY, min_size=dim, max_size=dim)))
+                table[i][j] = v
+                table[j][i] = -v
+    return dim, table
+
+
+def _coordinate_vectors(dim):
+    return st.lists(_TABLE_ENTRY, min_size=dim, max_size=dim).map(Vector)
+
+
+@given(_antisymmetric_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_jacobi_and_bracket_match_the_dense_reference(case, data):
+    dim, table = case
+    failure = reference_jacobi_failure(dim, table)
+    if failure is not None:
+        with pytest.raises(ValueError) as info:
+            StructureAlgebra(dim, table)
+        assert str(info.value) == f"Jacobi identity fails at {failure}"
+        return
+    alg = StructureAlgebra(dim, table)
+    for _ in range(3):
+        x = data.draw(_coordinate_vectors(dim))
+        y = data.draw(_coordinate_vectors(dim))
+        got = alg.bracket(x, y)
+        want = reference_bracket(dim, table, x, y)
+        assert got == want and [str(e) for e in got] == [str(e) for e in want]
+
+
+@pytest.mark.parametrize("which", ["so3", "so4", "heisenberg", "so21"])
+def test_sparse_bracket_matches_the_dense_reference_on_known_algebras(which, rng):
+    if which == "so3":
+        alg = so3_algebra()
+    elif which == "so4":
+        alg = so_k_pair(4, 2)[0]
+    elif which == "heisenberg":
+        alg = heisenberg_pair()[0]
+    else:
+        space = MobiusSpace(2, 1)
+        alg = structure_constants_from_matrices([realize(space, b) for b in so_basis(space)])
+    for _ in range(20):
+        x = rand_vector(rng, alg.dim, 3)
+        y = rand_vector(rng, alg.dim, 3)
+        assert alg.bracket(x, y) == reference_bracket(alg.dim, alg.table, x, y)
+
+
+@given(_antisymmetric_tables(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_antisymmetry_check_names_the_first_broken_pair(case, data):
+    dim, table = case
+    i = data.draw(st.integers(0, dim - 1))
+    j = data.draw(st.integers(0, dim - 1))
+    k = data.draw(st.integers(0, dim - 1))
+    entries = list(table[i][j].entries)
+    entries[k] = entries[k] + Scalar(1)
+    table[i][j] = Vector(entries)
+    first = next(
+        (a, b)
+        for a in range(dim)
+        for b in range(a, dim)
+        if table[a][b] != -table[b][a]
+    )
+    with pytest.raises(ValueError) as info:
+        StructureAlgebra(dim, table)
+    assert str(info.value) == f"bracket table is not antisymmetric at {first}"
