@@ -39,6 +39,12 @@ from .symmetry import SymmetryReport, find_symmetries
 from .weyl import prolongation, random_weyl, weyl_space_basis
 
 
+# Largest p + q accepted from the command line or an input file.  The cost
+# grows steeply with n (make-flat takes about 48 s at n = 12, the Weyl basis
+# at n = 16 about 2.7 GB), so hostile input must stop here.
+MAX_DIMENSION = 12
+
+
 @dataclass
 class SessionConfig:
     p: int
@@ -51,6 +57,8 @@ class SessionConfig:
             raise ValueError(f"need p >= 0 and q >= 0, got ({self.p}, {self.q})")
         if self.p + self.q < 3:
             raise ValueError("need p + q >= 3")
+        if self.p + self.q > MAX_DIMENSION:
+            raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {self.p + self.q}")
         check_field_parameter(self.d)
 
     def space(self) -> MobiusSpace:
@@ -232,7 +240,11 @@ def cmd_extension(config: SessionConfig, args) -> int:
         raise InputError(f"extension {args.ext_command} needs --file")
     try:
         with open(args.file) as fh:
-            ext = extension_from_dict(json.load(fh))
+            data = json.load(fh)
+        # The file's signature and field pass the checks of the flags before
+        # anything is built from them.
+        SessionConfig(int(data["p"]), int(data["q"]), int(data.get("d", 2)))
+        ext = extension_from_dict(data)
     except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load extension from {args.file}: {exc}") from None
 

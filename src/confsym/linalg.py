@@ -312,11 +312,12 @@ def kernel_sparse(rows, ncols: int, d: int) -> list[Vector]:
     pivot_set = set(pivots)
     free = [f for f in range(ncols) if f not in pivot_set]
     slot = {f: k for k, f in enumerate(free)}
-    zero = Scalar(0)
+    zero = Scalar(0, 0, 1, d)
+    one = Scalar(1, 0, 1, d)
     basis = []
     for f in free:
         entries = [zero] * ncols
-        entries[f] = Scalar(1)
+        entries[f] = one
         basis.append(entries)
     for (cols, triples), pc in zip(reduced, pivots):
         for k in range(1, len(cols)):

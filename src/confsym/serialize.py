@@ -15,7 +15,7 @@ from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import Scalar, parse_scalar
 from .symmetry import SymmetryReport
-from .weyl import WeylTensor
+from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
 
 
 def dump_canonical(obj) -> str:
@@ -101,50 +101,41 @@ def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
 # -- Weyl tensors ------------------------------------------------------------
 
 
+def _weyl_keys(n: int, orbits) -> list[str]:
+    """The 1-based "i,j,k,l" key of each orbit's canonical component."""
+    return [",".join(str(x + 1) for x in _unflat(n, members[0][0])) for members in orbits]
+
+
 def weyl_to_dict(W: WeylTensor) -> dict:
-    """Only components with i<j, k<l, (i,j) <= (k,l) lexicographically are
-    listed (1-based); the rest are reconstructed from the symmetries."""
+    """Lists the canonical component (i<j, k<l, (i,j) <= (k,l)) of each orbit
+    of `weyl._orbits` when it is nonzero; the other members of its orbit are
+    that value times their signs."""
+    orbits, _ = _orbits(W.n)
     comps = {}
-    n = W.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if (i, j) > (k, l):
-                        continue
-                    val = W[i, j, k, l]
-                    if val:
-                        comps[f"{i + 1},{j + 1},{k + 1},{l + 1}"] = str(val)
+    for key, members in zip(_weyl_keys(W.n, orbits), orbits):
+        val = W.components[members[0][0]]
+        if val:
+            comps[key] = str(val)
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 
 
 def weyl_from_dict(data: dict) -> WeylTensor:
+    """Inverse of `weyl_to_dict`: each value is written, times its sign, on
+    every member of its key's orbit.  Rejects a key that `weyl_to_dict` would
+    not write and a tensor that fails `WeylTensor.validate`."""
     p = int(data["p"])
     q = int(data["q"])
     d = int(data["d"])
-    n = p + q
-    flat = [Scalar(0)] * n**4
-
-    def put(i, j, k, l, v):
-        flat[((i * n + j) * n + k) * n + l] = v
-
+    system = _ConstraintSystem(p, q)
+    slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
+    values = [None] * len(system.orbits)
     for key, lit in data["components"].items():
-        i, j, k, l = (int(t) - 1 for t in key.split(","))
-        if not (0 <= i < j < n and 0 <= k < l < n and (i, j) <= (k, l)):
+        if key not in slots:
             raise ValueError(f"non-canonical component key {key!r}")
-        v = parse_scalar(lit, d)
-        for (a, b, c, e), s in (
-            ((i, j, k, l), v),
-            ((j, i, k, l), -v),
-            ((i, j, l, k), -v),
-            ((j, i, l, k), v),
-            ((k, l, i, j), v),
-            ((l, k, i, j), -v),
-            ((k, l, j, i), -v),
-            ((l, k, j, i), v),
-        ):
-            put(a, b, c, e, s)
-    return WeylTensor(p, q, flat, d, validate=True)
+        values[slots[key]] = parse_scalar(lit, d)
+    W = WeylTensor(p, q, system.expand(values, Scalar(0, 0, 1, d)), d, validate=False)
+    W.validate(system)
+    return W
 
 
 # -- structure algebras and extensions ---------------------------------------

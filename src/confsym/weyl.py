@@ -2,25 +2,27 @@
 
 A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
-vanishing J-trace.  The space of all of them is computed as one exact kernel
-of the flattened constraint system over all n^4 components.  Those sparse
-integer rows (`_constraint_rows`) are the one statement of the symmetries:
-`WeylTensor.validate` evaluates them on a tensor's components.  co(p, q)
-acts on a tensor viewed as a (1,3)-tensor (one index raised with J), so the
-pure scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
-numerators over one common denominator.  The first prolongation collects the
-covectors Y whose induced endomorphisms annihilate the tensor for every
-direction xi.  `prolongation` builds that system lazily, one xi-block at a
-time, drops rows that repeat up to a scalar factor, and stops as soon as the
-rank reaches n: a trivial kernel is then certified without the other blocks.
+vanishing J-trace.  The first three generate an 8-way symmetry of the
+components, stated only by one table of orbits per n (`_orbits`).  First
+Bianchi and the trace are sparse integer rows (`_constraint_rows`).  The
+space of all Weyl tensors is their exact kernel on one unknown per orbit,
+expanded through the table; `WeylTensor.validate` compares each orbit's
+members and evaluates the same rows.  co(p, q) acts on a tensor viewed as a
+(1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
+`co_action` computes it on integer Z[sqrt d] numerators over one common
+denominator.  The first prolongation collects the covectors Y whose induced
+endomorphisms annihilate the tensor for every direction xi.  `prolongation`
+builds that system lazily, one xi-block at a time, drops rows that repeat up
+to a scalar factor, and stops as soon as the rank reaches n: a trivial
+kernel is then certified without the other blocks.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
 from . import _core
@@ -58,9 +60,7 @@ class WeylTensor:
         return 1 if i < self.p else -1
 
     def __getitem__(self, ijkl) -> Scalar:
-        i, j, k, l = ijkl
-        n = self.n
-        return self.components[((i * n + j) * n + k) * n + l]
+        return self.components[_flat(self.n, *ijkl)]
 
     def __eq__(self, other):
         return (
@@ -78,36 +78,48 @@ class WeylTensor:
     def validate(self, system: _ConstraintSystem | None = None):
         """Exact check of all four symmetry families; raises on violation.
 
-        Evaluates the integer rows of `_constraint_rows` on the component
-        numerators over one common denominator.  Only rows that touch a
-        nonzero component are evaluated; every other row has residual 0.
-        Pass a prebuilt `system` for the same signature to skip building it.
+        Every nonzero component must lie in an orbit of `_orbits` and agree,
+        up to the signs, with its neighbours along the orbit's walk; a failing
+        step names the family of its generator.  The first Bianchi and trace
+        rows are then evaluated on the numerators of the orbits' canonical
+        components over one common denominator.  Pass a prebuilt `system`
+        for the same signature to skip building it.
         """
-        p, q = self.p, self.q
+        p, q, n = self.p, self.q, self.n
         if system is None:
-            ends = []
-            system = _ConstraintSystem(p, q, _constraint_rows(p, q, ends), ends)
+            system = _ConstraintSystem(p, q)
         elif (system.p, system.q) != (p, q):
             raise ValueError("constraint system of another signature")
-        nonzero = [(t, c) for t, c in enumerate(self.components) if c.a or c.b]
-        denom = lcm(*(c.q for _, c in nonzero))
-        index = system.index
-        res_a = {}
-        res_b = {}
+        comps = self.components
+        nonzero = [(t, c) for t, c in enumerate(comps) if c.a or c.b]
+        touched = set()
         for t, c in nonzero:
             if c.b and c.d != self.d:
                 raise ValueError(
-                    f"component {_unflat(self.n, t)} lies in Q(sqrt {c.d}), "
+                    f"component {_unflat(n, t)} lies in Q(sqrt {c.d}), "
                     f"not in the tensor's field Q(sqrt {self.d})"
                 )
-            f = denom // c.q
-            a = c.a * f
-            b = c.b * f
-            for r, coef in index[t]:
-                res_a[r] = res_a.get(r, 0) + coef * a
-                if b:
-                    res_b[r] = res_b.get(r, 0) + coef * b
-        failed = [r for r, v in res_a.items() if v] + [r for r, v in res_b.items() if v]
+            if system.slot[t] is None:
+                i, j, k, l = _unflat(n, t)
+                family = _SYMMETRIES[0 if i == j else 1][0]
+                raise ValueError(f"{family} fails at {(i, j, k, l)}")
+            touched.add(system.slot[t][0])
+        for u in sorted(touched):
+            members = system.orbits[u]
+            for g, (t, s), (t2, s2) in zip(_WALK, members, members[1:]):
+                if comps[t2] != (comps[t] if s == s2 else -comps[t]):
+                    raise ValueError(f"{_SYMMETRIES[g][0]} fails at {_unflat(n, t)}")
+        # The orbits agree, so each row is evaluated on the canonical member
+        # of each touched orbit; rows touching no such orbit vanish.
+        denom = lcm(*(c.q for _, c in nonzero))
+        res = {}
+        for u in touched:
+            x = comps[system.orbits[u][0][0]]
+            f = denom // x.q
+            for r, coef in system.index[u]:
+                a, b = res.get(r, (0, 0))
+                res[r] = (a + coef * f * x.a, b + coef * f * x.b)
+        failed = [r for r, v in res.items() if v != (0, 0)]
         if failed:
             raise ValueError(system.describe(min(failed)))
 
@@ -153,128 +165,124 @@ def _unflat(n: int, t: int) -> tuple[int, int, int, int]:
     return i, j, k, l
 
 
-_FAMILIES = (
-    "antisymmetry (12)",
-    "antisymmetry (34)",
-    "pair symmetry",
-    "first Bianchi",
-    "trace-free condition",
+# The generators of the component symmetries: family, index permutation and
+# sign, W[perm(ijkl)] = sign W[ijkl].
+_SYMMETRIES = (
+    ("antisymmetry (12)", (1, 0, 2, 3), -1),
+    ("antisymmetry (34)", (0, 1, 3, 2), -1),
+    ("pair symmetry", (2, 3, 0, 1), 1),
 )
+# A walk through the eight members of an orbit, one generator per step.
+_WALK = (0, 1, 0, 2, 0, 1, 0)
+
+
+def _orbits(n: int) -> tuple[list, list]:
+    """The component orbits of `_SYMMETRIES` in dimension n: (orbits, slot).
+
+    One orbit per canonical component (i<j, k<l, (i,j) <= (k,l)), ordered by
+    its largest flat index.  An orbit lists its members as (flat index, sign
+    relative to the canonical component) along `_WALK` from the canonical
+    one; when (i,j) = (k,l) the first three steps reach all four members.
+    The largest member always has sign +1.  `slot[t]` is (orbit, sign) of
+    flat index t, or None when i = j or k = l forces the component to zero."""
+    orbits = []
+    pairs = list(combinations(range(n), 2))
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a:]:
+            idx, sign = (i, j, k, l), 1
+            members = [(_flat(n, *idx), sign)]
+            for g in _WALK[: 3 if (i, j) == (k, l) else 7]:
+                _, perm, s = _SYMMETRIES[g]
+                idx = tuple(idx[x] for x in perm)
+                sign *= s
+                members.append((_flat(n, *idx), sign))
+            orbits.append(members)
+    orbits.sort(key=lambda members: max(members)[0])
+    slot = [None] * n**4
+    for u, members in enumerate(orbits):
+        for t, s in members:
+            slot[t] = (u, s)
+    return orbits, slot
 
 
 def _constraint_rows(p: int, q: int, ends: list | None = None):
-    """Sparse integer rows of the flattened constraint system, one family at a
-    time (in the order of `_FAMILIES`): antisymmetries, pair interchange,
-    first Bianchi, J-trace.  When `ends` is a list, the row count after each
-    family is appended to it."""
+    """Sparse integer rows of the first Bianchi and then the J-trace
+    conditions on the flat components.  When `ends` is a list, the row count
+    after each of the two families is appended to it."""
     n = p + q
     ends = [] if ends is None else ends
-    sign = lambda i: 1 if i < p else -1
     rows = []
     for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                for l in range(n):
-                    if i == j:
-                        rows.append(([_flat(n, i, i, k, l)], [1, 0]))
-                    else:
-                        rows.append(
-                            (
-                                [_flat(n, i, j, k, l), _flat(n, j, i, k, l)],
-                                [1, 0, 1, 0],
-                            )
-                        )
+        for j, k, l in combinations(range(n), 3):
+            cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
+            rows.append((cols, [1, 0, 1, 0, 1, 0]))
     ends.append(len(rows))
-    for k in range(n):
-        for l in range(k, n):
-            for i in range(n):
-                for j in range(n):
-                    if k == l:
-                        rows.append(([_flat(n, i, j, k, k)], [1, 0]))
-                    else:
-                        rows.append(
-                            (
-                                [_flat(n, i, j, k, l), _flat(n, i, j, l, k)],
-                                [1, 0, 1, 0],
-                            )
-                        )
-    ends.append(len(rows))
-    for a in range(n * n):
-        for b in range(a + 1, n * n):
-            i, j = divmod(a, n)
-            k, l = divmod(b, n)
-            rows.append(
-                (
-                    [_flat(n, i, j, k, l), _flat(n, k, l, i, j)],
-                    [1, 0, -1, 0],
-                )
-            )
-    ends.append(len(rows))
+    # Every trace row sums W_ijil with the coefficients J_ii.
+    vals = []
     for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    rows.append(
-                        (
-                            [
-                                _flat(n, i, j, k, l),
-                                _flat(n, i, k, l, j),
-                                _flat(n, i, l, j, k),
-                            ],
-                            [1, 0, 1, 0, 1, 0],
-                        )
-                    )
-    ends.append(len(rows))
+        vals += [1 if i < p else -1, 0]
     for j in range(n):
         for l in range(n):
-            cols = []
-            vals = []
-            for i in range(n):
-                cols.append(_flat(n, i, j, i, l))
-                vals.append(sign(i))
-                vals.append(0)
-            rows.append((cols, vals))
+            rows.append(([_flat(n, i, j, i, l) for i in range(n)], vals))
     ends.append(len(rows))
     return rows
 
 
 class _ConstraintSystem:
-    """The rows of `_constraint_rows` for one signature, indexed by column:
-    `index[t]` lists (row, integer coefficient) for every row touching
-    component t."""
+    """What `WeylTensor.validate` checks for one signature: the orbits of
+    `_orbits` and the rows of `_constraint_rows`.  `index[u]` lists (row,
+    integer coefficient) of the rows on one unknown per orbit, where each
+    member's column becomes its orbit's, times its sign."""
 
-    __slots__ = ("p", "q", "rows", "ends", "index")
+    __slots__ = ("p", "q", "orbits", "slot", "rows", "ends", "index")
 
-    def __init__(self, p: int, q: int, rows: list, ends: list):
+    def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self.rows = rows
-        self.ends = ends
-        index = [[] for _ in range((p + q) ** 4)]
-        for r, (cols, vals) in enumerate(rows):
-            for k, c in enumerate(cols):
-                index[c].append((r, vals[2 * k]))
-        self.index = index
+        self.orbits, self.slot = _orbits(p + q)
+        self.ends = []
+        self.rows = _constraint_rows(p, q, self.ends)
+        self.index = [[] for _ in self.orbits]
+        for r, (cols, vals) in enumerate(self.rows):
+            acc = {}
+            for t, v in zip(cols, vals[::2]):
+                if self.slot[t]:
+                    u, s = self.slot[t]
+                    acc[u] = acc.get(u, 0) + s * v
+            for u, coef in acc.items():
+                if coef:
+                    self.index[u].append((r, coef))
 
     def describe(self, r: int) -> str:
         """Failure message for row r: its family and its first component."""
-        family = _FAMILIES[bisect_right(self.ends, r)]
         i, j, k, l = _unflat(self.p + self.q, self.rows[r][0][0])
-        if family == _FAMILIES[-1]:
-            return f"{family} fails at (j, l) = {(j, l)}"
-        return f"{family} fails at {(i, j, k, l)}"
+        if r < self.ends[0]:
+            return f"first Bianchi fails at {(i, j, k, l)}"
+        return f"trace-free condition fails at (j, l) = {(j, l)}"
+
+    def expand(self, values, zero: Scalar) -> list[Scalar]:
+        """Flat components from one value per orbit: each member gets the
+        value times its sign, every other component `zero`."""
+        comps = [zero] * (self.p + self.q) ** 4
+        for members, x in zip(self.orbits, values):
+            if x:
+                for t, s in members:
+                    comps[t] = x if s > 0 else -x
+        return comps
 
 
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
-    ends = []
-    rows = _constraint_rows(p, q, ends)
-    vectors = kernel_sparse(rows, (p + q) ** 4, d)
-    # Indexed only now, so the index does not add to the elimination's peak.
-    system = _ConstraintSystem(p, q, rows, ends)
+    system = _ConstraintSystem(p, q)
+    rows = [([], []) for _ in system.rows]
+    for u, entries in enumerate(system.index):
+        for r, coef in entries:
+            rows[r][0].append(u)
+            rows[r][1].extend((coef, 0))
+    zero = Scalar(0, 0, 1, d)
     out = []
-    for v in vectors:
-        W = WeylTensor(p, q, v.entries, d, validate=False)
+    for v in kernel_sparse(rows, len(system.orbits), d):
+        W = WeylTensor(p, q, system.expand(v.entries, zero), d, validate=False)
         W.validate(system)
         out.append(W)
     return tuple(out)

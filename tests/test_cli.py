@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from confsym.cli import main, fixture_cases, run_fixture_case
+from confsym.cli import MAX_DIMENSION, main, fixture_cases, run_fixture_case
 from confsym.serialize import dump_canonical
 
 
@@ -220,6 +220,22 @@ def test_extension_file_dim_is_bounded_by_its_lists(tmp_path, capsys, dim):
     assert f"algebra dim {dim} does not match" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("p", MAX_DIMENSION, f"need p + q <= {MAX_DIMENSION}, got {MAX_DIMENSION + 1}"),
+        ("d", 4, "square-free"),
+    ],
+)
+def test_extension_file_signature_and_field_are_checked(tmp_path, capsys, key, value, message):
+    def edit(data):
+        data[key] = value
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert message in err
+
+
 def test_commands_are_deterministic(capsys):
     args = ["--machine", "solve", "--u", "0,1,0,1,0", "--v", "1,1,0,1,0"]
     _, first = run(capsys, *args)
@@ -245,6 +261,12 @@ def test_bad_field_parameter_rejected(capsys):
 def test_huge_field_parameter_rejected(capsys):
     assert main(["--d", str(10**18 + 9), "weyl", "basis-dim"]) == 2
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["weyl", "basis-dim"], ["extension", "make-flat"]])
+def test_dimension_flag_is_bounded(capsys, command):
+    err = _bad_input(capsys, "--p", str(MAX_DIMENSION), "--q", "1", *command)
+    assert err == f"error: need p + q <= {MAX_DIMENSION}, got {MAX_DIMENSION + 1}\n"
 
 
 def test_negative_signature_part_rejected(capsys):
@@ -280,6 +302,12 @@ def test_input_file_non_integer_signature(tmp_path, capsys, key, value):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_input_file_dimension_is_bounded(tmp_path, capsys):
+    code, err = _solve_file(tmp_path, capsys, {**_LINES, "p": MAX_DIMENSION})
+    assert code == 2
+    assert err == f"error: need p + q <= {MAX_DIMENSION}, got {MAX_DIMENSION + 1}\n"
 
 
 def test_input_file_small_signature(tmp_path, capsys):

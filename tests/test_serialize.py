@@ -4,6 +4,7 @@ import pytest
 
 from confsym.extension import flat_model_extension, validate_extension
 from confsym.linalg import AffineSubspace, Vector
+from confsym.scalars import Scalar
 from confsym.serialize import (
     dump_canonical,
     extension_from_dict,
@@ -52,13 +53,16 @@ def test_report_round_trip_is_identity(space21):
     assert dump_canonical(report_to_dict(space2, report2)) == text
 
 
-def test_weyl_round_trip():
-    W = random_weyl(4, 0, seed=13)
-    data = weyl_to_dict(W)
-    back = weyl_from_dict(data)
-    assert back == W
-    text = dump_canonical(data)
-    assert dump_canonical(json.loads(text)) == text
+@pytest.mark.parametrize("p, q", [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_weyl_round_trip(p, q, d):
+    W = random_weyl(p, q, seed=13, d=d)
+    for T in (W, W.scale(Scalar(1, 1, 1, d))):
+        data = weyl_to_dict(T)
+        back = weyl_from_dict(data)
+        assert back == T and back.d == d
+        text = dump_canonical(data)
+        assert dump_canonical(json.loads(text)) == text
 
 
 def test_weyl_from_dict_rejects_non_canonical_keys():

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import CoElement, upsilon_action
-from confsym.linalg import Matrix, Vector, kernel, solve_affine
+from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
 from confsym.scalars import FieldMismatchError, Scalar
 import confsym.weyl as weyl_module
 from confsym.weyl import (
-    _FAMILIES,
     WeylTensor,
     _constraint_rows,
+    _orbits,
     annihilator,
     co_action,
     co_basis,
@@ -251,6 +251,95 @@ def test_co_basis_spans_co(space22):
         assert so_block_condition(space22, c.A)
 
 
+# -- the orbit table and the basis against the full system ---------------------
+
+
+def _unflat(n, t):
+    return t // n**3, t // n**2 % n, t // n % n, t % n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orbit_table(n):
+    """Every flat index lies in exactly one orbit or is forced to zero, there
+    is one orbit per unordered pair of planes, and the member signs satisfy
+    W_jikl = -W_ijkl, W_ijlk = -W_ijkl and W_klij = W_ijkl."""
+    orbits, slot = _orbits(n)
+    planes = n * (n - 1) // 2
+    assert len(orbits) == planes * (planes + 1) // 2
+    members = [t for orbit in orbits for t, _ in orbit]
+    assert len(members) == len(set(members))
+    flat = lambda i, j, k, l: ((i * n + j) * n + k) * n + l
+    for t in range(n**4):
+        i, j, k, l = _unflat(n, t)
+        if i == j or k == l:
+            assert slot[t] is None
+        else:
+            u, s = slot[t]
+            assert (t, s) in orbits[u]
+    assert [max(orbit) for orbit in orbits] == sorted(max(orbit) for orbit in orbits)
+    for orbit in orbits:
+        i, j, k, l = _unflat(n, orbit[0][0])
+        assert orbit[0][1] == 1 and i < j and k < l and (i, j) <= (k, l)
+        assert max(orbit)[1] == 1
+        sign = dict(orbit)
+        for t, s in orbit:
+            i, j, k, l = _unflat(n, t)
+            assert sign[flat(j, i, k, l)] == -s
+            assert sign[flat(i, j, l, k)] == -s
+            assert sign[flat(k, l, i, j)] == s
+
+
+def reference_constraint_rows(p, q):
+    """The former five-family system on all n^4 components: antisymmetry in
+    each pair, pair interchange, first Bianchi and J-trace."""
+    n = p + q
+    flat = lambda i, j, k, l: ((i * n + j) * n + k) * n + l
+    rows = []
+    for i, j, k, l in product(range(n), repeat=4):
+        if i <= j:
+            cols = [flat(i, i, k, l)] if i == j else [flat(i, j, k, l), flat(j, i, k, l)]
+            rows.append((cols, [1, 0] * len(cols)))
+    for k, l, i, j in product(range(n), repeat=4):
+        if k <= l:
+            cols = [flat(i, j, k, k)] if k == l else [flat(i, j, k, l), flat(i, j, l, k)]
+            rows.append((cols, [1, 0] * len(cols)))
+    for a in range(n * n):
+        for b in range(a + 1, n * n):
+            i, j = divmod(a, n)
+            k, l = divmod(b, n)
+            rows.append(([flat(i, j, k, l), flat(k, l, i, j)], [1, 0, -1, 0]))
+    for i, j, k, l in product(range(n), repeat=4):
+        if j < k < l:
+            rows.append(([flat(i, j, k, l), flat(i, k, l, j), flat(i, l, j, k)], [1, 0] * 3))
+    for j, l in product(range(n), repeat=2):
+        rows.append(([flat(i, j, i, l) for i in range(n)],
+                     [x for i in range(n) for x in (1 if i < p else -1, 0)]))
+    return rows
+
+
+def reference_basis(p, q, d):
+    """The former basis: the canonical kernel of the full system."""
+    vectors = kernel_sparse(reference_constraint_rows(p, q), (p + q) ** 4, d)
+    return [WeylTensor(p, q, v.entries, d, validate=False) for v in vectors]
+
+
+@pytest.mark.parametrize(
+    "pq", [(3, 0), (2, 1), (4, 0), (3, 1), (2, 2), (5, 0), (4, 1), (3, 2), (6, 0), (3, 3), (2, 4)]
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_basis_matches_the_full_system(pq, d):
+    """Equal bases, down to the `repr` (field tag included) of every entry."""
+    got = [W.components for W in weyl_space_basis(*pq, d).elements]
+    want = [W.components for W in reference_basis(*pq, d)]
+    assert got == want
+    assert [[repr(x) for x in c] for c in got] == [[repr(x) for x in c] for c in want]
+
+
+def test_basis_components_carry_the_field():
+    basis = weyl_space_basis(4, 0, d=3)
+    assert {x.d for W in basis.elements for x in W.components} == {3}
+
+
 # -- validate against the former hand-written checks --------------------------
 
 
@@ -356,7 +445,7 @@ def test_validate_names_each_family():
 def test_constraint_rows_report_their_family_ends():
     ends = []
     rows = _constraint_rows(3, 2, ends)
-    assert len(ends) == len(_FAMILIES)
+    assert len(ends) == 2  # first Bianchi, trace-free condition
     assert ends == sorted(ends) and ends[-1] == len(rows)
     assert _constraint_rows(3, 2) == rows
 
