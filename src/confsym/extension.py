@@ -21,11 +21,14 @@ from .liealg import (
     ad_s0,
     bracket,
     exp_nilpotent,
+    graded_bracket,
     graded_dim,
     graded_from_coords,
     realize,
+    so_table,
 )
 from .linalg import Matrix, Vector, rank, solve_affine
+from .scalars import Scalar
 
 
 class HomogeneousPair:
@@ -44,10 +47,20 @@ class HomogeneousPair:
             raise ValueError("h and m bases must decompose the algebra")
         if rank(Matrix([v.entries for v in all_vecs])) != alg.dim:
             raise ValueError("h and m bases are not linearly independent")
-        for i, x in enumerate(self.h_basis):
-            for y in self.h_basis[i:]:
-                if not self._in_span(self.h_basis, alg.bracket(x, y)):
-                    raise ValueError("h is not a subalgebra: [h, h] leaves h")
+        if not self._closed(self.h_basis, self.h_basis, self.h_basis):
+            raise ValueError("h is not a subalgebra: [h, h] leaves h")
+
+    def _closed(self, xs, ys, target) -> bool:
+        """Whether every [x, y] lies in span(target).  The target basis is
+        independent, so this holds iff adding all the brackets to it leaves
+        the rank at len(target); one rank decides the whole family.  When xs
+        is ys, only the pairs i <= j are formed: [y, x] = -[x, y]."""
+        same = xs is ys
+        rows = [v.entries for v in target]
+        for i, x in enumerate(xs):
+            for y in ys[i:] if same else ys:
+                rows.append(self.alg.bracket(x, y).entries)
+        return not rows or rank(Matrix(rows)) == len(target)
 
     def _in_span(self, basis, v: Vector) -> bool:
         if not basis:
@@ -60,12 +73,6 @@ class HomogeneousPair:
     def m_contains(self, v: Vector) -> bool:
         return self._in_span(self.m_basis, v)
 
-    def m_coordinates(self, v: Vector) -> Vector:
-        sol = solve_affine(Matrix.from_columns(list(self.m_basis)), v)
-        if sol.is_empty:
-            raise ValueError("vector is not in span(m)")
-        return sol.base
-
 
 class SymmetricPair(HomogeneousPair):
     """Pair with the full closure [h, m] <= m and [m, m] <= h; h and m are the
@@ -73,14 +80,10 @@ class SymmetricPair(HomogeneousPair):
 
     def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
         super().__init__(alg, h_basis, m_basis)
-        for x in self.h_basis:
-            for y in self.m_basis:
-                if not self.m_contains(alg.bracket(x, y)):
-                    raise ValueError("closure violation: [h, m] leaves m")
-        for i, x in enumerate(self.m_basis):
-            for y in self.m_basis[i:]:
-                if not self.h_contains(alg.bracket(x, y)):
-                    raise ValueError("closure violation: [m, m] leaves h")
+        if not self._closed(self.h_basis, self.m_basis, self.m_basis):
+            raise ValueError("closure violation: [h, m] leaves m")
+        if not self._closed(self.m_basis, self.m_basis, self.h_basis):
+            raise ValueError("closure violation: [m, m] leaves h")
 
 
 class Extension:
@@ -95,14 +98,26 @@ class Extension:
         self.space = space
         self.pair = pair
         self.alpha = alpha
-        self._alpha_t = alpha.transpose()
+        self._rows = [[(j, c) for j, c in enumerate(row) if c] for row in alpha.rows]
 
-    def apply(self, x: Vector) -> GradedElement:
-        """alpha(x): the transpose of alpha, taken once in __init__, times the
-        coordinates of x, decoded into graded blocks."""
+    def coords(self, x: Vector) -> Vector:
+        """The graded coordinates of alpha(x): the sum of x_k times row k of
+        alpha over the nonzero x_k, through the nonzero entries of each row
+        (kept from __init__)."""
         if len(x) != self.pair.alg.dim:
             raise ValueError("coordinate vector has wrong length")
-        return graded_from_coords(self.space, self._alpha_t.matvec(x))
+        acc = {}
+        for k, xk in enumerate(x.entries):
+            if xk:
+                for j, c in self._rows[k]:
+                    t = xk * c
+                    acc[j] = acc[j] + t if j in acc else t
+        zero = Scalar(0)
+        return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
+
+    def apply(self, x: Vector) -> GradedElement:
+        """alpha(x), decoded into graded blocks."""
+        return graded_from_coords(self.space, self.coords(x))
 
 
 @dataclass
@@ -128,10 +143,12 @@ class ExtensionReport:
 
 
 def validate_extension(ext: Extension) -> ExtensionReport:
-    """The three defining conditions, checked exactly:
+    """The three defining conditions, checked exactly on graded coordinates
+    (the X block is coordinates 1..n):
     (1) alpha(h) has zero lower block;
     (2) the lower blocks of alpha(m) have full rank p+q;
-    (3) alpha([H, Y]) = [alpha(H), alpha(Y)] for H over h, Y over all of k."""
+    (3) alpha([H, Y]) = [alpha(H), alpha(Y)] for H over h, Y over all of k,
+        the right side through the structure table of so(p+1, q+1)."""
     space = ext.space
     pair = ext.pair
     n = space.n
@@ -141,17 +158,18 @@ def validate_extension(ext: Extension) -> ExtensionReport:
         )
 
     k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
-    k_images = [ext.apply(y) for y in k_basis]
-    h_images = [ext.apply(h) for h in pair.h_basis]
+    # alpha(e_i) is row i of alpha.
+    k_images = [Vector._of_scalars(row) for row in ext.alpha.rows]
+    h_images = [ext.coords(h) for h in pair.h_basis]
 
-    bad_h = [idx for idx, ah in enumerate(h_images) if not ah.X.is_zero()]
+    bad_h = [idx for idx, ah in enumerate(h_images) if any(ah.entries[1 : n + 1])]
     cond1 = ConditionReport(
         passed=not bad_h,
         detail="alpha(h) inside the stabilizer subalgebra",
         witnesses=bad_h,
     )
 
-    x_rows = [ext.apply(m).X.entries for m in pair.m_basis]
+    x_rows = [ext.coords(m).entries[1 : n + 1] for m in pair.m_basis]
     r = rank(Matrix(x_rows)) if x_rows else 0
     cond2 = ConditionReport(
         passed=r == n,
@@ -162,8 +180,7 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     bad_pairs = []
     for hi, (h, ah) in enumerate(zip(pair.h_basis, h_images)):
         for yi, (y, ay) in enumerate(zip(k_basis, k_images)):
-            lhs = ext.apply(pair.alg.bracket(h, y))
-            if not (lhs - bracket(space, ah, ay)).is_zero():
+            if ext.coords(pair.alg.bracket(h, y)) != graded_bracket(space, ah, ay):
                 bad_pairs.append((hi, yi))
     cond3 = ConditionReport(
         passed=not bad_pairs,
@@ -254,12 +271,20 @@ def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:
 def flat_model_extension(space: MobiusSpace) -> Extension:
     """The identity extension of so(p+1, q+1) over its stabilizer subalgebra:
     h spans the (a, A, Z) blocks, m the lower block, alpha the identity in
-    graded coordinates."""
-    from .liealg import so_basis, structure_constants_from_matrices
-
-    basis = so_basis(space)
-    alg = structure_constants_from_matrices([realize(space, b) for b in basis])
-    dim = alg.dim
+    graded coordinates.  The algebra's table is `so_table` written densely."""
+    table = so_table(space.signature.p, space.signature.q)
+    dim = len(table)
+    zero = Scalar(0)
+    dense = []
+    for row in table:
+        dense_row = []
+        for terms in row:
+            entries = [zero] * dim
+            for k, c in terms:
+                entries[k] = Scalar(c)
+            dense_row.append(Vector._of_scalars(entries))
+        dense.append(dense_row)
+    alg = StructureAlgebra(dim, dense)
     n = space.n
     m_idx = list(range(1, n + 1))
     h_idx = [0] + list(range(n + 1, dim))

@@ -8,8 +8,20 @@ Elements are written as block matrices
     [ 0  -X^T J  -a ]
 
 with X a vector, Z a covector, a a scalar and A in so(p, q); the three block
-degrees X / (a, A) / Z realize the grading g_{-1} + g_0 + g_1.  The module
-also carries the one-form-to-endomorphism map
+degrees X / (a, A) / Z realize the grading g_{-1} + g_0 + g_1.
+
+Graded coordinates list an element in the fixed basis order
+
+    a; X_1..X_n; A_(i<j) in lexicographic order; Z_1..Z_n
+
+with A_(ij) = (E_ij - E_ji) J, so the (i<j) coordinate is J_j A[i, j].
+`so_table` is the bracket in these coordinates: the nonzero integer
+structure constants of so(p+1, q+1), built once per signature.  `bracket`
+and the extension checks compute through it; the (n+2)x(n+2) matrices of
+`realize` remain for group elements (`exp_nilpotent`) and for the
+independent matrix side of `upsilon_bracket_constant`.
+
+The module also carries the one-form-to-endomorphism map
 
     Y |-> (eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T)
 
@@ -20,9 +32,10 @@ block, and Killing forms of structure-constant algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .flatmodel import MobiusSpace
-from .linalg import Matrix, Vector, solve_affine
+from .linalg import Matrix, Vector
 from .scalars import Scalar
 
 
@@ -46,16 +59,6 @@ class GradedElement:
     X: Vector
     A: Matrix
     Z: Vector
-
-    @classmethod
-    def make(cls, space: MobiusSpace, a, X, A, Z) -> GradedElement:
-        n = space.n
-        a = a if isinstance(a, Scalar) else Scalar(a)
-        if len(X) != n or len(Z) != n or A.shape != (n, n):
-            raise ValueError("block sizes do not match the signature")
-        if not so_block_condition(space, A):
-            raise ValueError("middle block is not in so(p, q)")
-        return cls(a=a, X=X, A=A, Z=Z)
 
     @classmethod
     def zero(cls, space: MobiusSpace) -> GradedElement:
@@ -146,10 +149,12 @@ def degrade(space: MobiusSpace, M: Matrix) -> GradedElement:
 
 
 def bracket(space: MobiusSpace, e1: GradedElement, e2: GradedElement) -> GradedElement:
-    """Lie bracket through the matrix commutator of the realizations."""
-    m1 = realize(space, e1)
-    m2 = realize(space, e2)
-    return degrade(space, m1 @ m2 - m2 @ m1)
+    """Lie bracket of two graded elements, taken on their graded coordinates
+    through `so_table`."""
+    return graded_from_coords(
+        space,
+        graded_bracket(space, graded_to_coords(space, e1), graded_to_coords(space, e2)),
+    )
 
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
@@ -183,17 +188,18 @@ def g0_as_coelement(space: MobiusSpace, e: GradedElement) -> CoElement:
 def upsilon_bracket_constant(space: MobiusSpace) -> Scalar:
     """The unique constant c with bracket(pure-X xi, pure-Z Y) acting on the
     g_{-1} block as c * upsilon_action(Y, xi), measured by brute force over
-    all basis pairs; raises if no single constant fits."""
+    all basis pairs; raises if no single constant fits.  The bracket side is
+    the commutator of the realized matrices, computed independently of both
+    `so_table` and `upsilon_action`."""
     n = space.n
     c = None
     for i in range(n):
         xi = Vector.unit(n, i)
         for j in range(n):
             Y = Vector.unit(n, j)
-            via_bracket = g0_as_coelement(
-                space,
-                bracket(space, GradedElement.pure_x(space, xi), GradedElement.pure_z(space, Y)),
-            )
+            m1 = realize(space, GradedElement.pure_x(space, xi))
+            m2 = realize(space, GradedElement.pure_z(space, Y))
+            via_bracket = g0_as_coelement(space, degrade(space, m1 @ m2 - m2 @ m1))
             via_formula = upsilon_action(space, Y, xi)
             ratio = _coelement_ratio(via_bracket, via_formula)
             if c is None:
@@ -293,34 +299,16 @@ class StructureAlgebra:
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
                     total = {}
-                    self._add_bracket(total, ((i, one),), sp[j][k])
-                    self._add_bracket(total, ((j, one),), sp[k][i])
-                    self._add_bracket(total, ((k, one),), sp[i][j])
+                    _add_bracket(sp, total, ((i, one),), sp[j][k])
+                    _add_bracket(sp, total, ((j, one),), sp[k][i])
+                    _add_bracket(sp, total, ((k, one),), sp[i][j])
                     if any(total.values()):
                         raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
-
-    def _add_bracket(self, acc: dict, xs, ys) -> None:
-        """acc[k] += [x, y]_k for x, y given by their nonzero (index, value)
-        pairs; absent keys of acc stand for zero."""
-        sp = self._sparse
-        for i, xi in xs:
-            row = sp[i]
-            for j, yj in ys:
-                terms = row[j]
-                if not terms:
-                    continue
-                s = xi * yj
-                for k, c in terms:
-                    t = s * c
-                    acc[k] = acc[k] + t if k in acc else t
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors have wrong length")
-        acc = {}
-        self._add_bracket(acc, _nonzero(x), _nonzero(y))
-        zero = Scalar(0)
-        return Vector._of_scalars(acc.get(k, zero) for k in range(self.dim))
+        return _sparse_bracket(self._sparse, x, y)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad_x in the defining basis."""
@@ -333,51 +321,37 @@ def _nonzero(v: Vector) -> list:
     return [(k, c) for k, c in enumerate(v.entries) if c]
 
 
+def _add_bracket(sparse, acc: dict, xs, ys) -> None:
+    """acc[k] += [x, y]_k for x, y given by their nonzero (index, value)
+    pairs, through a sparse table whose (i, j) entry lists the nonzero
+    (k, c) of [b_i, b_j]; absent keys of acc stand for zero.  A coefficient
+    c may be a Scalar or an int (the integer table of so(p+1, q+1))."""
+    for i, xi in xs:
+        row = sparse[i]
+        for j, yj in ys:
+            terms = row[j]
+            if not terms:
+                continue
+            s = xi * yj
+            for k, c in terms:
+                t = s * c
+                acc[k] = acc[k] + t if k in acc else t
+
+
+def _sparse_bracket(sparse, x: Vector, y: Vector) -> Vector:
+    """[x, y] as a dense coordinate vector through a sparse table."""
+    acc = {}
+    _add_bracket(sparse, acc, _nonzero(x), _nonzero(y))
+    zero = Scalar(0)
+    return Vector._of_scalars(acc.get(k, zero) for k in range(len(sparse)))
+
+
 def killing_form(alg: StructureAlgebra, x: Vector, y: Vector) -> Scalar:
     """B(x, y) = trace(ad_x ad_y), exact."""
     return (alg.ad(x) @ alg.ad(y)).trace()
 
 
-def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
-    """Bracket table of a matrix Lie algebra given by a basis: commutators are
-    re-expressed in the basis by exact solving (raises if not closed)."""
-    dim = len(basis)
-    flat_cols = [b.flatten() for b in basis]
-    span = Matrix.from_columns(flat_cols)
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        table[i][i] = Vector.zero(dim)
-        for j in range(i + 1, dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            sol = solve_affine(span, comm.flatten())
-            if sol.is_empty:
-                raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
-            table[i][j] = sol.base
-            table[j][i] = -sol.base
-    return StructureAlgebra(dim, table)
-
-
 # -- graded coordinates for so(p+1, q+1) -------------------------------------
-
-
-def so_basis(space: MobiusSpace) -> list[GradedElement]:
-    """Coordinate basis in the fixed order a; X_1..X_n; A_(i<j); Z_1..Z_n,
-    with A_(ij) = (E_ij - E_ji) J."""
-    n = space.n
-    out = [GradedElement.make(space, 1, Vector.zero(n), Matrix.zero(n, n), Vector.zero(n))]
-    for i in range(n):
-        out.append(GradedElement.pure_x(space, Vector.unit(n, i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Scalar(0)] * n for _ in range(n)]
-            rows[i][j] = Scalar(space.signature.j_sign(j))
-            rows[j][i] = -Scalar(space.signature.j_sign(i))
-            out.append(
-                GradedElement.make(space, 0, Vector.zero(n), Matrix(rows), Vector.zero(n))
-            )
-    for i in range(n):
-        out.append(GradedElement.pure_z(space, Vector.unit(n, i)))
-    return out
 
 
 def graded_dim(space: MobiusSpace) -> int:
@@ -386,7 +360,7 @@ def graded_dim(space: MobiusSpace) -> int:
 
 
 def graded_to_coords(space: MobiusSpace, e: GradedElement) -> Vector:
-    """Coordinates of e in the so_basis order."""
+    """Graded coordinates of e: a; X; J_j A[i, j] for i < j; Z."""
     n = space.n
     coords = [e.a]
     coords.extend(e.X.entries)
@@ -422,3 +396,61 @@ def graded_from_coords(space: MobiusSpace, coords: Vector) -> GradedElement:
         A=Matrix(rows),
         Z=Vector._of_scalars(c[k:]),
     )
+
+
+@lru_cache(maxsize=None)
+def so_table(p: int, q: int) -> tuple:
+    """The bracket of so(p+1, q+1) in graded coordinates: entry [i][j] lists
+    the nonzero (k, c) with [b_i, b_j] = sum of c b_k, each c an int, in
+    increasing k.
+
+    The basis elements realize as matrices with at most two nonzero entries
+    (b_a = E_00 - E_NN, X_i = E_i0 - J_i E_Ni, A_(ij) = J_j E_ij - J_i E_ji,
+    Z_i = E_0i - J_i E_iN with N = n+1 and i shifted by one), so each
+    commutator is formed sparsely and each coordinate read off the one
+    matrix position that carries it."""
+    n = p + q
+    sign = [1] * p + [-1] * q
+    last = n + 1
+    mats = [{(0, 0): 1, (last, last): -1}]
+    lead = [((0, 0), 1)]
+    for i in range(n):
+        mats.append({(i + 1, 0): 1, (last, i + 1): -sign[i]})
+        lead.append(((i + 1, 0), 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats.append({(i + 1, j + 1): sign[j], (j + 1, i + 1): -sign[i]})
+            lead.append(((i + 1, j + 1), sign[j]))
+    for i in range(n):
+        mats.append({(0, i + 1): 1, (i + 1, last): -sign[i]})
+        lead.append(((0, i + 1), 1))
+
+    def product(m1, m2, acc, s):
+        for (r, t), x in m1.items():
+            for (u, c), y in m2.items():
+                if t == u:
+                    acc[r, c] = acc.get((r, c), 0) + s * x * y
+
+    table = []
+    for m1 in mats:
+        row = []
+        for m2 in mats:
+            comm = {}
+            product(m1, m2, comm, 1)
+            product(m2, m1, comm, -1)
+            terms = []
+            for k, (pos, f) in enumerate(lead):
+                c = comm.get(pos, 0)
+                if c:
+                    terms.append((k, f * c))
+            row.append(tuple(terms))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def graded_bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
+    """[x, y] of two graded coordinate vectors, through `so_table`."""
+    dim = graded_dim(space)
+    if len(x) != dim or len(y) != dim:
+        raise ValueError(f"expected {dim} coordinates")
+    return _sparse_bracket(so_table(space.signature.p, space.signature.q), x, y)

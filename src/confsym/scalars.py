@@ -242,33 +242,36 @@ def parse_scalar(text: str, d: int = 2) -> Scalar:
 
     scalar := rat | rat sign rat "*r" | rat "*r" where rat := ["-"] int ["/" int]
     and "r" stands for sqrt(d); the bare aliases "r" / "-r" are accepted for
-    "1*r" / "-1*r".  Examples: "1", "-3/2", "1/2*r", "1+2*r".
+    "1*r" / "-1*r".  Examples: "1", "-3/2", "1/2*r", "1+2*r".  A zero
+    denominator is a bad literal (ValueError).
     """
     m = _LITERAL.match(text)
     if not m:
         raise ValueError(f"bad scalar literal {text!r}")
-    if m.group("lone_r"):
-        b = Fraction(-1 if m.group("lone_r").startswith("-") else 1)
-        return _from_parts(Fraction(0), b, d)
-    if m.group("rad_only"):
-        return _from_parts(Fraction(0), Fraction(m.group("rad_only")), d)
-    a = Fraction(m.group("rat"))
-    b = Fraction(0)
-    if m.group("sign"):
-        b = Fraction(1) if m.group("rad_r") else Fraction(m.group("rad"))
-        if m.group("sign") == "-":
-            b = -b
-    return _from_parts(a, b, d)
+    lone_r = m.group("lone_r")
+    if lone_r:
+        return Scalar(0, -1 if lone_r.startswith("-") else 1, 1, d)
+    rad_only = m.group("rad_only")
+    if rad_only:
+        a, qa, b, qb = 0, 1, *_split_rat(rad_only, text)
+    else:
+        a, qa = _split_rat(m.group("rat"), text)
+        b, qb = 0, 1
+        sign = m.group("sign")
+        if sign:
+            b, qb = (1, 1) if m.group("rad_r") else _split_rat(m.group("rad"), text)
+            if sign == "-":
+                b = -b
+    return Scalar(a * qb, b * qa, qa * qb, d)
 
 
-def _from_parts(a: Fraction, b: Fraction, d: int) -> Scalar:
-    q = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Scalar(
-        a.numerator * (q // a.denominator),
-        b.numerator * (q // b.denominator),
-        q,
-        d,
-    )
+def _split_rat(rat: str, text: str) -> tuple[int, int]:
+    """Numerator and denominator of one rat of the grammar, as written."""
+    num, _, den = rat.partition("/")
+    q = int(den) if den else 1
+    if q == 0:
+        raise ValueError(f"bad scalar literal {text!r}: zero denominator")
+    return int(num), q
 
 
 def as_scalar(x, d: int = 2) -> Scalar:

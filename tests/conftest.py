@@ -4,8 +4,14 @@ import pytest
 
 from confsym.extension import SymmetricPair
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import StructureAlgebra, structure_constants_from_matrices
-from confsym.linalg import Matrix, Vector, rank
+from confsym.liealg import (
+    GradedElement,
+    StructureAlgebra,
+    degrade,
+    realize,
+    so_block_condition,
+)
+from confsym.linalg import Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
 
 
@@ -54,6 +60,65 @@ def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
                 s = s + Scalar(space.signature.j_sign(i)) * x * x
             if not s:
                 return Vector([x0] + middle + [Scalar(rng.randint(-3, 3))])
+
+
+# -- matrix references for the graded algebra ---------------------------------
+
+
+def make_graded(space: MobiusSpace, a, X, A, Z) -> GradedElement:
+    """A graded element from its blocks, checking their sizes and that the
+    middle block lies in so(p, q)."""
+    n = space.n
+    a = a if isinstance(a, Scalar) else Scalar(a)
+    if len(X) != n or len(Z) != n or A.shape != (n, n):
+        raise ValueError("block sizes do not match the signature")
+    if not so_block_condition(space, A):
+        raise ValueError("middle block is not in so(p, q)")
+    return GradedElement(a=a, X=X, A=A, Z=Z)
+
+
+def so_basis(space: MobiusSpace) -> list[GradedElement]:
+    """Coordinate basis in the fixed order a; X_1..X_n; A_(i<j); Z_1..Z_n,
+    with A_(ij) = (E_ij - E_ji) J."""
+    n = space.n
+    out = [make_graded(space, 1, Vector.zero(n), Matrix.zero(n, n), Vector.zero(n))]
+    for i in range(n):
+        out.append(GradedElement.pure_x(space, Vector.unit(n, i)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [[Scalar(0)] * n for _ in range(n)]
+            rows[i][j] = Scalar(space.signature.j_sign(j))
+            rows[j][i] = -Scalar(space.signature.j_sign(i))
+            out.append(make_graded(space, 0, Vector.zero(n), Matrix(rows), Vector.zero(n)))
+    for i in range(n):
+        out.append(GradedElement.pure_z(space, Vector.unit(n, i)))
+    return out
+
+
+def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
+    """Bracket table of a matrix Lie algebra given by a basis: commutators are
+    re-expressed in the basis by exact solving (raises if not closed)."""
+    dim = len(basis)
+    flat_cols = [b.flatten() for b in basis]
+    span = Matrix.from_columns(flat_cols)
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        table[i][i] = Vector.zero(dim)
+        for j in range(i + 1, dim):
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            sol = solve_affine(span, comm.flatten())
+            if sol.is_empty:
+                raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
+            table[i][j] = sol.base
+            table[j][i] = -sol.base
+    return StructureAlgebra(dim, table)
+
+
+def reference_bracket(space: MobiusSpace, e1: GradedElement, e2: GradedElement) -> GradedElement:
+    """The Lie bracket as the commutator of the realized matrices."""
+    m1 = realize(space, e1)
+    m2 = realize(space, e2)
+    return degrade(space, m1 @ m2 - m2 @ m1)
 
 
 # -- random symmetric pairs ---------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,13 @@ def test_classify_rejects_removed_point(capsys):
 def test_classify_rejects_bad_literal(capsys):
     err = _bad_input(capsys, "classify", "--u", "1,oops,0,0,-1", "--v", "0,0,0,0,1")
     assert "bad vector" in err
+
+
+def test_classify_rejects_zero_denominator(capsys):
+    err = _bad_input(
+        capsys, "--p", "2", "--q", "1", "classify", "--u", "1/0,0,0,0,0", "--v", "0,0,0,0,1"
+    )
+    assert "bad scalar literal '1/0'" in err
 
 
 def test_solve_human_output(capsys):
@@ -152,6 +160,22 @@ def test_extension_validate_machine(tmp_path, capsys):
     assert dump_canonical(data) == out.strip()
 
 
+# SHA-256 of the make-flat output before its table came from `so_table`.
+MAKE_FLAT_SHA256 = {
+    (2, 1, 2): "5c5973f12cd6c700d4886f29b82082864d07d11b979c28dd1b9866c1a27ad929",
+    (3, 1, 2): "926e1bb1d3e5e1f013b78fcde702f3996691979b8c8075bcd3248ff2d647eca7",
+    (2, 2, 2): "d5debdb28c321505aa76a88449732d7189c5be7c9279a4e2947aec31ebc8149e",
+    (2, 1, 3): "97e4364d8207b3e101b89405f371b5c8b5fe1594ce1e0ed6b4491bb002d4910f",
+}
+
+
+@pytest.mark.parametrize("p, q, d", sorted(MAKE_FLAT_SHA256))
+def test_make_flat_output_is_pinned(capsys, p, q, d):
+    code, out = run(capsys, "--p", str(p), "--q", str(q), "--d", str(d), "extension", "make-flat")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAKE_FLAT_SHA256[p, q, d]
+
+
 def test_extension_file_with_non_list_alpha(tmp_path, capsys):
     path = tmp_path / "flat.json"
     run(capsys, "extension", "make-flat", "-o", str(path))
@@ -188,6 +212,16 @@ def test_extension_file_with_bad_bracket_indices(tmp_path, capsys, entry):
     path = _edited_flat_file(tmp_path, capsys, edit)
     err = _bad_input(capsys, "extension", "validate", "--file", str(path))
     assert "bracket entry" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "criterion"])
+def test_extension_file_with_zero_denominator(tmp_path, capsys, command):
+    def edit(data):
+        data["alpha"][0][1] = "1/0"
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", command, "--file", str(path))
+    assert "bad scalar literal '1/0'" in err
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

@@ -21,7 +21,6 @@ from confsym.liealg import (
     GradedElement,
     StructureAlgebra,
     algebra_condition,
-    bracket,
     graded_dim,
     graded_to_coords,
     killing_form,
@@ -30,7 +29,13 @@ from confsym.liealg import (
 from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import Scalar
 
-from conftest import heisenberg_pair, rand_symmetric_pair, so_k_pair
+from conftest import (
+    heisenberg_pair,
+    make_graded,
+    rand_symmetric_pair,
+    reference_bracket,
+    so_k_pair,
+)
 
 
 def abelian_algebra(dim):
@@ -156,7 +161,7 @@ def test_symmetry_criterion_on_stabilizer_image(space21):
     rows = []
     for i in range(dim):
         e = ext.apply(Vector.unit(dim, i))
-        collapsed = GradedElement.make(space21, e.a, Vector.zero(n), e.A, e.Z)
+        collapsed = make_graded(space21, e.a, Vector.zero(n), e.A, e.Z)
         rows.append(graded_to_coords(space21, collapsed).entries)
     degenerate = Extension(space21, ext.pair, Matrix(rows))
     assert not validate_extension(degenerate).passed
@@ -232,6 +237,37 @@ def test_metrizability_random_pairs(rng):
                 assert killing_form(pair.alg, x, y) == killing_form(pair.alg, y, x)
 
 
+def so3_plus_line():
+    """so(3) on b0, b1, b2 ([b0, b1] = b2 and cyclic) plus a central b3."""
+    e = [Vector.unit(4, i) for i in range(4)]
+    z = Vector.zero(4)
+    table = [[z] * 4 for _ in range(4)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        table[i][j] = e[k]
+        table[j][i] = -e[k]
+    return StructureAlgebra(4, table), e
+
+
+def test_symmetric_pair_names_the_failing_closure_family():
+    alg, e = so3_plus_line()
+    # [b3, .] = 0 keeps [h, m] in m, but [b0, b1] = b2 leaves h = span(b3)
+    with pytest.raises(ValueError) as info:
+        SymmetricPair(alg, [e[3]], e[:3])
+    assert str(info.value) == "closure violation: [m, m] leaves h"
+    # [b2, b0] = b1 leaves h = span(b0, b2)
+    with pytest.raises(ValueError) as info:
+        SymmetricPair(alg, [e[0], e[2]], [e[1], e[3]])
+    assert str(info.value) == "h is not a subalgebra: [h, h] leaves h"
+    # [b0, b1] = b2 leaves m = span(b1, b0 + b2, b3)
+    with pytest.raises(ValueError) as info:
+        SymmetricPair(alg, [e[0]], [e[1], e[0] + e[2], e[3]])
+    assert str(info.value) == "closure violation: [h, m] leaves m"
+    # the symmetric pair of the rotation about b0
+    pair = SymmetricPair(alg, [e[0], e[3]], [e[1], e[2]])
+    assert pair.m_contains(alg.bracket(e[0], e[1]))
+    assert pair.h_contains(alg.bracket(e[1], e[2]))
+
+
 def test_symmetric_pair_closure_validation():
     alg, h_idx, m_idx = so_k_pair(3, 1)
     with pytest.raises(ValueError, match="closure"):
@@ -271,7 +307,8 @@ def test_flat_pair_is_not_symmetric(space21):
 
 def reference_validate_extension(ext):
     """The former validate_extension: alpha applied afresh for every h, every
-    m and every (h, y) pair."""
+    m and every (h, y) pair, and the bracket taken as the commutator of the
+    realized matrices."""
     space = ext.space
     pair = ext.pair
     n = space.n
@@ -284,7 +321,7 @@ def reference_validate_extension(ext):
         ah = ext.apply(h)
         for yi, y in enumerate(k_basis):
             lhs = ext.apply(pair.alg.bracket(h, y))
-            rhs = bracket(space, ah, ext.apply(y))
+            rhs = reference_bracket(space, ah, ext.apply(y))
             if not (lhs - rhs).is_zero():
                 bad_pairs.append((hi, yi))
     return ExtensionReport(
@@ -297,10 +334,10 @@ def reference_validate_extension(ext):
 _FLAT = {}
 
 
-def _flat(pq):
-    if pq not in _FLAT:
-        _FLAT[pq] = flat_model_extension(MobiusSpace(*pq))
-    return _FLAT[pq]
+def _flat(pq, d=2):
+    if (pq, d) not in _FLAT:
+        _FLAT[pq, d] = flat_model_extension(MobiusSpace(*pq, d))
+    return _FLAT[pq, d]
 
 
 def _with_rows(ext, rows):
@@ -316,37 +353,50 @@ def _assert_same_report(ext):
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
 def test_flat_model_report_matches_the_reference(pq):
-    report = _assert_same_report(_flat(pq))
-    assert report.passed
+    for d in (2, 3):
+        report = _assert_same_report(_flat(pq, d))
+        assert report.passed
 
 
-_SHIFTS = st.sampled_from(
-    [Scalar(1), Scalar(2), Scalar(-1, 0, 2), Scalar(0, 1), Scalar(1, -1)]
-)
+def _shifts(d):
+    """Rational and irrational constants of Q(sqrt d)."""
+    return st.sampled_from(
+        [
+            Scalar(1, 0, 1, d),
+            Scalar(2, 0, 1, d),
+            Scalar(-1, 0, 2, d),
+            Scalar(0, 1, 1, d),
+            Scalar(1, -1, 1, d),
+            Scalar(-3, 1, 2, d),
+        ]
+    )
 
 
-@given(pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]), data=st.data())
-@settings(max_examples=12, deadline=None)
-def test_scaling_perturbation_report_matches_the_reference(pq, data):
+_FIELDS = st.sampled_from([2, 3])
+
+
+@given(pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]), d=_FIELDS, data=st.data())
+@settings(max_examples=16, deadline=None)
+def test_scaling_perturbation_report_matches_the_reference(pq, d, data):
     # a constant added to the scaling coordinate of one h row of alpha
-    ext = _flat(pq)
+    ext = _flat(pq, d)
     h_rows = [h.entries.index(Scalar(1)) for h in ext.pair.h_basis]
     row = data.draw(st.sampled_from(h_rows))
     rows = [list(r) for r in ext.alpha.rows]
-    rows[row][0] = rows[row][0] + data.draw(_SHIFTS)
+    rows[row][0] = rows[row][0] + data.draw(_shifts(d))
     report = _assert_same_report(_with_rows(ext, rows))
     assert report.stabilizer_condition.passed and report.quotient_condition.passed
     assert not report.equivariance_condition.passed
 
 
-@given(pq=st.sampled_from([(2, 1), (2, 1), (3, 1), (2, 2)]), data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_random_perturbation_report_matches_the_reference(pq, data):
-    ext = _flat(pq)
+@given(pq=st.sampled_from([(2, 1), (2, 1), (3, 1), (2, 2)]), d=_FIELDS, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_perturbation_report_matches_the_reference(pq, d, data):
+    ext = _flat(pq, d)
     dim = ext.pair.alg.dim
     rows = [list(r) for r in ext.alpha.rows]
     for _ in range(data.draw(st.integers(1, 4))):
         i = data.draw(st.integers(0, dim - 1))
         j = data.draw(st.integers(0, dim - 1))
-        rows[i][j] = rows[i][j] + data.draw(_SHIFTS)
+        rows[i][j] = rows[i][j] + data.draw(_shifts(d))
     _assert_same_report(_with_rows(ext, rows))

@@ -16,20 +16,29 @@ from confsym.liealg import (
     graded_to_coords,
     killing_form,
     realize,
-    so_basis,
     so_block_condition,
-    structure_constants_from_matrices,
+    so_table,
     upsilon_action,
     upsilon_bracket_constant,
 )
 from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import Scalar
 
-from conftest import heisenberg_pair, rand_covector, rand_so_matrix, rand_vector, so_k_pair
+from conftest import (
+    heisenberg_pair,
+    make_graded,
+    rand_covector,
+    rand_so_matrix,
+    rand_vector,
+    reference_bracket,
+    so_basis,
+    so_k_pair,
+    structure_constants_from_matrices,
+)
 
 
 def rand_graded(space, rng):
-    return GradedElement.make(
+    return make_graded(
         space,
         Scalar(rng.randint(-5, 5)),
         rand_vector(rng, space.n, 5),
@@ -301,7 +310,9 @@ def _entry_strings(e):
 
 
 @st.composite
-def _graded_coords(draw):
+def _graded_coords(draw, count=1):
+    """A space of one of four signatures over Q(sqrt 2) or Q(sqrt 3) and
+    `count` coordinate vectors in it, rational or irrational."""
     p, q = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (4, 0)]))
     d = draw(st.sampled_from([2, 3]))
     space = MobiusSpace(p, q, d)
@@ -311,7 +322,8 @@ def _graded_coords(draw):
         st.builds(Scalar, st.integers(-4, 4), radical, st.integers(1, 3), st.just(d)),
     )
     dim = graded_dim(space)
-    return space, Vector(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    vectors = [Vector(draw(st.lists(entry, min_size=dim, max_size=dim))) for _ in range(count)]
+    return (space, *vectors)
 
 
 @given(_graded_coords())
@@ -326,10 +338,38 @@ def test_graded_from_coords_matches_the_basis_sum(case):
     assert graded_to_coords(space, got) == coords
 
 
+# -- the integer table of so(p+1, q+1) against the matrix commutator --------
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (3, 1), (2, 2), (4, 0), (4, 1), (3, 2)])
+def test_so_table_matches_the_matrix_structure_constants(pq):
+    space = MobiusSpace(*pq)
+    ref = structure_constants_from_matrices([realize(space, b) for b in so_basis(space)])
+    table = so_table(*pq)
+    assert len(table) == ref.dim == graded_dim(space)
+    for i in range(ref.dim):
+        assert len(table[i]) == ref.dim
+        for j in range(ref.dim):
+            assert all(type(c) is int for _, c in table[i][j])
+            want = [(k, c.to_fraction()) for k, c in enumerate(ref.table[i][j]) if c]
+            assert list(table[i][j]) == want
+
+
+@given(_graded_coords(count=2))
+@settings(max_examples=100, deadline=None)
+def test_bracket_matches_the_matrix_commutator(case):
+    space, x, y = case
+    e1, e2 = graded_from_coords(space, x), graded_from_coords(space, y)
+    got = bracket(space, e1, e2)
+    want = reference_bracket(space, e1, e2)
+    assert got == want
+    assert _entry_strings(got) == _entry_strings(want)
+
+
 # -- the sparse structure table against the former dense loops ---------------
 
 
-def reference_bracket(dim, table, x, y):
+def reference_dense_bracket(dim, table, x, y):
     """The former dense bracket: sum of c[i][j] scaled by x_i y_j."""
     out = Vector.zero(dim)
     for i, xi in enumerate(x):
@@ -350,9 +390,9 @@ def reference_jacobi_failure(dim, table):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 total = (
-                    reference_bracket(dim, table, Vector.unit(dim, i), table[j][k])
-                    + reference_bracket(dim, table, Vector.unit(dim, j), table[k][i])
-                    + reference_bracket(dim, table, Vector.unit(dim, k), table[i][j])
+                    reference_dense_bracket(dim, table, Vector.unit(dim, i), table[j][k])
+                    + reference_dense_bracket(dim, table, Vector.unit(dim, j), table[k][i])
+                    + reference_dense_bracket(dim, table, Vector.unit(dim, k), table[i][j])
                 )
                 if not total.is_zero():
                     return (i, j, k)
@@ -400,7 +440,7 @@ def test_sparse_jacobi_and_bracket_match_the_dense_reference(case, data):
         x = data.draw(_coordinate_vectors(dim))
         y = data.draw(_coordinate_vectors(dim))
         got = alg.bracket(x, y)
-        want = reference_bracket(dim, table, x, y)
+        want = reference_dense_bracket(dim, table, x, y)
         assert got == want and [str(e) for e in got] == [str(e) for e in want]
 
 
@@ -418,7 +458,7 @@ def test_sparse_bracket_matches_the_dense_reference_on_known_algebras(which, rng
     for _ in range(20):
         x = rand_vector(rng, alg.dim, 3)
         y = rand_vector(rng, alg.dim, 3)
-        assert alg.bracket(x, y) == reference_bracket(alg.dim, alg.table, x, y)
+        assert alg.bracket(x, y) == reference_dense_bracket(alg.dim, alg.table, x, y)
 
 
 @given(_antisymmetric_tables(), st.data())

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsym.scalars import (
+    _LITERAL,
     MAX_FIELD_PARAMETER,
     FieldMismatchError,
     Scalar,
@@ -94,6 +96,89 @@ def test_literal_grammar(text, expected):
 def test_bad_literals_rejected(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_zero_denominators_are_bad_literals():
+    for bad in ["1/0", "-3/0", "1/0*r", "1+1/0*r", "1/0-r", "0/0"]:
+        with pytest.raises(ValueError, match="bad scalar literal"):
+            parse_scalar(bad)
+
+
+# -- the integer parser against the former Fraction parser -------------------
+
+
+def reference_parse_scalar(text: str, d: int = 2) -> Scalar:
+    """The former parser: each rational part read through Fraction."""
+    m = _LITERAL.match(text)
+    if not m:
+        raise ValueError(f"bad scalar literal {text!r}")
+    if m.group("lone_r"):
+        b = Fraction(-1 if m.group("lone_r").startswith("-") else 1)
+        return _reference_from_parts(Fraction(0), b, d)
+    if m.group("rad_only"):
+        return _reference_from_parts(Fraction(0), Fraction(m.group("rad_only")), d)
+    a = Fraction(m.group("rat"))
+    b = Fraction(0)
+    if m.group("sign"):
+        b = Fraction(1) if m.group("rad_r") else Fraction(m.group("rad"))
+        if m.group("sign") == "-":
+            b = -b
+    return _reference_from_parts(a, b, d)
+
+
+def _reference_from_parts(a: Fraction, b: Fraction, d: int) -> Scalar:
+    q = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    return Scalar(
+        a.numerator * (q // a.denominator),
+        b.numerator * (q // b.denominator),
+        q,
+        d,
+    )
+
+
+_digits = st.integers(0, 10**6).map(str)
+_rat = st.builds(
+    lambda sign, num, den: sign + num + den,
+    st.sampled_from(["", "-"]),
+    _digits,
+    st.one_of(st.just(""), _digits.map(lambda t: "/" + t)),
+)
+_space = st.sampled_from(["", " ", "  ", "\t"])
+_grammar_literals = st.builds(
+    lambda lead, body, trail: lead + body + trail,
+    _space,
+    st.one_of(
+        st.sampled_from(["r", "+r", "-r"]),
+        _rat.map(lambda t: t + "*r"),
+        _rat,
+        st.builds(
+            lambda a, sign, b: a + sign + b,
+            _rat,
+            st.sampled_from(["+", "-"]),
+            st.one_of(st.just("r"), _rat.map(lambda t: t + "*r")),
+        ),
+    ),
+    _space,
+)
+_near_literals = st.text(alphabet="0123456789-+/*r .", max_size=12)
+
+
+@given(st.one_of(_grammar_literals, _near_literals), st.sampled_from([2, 3, 5]))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_the_fraction_reference(text, d):
+    try:
+        want = reference_parse_scalar(text, d)
+    except ZeroDivisionError:
+        # the reference let a zero denominator escape as ZeroDivisionError
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text, d)
+        return
+    except ValueError:
+        with pytest.raises(ValueError, match="bad scalar literal"):
+            parse_scalar(text, d)
+        return
+    got = parse_scalar(text, d)
+    assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
 
 
 def test_formatting_round_trips_canonically():
