@@ -19,7 +19,6 @@ from .flatmodel import (
 )
 from .liealg import (
     CoElement,
-    GradedElement,
     StructureAlgebra,
     bracket,
     degrade,

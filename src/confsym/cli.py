@@ -29,6 +29,7 @@ from .scalars import check_field_parameter, parse_scalar
 from .serialize import (
     dump_canonical,
     extension_from_dict,
+    extension_signature,
     extension_to_dict,
     report_to_dict,
     subspace_to_dict,
@@ -243,7 +244,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
             data = json.load(fh)
         # The file's signature and field pass the checks of the flags before
         # anything is built from them.
-        SessionConfig(int(data["p"]), int(data["q"]), int(data.get("d", 2)))
+        SessionConfig(*extension_signature(data))
         ext = extension_from_dict(data)
     except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load extension from {args.file}: {exc}") from None
@@ -273,18 +274,20 @@ def cmd_extension(config: SessionConfig, args) -> int:
         values = []
         nonzero = False
         mb = ext.pair.m_basis
+        n = ext.space.n
         for i in range(len(mb)):
             for j in range(i + 1, len(mb)):
+                # graded coordinates: a; X_1..X_n; A_(i<j); Z_1..Z_n
                 k = curvature(ext, mb[i], mb[j])
-                flat = not any([bool(k.a), not k.X.is_zero(), not k.A.is_zero(), not k.Z.is_zero()])
+                flat = k.is_zero()
                 nonzero = nonzero or not flat
                 values.append(
                     {
                         "pair": [i, j],
                         "zero": flat,
-                        "a": str(k.a),
-                        "X": vector_to_literals(k.X),
-                        "Z": vector_to_literals(k.Z),
+                        "a": str(k[0]),
+                        "X": vector_to_literals(k[1 : n + 1]),
+                        "Z": vector_to_literals(k[-n:]),
                     }
                 )
         _emit(

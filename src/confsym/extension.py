@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 
 from .flatmodel import MobiusSpace
 from .liealg import (
-    GradedElement,
     StructureAlgebra,
     ad_s0,
     bracket,
     exp_nilpotent,
-    graded_bracket,
     graded_dim,
-    graded_from_coords,
     realize,
     so_table,
 )
@@ -63,9 +60,9 @@ class HomogeneousPair:
         return not rows or rank(Matrix(rows)) == len(target)
 
     def _in_span(self, basis, v: Vector) -> bool:
-        if not basis:
-            return v.is_zero()
-        return not solve_affine(Matrix.from_columns(list(basis)), v).is_empty
+        """Whether v lies in span(basis): for an independent basis, iff
+        adding v leaves the rank at len(basis).  The empty basis spans only 0."""
+        return rank(Matrix([b.entries for b in basis] + [v.entries])) == len(basis)
 
     def h_contains(self, v: Vector) -> bool:
         return self._in_span(self.h_basis, v)
@@ -114,10 +111,6 @@ class Extension:
                     acc[j] = acc[j] + t if j in acc else t
         zero = Scalar(0)
         return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
-
-    def apply(self, x: Vector) -> GradedElement:
-        """alpha(x), decoded into graded blocks."""
-        return graded_from_coords(self.space, self.coords(x))
 
 
 @dataclass
@@ -180,7 +173,7 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     bad_pairs = []
     for hi, (h, ah) in enumerate(zip(pair.h_basis, h_images)):
         for yi, (y, ay) in enumerate(zip(k_basis, k_images)):
-            if ext.coords(pair.alg.bracket(h, y)) != graded_bracket(space, ah, ay):
+            if ext.coords(pair.alg.bracket(h, y)) != bracket(space, ah, ay):
                 bad_pairs.append((hi, yi))
     cond3 = ConditionReport(
         passed=not bad_pairs,
@@ -190,11 +183,12 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     return ExtensionReport(cond1, cond2, cond3)
 
 
-def curvature(ext: Extension, x: Vector, y: Vector) -> GradedElement:
-    """kappa(x, y) = [alpha(x), alpha(y)] - alpha([x, y]) for x, y in span(m)."""
+def curvature(ext: Extension, x: Vector, y: Vector) -> Vector:
+    """kappa(x, y) = [alpha(x), alpha(y)] - alpha([x, y]) for x, y in span(m),
+    in graded coordinates."""
     if not ext.pair.m_contains(x) or not ext.pair.m_contains(y):
         raise ValueError("curvature arguments must lie in span(m)")
-    return bracket(ext.space, ext.apply(x), ext.apply(y)) - ext.apply(
+    return bracket(ext.space, ext.coords(x), ext.coords(y)) - ext.coords(
         ext.pair.alg.bracket(x, y)
     )
 
@@ -215,10 +209,8 @@ def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
     space = ext.space
     g = exp_nilpotent(space, Y)
     g_inv = exp_nilpotent(space, -Y)
-    moved = []
-    for i in range(ext.pair.alg.dim):
-        img = realize(space, ext.apply(Vector.unit(ext.pair.alg.dim, i)))
-        moved.append((g @ img @ g_inv))
+    # alpha(e_i) is row i of alpha.
+    moved = [g @ realize(space, Vector._of_scalars(row)) @ g_inv for row in ext.alpha.rows]
     rows = [mat.flatten().entries for mat in moved]
     base_rank = rank(Matrix(rows))
     flipped = [ad_s0(space, mat).flatten().entries for mat in moved]

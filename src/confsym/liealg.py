@@ -1,25 +1,28 @@
-"""The graded algebra so(p+1, q+1) in block form, and abstract algebras given
-by structure constants.
+"""The graded algebra so(p+1, q+1) in graded coordinates, and abstract
+algebras given by structure constants.
 
-Elements are written as block matrices
+An element of so(p+1, q+1) is a `Vector` of graded coordinates in the fixed
+basis order
+
+    a; X_1..X_n; A_(i<j) in lexicographic order; Z_1..Z_n
+
+of the block matrix
 
     [ a   Z   0     ]
     [ X   A  -JZ^T  ]
     [ 0  -X^T J  -a ]
 
-with X a vector, Z a covector, a a scalar and A in so(p, q); the three block
-degrees X / (a, A) / Z realize the grading g_{-1} + g_0 + g_1.
+with X a vector, Z a covector, a a scalar and A in so(p, q), where
+A_(ij) = (E_ij - E_ji) J, so the (i<j) coordinate is J_j A[i, j].  The three
+block degrees X / (a, A) / Z realize the grading g_{-1} + g_0 + g_1.
+`_graded_basis` is the one statement of this basis; `so_table` (the bracket
+as integer structure constants, built once per signature), `bracket`,
+`realize` and `degrade` all read it.
 
-Graded coordinates list an element in the fixed basis order
-
-    a; X_1..X_n; A_(i<j) in lexicographic order; Z_1..Z_n
-
-with A_(ij) = (E_ij - E_ji) J, so the (i<j) coordinate is J_j A[i, j].
-`so_table` is the bracket in these coordinates: the nonzero integer
-structure constants of so(p+1, q+1), built once per signature.  `bracket`
-and the extension checks compute through it; the (n+2)x(n+2) matrices of
-`realize` remain for group elements (`exp_nilpotent`) and for the
-independent matrix side of `upsilon_bracket_constant`.
+Matrices appear only at the group-element boundary: `realize` and `degrade`
+convert to and from (n+2)x(n+2) matrices for `exp_nilpotent`, the involution
+criterion, `symmetry.tangent_is_minus_id` and the independent matrix side of
+`upsilon_bracket_constant`.
 
 The module also carries the one-form-to-endomorphism map
 
@@ -52,52 +55,6 @@ def algebra_condition(space: MobiusSpace, M: Matrix) -> bool:
 
 
 @dataclass(frozen=True)
-class GradedElement:
-    """Block coordinates (a, X, A, Z) of one algebra element."""
-
-    a: Scalar
-    X: Vector
-    A: Matrix
-    Z: Vector
-
-    @classmethod
-    def zero(cls, space: MobiusSpace) -> GradedElement:
-        n = space.n
-        return cls(Scalar(0), Vector.zero(n), Matrix.zero(n, n), Vector.zero(n))
-
-    @classmethod
-    def pure_x(cls, space: MobiusSpace, X: Vector) -> GradedElement:
-        n = space.n
-        return cls(Scalar(0), X, Matrix.zero(n, n), Vector.zero(n))
-
-    @classmethod
-    def pure_z(cls, space: MobiusSpace, Z: Vector) -> GradedElement:
-        n = space.n
-        return cls(Scalar(0), Vector.zero(n), Matrix.zero(n, n), Z)
-
-    def __add__(self, other: GradedElement) -> GradedElement:
-        return GradedElement(
-            self.a + other.a, self.X + other.X, self.A + other.A, self.Z + other.Z
-        )
-
-    def __sub__(self, other: GradedElement) -> GradedElement:
-        return GradedElement(
-            self.a - other.a, self.X - other.X, self.A - other.A, self.Z - other.Z
-        )
-
-    def scale(self, c) -> GradedElement:
-        return GradedElement(
-            self.a * c if isinstance(c, Scalar) else Scalar(c) * self.a,
-            self.X.scale(c),
-            self.A.scale(c),
-            self.Z.scale(c),
-        )
-
-    def is_zero(self) -> bool:
-        return not self.a and self.X.is_zero() and self.A.is_zero() and self.Z.is_zero()
-
-
-@dataclass(frozen=True)
 class CoElement:
     """Element of co(p, q) acting on R^n as a*id + A with A in so(p, q)."""
 
@@ -119,42 +76,32 @@ class CoElement:
         return CoElement(c * self.a, self.A.scale(c))
 
 
-def realize(space: MobiusSpace, e: GradedElement) -> Matrix:
-    """Block coordinates -> (n+2)x(n+2) matrix."""
-    n = space.n
-    sign = space.signature.j_sign
-    rows = [[e.a] + list(e.Z.entries) + [Scalar(0)]]
-    for i in range(n):
-        rows.append(
-            [e.X[i]] + list(e.A.rows[i]) + [-Scalar(sign(i)) * e.Z[i]]
-        )
-    rows.append(
-        [Scalar(0)] + [-Scalar(sign(i)) * e.X[i] for i in range(n)] + [-e.a]
-    )
+def realize(space: MobiusSpace, coords: Vector) -> Matrix:
+    """Graded coordinates -> (n+2)x(n+2) matrix.  No two basis matrices
+    share a position, so each coordinate only writes its own entries."""
+    basis = _graded_basis(space.signature.p, space.signature.q)
+    if len(coords) != len(basis):
+        raise ValueError(f"expected {len(basis)} coordinates")
+    size = space.n + 2
+    zero = Scalar(0)
+    rows = [[zero] * size for _ in range(size)]
+    for c, entries in zip(coords, basis):
+        if c:
+            for (r, col), v in entries:
+                rows[r][col] = c if v > 0 else -c
     return Matrix(rows)
 
 
-def degrade(space: MobiusSpace, M: Matrix) -> GradedElement:
-    """Matrix -> block coordinates; rejects matrices outside the algebra."""
+def degrade(space: MobiusSpace, M: Matrix) -> Vector:
+    """Matrix -> graded coordinates; rejects matrices outside the algebra.
+    Each coordinate is read off the position that carries it."""
     n = space.n
     if M.shape != (n + 2, n + 2):
         raise ValueError(f"expected a {(n + 2)}x{(n + 2)} matrix")
     if not algebra_condition(space, M):
         raise ValueError("matrix does not satisfy M^T m + m M = 0")
-    a = M[0, 0]
-    Z = Vector(M.rows[0][1 : n + 1])
-    X = Vector(M.rows[i][0] for i in range(1, n + 1))
-    A = Matrix(M.rows[i][1 : n + 1] for i in range(1, n + 1))
-    return GradedElement(a=a, X=X, A=A, Z=Z)
-
-
-def bracket(space: MobiusSpace, e1: GradedElement, e2: GradedElement) -> GradedElement:
-    """Lie bracket of two graded elements, taken on their graded coordinates
-    through `so_table`."""
-    return graded_from_coords(
-        space,
-        graded_bracket(space, graded_to_coords(space, e1), graded_to_coords(space, e2)),
-    )
+    basis = _graded_basis(space.signature.p, space.signature.q)
+    return Vector._of_scalars(M[pos] if v > 0 else -M[pos] for (pos, v), _ in basis)
 
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
@@ -176,30 +123,27 @@ def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
     return CoElement(a=a, A=A)
 
 
-def g0_as_coelement(space: MobiusSpace, e: GradedElement) -> CoElement:
-    """The action of the degree-0 part of e on the g_{-1} block: X -> (A - a) X,
-    decomposed as a CoElement."""
-    n = space.n
-    endo = e.A - Matrix.identity(n).scale(e.a)
-    a = endo.trace() * Scalar(1, 0, n)
-    return CoElement(a=a, A=endo - Matrix.identity(n).scale(a))
-
-
 def upsilon_bracket_constant(space: MobiusSpace) -> Scalar:
-    """The unique constant c with bracket(pure-X xi, pure-Z Y) acting on the
-    g_{-1} block as c * upsilon_action(Y, xi), measured by brute force over
-    all basis pairs; raises if no single constant fits.  The bracket side is
-    the commutator of the realized matrices, computed independently of both
-    `so_table` and `upsilon_action`."""
+    """The unique constant c with [X_xi, Z_Y] acting on the g_{-1} block as
+    c * upsilon_action(Y, xi), measured by brute force over all basis pairs;
+    raises if no single constant fits.  The bracket side is the commutator
+    of the realized matrices, computed independently of both `so_table` and
+    `upsilon_action`."""
     n = space.n
+    dim = graded_dim(space)
     c = None
     for i in range(n):
         xi = Vector.unit(n, i)
         for j in range(n):
             Y = Vector.unit(n, j)
-            m1 = realize(space, GradedElement.pure_x(space, xi))
-            m2 = realize(space, GradedElement.pure_z(space, Y))
-            via_bracket = g0_as_coelement(space, degrade(space, m1 @ m2 - m2 @ m1))
+            m1 = realize(space, Vector.unit(dim, 1 + i))
+            m2 = realize(space, Vector.unit(dim, dim - n + j))
+            comm = m1 @ m2 - m2 @ m1
+            # The degree-0 part (a, A) acts on the g_{-1} block as
+            # X -> (A - a) X; A is trace-free, so its scaling part is -a.
+            a = degrade(space, comm)[0]
+            A = Matrix(comm.rows[r][1 : n + 1] for r in range(1, n + 1))
+            via_bracket = CoElement(a=-a, A=A)
             via_formula = upsilon_action(space, Y, xi)
             ratio = _coelement_ratio(via_bracket, via_formula)
             if c is None:
@@ -239,7 +183,8 @@ def _coelement_ratio(lhs: CoElement, rhs: CoElement) -> Scalar:
 def exp_nilpotent(space: MobiusSpace, Y: Vector) -> Matrix:
     """exp of the pure upper-block element: exactly I + N + N^2/2 since
     N^3 = 0 in this representation (guarded by assertion)."""
-    N = realize(space, GradedElement.pure_z(space, Y))
+    coords = [Scalar(0)] * (graded_dim(space) - space.n) + list(Y.entries)
+    N = realize(space, Vector._of_scalars(coords))
     n2 = N @ N
     if not (n2 @ N).is_zero():
         raise AssertionError("upper-block element was not 3-step nilpotent")
@@ -247,17 +192,14 @@ def exp_nilpotent(space: MobiusSpace, Y: Vector) -> Matrix:
 
 
 def ad_s0(space: MobiusSpace, M: Matrix) -> Matrix:
-    """Conjugation by the origin symmetry s_0 = diag(-1, E, -1); acts as +1 on
-    the (a, A) blocks and -1 on the X, Z blocks."""
-    n = space.n
-    s0 = Matrix(
-        tuple(
-            (Scalar(-1) if i in (0, n + 1) else Scalar(1)) if i == j else Scalar(0)
-            for j in range(n + 2)
-        )
-        for i in range(n + 2)
+    """Conjugation by the origin symmetry s_0 = diag(-1, E, -1): it negates
+    exactly the entries with one corner index, so it acts as +1 on the
+    (a, A) blocks and -1 on the X, Z blocks."""
+    corners = (0, space.n + 1)
+    return Matrix(
+        tuple(-x if (i in corners) != (j in corners) else x for j, x in enumerate(row))
+        for i, row in enumerate(M.rows)
     )
-    return s0 @ M @ s0
 
 
 # -- abstract algebras from structure constants ------------------------------
@@ -359,43 +301,31 @@ def graded_dim(space: MobiusSpace) -> int:
     return 1 + 2 * n + n * (n - 1) // 2
 
 
-def graded_to_coords(space: MobiusSpace, e: GradedElement) -> Vector:
-    """Graded coordinates of e: a; X; J_j A[i, j] for i < j; Z."""
-    n = space.n
-    coords = [e.a]
-    coords.extend(e.X.entries)
+@lru_cache(maxsize=None)
+def _graded_basis(p: int, q: int) -> tuple:
+    """The graded basis of so(p+1, q+1), in coordinate order, as sparse
+    integer (n+2)x(n+2) matrices: entry k lists the ((row, col), value)
+    pairs of b_k, and its first pair is the position that carries
+    coordinate k and the sign (+1 or -1) it is read with.  With N = n+1 and
+    block indices shifted by one:
+
+        b_a     = E_00 - E_NN
+        X_i     = E_i0 - J_i E_Ni
+        A_(i<j) = J_j E_ij - J_i E_ji
+        Z_i     = E_0i - J_i E_iN
+    """
+    n = p + q
+    sign = [1] * p + [-1] * q
+    last = n + 1
+    basis = [(((0, 0), 1), ((last, last), -1))]
+    for i in range(n):
+        basis.append((((i + 1, 0), 1), ((last, i + 1), -sign[i])))
     for i in range(n):
         for j in range(i + 1, n):
-            coords.append(Scalar(space.signature.j_sign(j)) * e.A[i, j])
-    coords.extend(e.Z.entries)
-    return Vector(coords)
-
-
-def graded_from_coords(space: MobiusSpace, coords: Vector) -> GradedElement:
-    """The inverse of graded_to_coords, read straight off the coordinates:
-    a = c_0, X = c_1..c_n, Z = the last n coordinates, and each (i<j)
-    coordinate c gives A[i, j] = J_j c and A[j, i] = -J_i c."""
-    n = space.n
-    if len(coords) != graded_dim(space):
-        raise ValueError(f"expected {graded_dim(space)} coordinates")
-    sign = space.signature.j_sign
-    c = coords.entries
-    zero = Scalar(0)
-    rows = [[zero] * n for _ in range(n)]
-    k = n + 1
+            basis.append((((i + 1, j + 1), sign[j]), ((j + 1, i + 1), -sign[i])))
     for i in range(n):
-        for j in range(i + 1, n):
-            v = c[k]
-            k += 1
-            if v:
-                rows[i][j] = v if sign(j) > 0 else -v
-                rows[j][i] = -v if sign(i) > 0 else v
-    return GradedElement(
-        a=c[0],
-        X=Vector._of_scalars(c[1 : n + 1]),
-        A=Matrix(rows),
-        Z=Vector._of_scalars(c[k:]),
-    )
+        basis.append((((0, i + 1), 1), ((i + 1, last), -sign[i])))
+    return tuple(basis)
 
 
 @lru_cache(maxsize=None)
@@ -404,26 +334,11 @@ def so_table(p: int, q: int) -> tuple:
     the nonzero (k, c) with [b_i, b_j] = sum of c b_k, each c an int, in
     increasing k.
 
-    The basis elements realize as matrices with at most two nonzero entries
-    (b_a = E_00 - E_NN, X_i = E_i0 - J_i E_Ni, A_(ij) = J_j E_ij - J_i E_ji,
-    Z_i = E_0i - J_i E_iN with N = n+1 and i shifted by one), so each
-    commutator is formed sparsely and each coordinate read off the one
+    The basis matrices of `_graded_basis` have two nonzero entries each, so
+    each commutator is formed sparsely and each coordinate read off the one
     matrix position that carries it."""
-    n = p + q
-    sign = [1] * p + [-1] * q
-    last = n + 1
-    mats = [{(0, 0): 1, (last, last): -1}]
-    lead = [((0, 0), 1)]
-    for i in range(n):
-        mats.append({(i + 1, 0): 1, (last, i + 1): -sign[i]})
-        lead.append(((i + 1, 0), 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append({(i + 1, j + 1): sign[j], (j + 1, i + 1): -sign[i]})
-            lead.append(((i + 1, j + 1), sign[j]))
-    for i in range(n):
-        mats.append({(0, i + 1): 1, (i + 1, last): -sign[i]})
-        lead.append(((0, i + 1), 1))
+    basis = _graded_basis(p, q)
+    mats = [dict(entries) for entries in basis]
 
     def product(m1, m2, acc, s):
         for (r, t), x in m1.items():
@@ -439,7 +354,7 @@ def so_table(p: int, q: int) -> tuple:
             product(m1, m2, comm, 1)
             product(m2, m1, comm, -1)
             terms = []
-            for k, (pos, f) in enumerate(lead):
+            for k, ((pos, f), _) in enumerate(basis):
                 c = comm.get(pos, 0)
                 if c:
                     terms.append((k, f * c))
@@ -448,7 +363,7 @@ def so_table(p: int, q: int) -> tuple:
     return tuple(table)
 
 
-def graded_bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
+def bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
     """[x, y] of two graded coordinate vectors, through `so_table`."""
     dim = graded_dim(space)
     if len(x) != dim or len(y) != dim:

@@ -150,10 +150,19 @@ def structure_algebra_to_dict(alg: StructureAlgebra) -> dict:
     return {"dim": alg.dim, "brackets": brackets}
 
 
+def _json_int(value, key: str) -> int:
+    """A JSON integer read from a file; a bool, float or string is refused,
+    never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
-    """Rejects any bracket entry whose indices are not integers 0 <= i < j < dim,
-    a repeated (i, j), and a coefficient list whose length is not dim."""
-    dim = int(data["dim"])
+    """Rejects a dim that is not an integer, any bracket entry whose indices
+    are not integers 0 <= i < j < dim, a repeated (i, j), and a coefficient
+    list whose length is not dim."""
+    dim = _json_int(data["dim"], "dim")
     zero = Vector.zero(dim)
     table = [[zero for _ in range(dim)] for _ in range(dim)]
     seen = set()
@@ -195,18 +204,36 @@ def extension_to_dict(ext: Extension) -> dict:
     }
 
 
+def extension_signature(data: dict) -> tuple[int, int, int]:
+    """(p, q, d) of an extension file, d defaulting to 2; each must be a JSON
+    integer."""
+    p = _json_int(data["p"], "p")
+    q = _json_int(data["q"], "q")
+    return p, q, _json_int(data.get("d", 2), "d")
+
+
 def extension_from_dict(data: dict) -> Extension:
-    space = MobiusSpace(int(data["p"]), int(data["q"]), int(data.get("d", 2)))
+    """Rejects non-integer p, q, d and dim, and h or m indices that are not
+    integers 0 <= i < dim."""
+    space = MobiusSpace(*extension_signature(data))
     # The lists of the file bound dim before the O(dim^2) table is built.
-    dim = int(data["algebra"]["dim"])
+    dim = _json_int(data["algebra"]["dim"], "dim")
     if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):
         raise ValueError(
             f"algebra dim {dim} does not match {len(data['alpha'])} alpha rows "
             f"and {len(data['h'])} + {len(data['m'])} h and m indices"
         )
     alg = structure_algebra_from_dict(data["algebra"], space.d)
-    h = [Vector.unit(alg.dim, int(i)) for i in data["h"]]
-    m = [Vector.unit(alg.dim, int(i)) for i in data["m"]]
+
+    def units(key):
+        out = []
+        for i in data[key]:
+            if not (type(i) is int and 0 <= i < dim):
+                raise ValueError(f"{key!r} index {i!r} needs an integer 0 <= i < {dim}")
+            out.append(Vector.unit(dim, i))
+        return out
+
+    h, m = units("h"), units("m")
     pair_cls = SymmetricPair if data.get("symmetric") else HomogeneousPair
     pair = pair_cls(alg, h, m)
     alpha = matrix_from_literals(data["alpha"], space.d)

@@ -55,16 +55,16 @@ def tangent_is_minus_id(space: MobiusSpace, Z: Vector) -> bool:
     """Check that s_Z acts as -id on the tangent space at the origin: for each
     lower-block basis direction X, Ad_{s_Z} X + X falls into the stabilizer
     subalgebra (zero lower block)."""
-    from .liealg import GradedElement, degrade, realize
+    from .liealg import degrade, graded_dim, realize
 
     n = space.n
     s = make_symmetry(space, Z)
     s_inv = isometry_inverse(space, s)
     for i in range(n):
-        x_elt = GradedElement.pure_x(space, Vector.unit(n, i))
-        mat = realize(space, x_elt)
+        # X_i is graded coordinate 1 + i; coordinates 1..n are the X block.
+        mat = realize(space, Vector.unit(graded_dim(space), 1 + i))
         moved = degrade(space, s @ mat @ s_inv + mat)
-        if not moved.X.is_zero():
+        if any(moved.entries[1 : n + 1]):
             return False
     return True
 

@@ -4,13 +4,7 @@ import pytest
 
 from confsym.extension import SymmetricPair
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import (
-    GradedElement,
-    StructureAlgebra,
-    degrade,
-    realize,
-    so_block_condition,
-)
+from confsym.liealg import StructureAlgebra, graded_dim
 from confsym.linalg import Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
 
@@ -65,34 +59,51 @@ def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
 # -- matrix references for the graded algebra ---------------------------------
 
 
-def make_graded(space: MobiusSpace, a, X, A, Z) -> GradedElement:
-    """A graded element from its blocks, checking their sizes and that the
-    middle block lies in so(p, q)."""
-    n = space.n
-    a = a if isinstance(a, Scalar) else Scalar(a)
-    if len(X) != n or len(Z) != n or A.shape != (n, n):
-        raise ValueError("block sizes do not match the signature")
-    if not so_block_condition(space, A):
-        raise ValueError("middle block is not in so(p, q)")
-    return GradedElement(a=a, X=X, A=A, Z=Z)
+def reference_realize(space: MobiusSpace, coords: Vector) -> Matrix:
+    """The hand-written block layout of graded coordinates
+    a; X_1..X_n; A_(i<j) in lexicographic order; Z_1..Z_n, where the (i<j)
+    coordinate c gives A[i, j] = J_j c and A[j, i] = -J_i c:
 
-
-def so_basis(space: MobiusSpace) -> list[GradedElement]:
-    """Coordinate basis in the fixed order a; X_1..X_n; A_(i<j); Z_1..Z_n,
-    with A_(ij) = (E_ij - E_ji) J."""
+        [ a   Z   0     ]
+        [ X   A  -JZ^T  ]
+        [ 0  -X^T J  -a ]
+    """
     n = space.n
-    out = [make_graded(space, 1, Vector.zero(n), Matrix.zero(n, n), Vector.zero(n))]
-    for i in range(n):
-        out.append(GradedElement.pure_x(space, Vector.unit(n, i)))
+    sign = space.signature.j_sign
+    c = list(coords)
+    if len(c) != 1 + 2 * n + n * (n - 1) // 2:
+        raise ValueError("coordinate count does not match the signature")
+    a, X, Z = c[0], c[1 : n + 1], c[len(c) - n :]
+    A = [[Scalar(0)] * n for _ in range(n)]
+    k = n + 1
     for i in range(n):
         for j in range(i + 1, n):
-            rows = [[Scalar(0)] * n for _ in range(n)]
-            rows[i][j] = Scalar(space.signature.j_sign(j))
-            rows[j][i] = -Scalar(space.signature.j_sign(i))
-            out.append(make_graded(space, 0, Vector.zero(n), Matrix(rows), Vector.zero(n)))
+            A[i][j] = Scalar(sign(j)) * c[k]
+            A[j][i] = -Scalar(sign(i)) * c[k]
+            k += 1
+    rows = [[a] + Z + [Scalar(0)]]
     for i in range(n):
-        out.append(GradedElement.pure_z(space, Vector.unit(n, i)))
-    return out
+        rows.append([X[i]] + A[i] + [-Scalar(sign(i)) * Z[i]])
+    rows.append([Scalar(0)] + [-Scalar(sign(i)) * X[i] for i in range(n)] + [-a])
+    return Matrix(rows)
+
+
+def so_basis(space: MobiusSpace) -> list[Matrix]:
+    """The graded basis of so(p+1, q+1) as matrices, through
+    `reference_realize`."""
+    dim = graded_dim(space)
+    return [reference_realize(space, Vector.unit(dim, k)) for k in range(dim)]
+
+
+def pure_x(space: MobiusSpace, X: Vector) -> Vector:
+    """Graded coordinates of the g_{-1} element X."""
+    n = space.n
+    return Vector([0] + list(X) + [0] * (graded_dim(space) - 1 - n))
+
+
+def pure_z(space: MobiusSpace, Z: Vector) -> Vector:
+    """Graded coordinates of the g_1 element Z."""
+    return Vector([0] * (graded_dim(space) - space.n) + list(Z))
 
 
 def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
@@ -114,11 +125,12 @@ def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
     return StructureAlgebra(dim, table)
 
 
-def reference_bracket(space: MobiusSpace, e1: GradedElement, e2: GradedElement) -> GradedElement:
-    """The Lie bracket as the commutator of the realized matrices."""
-    m1 = realize(space, e1)
-    m2 = realize(space, e2)
-    return degrade(space, m1 @ m2 - m2 @ m1)
+def reference_commutator(space: MobiusSpace, x: Vector, y: Vector) -> Matrix:
+    """The Lie bracket of two coordinate vectors as the commutator of their
+    reference realizations."""
+    m1 = reference_realize(space, x)
+    m2 = reference_realize(space, y)
+    return m1 @ m2 - m2 @ m1
 
 
 # -- random symmetric pairs ---------------------------------------------------

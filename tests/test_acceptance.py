@@ -19,13 +19,7 @@ from confsym.extension import (
     validate_extension,
 )
 from confsym.flatmodel import MobiusSpace, NullLine, isometry_inverse, transitive_witness
-from confsym.liealg import (
-    GradedElement,
-    graded_to_coords,
-    killing_form,
-    upsilon_action,
-    upsilon_bracket_constant,
-)
+from confsym.liealg import killing_form, upsilon_action, upsilon_bracket_constant
 from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import Scalar
 from confsym.serialize import dump_canonical, weyl_to_dict
@@ -37,7 +31,14 @@ from confsym.symmetry import (
 )
 from confsym.weyl import prolongation, random_weyl, weyl_space_basis
 
-from conftest import rand_covector, rand_null_vector, rand_symmetric_pair, so_k_pair
+from conftest import (
+    pure_x,
+    pure_z,
+    rand_covector,
+    rand_null_vector,
+    rand_symmetric_pair,
+    so_k_pair,
+)
 from test_extension import graded_alpha_rows, translation_pair
 
 
@@ -165,11 +166,10 @@ def test_criterion_6_extension_suite():
         space,
         pair,
         graded_alpha_rows(
-            space,
             [
-                GradedElement.pure_x(space, Vector.unit(n, 0)),
-                GradedElement.pure_x(space, Vector.unit(n, 1)),
-                GradedElement.pure_z(space, Vector.unit(n, 0)),
+                pure_x(space, Vector.unit(n, 0)),
+                pure_x(space, Vector.unit(n, 1)),
+                pure_z(space, Vector.unit(n, 0)),
             ],
         ),
     )
@@ -179,7 +179,7 @@ def test_criterion_6_extension_suite():
     assert r2.equivariance_condition.passed
 
     perturbed_rows = [list(r) for r in ext.alpha.rows]
-    delta = graded_to_coords(space, GradedElement.pure_z(space, Vector.unit(n, 0)))
+    delta = pure_z(space, Vector.unit(n, 0))
     perturbed_rows[n + 1] = [a + b for a, b in zip(perturbed_rows[n + 1], delta)]
     r3 = validate_extension(Extension(space, ext.pair, Matrix(perturbed_rows)))
     assert r3.stabilizer_condition.passed

@@ -176,6 +176,69 @@ def test_make_flat_output_is_pinned(capsys, p, q, d):
     assert hashlib.sha256(out.encode()).hexdigest() == MAKE_FLAT_SHA256[p, q, d]
 
 
+# SHA-256 of the exit codes and stdout of `extension validate`, `curvature`,
+# `criterion --y` and `criterion --candidates`, machine and human, on the
+# flat model and on two perturbations of it, recorded before the extension
+# layer moved to graded coordinates throughout.  "scaling" shifts the scaling
+# coordinate of one h row, which breaks equivariance only; "bent" shifts two
+# m rows, which makes the curvature nonzero, and drops the image of one
+# h basis element, which makes the criterion fail for some Y.
+EXTENSION_SHA256 = {
+    (2, 1, 2, 'flat'): "85fbd654fdc232b3f6bd53a95d215dd311b9924402134e1430ce23537040aee1",
+    (2, 1, 2, 'scaling'): "c80f241540d2c4cea4b1addc360e9a8eb9c89a5e97822f2405a36089d77266c2",
+    (2, 1, 2, 'bent'): "22e432f19fac513d5087fccfd61a8a370fe039f6c4d890c5e0f64c38326f7d4e",
+    (2, 1, 3, 'flat'): "85fbd654fdc232b3f6bd53a95d215dd311b9924402134e1430ce23537040aee1",
+    (2, 1, 3, 'scaling'): "c80f241540d2c4cea4b1addc360e9a8eb9c89a5e97822f2405a36089d77266c2",
+    (2, 1, 3, 'bent'): "8061c0e73a58737a39b2f9a9d71a20c7296453ebf6d4ee01e7f2a699b5a84e8a",
+    (3, 1, 2, 'flat'): "f43cf9156ec0b206032a4cf0e122b829a8fe83a28ab70c11c6d182548c471fd8",
+    (3, 1, 2, 'scaling'): "079753ea814fd9437994441f485ddd3cba5190a8a005a1da18744bea119f2c08",
+    (3, 1, 2, 'bent'): "375f4c8e6fb1b67f8c67d41d2ba217c8b7de4eec20e91cfcde31eaab63b3cd2b",
+    (3, 1, 3, 'flat'): "f43cf9156ec0b206032a4cf0e122b829a8fe83a28ab70c11c6d182548c471fd8",
+    (3, 1, 3, 'scaling'): "079753ea814fd9437994441f485ddd3cba5190a8a005a1da18744bea119f2c08",
+    (3, 1, 3, 'bent'): "e5822d108f2eaab7e4acb8b4a8d1a25fd9a8298c9caec49f5d3814f39759e820",
+    (2, 2, 2, 'flat'): "f43cf9156ec0b206032a4cf0e122b829a8fe83a28ab70c11c6d182548c471fd8",
+    (2, 2, 2, 'scaling'): "079753ea814fd9437994441f485ddd3cba5190a8a005a1da18744bea119f2c08",
+    (2, 2, 2, 'bent'): "375f4c8e6fb1b67f8c67d41d2ba217c8b7de4eec20e91cfcde31eaab63b3cd2b",
+    (2, 2, 3, 'flat'): "f43cf9156ec0b206032a4cf0e122b829a8fe83a28ab70c11c6d182548c471fd8",
+    (2, 2, 3, 'scaling'): "079753ea814fd9437994441f485ddd3cba5190a8a005a1da18744bea119f2c08",
+    (2, 2, 3, 'bent'): "e5822d108f2eaab7e4acb8b4a8d1a25fd9a8298c9caec49f5d3814f39759e820",
+}
+
+
+def _extension_file(tmp_path, capsys, p, q, d, kind):
+    path = tmp_path / f"{kind}.json"
+    run(capsys, "--p", str(p), "--q", str(q), "--d", str(d), "extension", "make-flat", "-o", str(path))
+    data = json.loads(path.read_text())
+    if kind == "scaling":
+        data["alpha"][p + q + 1][0] = "1-1/2*r"
+    elif kind == "bent":
+        data["alpha"][1][0] = "1/2+r"
+        data["alpha"][2][-2] = "-r"
+        data["alpha"][-2] = ["0"] * len(data["alpha"][-2])
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("p, q, d, kind", sorted(EXTENSION_SHA256))
+def test_extension_outputs_are_pinned(tmp_path, capsys, p, q, d, kind):
+    path = str(_extension_file(tmp_path, capsys, p, q, d, kind))
+    n = p + q
+    y = ",".join(["1", "-1/2", "r"] + ["0"] * (n - 3))
+    candidates = ";".join([",".join(["r"] * n), y, ",".join(["0"] * n)])
+    transcript = []
+    for mode in ([], ["--machine"]):
+        for command in (
+            ["validate"],
+            ["curvature"],
+            ["criterion", f"--y={y}"],
+            ["criterion", f"--candidates={candidates}"],
+        ):
+            code, out = run(capsys, *mode, "extension", *command, "--file", path)
+            transcript.append(f"{code}\n{out}")
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == EXTENSION_SHA256[p, q, d, kind]
+
+
 def test_extension_file_with_non_list_alpha(tmp_path, capsys):
     path = tmp_path / "flat.json"
     run(capsys, "extension", "make-flat", "-o", str(path))
@@ -268,6 +331,34 @@ def test_extension_file_signature_and_field_are_checked(tmp_path, capsys, key, v
     path = _edited_flat_file(tmp_path, capsys, edit)
     err = _bad_input(capsys, "extension", "validate", "--file", str(path))
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (["p"], 2.9),  # was read as 2
+        (["p"], "2"),
+        (["q"], True),
+        (["d"], 2.0),
+        (["algebra", "dim"], 10.7),  # was read as 10
+        (["algebra", "dim"], "10"),
+        (["h", 0], 1.5),  # was read as 1
+        (["h", 0], -1),
+        (["m", 0], 10),
+        (["m", 0], "1"),
+    ],
+)
+def test_extension_file_fields_must_be_integers(tmp_path, capsys, field, value):
+    def edit(data):
+        *keys, last = field
+        for key in keys:
+            data = data[key]
+        data[last] = value
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    key = field[0] if field[0] in ("h", "m") else field[-1]
+    assert f"{key!r}" in err and f"{value!r}" in err
 
 
 def test_commands_are_deterministic(capsys):

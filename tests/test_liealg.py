@@ -4,19 +4,16 @@ from hypothesis import strategies as st
 
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
-    GradedElement,
+    CoElement,
     StructureAlgebra,
     ad_s0,
+    algebra_condition,
     bracket,
     degrade,
     exp_nilpotent,
-    g0_as_coelement,
     graded_dim,
-    graded_from_coords,
-    graded_to_coords,
     killing_form,
     realize,
-    so_block_condition,
     so_table,
     upsilon_action,
     upsilon_bracket_constant,
@@ -26,11 +23,12 @@ from confsym.scalars import Scalar
 
 from conftest import (
     heisenberg_pair,
-    make_graded,
+    pure_x,
+    pure_z,
     rand_covector,
-    rand_so_matrix,
     rand_vector,
-    reference_bracket,
+    reference_commutator,
+    reference_realize,
     so_basis,
     so_k_pair,
     structure_constants_from_matrices,
@@ -38,24 +36,25 @@ from conftest import (
 
 
 def rand_graded(space, rng):
-    return make_graded(
-        space,
-        Scalar(rng.randint(-5, 5)),
-        rand_vector(rng, space.n, 5),
-        rand_so_matrix(space, rng),
-        rand_covector(rng, space.n, 5),
+    """Random graded coordinates: a and A_(i<j) small integers, X and Z over
+    Q(sqrt 2)."""
+    n = space.n
+    return Vector(
+        [Scalar(rng.randint(-5, 5))]
+        + list(rand_vector(rng, n, 5))
+        + [Scalar(rng.randint(-5, 5)) for _ in range(n * (n - 1) // 2)]
+        + list(rand_covector(rng, n, 5))
     )
 
 
 def test_zero_round_trip(space21):
-    z = GradedElement.zero(space21)
+    z = Vector.zero(graded_dim(space21))
     assert realize(space21, z).is_zero()
     assert degrade(space21, Matrix.zero(5, 5)) == z
 
 
 def test_pure_x_block_placement(space21):
-    e = GradedElement.pure_x(space21, Vector.unit(3, 0))
-    M = realize(space21, e)
+    M = realize(space21, pure_x(space21, Vector.unit(3, 0)))
     assert M[1, 0] == Scalar(1)
     # bottom row is -X^T J
     assert M[4, 1] == Scalar(-1)
@@ -83,10 +82,11 @@ def test_degrade_rejects_outside_matrices(space21):
 def test_bracket_antisymmetry_and_grading(space21, rng):
     e = rand_graded(space21, rng)
     assert bracket(space21, e, e).is_zero()
-    x = GradedElement.pure_x(space21, rand_vector(rng, 3, 4))
-    z = GradedElement.pure_z(space21, rand_covector(rng, 3, 4))
+    x = pure_x(space21, rand_vector(rng, 3, 4))
+    z = pure_z(space21, rand_covector(rng, 3, 4))
     b = bracket(space21, x, z)
-    assert b.X.is_zero() and b.Z.is_zero()
+    # only the degree-0 coordinates a and A_(i<j) survive
+    assert not any(b.entries[1:4]) and not any(b.entries[-3:])
 
 
 def test_jacobi_identity_via_matrices(space21, rng):
@@ -161,14 +161,10 @@ def test_upsilon_bracket_constant_scales_both_sides(space21, rng):
     xi = rand_vector(rng, 3, 4)
     Y = rand_covector(rng, 3, 4)
     c = upsilon_bracket_constant(space21)
-    via_bracket = g0_as_coelement(
-        space21,
-        bracket(
-            space21,
-            GradedElement.pure_x(space21, xi),
-            GradedElement.pure_z(space21, Y.scale(2)),
-        ),
-    )
+    b = bracket(space21, pure_x(space21, xi), pure_z(space21, Y.scale(2)))
+    # the degree-0 part (a, A) acts on the g_{-1} block as X -> (A - a) X
+    M = reference_realize(space21, b)
+    via_bracket = CoElement(-b[0], Matrix(M.rows[i][1:4] for i in range(1, 4)))
     doubled = upsilon_action(space21, Y.scale(2), xi)
     assert via_bracket.a == c * doubled.a and via_bracket.A == doubled.A.scale(c)
 
@@ -185,8 +181,9 @@ def test_exp_nilpotent(space21, rng):
 def test_ad_s0_blockwise(space21, rng):
     e = rand_graded(space21, rng)
     conj = degrade(space21, ad_s0(space21, realize(space21, e)))
-    assert conj.a == e.a and conj.A == e.A
-    assert conj.X == -e.X and conj.Z == -e.Z
+    # +1 on a and A_(i<j) (coordinates 0 and 4..6), -1 on X and Z
+    signs = [1, -1, -1, -1, 1, 1, 1, -1, -1, -1]
+    assert conj == Vector(x if s > 0 else -x for x, s in zip(e, signs))
     M = realize(space21, e)
     assert ad_s0(space21, ad_s0(space21, M)) == M
 
@@ -232,8 +229,7 @@ def test_killing_form_ad_invariance(rng):
 
 
 def test_killing_form_proportional_to_trace_form(space21):
-    basis = so_basis(space21)
-    mats = [realize(space21, b) for b in basis]
+    mats = so_basis(space21)
     alg = structure_constants_from_matrices(mats)
     ratio = None
     for i in range(alg.dim):
@@ -273,40 +269,15 @@ def test_structure_algebra_validation():
         StructureAlgebra(3, table)
 
 
-def test_graded_coordinates_round_trip(space21, rng):
-    assert graded_dim(space21) == 10
-    for _ in range(20):
-        e = rand_graded(space21, rng)
-        assert graded_from_coords(space21, graded_to_coords(space21, e)) == e
-
-
 def test_so_basis_is_a_basis(space21):
     basis = so_basis(space21)
-    assert len(basis) == graded_dim(space21)
-    rows = [graded_to_coords(space21, b).entries for b in basis]
-    assert rank(Matrix(rows)) == len(basis)
+    assert len(basis) == graded_dim(space21) == 10
+    assert all(algebra_condition(space21, M) for M in basis)
+    assert rank(Matrix([M.flatten().entries for M in basis])) == len(basis)
 
 
-# -- the direct decoder against the former sum over so_basis -----------------
-
-
-def reference_graded_from_coords(space, coords):
-    """The former decoder: every so_basis element scaled by its coordinate,
-    summed."""
-    out = GradedElement.zero(space)
-    for c, b in zip(coords, so_basis(space)):
-        if c:
-            out = out + b.scale(c)
-    return out
-
-
-def _entry_strings(e):
-    return (
-        [str(e.a)]
-        + [str(x) for x in e.X]
-        + [str(x) for row in e.A.rows for x in row]
-        + [str(x) for x in e.Z]
-    )
+def _entry_strings(M):
+    return [str(x) for row in M.rows for x in row]
 
 
 @st.composite
@@ -326,16 +297,18 @@ def _graded_coords(draw, count=1):
     return (space, *vectors)
 
 
+# -- realize and degrade against the hand-written block layout ---------------
+
+
 @given(_graded_coords())
 @settings(max_examples=150, deadline=None)
-def test_graded_from_coords_matches_the_basis_sum(case):
+def test_realize_matches_the_reference_layout(case):
     space, coords = case
-    got = graded_from_coords(space, coords)
-    want = reference_graded_from_coords(space, coords)
+    got = realize(space, coords)
+    want = reference_realize(space, coords)
     assert got == want
     assert _entry_strings(got) == _entry_strings(want)
-    assert so_block_condition(space, got.A)
-    assert graded_to_coords(space, got) == coords
+    assert degrade(space, want) == coords
 
 
 # -- the integer table of so(p+1, q+1) against the matrix commutator --------
@@ -344,7 +317,7 @@ def test_graded_from_coords_matches_the_basis_sum(case):
 @pytest.mark.parametrize("pq", [(2, 1), (3, 0), (3, 1), (2, 2), (4, 0), (4, 1), (3, 2)])
 def test_so_table_matches_the_matrix_structure_constants(pq):
     space = MobiusSpace(*pq)
-    ref = structure_constants_from_matrices([realize(space, b) for b in so_basis(space)])
+    ref = structure_constants_from_matrices(so_basis(space))
     table = so_table(*pq)
     assert len(table) == ref.dim == graded_dim(space)
     for i in range(ref.dim):
@@ -359,9 +332,8 @@ def test_so_table_matches_the_matrix_structure_constants(pq):
 @settings(max_examples=100, deadline=None)
 def test_bracket_matches_the_matrix_commutator(case):
     space, x, y = case
-    e1, e2 = graded_from_coords(space, x), graded_from_coords(space, y)
-    got = bracket(space, e1, e2)
-    want = reference_bracket(space, e1, e2)
+    got = reference_realize(space, bracket(space, x, y))
+    want = reference_commutator(space, x, y)
     assert got == want
     assert _entry_strings(got) == _entry_strings(want)
 
@@ -453,8 +425,7 @@ def test_sparse_bracket_matches_the_dense_reference_on_known_algebras(which, rng
     elif which == "heisenberg":
         alg = heisenberg_pair()[0]
     else:
-        space = MobiusSpace(2, 1)
-        alg = structure_constants_from_matrices([realize(space, b) for b in so_basis(space)])
+        alg = structure_constants_from_matrices(so_basis(MobiusSpace(2, 1)))
     for _ in range(20):
         x = rand_vector(rng, alg.dim, 3)
         y = rand_vector(rng, alg.dim, 3)
