@@ -302,8 +302,16 @@ def cmd_extension(config: SessionConfig, args) -> int:
         return 0
 
     # criterion
+    n = ext.space.n
+
+    def covector(text):
+        Y = _parse_vector_arg(text, ext.space.d)
+        if len(Y) != n:
+            raise InputError(f"covector {text!r} has {len(Y)} entries, expected {n}")
+        return Y
+
     if args.candidates:
-        candidates = [_parse_vector_arg(c, ext.space.d) for c in args.candidates.split(";")]
+        candidates = [covector(c) for c in args.candidates.split(";")]
         hit = symmetry_criterion_search(ext, candidates)
         found = hit is not None
         _emit(
@@ -312,11 +320,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
             [f"first passing Y: {hit}" if found else "no candidate passed"],
         )
         return 0 if found else 1
-    Y = (
-        _parse_vector_arg(args.y, ext.space.d)
-        if args.y
-        else Vector.zero(ext.space.n)
-    )
+    Y = covector(args.y) if args.y else Vector.zero(n)
     ok = symmetry_criterion(ext, Y)
     _emit(
         config,

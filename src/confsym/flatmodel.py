@@ -11,6 +11,7 @@ lines and produces exact group elements moving the distinguished origin
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import Matrix, Vector, rank
 from .scalars import Scalar, as_scalar
@@ -138,7 +139,11 @@ class MobiusSpace:
     def __init__(self, p: int, q: int, d: int = 2):
         self.signature = Signature(p, q)
         self.d = d
-        self.form = MinkowskiForm(self.signature)
+
+    @cached_property
+    def form(self) -> MinkowskiForm:
+        """Built on first use: the Weyl-tensor code needs only the signature."""
+        return MinkowskiForm(self.signature)
 
     @property
     def n(self) -> int:

@@ -43,9 +43,20 @@ from .scalars import Scalar
 
 
 def so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
-    """Membership of the middle block: A^T J + J A = 0."""
-    J = space.signature.j_matrix()
-    return (A.transpose() @ J + J @ A).is_zero()
+    """Membership of the middle block, A^T J + J A = 0, checked entrywise:
+    a zero diagonal and J_r A[r, m] = -J_m A[m, r] for r < m."""
+    n = space.n
+    if A.shape != (n, n):
+        return False
+    sign = space.signature.j_sign
+    for r in range(n):
+        if A[r, r]:
+            return False
+        for m in range(r + 1, n):
+            x, y = A[r, m], A[m, r]
+            if x != (-y if sign(r) == sign(m) else y):
+                return False
+    return True
 
 
 def algebra_condition(space: MobiusSpace, M: Matrix) -> bool:
@@ -106,18 +117,28 @@ def degrade(space: MobiusSpace, M: Matrix) -> Vector:
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
     """The endomorphism eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T,
-    split into scaling part a = trace/n and trace-free part A in so(p, q)."""
+    split into scaling part a = trace/n and trace-free part A in so(p, q).
+
+    F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) is built entry by entry:
+    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m."""
     n = space.n
     if len(Y) != n or len(xi) != n:
         raise ValueError(f"expected covector and vector of length {n}")
-    J = space.signature.j_matrix()
+    sign = space.signature.j_sign
     y_of_xi = Y.dot(xi)
-    # F = Y(xi) I + xi (x) Y - (J^{-1} Y^T) (x) (xi^T J)
-    F = Matrix.identity(n).scale(y_of_xi)
-    F = F + Matrix.outer(xi, Y)
-    F = F - Matrix.outer(J.matvec(Y), J.matvec(xi))
-    a = F.trace() * Scalar(1, 0, n)
-    A = F - Matrix.identity(n).scale(a)
+    zero = Scalar(0)
+    F = []
+    for r in range(n):
+        row = []
+        for m in range(n):
+            x = xi[r] * Y[m] if xi[r] and Y[m] else zero
+            y = Y[r] * xi[m] if Y[r] and xi[m] else zero
+            if y:
+                x = x - y if sign(r) == sign(m) else x + y
+            row.append(x + y_of_xi if r == m else x)
+        F.append(row)
+    a = sum((F[r][r] for r in range(n)), zero) * Scalar(1, 0, n)
+    A = Matrix([x - a if r == m else x for m, x in enumerate(row)] for r, row in enumerate(F))
     if not so_block_condition(space, A):
         raise AssertionError("trace-free part left so(p, q); convention bug")
     return CoElement(a=a, A=A)

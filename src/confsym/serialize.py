@@ -15,7 +15,7 @@ from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import Scalar, parse_scalar
 from .symmetry import SymmetryReport
-from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
+from .weyl import WeylTensor, _ConstraintSystem, _expand, _orbits, _unflat
 
 
 def dump_canonical(obj) -> str:
@@ -84,7 +84,8 @@ def report_to_dict(space: MobiusSpace, report: SymmetryReport) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
-    space = MobiusSpace(int(data["p"]), int(data["q"]), int(data["d"]))
+    """Rejects p, q and d that are not JSON integers."""
+    space = MobiusSpace(*(_json_int(data[key], key) for key in ("p", "q", "d")))
     d = space.d
     report = SymmetryReport(
         base_point=NullLine(space.form, vector_from_literals(data["base_point"], d)),
@@ -122,10 +123,9 @@ def weyl_to_dict(W: WeylTensor) -> dict:
 def weyl_from_dict(data: dict) -> WeylTensor:
     """Inverse of `weyl_to_dict`: each value is written, times its sign, on
     every member of its key's orbit.  Rejects a key that `weyl_to_dict` would
-    not write and a tensor that fails `WeylTensor.validate`."""
-    p = int(data["p"])
-    q = int(data["q"])
-    d = int(data["d"])
+    not write, p, q and d that are not JSON integers, and a tensor that fails
+    `WeylTensor.validate`."""
+    p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     system = _ConstraintSystem(p, q)
     slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
     values = [None] * len(system.orbits)
@@ -133,7 +133,8 @@ def weyl_from_dict(data: dict) -> WeylTensor:
         if key not in slots:
             raise ValueError(f"non-canonical component key {key!r}")
         values[slots[key]] = parse_scalar(lit, d)
-    W = WeylTensor(p, q, system.expand(values, Scalar(0, 0, 1, d)), d, validate=False)
+    comps = _expand(p + q, system.orbits, values, Scalar(0, 0, 1, d))
+    W = WeylTensor(p, q, comps, d, validate=False)
     W.validate(system)
     return W
 

@@ -10,11 +10,17 @@ expanded through the table; `WeylTensor.validate` compares each orbit's
 members and evaluates the same rows.  co(p, q) acts on a tensor viewed as a
 (1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
 `co_action` computes it on integer Z[sqrt d] numerators over one common
-denominator.  The first prolongation collects the covectors Y whose induced
-endomorphisms annihilate the tensor for every direction xi.  `prolongation`
-builds that system lazily, one xi-block at a time, drops rows that repeat up
-to a scalar factor, and stops as soon as the rank reaches n: a trivial
-kernel is then certified without the other blocks.
+denominator.  so(p, q) and the scaling commute with the component
+symmetries, so a tensor that is orbital (it agrees, with the signs, along
+every orbit and vanishes where i = j or k = l; certified once per tensor by
+`WeylTensor._integer_form`) has an orbital image: `co_action` then evaluates
+only the canonical member of each orbit and expands through the table, and
+`random_weyl` combines the basis on orbit values.  The first prolongation
+collects the covectors Y whose induced endomorphisms annihilate the tensor
+for every direction xi.  `prolongation` builds that system lazily, one
+xi-block at a time and, for an orbital tensor, one row per orbit; it drops
+rows that repeat up to a scalar factor and stops as soon as the rank reaches
+n: a trivial kernel is then certified without the other blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import gcd, lcm
 
 from . import _core
 from .flatmodel import MobiusSpace
-from .liealg import CoElement, upsilon_action
+from .liealg import CoElement, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
 from .scalars import FieldMismatchError, Scalar
 
@@ -35,7 +41,7 @@ from .scalars import FieldMismatchError, Scalar
 class WeylTensor:
     """Components W[i][j][k][l] stored flat (row-major, 0-based)."""
 
-    __slots__ = ("p", "q", "d", "components")
+    __slots__ = ("p", "q", "d", "components", "_ints")
 
     def __init__(self, p: int, q: int, components, d: int = 2, validate: bool = True):
         n = p + q
@@ -46,6 +52,7 @@ class WeylTensor:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_ints", None)
         if validate:
             self.validate()
 
@@ -123,6 +130,36 @@ class WeylTensor:
         if failed:
             raise ValueError(system.describe(min(failed)))
 
+    def _integer_form(self):
+        """(d, q, a, b, orbital), computed once per tensor.  Component t is
+        (a[t] + b[t] sqrt d) / q with one common denominator q; d is the field
+        of the irrational components and b is None when there are none.
+        `orbital` certifies that the components agree, with their signs,
+        along every orbit of `_orbits` and vanish where i = j or k = l.
+        Raises FieldMismatchError when the components mix fields."""
+        if self._ints is None:
+            comps = self.components
+            d = None
+            for x in comps:
+                if x.b:
+                    if d is None:
+                        d = x.d
+                    elif x.d != d:
+                        raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+            q = lcm(*(x.q for x in comps if x))
+            a = [x.a * (q // x.q) for x in comps]
+            b = None if d is None else [x.b * (q // x.q) for x in comps]
+            orbits, slot = _orbits(self.n)
+
+            def agrees(w):
+                return not any(w[t] for t, s in enumerate(slot) if s is None) and all(
+                    w[t] == s * w[members[0][0]] for members in orbits for t, s in members[1:]
+                )
+
+            orbital = agrees(a) and (b is None or agrees(b))
+            object.__setattr__(self, "_ints", (d, q, a, b, orbital))
+        return self._ints
+
     def scale(self, c) -> WeylTensor:
         c = c if isinstance(c, Scalar) else Scalar(c)
         return WeylTensor(
@@ -176,7 +213,8 @@ _SYMMETRIES = (
 _WALK = (0, 1, 0, 2, 0, 1, 0)
 
 
-def _orbits(n: int) -> tuple[list, list]:
+@lru_cache(maxsize=None)
+def _orbits(n: int) -> tuple[tuple, tuple]:
     """The component orbits of `_SYMMETRIES` in dimension n: (orbits, slot).
 
     One orbit per canonical component (i<j, k<l, (i,j) <= (k,l)), ordered by
@@ -184,7 +222,8 @@ def _orbits(n: int) -> tuple[list, list]:
     relative to the canonical component) along `_WALK` from the canonical
     one; when (i,j) = (k,l) the first three steps reach all four members.
     The largest member always has sign +1.  `slot[t]` is (orbit, sign) of
-    flat index t, or None when i = j or k = l forces the component to zero."""
+    flat index t, or None when i = j or k = l forces the component to zero.
+    Built once per n; both parts are tuples."""
     orbits = []
     pairs = list(combinations(range(n), 2))
     for a, (i, j) in enumerate(pairs):
@@ -202,7 +241,19 @@ def _orbits(n: int) -> tuple[list, list]:
     for u, members in enumerate(orbits):
         for t, s in members:
             slot[t] = (u, s)
-    return orbits, slot
+    return tuple(map(tuple, orbits)), tuple(slot)
+
+
+def _expand(n: int, orbits, values, zero: Scalar) -> list[Scalar]:
+    """Flat components from one value per orbit: each member gets the value
+    times its sign, every other component `zero`."""
+    comps = [zero] * n**4
+    for members, x in zip(orbits, values):
+        if x:
+            neg = -x
+            for t, s in members:
+                comps[t] = x if s > 0 else neg
+    return comps
 
 
 def _constraint_rows(p: int, q: int, ends: list | None = None):
@@ -260,16 +311,6 @@ class _ConstraintSystem:
             return f"first Bianchi fails at {(i, j, k, l)}"
         return f"trace-free condition fails at (j, l) = {(j, l)}"
 
-    def expand(self, values, zero: Scalar) -> list[Scalar]:
-        """Flat components from one value per orbit: each member gets the
-        value times its sign, every other component `zero`."""
-        comps = [zero] * (self.p + self.q) ** 4
-        for members, x in zip(self.orbits, values):
-            if x:
-                for t, s in members:
-                    comps[t] = x if s > 0 else -x
-        return comps
-
 
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
@@ -282,7 +323,7 @@ def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
     zero = Scalar(0, 0, 1, d)
     out = []
     for v in kernel_sparse(rows, len(system.orbits), d):
-        W = WeylTensor(p, q, system.expand(v.entries, zero), d, validate=False)
+        W = WeylTensor(p, q, _expand(p + q, system.orbits, v.entries, zero), d, validate=False)
         W.validate(system)
         out.append(W)
     return tuple(out)
@@ -303,65 +344,79 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
 
     Computed on integer numerators: with F = (Fa + Fb sqrt d) / qF and
     W = (Wa + Wb sqrt d) / qW, F.W = ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa)
-    sqrt d) / (qF qW), each product an `_integer_action`.  Raises
-    FieldMismatchError when F and W have irrational entries from different
-    fields."""
+    sqrt d) / (qF qW), each product a `_gather`.  When W is orbital (see
+    `WeylTensor._integer_form`) and A passes `so_block_condition`, F.W is
+    orbital too: only the canonical member of each orbit is evaluated and
+    the rest is expanded through `_orbits`.  Otherwise all n^4 components
+    are evaluated.  Raises FieldMismatchError when F and W have irrational
+    entries from different fields."""
     n = W.n
     if c.A.shape != (n, n):
         raise ValueError("endomorphism size does not match the tensor")
-    F = c.endomorphism()
-    f_entries = [(r, m, F[r, m]) for r in range(n) for m in range(n) if F[r, m]]
-    w_entries = [(t, x) for t, x in enumerate(W.components) if x]
-    d = None
-    for x in [f for _, _, f in f_entries] + [x for _, x in w_entries]:
-        if x.b:
-            if d is None:
-                d = x.d
-            elif x.d != d:
-                raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+    d, qw, wa, wb, orbital = W._integer_form()
+    f_entries = []
+    for r in range(n):
+        for m in range(n):
+            f = c.A[r, m]
+            if r == m and c.a:
+                f = f + c.a
+            if f:
+                f_entries.append((r, m, f))
+                if f.b:
+                    if d is None:
+                        d = f.d
+                    elif f.d != d:
+                        raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {f.d})")
     d = W.d if d is None else d
     qf = lcm(*(f.q for _, _, f in f_entries))
-    qw = lcm(*(x.q for _, x in w_entries))
     fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
     fb = [(r, m, f.b * (qf // f.q)) for r, m, f in f_entries if f.b]
-    wa = [(t, x.a * (qw // x.q)) for t, x in w_entries if x.a]
-    wb = [(t, x.b * (qw // x.q)) for t, x in w_entries if x.b]
+    orbits = _orbits(n)[0]
+    certified = orbital and so_block_condition(MobiusSpace(W.p, W.q, W.d), c.A)
+    targets = [members[0][0] for members in orbits] if certified else range(n**4)
     p = W.p
-    out_a = [0] * n**4
-    out_b = [0] * n**4
-    _integer_action(p, n, fa, wa, out_a)
-    if fb and wb:
-        _integer_action(p, n, [(r, m, d * f) for r, m, f in fb], wb, out_a)
-    _integer_action(p, n, fa, wb, out_b)
-    _integer_action(p, n, fb, wa, out_b)
+    out_a = [0] * len(targets)
+    out_b = [0] * len(targets)
+    _gather(p, n, fa, wa, targets, out_a)
+    if wb is not None:
+        _gather(p, n, [(r, m, d * f) for r, m, f in fb], wb, targets, out_a)
+        _gather(p, n, fa, wb, targets, out_b)
+    _gather(p, n, fb, wa, targets, out_b)
     q = qf * qw
     zero = Scalar(0, 0, 1, d)
     out = [Scalar(a, b, q, d) if a or b else zero for a, b in zip(out_a, out_b)]
+    if certified:
+        out = _expand(n, orbits, out, zero)
     return WeylTensor(W.p, W.q, out, W.d, validate=False)
 
 
-def _integer_action(p: int, n: int, f: list, w: list, out: list):
+def _gather(p: int, n: int, f: list, w: list, targets, out: list):
     """Add the action of `co_action` for an integer matrix F, given as its
-    nonzero entries (r, m, F[r, m]), on integer components w, given as their
-    nonzero entries (t, W[t]), into the flat integer list `out`.
+    nonzero entries (r, m, F[r, m]), on integer flat components w into
+    out[k] for the k-th flat index of `targets`:
 
-    Each source component t feeds the components that differ from it in one
-    index: the first index (F^i_m, raised and re-lowered with J, hence the
-    signs) and each of the last three (-F^m_j)."""
+        (F.W)_ijkl = sum over m of J_i J_m F[i, m] W_mjkl - F[m, j] W_imkl
+                                   - F[m, k] W_ijml - F[m, l] W_ijkm,
+
+    the first index raised and re-lowered with J, hence the signs."""
+    if not f:
+        return
     n2 = n * n
     n3 = n2 * n
     sign = lambda i: 1 if i < p else -1
     first = [[] for _ in range(n)]
     later = [[] for _ in range(n)]
     for r, m, v in f:
-        first[m].append(((r - m) * n3, sign(r) * sign(m) * v))
-        later[r].append((m - r, v))
-    for t, v in w:
+        first[r].append(((m - r) * n3, sign(r) * sign(m) * v))
+        later[m].append((r - m, v))
+    for k, t in enumerate(targets):
+        v = 0
         for shift, x in first[t // n3]:
-            out[t + shift] += x * v
+            v += x * w[t + shift]
         for stride in (n2, n, 1):
             for step, x in later[t // stride % n]:
-                out[t + step * stride] -= x * v
+                v -= x * w[t + step * stride]
+        out[k] += v
 
 
 def co_basis(space: MobiusSpace) -> list[CoElement]:
@@ -398,8 +453,11 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     basis direction xi_i}.
 
     The system has a row per (xi_i, component) and a column per Y = e_j.  It
-    is built lazily, one xi-block at a time.  Each row is divided by the gcd
-    of its integer entries and given a positive leading entry, and rows
+    is built lazily, one xi-block at a time.  When W is orbital (certified
+    once by `WeylTensor._integer_form`), so is every co_action(upsilon, W):
+    a row of another component is a +-copy of its orbit's canonical row or
+    zero, so only the canonical rows are built.  Each row is divided by the
+    gcd of its integer entries and given a positive leading entry, and rows
     already seen are dropped; the row space stays exact.  After each block
     the distinct rows so far are reduced, and once the rank is n the kernel
     is trivial: that certifies [] without building the remaining blocks.
@@ -408,12 +466,14 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     space = MobiusSpace(W.p, W.q, W.d)
     n = W.n
     units = [Vector.unit(n, j) for j in range(n)]
+    *_, orbital = W._integer_form()
+    at = [members[0][0] for members in _orbits(n)[0]] if orbital else range(n**4)
     seen = set()
     rows = []
     for i in range(n):
         block = [co_action(upsilon_action(space, Y, units[i]), W).components for Y in units]
         grew = False
-        for cols, vals in sparse_rows_from_scalars(list(zip(*block)), W.d):
+        for cols, vals in sparse_rows_from_scalars([[b[t] for b in block] for t in at], W.d):
             g = gcd(*vals)
             if next(v for v in vals if v) < 0:
                 g = -g
@@ -440,15 +500,17 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
         if any(coeffs):
             break
     n = p + q
-    out = [Scalar(0)] * n**4
+    orbits = _orbits(n)[0]
+    zero = Scalar(0, 0, 1, d)
+    values = [zero] * len(orbits)
     for coef, elt in zip(coeffs, basis.elements):
-        if not coef:
-            continue
-        c = Scalar(coef)
-        for t, v in enumerate(elt.components):
-            if v:
-                out[t] = out[t] + c * v
-    tensor = WeylTensor(p, q, out, d, validate=False)
+        if coef:
+            c = Scalar(coef)
+            for u, members in enumerate(orbits):
+                v = elt.components[members[0][0]]
+                if v:
+                    values[u] = values[u] + c * v
+    tensor = WeylTensor(p, q, _expand(n, orbits, values, zero), d, validate=False)
     if tensor.is_zero():
         # Dependent coefficients cannot cancel a basis, but guard anyway.
         return random_weyl(p, q, seed + 1, d)

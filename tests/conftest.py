@@ -34,6 +34,12 @@ def rand_so_matrix(space: MobiusSpace, rng: random.Random, span: int = 5) -> Mat
     return Matrix(rows)
 
 
+def reference_so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
+    """The matrix form of so(p, q) membership: A^T J + J A = 0."""
+    J = space.signature.j_matrix()
+    return (A.transpose() @ J + J @ A).is_zero()
+
+
 def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
     """Random null vector with small rational entries (corner solved for)."""
     n = space.n

@@ -239,6 +239,17 @@ def test_extension_outputs_are_pinned(tmp_path, capsys, p, q, d, kind):
     assert digest == EXTENSION_SHA256[p, q, d, kind]
 
 
+@pytest.mark.parametrize(
+    "flag",
+    ["--y=1,0", "--y=1,0,0,0", "--candidates=1,0;0,1", "--candidates=0,0,0;1,0"],
+)
+def test_criterion_rejects_a_covector_of_the_wrong_length(tmp_path, capsys, flag):
+    path = tmp_path / "flat21.json"
+    run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(path))
+    err = _bad_input(capsys, "extension", "criterion", "--file", str(path), flag)
+    assert "expected 3" in err
+
+
 def test_extension_file_with_non_list_alpha(tmp_path, capsys):
     path = tmp_path / "flat.json"
     run(capsys, "extension", "make-flat", "-o", str(path))

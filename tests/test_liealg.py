@@ -14,6 +14,7 @@ from confsym.liealg import (
     graded_dim,
     killing_form,
     realize,
+    so_block_condition,
     so_table,
     upsilon_action,
     upsilon_bracket_constant,
@@ -26,9 +27,12 @@ from conftest import (
     pure_x,
     pure_z,
     rand_covector,
+    rand_scalar,
+    rand_so_matrix,
     rand_vector,
     reference_commutator,
     reference_realize,
+    reference_so_block_condition,
     so_basis,
     so_k_pair,
     structure_constants_from_matrices,
@@ -148,6 +152,49 @@ def test_upsilon_injective_in_y(space21):
             stacked.extend(co.endomorphism().flatten().entries)
         cols.append(Vector(stacked))
     assert rank(Matrix.from_columns(cols)) == n
+
+
+@pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 2), (3, 1), (1, 3), (4, 1)])
+def test_so_block_condition_agrees_with_the_matrix_form(pq, rng):
+    """The entrywise check against A^T J + J A = 0, on elements of so(p, q),
+    on elements with one entry or one mirrored pair bent (across and within
+    the J blocks), and on random matrices."""
+    space = MobiusSpace(*pq)
+    n = space.n
+    for _ in range(15):
+        A = rand_so_matrix(space, rng)
+        assert so_block_condition(space, A) and reference_so_block_condition(space, A)
+        rows = [list(row) for row in A.rows]
+        r, m = rng.randrange(n), rng.randrange(n)
+        c = rand_scalar(rng, 3) or Scalar(1)
+        rows[r][m] = rows[r][m] + c
+        if rng.random() < 0.5:
+            # bend the mirrored entry by the same amount: a sign error of J
+            rows[m][r] = rows[m][r] + c
+        bent = Matrix(rows)
+        assert so_block_condition(space, bent) == reference_so_block_condition(space, bent)
+        dense = Matrix([[rand_scalar(rng, 2) for _ in range(n)] for _ in range(n)])
+        assert so_block_condition(space, dense) == reference_so_block_condition(space, dense)
+
+
+def test_so_block_condition_rejects_the_wrong_size(space21):
+    assert not so_block_condition(space21, Matrix.zero(4, 4))
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+def test_upsilon_matches_the_matrix_formula(pq, rng):
+    """upsilon_action against F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) built
+    from matrices, split into a = trace / n and A = F - a I."""
+    space = MobiusSpace(*pq)
+    n = space.n
+    J = space.signature.j_matrix()
+    for _ in range(10):
+        Y, xi = rand_covector(rng, n, 4), rand_vector(rng, n, 4)
+        F = Matrix.identity(n).scale(Y.dot(xi)) + Matrix.outer(xi, Y)
+        F = F - Matrix.outer(J.matvec(Y), J.matvec(xi))
+        a = F.trace() * Scalar(1, 0, n)
+        got = upsilon_action(space, Y, xi)
+        assert got.a == a and got.A == F - Matrix.identity(n).scale(a)
 
 
 @pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 2)])

@@ -82,6 +82,22 @@ def test_weyl_from_dict_rejects_invalid_tensors():
         weyl_from_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [("p", 4.9), ("q", "0"), ("d", 2.0), ("p", True)])
+def test_weyl_from_dict_rejects_non_integer_signature_and_field(key, value):
+    data = {"p": 4, "q": 0, "d": 2, "components": {}, key: value}
+    with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+        weyl_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [("p", 2.0), ("q", "1"), ("d", 2.5), ("d", False)])
+def test_report_from_dict_rejects_non_integer_signature_and_field(space21, key, value):
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    data = report_to_dict(space21, find_symmetries(space21, u, v, space21.origin))
+    with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+        report_from_dict({**data, key: value})
+
+
 def test_structure_algebra_round_trip():
     alg, _, _ = sl2_pair()
     data = structure_algebra_to_dict(alg)

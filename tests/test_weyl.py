@@ -623,3 +623,78 @@ def test_prolongation_stops_at_the_first_full_rank_block(monkeypatch, pq, compon
     monkeypatch.setattr(weyl_module, "co_action", lambda c, T: calls.append(c) or co_action(c, T))
     assert weyl_module.prolongation(W) == reference_prolongation(W) == []
     assert len(calls) == blocks * n
+
+
+# -- both branches of the orbit certificate -----------------------------------
+
+
+@st.composite
+def _bent_tensors(draw):
+    """A random Weyl tensor with one member of one orbit changed, or with one
+    component that i = j or k = l forces to zero made nonzero: neither passes
+    the orbit certificate, so co_action and prolongation take the full path."""
+    p, q = draw(_SIGNATURES)
+    n = p + q
+    comps = list(random_weyl(p, q, draw(st.integers(0, 10**6))).components)
+    orbits, slot = _orbits(n)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(draw(st.sampled_from(orbits))))[0]
+    else:
+        t = draw(st.sampled_from([t for t, s in enumerate(slot) if s is None]))
+    comps[t] = comps[t] + draw(_PERTURBATIONS)
+    W = WeylTensor(p, q, comps, validate=False)
+    assert not W._integer_form()[4]
+    return W
+
+
+@given(W=_bent_tensors(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_co_action_matches_the_reference_on_bent_tensors(W, data):
+    c = data.draw(_co_elements(W.p, W.q))
+    assert_same_scalars(co_action(c, W).components, reference_co_action(c, W).components)
+
+
+@given(W=_tensors(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_co_action_matches_the_reference_outside_so(W, data):
+    """A with arbitrary entries: a Weyl tensor's orbit certificate holds, but
+    A fails so_block_condition, so every component is evaluated."""
+    n = W.n
+    scalar = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3))
+    A = Matrix([[data.draw(scalar) for _ in range(n)] for _ in range(n)])
+    c = CoElement(data.draw(scalar), A)
+    assert_same_scalars(co_action(c, W).components, reference_co_action(c, W).components)
+
+
+@given(W=_bent_tensors())
+@settings(max_examples=15, deadline=None)
+def test_prolongation_matches_the_reference_on_bent_tensors(W):
+    got = prolongation(W)
+    want = reference_prolongation(W)
+    assert len(got) == len(want)
+    for y, z in zip(got, want):
+        assert_same_scalars(y.entries, z.entries)
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2)])
+def test_prolongation_bridges_one_row_per_orbit(monkeypatch, pq):
+    """A random Weyl tensor passes the orbit certificate: each xi-block sends
+    one row per orbit to the bridge.  The same tensor with one orbit member
+    bent sends all n^4 rows."""
+    p, q = pq
+    n = p + q
+    sizes = []
+    bridge = weyl_module.sparse_rows_from_scalars
+    monkeypatch.setattr(
+        weyl_module, "sparse_rows_from_scalars", lambda rows, d: sizes.append(len(rows)) or bridge(rows, d)
+    )
+    W = random_weyl(p, q, seed=5)
+    assert prolongation(W) == []
+    assert sizes and set(sizes) == {len(_orbits(n)[0])}
+    sizes.clear()
+    comps = list(W.components)
+    t = _orbits(n)[0][-1][3][0]
+    comps[t] = comps[t] + Scalar(1)
+    bent = WeylTensor(p, q, comps, validate=False)
+    assert prolongation(bent) == []
+    assert sizes and set(sizes) == {n**4}
