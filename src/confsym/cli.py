@@ -27,6 +27,7 @@ from .flatmodel import MobiusSpace, NullLine, classify_orbit
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
 from .scalars import check_field_parameter, parse_scalar
 from .serialize import (
+    _json_int,
     dump_canonical,
     extension_from_dict,
     extension_signature,
@@ -81,9 +82,10 @@ def _int_field(data: dict, key: str, default=None) -> int:
     value = data.get(key, default)
     if value is None:
         raise InputError(f"input file has no {key!r}")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{key!r} must be an integer, got {value!r}")
-    return value
+    try:
+        return _json_int(value, key)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _file_vector(space: MobiusSpace, data: dict, key: str) -> Vector:
@@ -202,8 +204,7 @@ def cmd_weyl(config: SessionConfig, args) -> int:
     try:
         W = random_weyl(config.p, config.q, args.seed, config.d)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise InputError(str(exc)) from None
     pro = prolongation(W)
     _emit(
         config,

@@ -15,7 +15,7 @@ from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import Scalar, parse_scalar
 from .symmetry import SymmetryReport
-from .weyl import WeylTensor, _ConstraintSystem, _expand, _orbits, _unflat
+from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
 
 
 def dump_canonical(obj) -> str:
@@ -108,33 +108,27 @@ def _weyl_keys(n: int, orbits) -> list[str]:
 
 
 def weyl_to_dict(W: WeylTensor) -> dict:
-    """Lists the canonical component (i<j, k<l, (i,j) <= (k,l)) of each orbit
-    of `weyl._orbits` when it is nonzero; the other members of its orbit are
-    that value times their signs."""
-    orbits, _ = _orbits(W.n)
-    comps = {}
-    for key, members in zip(_weyl_keys(W.n, orbits), orbits):
-        val = W.components[members[0][0]]
-        if val:
-            comps[key] = str(val)
+    """Lists the value of each orbit of `weyl._orbits` when it is nonzero,
+    keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
+    members of its orbit are that value times their signs."""
+    keys = _weyl_keys(W.n, _orbits(W.n)[0])
+    comps = {key: str(x) for key, x in zip(keys, W.values) if x}
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 
 
 def weyl_from_dict(data: dict) -> WeylTensor:
-    """Inverse of `weyl_to_dict`: each value is written, times its sign, on
-    every member of its key's orbit.  Rejects a key that `weyl_to_dict` would
-    not write, p, q and d that are not JSON integers, and a tensor that fails
-    `WeylTensor.validate`."""
+    """Inverse of `weyl_to_dict`: each value is the value of its key's orbit.
+    Rejects a key that `weyl_to_dict` would not write, p, q and d that are
+    not JSON integers, and a tensor that fails `WeylTensor.validate`."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     system = _ConstraintSystem(p, q)
     slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
-    values = [None] * len(system.orbits)
+    values = [Scalar(0, 0, 1, d)] * len(system.orbits)
     for key, lit in data["components"].items():
         if key not in slots:
             raise ValueError(f"non-canonical component key {key!r}")
         values[slots[key]] = parse_scalar(lit, d)
-    comps = _expand(p + q, system.orbits, values, Scalar(0, 0, 1, d))
-    W = WeylTensor(p, q, comps, d, validate=False)
+    W = WeylTensor._from_values(p, q, values, d)
     W.validate(system)
     return W
 

@@ -3,24 +3,21 @@
 A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The first three generate an 8-way symmetry of the
-components, stated only by one table of orbits per n (`_orbits`).  First
-Bianchi and the trace are sparse integer rows (`_constraint_rows`).  The
-space of all Weyl tensors is their exact kernel on one unknown per orbit,
-expanded through the table; `WeylTensor.validate` compares each orbit's
-members and evaluates the same rows.  co(p, q) acts on a tensor viewed as a
-(1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
-`co_action` computes it on integer Z[sqrt d] numerators over one common
-denominator.  so(p, q) and the scaling commute with the component
-symmetries, so a tensor that is orbital (it agrees, with the signs, along
-every orbit and vanishes where i = j or k = l; certified once per tensor by
-`WeylTensor._integer_form`) has an orbital image: `co_action` then evaluates
-only the canonical member of each orbit and expands through the table, and
-`random_weyl` combines the basis on orbit values.  The first prolongation
-collects the covectors Y whose induced endomorphisms annihilate the tensor
-for every direction xi.  `prolongation` builds that system lazily, one
-xi-block at a time and, for an orbital tensor, one row per orbit; it drops
-rows that repeat up to a scalar factor and stops as soon as the rank reaches
-n: a trivial kernel is then certified without the other blocks.
+components, stated only by one table of orbits per n (`_orbits`), and a
+`WeylTensor` stores one value per orbit; its n^4 flat components are derived
+through the table.  First Bianchi and the trace are sparse integer rows
+(`_constraint_rows`).  The space of all Weyl tensors is their exact kernel on
+the orbit values; `WeylTensor.validate` evaluates the same rows.  co(p, q)
+acts on a tensor viewed as a (1,3)-tensor (one index raised with J), so the
+pure scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
+numerators over one common denominator.  so(p, q) and the scaling commute
+with the component symmetries, so `co_action` evaluates only the canonical
+member of each orbit.  The first prolongation collects the covectors Y whose
+induced endomorphisms annihilate the tensor for every direction xi.
+`prolongation` builds that system lazily, one xi-block of one row per orbit
+at a time; it drops rows that repeat up to a scalar factor and stops as soon
+as the rank reaches n: a trivial kernel is then certified without the other
+blocks.
 """
 
 from __future__ import annotations
@@ -39,22 +36,47 @@ from .scalars import FieldMismatchError, Scalar
 
 
 class WeylTensor:
-    """Components W[i][j][k][l] stored flat (row-major, 0-based)."""
+    """A tensor with the component symmetries of `_orbits`, stored as one
+    value per orbit: the component of its canonical member.
 
-    __slots__ = ("p", "q", "d", "components", "_ints")
+    Built from the n^4 flat components W[i][j][k][l] (row-major, 0-based),
+    which must agree, with the signs, along every orbit and vanish where
+    i = j or k = l; otherwise ValueError names the failing symmetry, even
+    with validate=False.  `validate` checks the rest (see there)."""
+
+    __slots__ = ("p", "q", "d", "values", "_ints")
 
     def __init__(self, p: int, q: int, components, d: int = 2, validate: bool = True):
         n = p + q
         components = tuple(components)
         if len(components) != n**4:
             raise ValueError(f"expected {n ** 4} components, got {len(components)}")
+        orbits, slot = _orbits(n)
+        for t, s in enumerate(slot):
+            if s is None and components[t]:
+                i, j, k, l = _unflat(n, t)
+                raise ValueError(f"{_SYMMETRIES[0 if i == j else 1][0]} fails at {(i, j, k, l)}")
+        for members in orbits:
+            for g, (t, s), (t2, s2) in zip(_WALK, members, members[1:]):
+                if components[t2] != (components[t] if s == s2 else -components[t]):
+                    raise ValueError(f"{_SYMMETRIES[g][0]} fails at {_unflat(n, t)}")
+        self._init(p, q, d, (components[members[0][0]] for members in orbits))
+        if validate:
+            self.validate()
+
+    @classmethod
+    def _from_values(cls, p: int, q: int, values, d: int) -> WeylTensor:
+        """The tensor with one value per orbit of `_orbits(p + q)`, unchecked."""
+        W = object.__new__(cls)
+        W._init(p, q, d, values)
+        return W
+
+    def _init(self, p, q, d, values):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "_ints", None)
-        if validate:
-            self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylTensor is immutable")
@@ -63,118 +85,106 @@ class WeylTensor:
     def n(self) -> int:
         return self.p + self.q
 
-    def _sign(self, i: int) -> int:
-        return 1 if i < self.p else -1
+    @property
+    def components(self) -> tuple[Scalar, ...]:
+        """The n^4 flat components: each orbit member gets its orbit's value
+        times its sign, every other component zero."""
+        zero = Scalar(0, 0, 1, self.d)
+        comps = [zero] * self.n**4
+        for members, x in zip(_orbits(self.n)[0], self.values):
+            if x:
+                neg = -x
+                for t, s in members:
+                    comps[t] = x if s > 0 else neg
+        return tuple(comps)
 
     def __getitem__(self, ijkl) -> Scalar:
-        return self.components[_flat(self.n, *ijkl)]
+        slot = _orbits(self.n)[1][_flat(self.n, *ijkl)]
+        x = self.values[slot[0]] if slot else None
+        if not x:
+            return Scalar(0, 0, 1, self.d)
+        return x if slot[1] > 0 else -x
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylTensor)
             and (self.p, self.q) == (other.p, other.q)
-            and self.components == other.components
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.p, self.q, self.components))
+        return hash((self.p, self.q, self.values))
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        return not any(self.values)
 
     def validate(self, system: _ConstraintSystem | None = None):
-        """Exact check of all four symmetry families; raises on violation.
+        """Exact check of the first Bianchi and trace-free conditions and of
+        the field; raises ValueError on violation.  (The pair antisymmetries
+        and the pair interchange hold by construction.)
 
-        Every nonzero component must lie in an orbit of `_orbits` and agree,
-        up to the signs, with its neighbours along the orbit's walk; a failing
-        step names the family of its generator.  The first Bianchi and trace
-        rows are then evaluated on the numerators of the orbits' canonical
-        components over one common denominator.  Pass a prebuilt `system`
-        for the same signature to skip building it.
-        """
-        p, q, n = self.p, self.q, self.n
+        Every irrational orbit value must lie in Q(sqrt d).  The rows are
+        evaluated on the numerators of the orbit values over one common
+        denominator.  Pass a prebuilt `system` for the same signature to skip
+        building it."""
+        p, q = self.p, self.q
         if system is None:
             system = _ConstraintSystem(p, q)
         elif (system.p, system.q) != (p, q):
             raise ValueError("constraint system of another signature")
-        comps = self.components
-        nonzero = [(t, c) for t, c in enumerate(comps) if c.a or c.b]
-        touched = set()
-        for t, c in nonzero:
-            if c.b and c.d != self.d:
+        for members, x in zip(system.orbits, self.values):
+            if x.b and x.d != self.d:
                 raise ValueError(
-                    f"component {_unflat(n, t)} lies in Q(sqrt {c.d}), "
+                    f"component {_unflat(self.n, members[0][0])} lies in Q(sqrt {x.d}), "
                     f"not in the tensor's field Q(sqrt {self.d})"
                 )
-            if system.slot[t] is None:
-                i, j, k, l = _unflat(n, t)
-                family = _SYMMETRIES[0 if i == j else 1][0]
-                raise ValueError(f"{family} fails at {(i, j, k, l)}")
-            touched.add(system.slot[t][0])
-        for u in sorted(touched):
-            members = system.orbits[u]
-            for g, (t, s), (t2, s2) in zip(_WALK, members, members[1:]):
-                if comps[t2] != (comps[t] if s == s2 else -comps[t]):
-                    raise ValueError(f"{_SYMMETRIES[g][0]} fails at {_unflat(n, t)}")
-        # The orbits agree, so each row is evaluated on the canonical member
-        # of each touched orbit; rows touching no such orbit vanish.
-        denom = lcm(*(c.q for _, c in nonzero))
+        denom = lcm(*(x.q for x in self.values if x))
         res = {}
-        for u in touched:
-            x = comps[system.orbits[u][0][0]]
-            f = denom // x.q
-            for r, coef in system.index[u]:
-                a, b = res.get(r, (0, 0))
-                res[r] = (a + coef * f * x.a, b + coef * f * x.b)
+        for u, x in enumerate(self.values):
+            if x:
+                f = denom // x.q
+                for r, coef in system.index[u]:
+                    a, b = res.get(r, (0, 0))
+                    res[r] = (a + coef * f * x.a, b + coef * f * x.b)
         failed = [r for r, v in res.items() if v != (0, 0)]
         if failed:
             raise ValueError(system.describe(min(failed)))
 
     def _integer_form(self):
-        """(d, q, a, b, orbital), computed once per tensor.  Component t is
+        """(d, q, a, b), computed once per tensor.  Flat component t is
         (a[t] + b[t] sqrt d) / q with one common denominator q; d is the field
-        of the irrational components and b is None when there are none.
-        `orbital` certifies that the components agree, with their signs,
-        along every orbit of `_orbits` and vanish where i = j or k = l.
-        Raises FieldMismatchError when the components mix fields."""
+        of the irrational values and b is None when there are none.  Raises
+        FieldMismatchError when the values mix fields."""
         if self._ints is None:
-            comps = self.components
             d = None
-            for x in comps:
+            for x in self.values:
                 if x.b:
                     if d is None:
                         d = x.d
                     elif x.d != d:
                         raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
-            q = lcm(*(x.q for x in comps if x))
-            a = [x.a * (q // x.q) for x in comps]
-            b = None if d is None else [x.b * (q // x.q) for x in comps]
-            orbits, slot = _orbits(self.n)
-
-            def agrees(w):
-                return not any(w[t] for t, s in enumerate(slot) if s is None) and all(
-                    w[t] == s * w[members[0][0]] for members in orbits for t, s in members[1:]
-                )
-
-            orbital = agrees(a) and (b is None or agrees(b))
-            object.__setattr__(self, "_ints", (d, q, a, b, orbital))
+            q = lcm(*(x.q for x in self.values if x))
+            a = [0] * self.n**4
+            b = None if d is None else [0] * self.n**4
+            for members, x in zip(_orbits(self.n)[0], self.values):
+                if x:
+                    f = q // x.q
+                    for t, s in members:
+                        a[t] = s * f * x.a
+                        if b is not None:
+                            b[t] = s * f * x.b
+            object.__setattr__(self, "_ints", (d, q, a, b))
         return self._ints
 
     def scale(self, c) -> WeylTensor:
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return WeylTensor(
-            self.p, self.q, (c * x for x in self.components), self.d, validate=False
-        )
+        return WeylTensor._from_values(self.p, self.q, (c * x for x in self.values), self.d)
 
     def __add__(self, other: WeylTensor) -> WeylTensor:
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("signature mismatch")
-        return WeylTensor(
-            self.p,
-            self.q,
-            (x + y for x, y in zip(self.components, other.components)),
-            self.d,
-            validate=False,
+        return WeylTensor._from_values(
+            self.p, self.q, (x + y for x, y in zip(self.values, other.values)), self.d
         )
 
 
@@ -244,18 +254,6 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
     return tuple(map(tuple, orbits)), tuple(slot)
 
 
-def _expand(n: int, orbits, values, zero: Scalar) -> list[Scalar]:
-    """Flat components from one value per orbit: each member gets the value
-    times its sign, every other component `zero`."""
-    comps = [zero] * n**4
-    for members, x in zip(orbits, values):
-        if x:
-            neg = -x
-            for t, s in members:
-                comps[t] = x if s > 0 else neg
-    return comps
-
-
 def _constraint_rows(p: int, q: int, ends: list | None = None):
     """Sparse integer rows of the first Bianchi and then the J-trace
     conditions on the flat components.  When `ends` is a list, the row count
@@ -285,20 +283,20 @@ class _ConstraintSystem:
     integer coefficient) of the rows on one unknown per orbit, where each
     member's column becomes its orbit's, times its sign."""
 
-    __slots__ = ("p", "q", "orbits", "slot", "rows", "ends", "index")
+    __slots__ = ("p", "q", "orbits", "rows", "ends", "index")
 
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self.orbits, self.slot = _orbits(p + q)
+        self.orbits, slot = _orbits(p + q)
         self.ends = []
         self.rows = _constraint_rows(p, q, self.ends)
         self.index = [[] for _ in self.orbits]
         for r, (cols, vals) in enumerate(self.rows):
             acc = {}
             for t, v in zip(cols, vals[::2]):
-                if self.slot[t]:
-                    u, s = self.slot[t]
+                if slot[t]:
+                    u, s = slot[t]
                     acc[u] = acc.get(u, 0) + s * v
             for u, coef in acc.items():
                 if coef:
@@ -320,10 +318,9 @@ def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
         for r, coef in entries:
             rows[r][0].append(u)
             rows[r][1].extend((coef, 0))
-    zero = Scalar(0, 0, 1, d)
     out = []
     for v in kernel_sparse(rows, len(system.orbits), d):
-        W = WeylTensor(p, q, _expand(p + q, system.orbits, v.entries, zero), d, validate=False)
+        W = WeylTensor._from_values(p, q, v.entries, d)
         W.validate(system)
         out.append(W)
     return tuple(out)
@@ -344,16 +341,18 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
 
     Computed on integer numerators: with F = (Fa + Fb sqrt d) / qF and
     W = (Wa + Wb sqrt d) / qW, F.W = ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa)
-    sqrt d) / (qF qW), each product a `_gather`.  When W is orbital (see
-    `WeylTensor._integer_form`) and A passes `so_block_condition`, F.W is
-    orbital too: only the canonical member of each orbit is evaluated and
-    the rest is expanded through `_orbits`.  Otherwise all n^4 components
-    are evaluated.  Raises FieldMismatchError when F and W have irrational
-    entries from different fields."""
+    sqrt d) / (qF qW), each product a `_gather` evaluated at the canonical
+    member of each orbit only: so(p, q) and the scaling commute with the
+    component symmetries, so F.W has them too.  Raises ValueError when A is
+    not in so(p, q) (the image would not be a Weyl tensor), and
+    FieldMismatchError when F and W have irrational entries from different
+    fields."""
     n = W.n
     if c.A.shape != (n, n):
         raise ValueError("endomorphism size does not match the tensor")
-    d, qw, wa, wb, orbital = W._integer_form()
+    if not so_block_condition(MobiusSpace(W.p, W.q, W.d), c.A):
+        raise ValueError("the endomorphism is not in so(p, q)")
+    d, qw, wa, wb = W._integer_form()
     f_entries = []
     for r in range(n):
         for m in range(n):
@@ -371,9 +370,7 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     qf = lcm(*(f.q for _, _, f in f_entries))
     fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
     fb = [(r, m, f.b * (qf // f.q)) for r, m, f in f_entries if f.b]
-    orbits = _orbits(n)[0]
-    certified = orbital and so_block_condition(MobiusSpace(W.p, W.q, W.d), c.A)
-    targets = [members[0][0] for members in orbits] if certified else range(n**4)
+    targets = [members[0][0] for members in _orbits(n)[0]]
     p = W.p
     out_a = [0] * len(targets)
     out_b = [0] * len(targets)
@@ -385,9 +382,7 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     q = qf * qw
     zero = Scalar(0, 0, 1, d)
     out = [Scalar(a, b, q, d) if a or b else zero for a, b in zip(out_a, out_b)]
-    if certified:
-        out = _expand(n, orbits, out, zero)
-    return WeylTensor(W.p, W.q, out, W.d, validate=False)
+    return WeylTensor._from_values(W.p, W.q, out, W.d)
 
 
 def _gather(p: int, n: int, f: list, w: list, targets, out: list):
@@ -436,7 +431,7 @@ def annihilator(W: WeylTensor) -> list[CoElement]:
     """Exact basis of {c in co(p, q) : co_action(c, W) = 0}."""
     space = MobiusSpace(W.p, W.q, W.d)
     basis = co_basis(space)
-    columns = [Vector(co_action(c, W).components) for c in basis]
+    columns = [Vector(co_action(c, W).values) for c in basis]
     coeff_vectors = kernel(Matrix.from_columns(columns))
     out = []
     for v in coeff_vectors:
@@ -452,28 +447,25 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     """Exact basis of {Y : co_action(upsilon_action(Y, xi_i), W) = 0 for every
     basis direction xi_i}.
 
-    The system has a row per (xi_i, component) and a column per Y = e_j.  It
-    is built lazily, one xi-block at a time.  When W is orbital (certified
-    once by `WeylTensor._integer_form`), so is every co_action(upsilon, W):
-    a row of another component is a +-copy of its orbit's canonical row or
-    zero, so only the canonical rows are built.  Each row is divided by the
-    gcd of its integer entries and given a positive leading entry, and rows
-    already seen are dropped; the row space stays exact.  After each block
-    the distinct rows so far are reduced, and once the rank is n the kernel
-    is trivial: that certifies [] without building the remaining blocks.
-    Otherwise the result is the canonical kernel of all distinct rows, which
-    by the uniqueness of the RREF equals that of the whole stacked system."""
+    The system has a row per (xi_i, orbit) and a column per Y = e_j: every
+    co_action(upsilon, W) is stored by orbit, and the other components'
+    rows are +-copies of their orbit's row or zero.  It is built lazily, one
+    xi-block at a time.  Each row is divided by the gcd of its integer
+    entries and given a positive leading entry, and rows already seen are
+    dropped; the row space stays exact.  After each block the distinct rows
+    so far are reduced, and once the rank is n the kernel is trivial: that
+    certifies [] without building the remaining blocks.  Otherwise the
+    result is the canonical kernel of all distinct rows, which by the
+    uniqueness of the RREF equals that of the whole stacked system."""
     space = MobiusSpace(W.p, W.q, W.d)
     n = W.n
     units = [Vector.unit(n, j) for j in range(n)]
-    *_, orbital = W._integer_form()
-    at = [members[0][0] for members in _orbits(n)[0]] if orbital else range(n**4)
     seen = set()
     rows = []
     for i in range(n):
-        block = [co_action(upsilon_action(space, Y, units[i]), W).components for Y in units]
+        block = [co_action(upsilon_action(space, Y, units[i]), W).values for Y in units]
         grew = False
-        for cols, vals in sparse_rows_from_scalars([[b[t] for b in block] for t in at], W.d):
+        for cols, vals in sparse_rows_from_scalars(list(zip(*block)), W.d):
             g = gcd(*vals)
             if next(v for v in vals if v) < 0:
                 g = -g
@@ -490,7 +482,8 @@ def prolongation(W: WeylTensor) -> list[Vector]:
 
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
     """Deterministic nonzero random combination of the basis with small
-    integer coefficients in [-9, 9]; raises when the space is trivial."""
+    integer coefficients in [-9, 9], not all zero; raises when the space is
+    trivial."""
     basis = weyl_space_basis(p, q, d)
     if basis.dimension == 0:
         raise ValueError(f"the Weyl space is trivial for signature ({p}, {q})")
@@ -499,19 +492,11 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):
             break
-    n = p + q
-    orbits = _orbits(n)[0]
-    zero = Scalar(0, 0, 1, d)
-    values = [zero] * len(orbits)
+    values = [Scalar(0, 0, 1, d)] * len(basis.elements[0].values)
     for coef, elt in zip(coeffs, basis.elements):
         if coef:
             c = Scalar(coef)
-            for u, members in enumerate(orbits):
-                v = elt.components[members[0][0]]
+            for u, v in enumerate(elt.values):
                 if v:
                     values[u] = values[u] + c * v
-    tensor = WeylTensor(p, q, _expand(n, orbits, values, zero), d, validate=False)
-    if tensor.is_zero():
-        # Dependent coefficients cannot cancel a basis, but guard anyway.
-        return random_weyl(p, q, seed + 1, d)
-    return tensor
+    return WeylTensor._from_values(p, q, values, d)

@@ -124,10 +124,52 @@ def test_weyl_prolongation(capsys):
 
 
 def test_weyl_prolongation_on_trivial_space_errors(capsys):
-    code = main(["--p", "3", "--q", "0", "weyl", "prolongation"])
-    err = capsys.readouterr().err
-    assert code == 1
+    err = _bad_input(capsys, "--p", "3", "--q", "0", "weyl", "prolongation")
     assert "trivial" in err
+
+
+# SHA-256 of the exit codes and stdout of `weyl prolongation`, human and
+# --machine, for seeds 0, 1 and 2, and of `weyl basis-dim` on (n, 0), human
+# and --machine, recorded before Weyl tensors were stored by component orbit.
+WEYL_PROLONGATION_SHA256 = {
+    (4, 0, 2): "2531eb791822c57f080de302d04999a0485c8ec96725b458e56db5a1897af180",
+    (4, 0, 3): "565224551b57685f39c614dd77fcaf3a0ee118410098a36431105d2cd1d1ea49",
+    (3, 1, 2): "a890db0ecccf2fc997a4e930fb4b2630d401ca467b37faa7bafb9a3281eddb0b",
+    (3, 1, 3): "2d2a6a748c11f69b99d36835a82986f4bb41e36663f1a90544b1194c09678a93",
+    (2, 2, 2): "964e1368aab4c1e1e217b6ef531e184829a8ab939ff0016d8e67a439cf22d1c9",
+    (2, 2, 3): "7d702390c95c4febac9a94407f3c669d8fe06d01521fcd72fcf94936581b617f",
+    (5, 0, 2): "426f6a666321f5a29d6c7905870ea8282d1b0327214031d9eaa59e1cc35a1679",
+    (5, 0, 3): "0cb493de4dbd84e0575d8f7a9e8dd9e0211c574d0a729f3c3c4a78ef3cba07a7",
+    (3, 2, 2): "fba0f27fd51d079c34ddc38a14f00f31cc1cd4ad3013ce4c2dd6c8d9bcd2baa7",
+    (3, 2, 3): "f25f4e5134a815b77738c55904951783e726370ecc32645509f7d298de37a271",
+}
+WEYL_BASIS_DIM_SHA256 = {
+    3: "596312cfd92068c9edefabd8c9f79f01c69889c9acc65fa01c0642cd64afbd15",
+    4: "210d6cebce81a2e22a6e12d542a8aebbdb1f8e007f0254b65c285594e73ac262",
+    5: "57edcf685a557e0b2219acd5d932c98990977cddd3639df5d5dd3b220bb2d188",
+    6: "6093251e1f76a85cad34983027de1aeb44b124b79eef7b4aecefbf14eb0a5e5c",
+}
+
+
+def _transcript(capsys, runs):
+    out = "".join("{}\n{}".format(*run(capsys, *argv)) for argv in runs)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, q, d", sorted(WEYL_PROLONGATION_SHA256))
+def test_weyl_prolongation_output_is_pinned(capsys, p, q, d):
+    runs = [
+        ["--p", str(p), "--q", str(q), "--d", str(d), *mode, "weyl", "prolongation", "--seed", str(seed)]
+        for seed in range(3)
+        for mode in ([], ["--machine"])
+    ]
+    assert _transcript(capsys, runs) == WEYL_PROLONGATION_SHA256[p, q, d]
+
+
+@pytest.mark.parametrize("n", sorted(WEYL_BASIS_DIM_SHA256))
+def test_weyl_basis_dim_output_is_pinned(capsys, n):
+    runs = [["--p", str(n), "--q", "0", *mode, "weyl", "basis-dim"] for mode in ([], ["--machine"])]
+    assert _transcript(capsys, runs) == WEYL_BASIS_DIM_SHA256[n]
 
 
 def test_extension_flow(tmp_path, capsys):
