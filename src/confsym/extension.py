@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from .flatmodel import MobiusSpace
 from .liealg import (
     StructureAlgebra,
+    _add_bracket,
+    _nonzero,
+    _so_rows,
     ad_s0,
     bracket,
     exp_nilpotent,
@@ -25,7 +28,7 @@ from .liealg import (
     so_table,
 )
 from .linalg import Matrix, Vector, rank, solve_affine
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
 class HomogeneousPair:
@@ -33,42 +36,95 @@ class HomogeneousPair:
 
     Only [h, h] <= h is required here; the stricter symmetric closure lives in
     SymmetricPair.  Extensions are defined over this weaker structure (the
-    stabilizer of the flat model is not a symmetric complement)."""
+    stabilizer of the flat model is not a symmetric complement).
+
+    When every h and m basis vector is a unit vector (the only form an
+    extension file gives), independence, closure and span membership are
+    decided on the indices: the bases are independent iff their indices
+    partition range(dim), and a vector lies in the span of unit vectors iff
+    its nonzero entries sit at their indices.  Other bases take the rank
+    route; both decide the same predicates exactly."""
 
     def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
         self.alg = alg
         self.h_basis = [v if isinstance(v, Vector) else Vector(v) for v in h_basis]
         self.m_basis = [v if isinstance(v, Vector) else Vector(v) for v in m_basis]
-        all_vecs = self.h_basis + self.m_basis
-        if len(all_vecs) != alg.dim:
+        if len(self.h_basis) + len(self.m_basis) != alg.dim:
             raise ValueError("h and m bases must decompose the algebra")
-        if rank(Matrix([v.entries for v in all_vecs])) != alg.dim:
+        h_idx = _unit_indices(self.h_basis, alg.dim)
+        m_idx = _unit_indices(self.m_basis, alg.dim)
+        self._units = None if h_idx is None or m_idx is None else (h_idx, m_idx)
+        if self._units is not None:
+            independent = sorted(h_idx + m_idx) == list(range(alg.dim))
+        else:
+            rows = [v.entries for v in self.h_basis + self.m_basis]
+            independent = rank(Matrix(rows)) == alg.dim
+        if not independent:
             raise ValueError("h and m bases are not linearly independent")
-        if not self._closed(self.h_basis, self.h_basis, self.h_basis):
+        if not self._closed(_H, _H, _H):
             raise ValueError("h is not a subalgebra: [h, h] leaves h")
 
-    def _closed(self, xs, ys, target) -> bool:
-        """Whether every [x, y] lies in span(target).  The target basis is
-        independent, so this holds iff adding all the brackets to it leaves
-        the rank at len(target); one rank decides the whole family.  When xs
-        is ys, only the pairs i <= j are formed: [y, x] = -[x, y]."""
-        same = xs is ys
-        rows = [v.entries for v in target]
+    def _closed(self, xs: int, ys: int, target: int) -> bool:
+        """Whether every [x, y] lies in the span of the target basis, for x
+        over the basis xs and y over the basis ys (_H or _M).
+
+        On unit bases: every term of every nonzero [b_i, b_j] with i in xs
+        and j in ys has its index in target, read off the nonzero brackets.
+        Otherwise the target basis is independent, so this holds iff adding
+        all the brackets to it leaves the rank at len(target); one rank
+        decides the whole family.  When xs equals ys, only the pairs i <= j
+        are formed: [y, x] = -[x, y]."""
+        if self._units is not None:
+            ys_idx = set(self._units[ys])
+            target_idx = set(self._units[target])
+            for i in self._units[xs]:
+                for j, terms in self.alg.row(i).items():
+                    if j in ys_idx and any(k not in target_idx for k, _ in terms):
+                        return False
+            return True
+        bases = (self.h_basis, self.m_basis)
+        same = xs == ys
+        xs, ys = bases[xs], bases[ys]
+        rows = [v.entries for v in bases[target]]
         for i, x in enumerate(xs):
             for y in ys[i:] if same else ys:
                 rows.append(self.alg.bracket(x, y).entries)
-        return not rows or rank(Matrix(rows)) == len(target)
+        return not rows or rank(Matrix(rows)) == len(bases[target])
 
-    def _in_span(self, basis, v: Vector) -> bool:
-        """Whether v lies in span(basis): for an independent basis, iff
-        adding v leaves the rank at len(basis).  The empty basis spans only 0."""
+    def _in_span(self, family: int, v: Vector) -> bool:
+        """Whether v lies in the span of the basis `family` (_H or _M).  On
+        unit bases, iff each nonzero entry of v sits at one of its indices.
+        Otherwise, for an independent basis, iff adding v leaves the rank at
+        len(basis).  The empty basis spans only 0."""
+        if self._units is not None and len(v) == self.alg.dim:
+            idx = set(self._units[family])
+            return all(k in idx for k, c in enumerate(v.entries) if c)
+        basis = (self.h_basis, self.m_basis)[family]
         return rank(Matrix([b.entries for b in basis] + [v.entries])) == len(basis)
 
     def h_contains(self, v: Vector) -> bool:
-        return self._in_span(self.h_basis, v)
+        return self._in_span(_H, v)
 
     def m_contains(self, v: Vector) -> bool:
-        return self._in_span(self.m_basis, v)
+        return self._in_span(_M, v)
+
+
+# The two bases of a pair, as `HomogeneousPair._closed` and `_in_span` name them.
+_H, _M = 0, 1
+
+
+def _unit_indices(basis, dim: int):
+    """The index of the entry 1 of each vector when every vector of the basis
+    is a unit vector of length dim; None otherwise."""
+    out = []
+    for v in basis:
+        if len(v) != dim:
+            return None
+        nz = [k for k, c in enumerate(v.entries) if c]
+        if len(nz) != 1 or v.entries[nz[0]] != ONE:
+            return None
+        out.append(nz[0])
+    return out
 
 
 class SymmetricPair(HomogeneousPair):
@@ -77,9 +133,9 @@ class SymmetricPair(HomogeneousPair):
 
     def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
         super().__init__(alg, h_basis, m_basis)
-        if not self._closed(self.h_basis, self.m_basis, self.m_basis):
+        if not self._closed(_H, _M, _M):
             raise ValueError("closure violation: [h, m] leaves m")
-        if not self._closed(self.m_basis, self.m_basis, self.h_basis):
+        if not self._closed(_M, _M, _H):
             raise ValueError("closure violation: [m, m] leaves h")
 
 
@@ -98,19 +154,23 @@ class Extension:
         self._rows = [[(j, c) for j, c in enumerate(row) if c] for row in alpha.rows]
 
     def coords(self, x: Vector) -> Vector:
-        """The graded coordinates of alpha(x): the sum of x_k times row k of
-        alpha over the nonzero x_k, through the nonzero entries of each row
-        (kept from __init__)."""
+        """The graded coordinates of alpha(x)."""
         if len(x) != self.pair.alg.dim:
             raise ValueError("coordinate vector has wrong length")
-        acc = {}
-        for k, xk in enumerate(x.entries):
-            if xk:
-                for j, c in self._rows[k]:
-                    t = xk * c
-                    acc[j] = acc[j] + t if j in acc else t
+        acc = self._image(_nonzero(x))
         zero = Scalar(0)
         return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
+
+    def _image(self, terms) -> dict:
+        """alpha of the sum of x_k b_k over the (k, x_k) of `terms`: the sum
+        of x_k times row k of alpha, through the nonzero entries of each row
+        (kept from __init__), as j -> coordinate; absent j stand for zero."""
+        acc = {}
+        for k, xk in terms:
+            for j, c in self._rows[k]:
+                t = xk * c
+                acc[j] = acc[j] + t if j in acc else t
+        return acc
 
 
 @dataclass
@@ -140,21 +200,25 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     (the X block is coordinates 1..n):
     (1) alpha(h) has zero lower block;
     (2) the lower blocks of alpha(m) have full rank p+q;
-    (3) alpha([H, Y]) = [alpha(H), alpha(Y)] for H over h, Y over all of k,
-        the right side through the structure table of so(p+1, q+1)."""
+    (3) alpha([H, b_y]) = [alpha(H), alpha(b_y)] for H over h and every
+        basis element b_y of k, the right side through the structure table
+        of so(p+1, q+1).
+
+    For each H, (3) visits only the y where a side can be nonzero: those
+    with [b_i, b_y] nonzero for some H_i nonzero, and, when alpha(H) is
+    nonzero, those with alpha(b_y) nonzero.  Both sides are sums over the
+    nonzero brackets and rows of alpha, and the witnesses are the same
+    (h index, y) pairs in the same order as over all pairs."""
     space = ext.space
     pair = ext.pair
+    alg = pair.alg
     n = space.n
-    if pair.alg.dim - len(pair.h_basis) != n:
+    if alg.dim - len(pair.h_basis) != n:
         raise ValueError(
-            f"dim k - dim h = {pair.alg.dim - len(pair.h_basis)} does not match p+q = {n}"
+            f"dim k - dim h = {alg.dim - len(pair.h_basis)} does not match p+q = {n}"
         )
 
-    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
-    # alpha(e_i) is row i of alpha.
-    k_images = [Vector._of_scalars(row) for row in ext.alpha.rows]
     h_images = [ext.coords(h) for h in pair.h_basis]
-
     bad_h = [idx for idx, ah in enumerate(h_images) if any(ah.entries[1 : n + 1])]
     cond1 = ConditionReport(
         passed=not bad_h,
@@ -170,17 +234,37 @@ def validate_extension(ext: Extension) -> ExtensionReport:
         witnesses=[r],
     )
 
+    so = _so_rows(space.signature.p, space.signature.q)
+    alpha_rows = ext._rows
+    alpha_support = [y for y, row in enumerate(alpha_rows) if row]
     bad_pairs = []
     for hi, (h, ah) in enumerate(zip(pair.h_basis, h_images)):
-        for yi, (y, ay) in enumerate(zip(k_basis, k_images)):
-            if ext.coords(pair.alg.bracket(h, y)) != bracket(space, ah, ay):
-                bad_pairs.append((hi, yi))
+        h_terms = _nonzero(h)
+        h_rows = {i: alg.row(i) for i, _ in h_terms}
+        ah_terms = _nonzero(ah)
+        ys = set()
+        for row in h_rows.values():
+            ys.update(row)
+        if ah_terms:
+            ys.update(alpha_support)
+        for y in sorted(ys):
+            br = {}
+            _add_bracket(h_rows, br, h_terms, ((y, ONE),))
+            lhs = ext._image(br.items())
+            rhs = {}
+            _add_bracket(so, rhs, ah_terms, alpha_rows[y])
+            if _drop_zeros(lhs) != _drop_zeros(rhs):
+                bad_pairs.append((hi, y))
     cond3 = ConditionReport(
         passed=not bad_pairs,
         detail="alpha is equivariant over h",
         witnesses=bad_pairs,
     )
     return ExtensionReport(cond1, cond2, cond3)
+
+
+def _drop_zeros(acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if v}
 
 
 def curvature(ext: Extension, x: Vector, y: Vector) -> Vector:
@@ -263,20 +347,14 @@ def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:
 def flat_model_extension(space: MobiusSpace) -> Extension:
     """The identity extension of so(p+1, q+1) over its stabilizer subalgebra:
     h spans the (a, A, Z) blocks, m the lower block, alpha the identity in
-    graded coordinates.  The algebra's table is `so_table` written densely."""
+    graded coordinates.  The algebra is built on the nonzero brackets of
+    `so_table`."""
     table = so_table(space.signature.p, space.signature.q)
     dim = len(table)
-    zero = Scalar(0)
-    dense = []
-    for row in table:
-        dense_row = []
-        for terms in row:
-            entries = [zero] * dim
-            for k, c in terms:
-                entries[k] = Scalar(c)
-            dense_row.append(Vector._of_scalars(entries))
-        dense.append(dense_row)
-    alg = StructureAlgebra(dim, dense)
+    alg = StructureAlgebra(
+        dim,
+        {(i, j): terms for i, row in enumerate(table) for j, terms in enumerate(row) if terms},
+    )
     n = space.n
     m_idx = list(range(1, n + 1))
     h_idx = [0] + list(range(n + 1, dim))

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .flatmodel import MobiusSpace
 from .linalg import Matrix, Vector
-from .scalars import Scalar
+from .scalars import FieldMismatchError, Scalar
 
 
 def so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
@@ -115,12 +116,15 @@ def degrade(space: MobiusSpace, M: Matrix) -> Vector:
     return Vector._of_scalars(M[pos] if v > 0 else -M[pos] for (pos, v), _ in basis)
 
 
-def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
+def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector, check: bool = True) -> CoElement:
     """The endomorphism eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T,
     split into scaling part a = trace/n and trace-free part A in so(p, q).
 
     F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) is built entry by entry:
-    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m."""
+    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m.  With `check`,
+    asserts that A lies in so(p, q) (the convention check); a caller that
+    passes the result straight to `weyl.co_action`, which refuses an A
+    outside so(p, q), may skip it."""
     n = space.n
     if len(Y) != n or len(xi) != n:
         raise ValueError(f"expected covector and vector of length {n}")
@@ -139,7 +143,7 @@ def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
         F.append(row)
     a = sum((F[r][r] for r in range(n)), zero) * Scalar(1, 0, n)
     A = Matrix([x - a if r == m else x for m, x in enumerate(row)] for r, row in enumerate(F))
-    if not so_block_condition(space, A):
+    if check and not so_block_condition(space, A):
         raise AssertionError("trace-free part left so(p, q); convention bug")
     return CoElement(a=a, A=A)
 
@@ -227,56 +231,140 @@ def ad_s0(space: MobiusSpace, M: Matrix) -> Matrix:
 
 
 class StructureAlgebra:
-    """Finite-dimensional algebra over Q(sqrt d) given by its bracket table
-    c[i][j] with [b_i, b_j] = sum_k c[i][j][k] b_k; antisymmetry and the
-    Jacobi identity are validated exactly at construction.
+    """Finite-dimensional algebra over Q(sqrt d) given by its structure
+    constants: `brackets` maps (i, j) to the (k, c) with
+    [b_i, b_j] = sum of c b_k, in increasing k; a pair that is absent, and a
+    term whose c is zero, stand for zero.  Each c is a Scalar or an int (the
+    integer table of so(p+1, q+1)).  Only the nonzero terms are kept, one
+    mapping j -> terms per i, so memory and time grow with the number of
+    nonzero brackets, not with dim^2.  Antisymmetry and the Jacobi identity
+    are validated exactly at construction."""
 
-    Besides the dense table the algebra keeps one sparse view of it, the
-    nonzero (k, c[i][j][k]) pairs of every (i, j); `bracket` and the Jacobi
-    check both expand brackets through that view."""
-
-    def __init__(self, dim: int, table: list[list[Vector]]):
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise ValueError("bracket table has wrong shape")
-        for i in range(dim):
-            for j in range(dim):
-                if len(table[i][j]) != dim:
-                    raise ValueError("bracket table entries have wrong length")
+    def __init__(self, dim: int, brackets):
+        rows = [{} for _ in range(dim)]
+        for (i, j), terms in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"bracket index {(i, j)} out of range for dim {dim}")
+            terms = tuple((k, c) for k, c in terms if c)
+            ks = [k for k, _ in terms]
+            if any(not 0 <= k < dim for k in ks) or ks != sorted(set(ks)):
+                raise ValueError(f"bracket {(i, j)} needs distinct indices 0 <= k < {dim} in order")
+            if terms:
+                rows[i][j] = terms
         self.dim = dim
-        self.table = table
-        self._sparse = [[_nonzero(table[i][j]) for j in range(dim)] for i in range(dim)]
-        self._check_antisymmetry()
-        self._check_jacobi()
+        self._rows = rows
+        d, integer_rows = _integer_rows(rows)
+        _check_antisymmetry(integer_rows)
+        _check_jacobi(d, integer_rows)
 
-    def _check_antisymmetry(self):
-        sp = self._sparse
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if sp[i][j] != [(k, -c) for k, c in sp[j][i]]:
-                    raise ValueError(f"bracket table is not antisymmetric at ({i}, {j})")
-
-    def _check_jacobi(self):
-        sp = self._sparse
-        one = Scalar(1)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    total = {}
-                    _add_bracket(sp, total, ((i, one),), sp[j][k])
-                    _add_bracket(sp, total, ((j, one),), sp[k][i])
-                    _add_bracket(sp, total, ((k, one),), sp[i][j])
-                    if any(total.values()):
-                        raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
+    def row(self, i: int) -> dict:
+        """The nonzero brackets of b_i: j -> the nonzero (k, c) of
+        [b_i, b_j].  Read it, never change it."""
+        return self._rows[i]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors have wrong length")
-        return _sparse_bracket(self._sparse, x, y)
+        return _sparse_bracket(self._rows, x, y)
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of ad_x in the defining basis."""
-        cols = [self.bracket(x, Vector.unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        """Matrix of ad_x in the defining basis: column j is [x, b_j], read
+        off the nonzero brackets of each b_i with x_i nonzero."""
+        if len(x) != self.dim:
+            raise ValueError("coordinate vector has wrong length")
+        cols = [{} for _ in range(self.dim)]
+        for i, xi in _nonzero(x):
+            for j, terms in self._rows[i].items():
+                col = cols[j]
+                for k, c in terms:
+                    t = xi * c
+                    col[k] = col[k] + t if k in col else t
+        zero = Scalar(0)
+        return Matrix._of_scalars(
+            [[col.get(k, zero) for col in cols] for k in range(self.dim)]
+        )
+
+
+def _integer_rows(rows) -> tuple:
+    """(d, integer rows) of a table of nonzero terms: each (k, c) becomes
+    (k, a, b) with c = (a + b sqrt d) / D for one common denominator D.
+    Rational tables take d = 2 (their b are all zero).  Raises
+    FieldMismatchError on irrational coefficients of two different fields."""
+    fields = set()
+    den = 1
+    for row in rows:
+        for terms in row.values():
+            for _, c in terms:
+                if type(c) is not int:
+                    den = lcm(den, c.q)
+                    if c.b:
+                        fields.add(c.d)
+    if len(fields) > 1:
+        a, b = sorted(fields)[:2]
+        raise FieldMismatchError(f"cannot mix Q(sqrt {a}) with Q(sqrt {b})")
+    out = []
+    for row in rows:
+        irow = {}
+        for j, terms in row.items():
+            irow[j] = tuple(
+                (k, c * den, 0) if type(c) is int else (k, c.a * (den // c.q), c.b * (den // c.q))
+                for k, c in terms
+            )
+        out.append(irow)
+    return (fields.pop() if fields else 2), out
+
+
+def _check_antisymmetry(rows) -> None:
+    """[b_j, b_i] = -[b_i, b_j] for every i <= j (so the diagonal vanishes),
+    on integer rows; the first broken pair in lexicographic order is named.
+    A pair absent in both orders holds, so only the present pairs are
+    visited."""
+    present = {(min(i, j), max(i, j)) for i, row in enumerate(rows) for j in row}
+    for i, j in sorted(present):
+        if rows[i].get(j, ()) != tuple((k, -a, -b) for k, a, b in rows[j].get(i, ())):
+            raise ValueError(f"bracket table is not antisymmetric at ({i}, {j})")
+
+
+def _check_jacobi(d: int, rows) -> None:
+    """The cyclic sum [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]
+    over every i < j < k, on integer rows; the first failure in
+    lexicographic order is named.  Only `_jacobi_triples` are visited: the
+    other triples have three zero brackets."""
+    for i, j, k in _jacobi_triples(rows):
+        acc_a = {}
+        acc_b = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = rows[y].get(z)
+            if not inner:
+                continue
+            outer = rows[x]
+            for m, a1, b1 in inner:
+                for l, a2, b2 in outer.get(m, ()):
+                    acc_a[l] = acc_a.get(l, 0) + a1 * a2 + d * b1 * b2
+                    acc_b[l] = acc_b.get(l, 0) + a1 * b2 + b1 * a2
+        if any(acc_a.values()) or any(acc_b.values()):
+            raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
+
+
+def _jacobi_triples(rows) -> list:
+    """Every i < j < k with at least one of [b_i, b_j], [b_j, b_k], [b_i, b_k]
+    nonzero, in lexicographic order: at most dim per nonzero pair.  Each
+    triple is collected as the integer (i dim + j) dim + k, whose order is
+    the lexicographic one."""
+    dim = len(rows)
+    dd = dim * dim
+    codes = set()
+    for a, row in enumerate(rows):
+        for b in row:
+            if a < b:
+                codes.update(range(a * dim + b, a * dd + a * dim + b, dd))  # (c, a, b)
+                codes.update(range(a * dd + (a + 1) * dim + b, a * dd + b * dim + b, dim))  # (a, c, b)
+                codes.update(range(a * dd + b * dim + b + 1, a * dd + b * dim + dim))  # (a, b, c)
+    out = []
+    for code in sorted(codes):
+        i, rest = divmod(code, dd)
+        out.append((i, *divmod(rest, dim)))
+    return out
 
 
 def _nonzero(v: Vector) -> list:
@@ -284,15 +372,17 @@ def _nonzero(v: Vector) -> list:
     return [(k, c) for k, c in enumerate(v.entries) if c]
 
 
-def _add_bracket(sparse, acc: dict, xs, ys) -> None:
+def _add_bracket(rows, acc: dict, xs, ys) -> None:
     """acc[k] += [x, y]_k for x, y given by their nonzero (index, value)
-    pairs, through a sparse table whose (i, j) entry lists the nonzero
-    (k, c) of [b_i, b_j]; absent keys of acc stand for zero.  A coefficient
-    c may be a Scalar or an int (the integer table of so(p+1, q+1))."""
+    pairs, through a table whose row i maps j to the nonzero (k, c) of
+    [b_i, b_j] (pairs absent from a row bracket to zero); absent keys of acc
+    stand for zero.  A coefficient c may be a Scalar or an int."""
     for i, xi in xs:
-        row = sparse[i]
+        row = rows[i]
+        if not row:
+            continue
         for j, yj in ys:
-            terms = row[j]
+            terms = row.get(j)
             if not terms:
                 continue
             s = xi * yj
@@ -301,12 +391,12 @@ def _add_bracket(sparse, acc: dict, xs, ys) -> None:
                 acc[k] = acc[k] + t if k in acc else t
 
 
-def _sparse_bracket(sparse, x: Vector, y: Vector) -> Vector:
+def _sparse_bracket(rows, x: Vector, y: Vector) -> Vector:
     """[x, y] as a dense coordinate vector through a sparse table."""
     acc = {}
-    _add_bracket(sparse, acc, _nonzero(x), _nonzero(y))
+    _add_bracket(rows, acc, _nonzero(x), _nonzero(y))
     zero = Scalar(0)
-    return Vector._of_scalars(acc.get(k, zero) for k in range(len(sparse)))
+    return Vector._of_scalars(acc.get(k, zero) for k in range(len(rows)))
 
 
 def killing_form(alg: StructureAlgebra, x: Vector, y: Vector) -> Scalar:
@@ -389,4 +479,12 @@ def bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
     dim = graded_dim(space)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"expected {dim} coordinates")
-    return _sparse_bracket(so_table(space.signature.p, space.signature.q), x, y)
+    return _sparse_bracket(_so_rows(space.signature.p, space.signature.q), x, y)
+
+
+@lru_cache(maxsize=None)
+def _so_rows(p: int, q: int) -> tuple:
+    """`so_table` with only its nonzero brackets: row i maps j to the terms
+    of [b_i, b_j].  This is the form `StructureAlgebra` keeps and
+    `_add_bracket` reads."""
+    return tuple({j: terms for j, terms in enumerate(row) if terms} for row in so_table(p, q))

@@ -13,7 +13,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import _core
-from .scalars import FieldMismatchError, Scalar, as_scalar
+from .scalars import ONE, ZERO, FieldMismatchError, Scalar, as_scalar
 
 
 class Vector:
@@ -86,7 +86,7 @@ class Vector:
 
     @classmethod
     def unit(cls, n: int, i: int) -> Vector:
-        return cls([1 if j == i else 0 for j in range(n)])
+        return cls._of_scalars(ONE if j == i else ZERO for j in range(n))
 
 
 Covector = Vector
@@ -98,10 +98,20 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(as_scalar(e) for e in row) for row in rows)
+        self._set_rows(tuple(tuple(as_scalar(e) for e in row) for row in rows))
+
+    def _set_rows(self, rows: tuple):
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of_scalars(cls, rows) -> Matrix:
+        """Wrap rows whose entries are all Scalars already, skipping the
+        coercion."""
+        M = cls.__new__(cls)
+        M._set_rows(tuple(tuple(row) for row in rows))
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

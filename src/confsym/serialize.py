@@ -26,8 +26,16 @@ def vector_to_literals(v: Vector) -> list[str]:
     return [str(e) for e in v]
 
 
+def _literal(x, d: int, zero: Scalar) -> Scalar:
+    """One literal of a file: the exact string "0" is the literal of zero
+    and needs no parse; every other literal goes through the grammar."""
+    text = str(x)
+    return zero if text == "0" else parse_scalar(text, d)
+
+
 def vector_from_literals(items, d: int) -> Vector:
-    return Vector(parse_scalar(str(x), d) for x in items)
+    zero = Scalar(0, 0, 1, d)
+    return Vector._of_scalars([_literal(x, d, zero) for x in items])
 
 
 def matrix_to_literals(M: Matrix) -> list[list[str]]:
@@ -35,7 +43,8 @@ def matrix_to_literals(M: Matrix) -> list[list[str]]:
 
 
 def matrix_from_literals(rows, d: int) -> Matrix:
-    return Matrix([parse_scalar(str(x), d) for x in row] for row in rows)
+    zero = Scalar(0, 0, 1, d)
+    return Matrix._of_scalars([_literal(x, d, zero) for x in row] for row in rows)
 
 
 def subspace_to_dict(s: AffineSubspace) -> dict:
@@ -137,11 +146,16 @@ def weyl_from_dict(data: dict) -> WeylTensor:
 
 
 def structure_algebra_to_dict(alg: StructureAlgebra) -> dict:
+    """Each nonzero [b_i, b_j] with i < j, in lexicographic order, as its
+    dense list of dim literals."""
     brackets = []
     for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if not alg.table[i][j].is_zero():
-                brackets.append([i, j, vector_to_literals(alg.table[i][j])])
+        row = alg.row(i)
+        for j in sorted(j for j in row if j > i):
+            literals = ["0"] * alg.dim
+            for k, c in row[j]:
+                literals[k] = str(c)
+            brackets.append([i, j, literals])
     return {"dim": alg.dim, "brackets": brackets}
 
 
@@ -156,25 +170,28 @@ def _json_int(value, key: str) -> int:
 def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
     """Rejects a dim that is not an integer, any bracket entry whose indices
     are not integers 0 <= i < j < dim, a repeated (i, j), and a coefficient
-    list whose length is not dim."""
+    list whose length is not dim.  Only the nonzero coefficients are kept,
+    so the work grows with the number of literals, not with dim^2."""
     dim = _json_int(data["dim"], "dim")
-    zero = Vector.zero(dim)
-    table = [[zero for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    zero = Scalar(0, 0, 1, d)
+    brackets = {}
     for i, j, coeffs in data["brackets"]:
         if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise ValueError(f"bracket entry {[i, j]!r} needs integers 0 <= i < j < {dim}")
-        if (i, j) in seen:
+        if (i, j) in brackets:
             raise ValueError(f"bracket entry {[i, j]!r} is repeated")
-        seen.add((i, j))
         if len(coeffs) != dim:
             raise ValueError(
                 f"bracket entry {[i, j]!r} has {len(coeffs)} coefficients, expected {dim}"
             )
-        v = vector_from_literals(coeffs, d)
-        table[i][j] = v
-        table[j][i] = -v
-    return StructureAlgebra(dim, table)
+        terms = []
+        for k, x in enumerate(coeffs):
+            c = _literal(x, d, zero)
+            if c:
+                terms.append((k, c))
+        brackets[i, j] = terms
+        brackets[j, i] = [(k, -c) for k, c in terms]
+    return StructureAlgebra(dim, brackets)
 
 
 def extension_to_dict(ext: Extension) -> dict:
@@ -211,7 +228,7 @@ def extension_from_dict(data: dict) -> Extension:
     """Rejects non-integer p, q, d and dim, and h or m indices that are not
     integers 0 <= i < dim."""
     space = MobiusSpace(*extension_signature(data))
-    # The lists of the file bound dim before the O(dim^2) table is built.
+    # The lists of the file bound dim before anything of size dim is built.
     dim = _json_int(data["algebra"]["dim"], "dim")
     if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):
         raise ValueError(

@@ -212,15 +212,3 @@ def find_symmetries(
         preserve_first=keep_u,
         preserve_second=keep_v,
     )
-
-
-def stabilizer_element(space: MobiusSpace, Y: Vector, extra_flip: bool = False) -> Matrix:
-    """An exact element of the stabilizer of <e_0>: the unipotent exp of the
-    upper-block covector Y, optionally composed with s_0 (which also fixes
-    the origin line).  Used to produce independent transitive witnesses."""
-    from .liealg import exp_nilpotent
-
-    g = exp_nilpotent(space, Y)
-    if extra_flip:
-        g = g @ make_symmetry(space, Vector.zero(space.n))
-    return g

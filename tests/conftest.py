@@ -4,9 +4,10 @@ import pytest
 
 from confsym.extension import SymmetricPair
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import StructureAlgebra, graded_dim
+from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim
 from confsym.linalg import Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
+from confsym.symmetry import make_symmetry
 
 
 def rand_scalar(rng: random.Random, span: int = 9) -> Scalar:
@@ -112,6 +113,34 @@ def pure_z(space: MobiusSpace, Z: Vector) -> Vector:
     return Vector([0] * (graded_dim(space) - space.n) + list(Z))
 
 
+# -- dense bracket tables and the sparse constructor ---------------------------
+
+
+def sparse_brackets(table) -> dict:
+    """The (i, j) -> nonzero (k, c) mapping that `StructureAlgebra` takes,
+    from a dense dim x dim table of coefficient vectors."""
+    return {
+        (i, j): [(k, c) for k, c in enumerate(v) if c]
+        for i, row in enumerate(table)
+        for j, v in enumerate(row)
+        if not v.is_zero()
+    }
+
+
+def dense_table(alg: StructureAlgebra) -> list:
+    """The dense dim x dim table of coefficient vectors of an algebra, read
+    off its nonzero brackets."""
+    dim = alg.dim
+    table = [[Vector.zero(dim) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j, terms in alg.row(i).items():
+            entries = [Scalar(0)] * dim
+            for k, c in terms:
+                entries[k] = c
+            table[i][j] = Vector(entries)
+    return table
+
+
 def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
     """Bracket table of a matrix Lie algebra given by a basis: commutators are
     re-expressed in the basis by exact solving (raises if not closed)."""
@@ -128,7 +157,7 @@ def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
                 raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
             table[i][j] = sol.base
             table[j][i] = -sol.base
-    return StructureAlgebra(dim, table)
+    return StructureAlgebra(dim, sparse_brackets(table))
 
 
 def reference_commutator(space: MobiusSpace, x: Vector, y: Vector) -> Matrix:
@@ -172,7 +201,7 @@ def sl2_pair():
         [v(0, -2, 0), z, v(1, 0, 0)],
         [v(0, 0, 2), v(-1, 0, 0), z],
     ]
-    return StructureAlgebra(3, table), [0], [1, 2]
+    return StructureAlgebra(3, sparse_brackets(table)), [0], [1, 2]
 
 
 def heisenberg_pair():
@@ -187,7 +216,17 @@ def heisenberg_pair():
         [v(0, 0, -1), z, z],
         [z, z, z],
     ]
-    return StructureAlgebra(3, table), [2], [0, 1]
+    return StructureAlgebra(3, sparse_brackets(table)), [2], [0, 1]
+
+
+def stabilizer_element(space: MobiusSpace, Y: Vector, extra_flip: bool = False) -> Matrix:
+    """An exact element of the stabilizer of <e_0>: the unipotent exp of the
+    upper-block covector Y, optionally composed with s_0 (which also fixes
+    the origin line).  Used to produce independent transitive witnesses."""
+    g = exp_nilpotent(space, Y)
+    if extra_flip:
+        g = g @ make_symmetry(space, Vector.zero(space.n))
+    return g
 
 
 def _rand_invertible(rng: random.Random, n: int) -> Matrix:

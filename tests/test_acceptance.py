@@ -26,7 +26,6 @@ from confsym.serialize import dump_canonical, weyl_to_dict
 from confsym.symmetry import (
     find_symmetries,
     make_symmetry,
-    stabilizer_element,
     tangent_is_minus_id,
 )
 from confsym.weyl import prolongation, random_weyl, weyl_space_basis
@@ -38,6 +37,7 @@ from conftest import (
     rand_null_vector,
     rand_symmetric_pair,
     so_k_pair,
+    stabilizer_element,
 )
 from test_extension import graded_alpha_rows, translation_pair
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from confsym import extension, liealg
 from confsym.cli import MAX_DIMENSION, main, fixture_cases, run_fixture_case
+from confsym.scalars import Scalar
 from confsym.serialize import dump_canonical
 
 
@@ -358,6 +360,80 @@ def test_extension_file_with_repeated_bracket_entry(tmp_path, capsys):
     path = _edited_flat_file(tmp_path, capsys, edit)
     err = _bad_input(capsys, "extension", "validate", "--file", str(path))
     assert "repeated" in err
+
+
+@pytest.mark.parametrize("literal", ["0.0", "O", "0/0", "--0", "0*s"])
+@pytest.mark.parametrize("where", ["bracket", "alpha"])
+def test_bad_literal_among_zeros_exits_2(tmp_path, capsys, literal, where):
+    def edit(data):
+        coeffs = data["algebra"]["brackets"][0][2] if where == "bracket" else data["alpha"][0]
+        coeffs[coeffs.index("0")] = literal
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", "validate", "--file", str(path))
+    assert f"bad scalar literal {literal!r}" in err
+
+
+def _hostile_file(path, dim, brackets):
+    """p = 2, q = 1, dim - 3 h indices, all-zero alpha: the pair is fine but
+    the quotient condition fails."""
+    data = {
+        "p": 2,
+        "q": 1,
+        "d": 2,
+        "algebra": {"dim": dim, "brackets": brackets},
+        "h": list(range(3, dim)),
+        "m": [0, 1, 2],
+        "alpha": [["0"] * 10 for _ in range(dim)],
+    }
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("one_bracket", [False, True])
+@pytest.mark.parametrize("dim", [100, 400])
+def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeypatch, dim, one_bracket):
+    # [b_3, b_4] = b_5 stays in h and satisfies Jacobi.
+    brackets = [[3, 4, ["0"] * 5 + ["1"] + ["0"] * (dim - 6)]] if one_bracket else []
+    path = _hostile_file(tmp_path / "big.json", dim, brackets)
+    # Jacobi triples visited, bracket-table lookups, sides compared by the
+    # equivariance check and Scalars built.
+    counts = {"triples": 0, "lookups": 0, "sides": 0, "scalars": 0}
+    triples = liealg._jacobi_triples
+    row = liealg.StructureAlgebra.row
+    drop_zeros = extension._drop_zeros
+    init = Scalar.__init__
+
+    def counting_triples(rows):
+        out = triples(rows)
+        counts["triples"] += len(out)
+        return out
+
+    def counting_row(self, i):
+        counts["lookups"] += 1
+        return row(self, i)
+
+    def counting_drop_zeros(acc):
+        counts["sides"] += 1
+        return drop_zeros(acc)
+
+    def counting_init(self, *args):
+        counts["scalars"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(liealg, "_jacobi_triples", counting_triples)
+    monkeypatch.setattr(liealg.StructureAlgebra, "row", counting_row)
+    monkeypatch.setattr(extension, "_drop_zeros", counting_drop_zeros)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    code, out = run(capsys, "--machine", "extension", "validate", "--file", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert not report["quotient"]["passed"]
+    assert report["stabilizer"]["passed"] and report["equivariance"]["passed"]
+    assert counts["triples"] == (dim - 2 if one_bracket else 0)
+    assert counts["lookups"] <= 2 * dim
+    assert counts["sides"] == (4 if one_bracket else 0)
+    assert counts["scalars"] <= 2 * dim
 
 
 @pytest.mark.parametrize("dim", [10**9, 11, 9])

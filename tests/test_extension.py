@@ -39,8 +39,7 @@ from conftest import (
 
 
 def abelian_algebra(dim):
-    zero = Vector.zero(dim)
-    return StructureAlgebra(dim, [[zero for _ in range(dim)] for _ in range(dim)])
+    return StructureAlgebra(dim, {})
 
 
 def translation_pair(n):
@@ -229,12 +228,11 @@ def test_metrizability_random_pairs(rng):
 def so3_plus_line():
     """so(3) on b0, b1, b2 ([b0, b1] = b2 and cyclic) plus a central b3."""
     e = [Vector.unit(4, i) for i in range(4)]
-    z = Vector.zero(4)
-    table = [[z] * 4 for _ in range(4)]
+    brackets = {}
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        table[i][j] = e[k]
-        table[j][i] = -e[k]
-    return StructureAlgebra(4, table), e
+        brackets[i, j] = [(k, Scalar(1))]
+        brackets[j, i] = [(k, Scalar(-1))]
+    return StructureAlgebra(4, brackets), e
 
 
 def test_symmetric_pair_names_the_failing_closure_family():

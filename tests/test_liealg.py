@@ -20,9 +20,10 @@ from confsym.liealg import (
     upsilon_bracket_constant,
 )
 from confsym.linalg import Matrix, Vector, rank
-from confsym.scalars import Scalar
+from confsym.scalars import FieldMismatchError, Scalar
 
 from conftest import (
+    dense_table,
     heisenberg_pair,
     pure_x,
     pure_z,
@@ -35,6 +36,7 @@ from conftest import (
     reference_so_block_condition,
     so_basis,
     so_k_pair,
+    sparse_brackets,
     structure_constants_from_matrices,
 )
 
@@ -236,8 +238,7 @@ def test_ad_s0_blockwise(space21, rng):
 
 
 def abelian(dim):
-    zero = Vector.zero(dim)
-    return StructureAlgebra(dim, [[zero for _ in range(dim)] for _ in range(dim)])
+    return StructureAlgebra(dim, {})
 
 
 def so3_algebra():
@@ -247,7 +248,7 @@ def so3_algebra():
 
     z = v(0, 0, 0)
     table = [[z, v(0, 0, 1), v(0, -1, 0)], [v(0, 0, -1), z, v(1, 0, 0)], [v(0, 1, 0), v(-1, 0, 0), z]]
-    return StructureAlgebra(3, table)
+    return StructureAlgebra(3, sparse_brackets(table))
 
 
 def test_killing_form_of_abelian_is_zero(rng):
@@ -300,7 +301,7 @@ def test_structure_algebra_validation():
         [Vector([1, 0]), Vector([0, 0])],
     ]
     with pytest.raises(ValueError, match="antisymmetric"):
-        StructureAlgebra(2, bad)
+        StructureAlgebra(2, sparse_brackets(bad))
 
     def v(*e):
         return Vector(list(e))
@@ -313,7 +314,7 @@ def test_structure_algebra_validation():
         [v(0, 0, 1), v(-1, 0, 0), z],
     ]
     with pytest.raises(ValueError, match="Jacobi"):
-        StructureAlgebra(3, table)
+        StructureAlgebra(3, sparse_brackets(table))
 
 
 def test_so_basis_is_a_basis(space21):
@@ -371,7 +372,7 @@ def test_so_table_matches_the_matrix_structure_constants(pq):
         assert len(table[i]) == ref.dim
         for j in range(ref.dim):
             assert all(type(c) is int for _, c in table[i][j])
-            want = [(k, c.to_fraction()) for k, c in enumerate(ref.table[i][j]) if c]
+            want = [(k, c.to_fraction()) for k, c in ref.row(i).get(j, ())]
             assert list(table[i][j]) == want
 
 
@@ -451,10 +452,10 @@ def test_sparse_jacobi_and_bracket_match_the_dense_reference(case, data):
     failure = reference_jacobi_failure(dim, table)
     if failure is not None:
         with pytest.raises(ValueError) as info:
-            StructureAlgebra(dim, table)
+            StructureAlgebra(dim, sparse_brackets(table))
         assert str(info.value) == f"Jacobi identity fails at {failure}"
         return
-    alg = StructureAlgebra(dim, table)
+    alg = StructureAlgebra(dim, sparse_brackets(table))
     for _ in range(3):
         x = data.draw(_coordinate_vectors(dim))
         y = data.draw(_coordinate_vectors(dim))
@@ -476,7 +477,7 @@ def test_sparse_bracket_matches_the_dense_reference_on_known_algebras(which, rng
     for _ in range(20):
         x = rand_vector(rng, alg.dim, 3)
         y = rand_vector(rng, alg.dim, 3)
-        assert alg.bracket(x, y) == reference_dense_bracket(alg.dim, alg.table, x, y)
+        assert alg.bracket(x, y) == reference_dense_bracket(alg.dim, dense_table(alg), x, y)
 
 
 @given(_antisymmetric_tables(), st.data())
@@ -496,5 +497,42 @@ def test_antisymmetry_check_names_the_first_broken_pair(case, data):
         if table[a][b] != -table[b][a]
     )
     with pytest.raises(ValueError) as info:
-        StructureAlgebra(dim, table)
+        StructureAlgebra(dim, sparse_brackets(table))
     assert str(info.value) == f"bracket table is not antisymmetric at {first}"
+
+
+def test_jacobi_refuses_irrational_coefficients_of_two_fields():
+    r2, r3 = Scalar(0, 1, 1, 2), Scalar(0, 1, 1, 3)
+    brackets = {(0, 1): [(2, r2)], (1, 0): [(2, -r2)], (0, 2): [(1, r3)], (2, 0): [(1, -r3)]}
+    with pytest.raises(FieldMismatchError):
+        StructureAlgebra(3, brackets)
+    # a rational coefficient tagged d = 3 mixes with Q(sqrt 2)
+    brackets[0, 2] = [(1, Scalar(1, 0, 1, 3))]
+    brackets[2, 0] = [(1, Scalar(-1, 0, 1, 3))]
+    alg = StructureAlgebra(3, brackets)
+    assert alg.row(0) == {1: ((2, r2),), 2: ((1, Scalar(1)),)}
+
+
+def test_antisymmetry_covers_the_diagonal_and_one_sided_pairs():
+    with pytest.raises(ValueError) as info:
+        StructureAlgebra(3, {(1, 1): [(0, Scalar(1))]})
+    assert str(info.value) == "bracket table is not antisymmetric at (1, 1)"
+    with pytest.raises(ValueError) as info:
+        StructureAlgebra(3, {(2, 0): [(1, Scalar(1))]})
+    assert str(info.value) == "bracket table is not antisymmetric at (0, 2)"
+    # zero terms are dropped, so they break nothing
+    alg = StructureAlgebra(3, {(0, 1): [(2, Scalar(0))]})
+    assert alg.row(0) == {}
+
+
+# -- the so(p, q) check that prolongation leaves to co_action ----------------
+
+
+@pytest.mark.parametrize("pq", [(3, 0), (2, 1), (4, 0), (3, 1), (2, 2), (5, 0), (4, 1), (3, 2)])
+def test_upsilon_action_lies_in_so_pq_on_every_basis_pair(pq):
+    space = MobiusSpace(*pq)
+    n = space.n
+    for i in range(n):
+        for j in range(n):
+            c = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i), check=False)
+            assert reference_so_block_condition(space, c.A)

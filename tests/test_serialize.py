@@ -1,10 +1,15 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsym.extension import flat_model_extension, validate_extension
+from confsym.flatmodel import MobiusSpace
+from confsym.liealg import graded_dim
 from confsym.linalg import AffineSubspace, Vector
-from confsym.scalars import Scalar
+from confsym.scalars import Scalar, parse_scalar
 from confsym.serialize import (
     dump_canonical,
     extension_from_dict,
@@ -22,7 +27,9 @@ from confsym.serialize import (
 from confsym.symmetry import find_symmetries
 from confsym.weyl import random_weyl
 
-from conftest import sl2_pair
+from conftest import dense_table, sl2_pair
+from test_extension import reference_validate_extension
+from test_liealg import _TABLE_ENTRY, _antisymmetric_tables, reference_jacobi_failure
 
 
 def test_subspace_round_trip():
@@ -103,9 +110,7 @@ def test_structure_algebra_round_trip():
     data = structure_algebra_to_dict(alg)
     back = structure_algebra_from_dict(data, 2)
     assert back.dim == alg.dim
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            assert back.table[i][j] == alg.table[i][j]
+    assert dense_table(back) == dense_table(alg)
 
 
 def test_extension_round_trip(space21):
@@ -116,3 +121,94 @@ def test_extension_round_trip(space21):
     assert validate_extension(back).passed
     assert back.alpha == ext.alpha
     assert dump_canonical(extension_to_dict(back)) == text
+
+
+# -- the sparse reader against the dense reference ----------------------------
+
+
+def _algebra_dict(dim, table):
+    """The file form of a dense table: each nonzero [b_i, b_j], i < j."""
+    brackets = [
+        [i, j, [str(c) for c in table[i][j]]]
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        if not table[i][j].is_zero()
+    ]
+    return {"dim": dim, "brackets": brackets}
+
+
+def _over(table, d):
+    """The same literals read over Q(sqrt d)."""
+    return [[Vector(parse_scalar(str(c), d) for c in v) for v in row] for row in table]
+
+
+def _reference_closed(dim, table, h):
+    """Whether every [b_i, b_j] with i, j in h has all its terms in h."""
+    return all(not table[i][j][k] for i in h for j in h for k in range(dim) if k not in h)
+
+
+@given(_antisymmetric_tables(), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_reader_matches_the_dense_reference(case, d, data):
+    dim, table = case
+    table = _over(table, d)
+    algebra = _algebra_dict(dim, table)
+    failure = reference_jacobi_failure(dim, table)
+    if failure is not None:
+        with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails at {failure}")):
+            structure_algebra_from_dict(algebra, d)
+        return
+    alg = structure_algebra_from_dict(algebra, d)
+    assert structure_algebra_to_dict(alg) == algebra
+    assert dense_table(alg) == table
+    if dim < 3:
+        return
+
+    # an extension over the algebra: h a random subset, alpha random literals
+    n = data.draw(st.integers(3, dim))
+    p = data.draw(st.integers(0, n))
+    h = sorted(data.draw(st.permutations(range(dim)))[: dim - n])
+    cols = graded_dim(MobiusSpace(p, n - p))
+    entry = _TABLE_ENTRY.map(str)
+    alpha = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(dim)]
+    ext_data = {
+        "p": p,
+        "q": n - p,
+        "d": d,
+        "algebra": algebra,
+        "h": h,
+        "m": [i for i in range(dim) if i not in h],
+        "alpha": alpha,
+        "symmetric": False,
+    }
+    if not _reference_closed(dim, table, h):
+        with pytest.raises(ValueError, match="h is not a subalgebra"):
+            extension_from_dict(ext_data)
+        return
+    ext = extension_from_dict(ext_data)
+    assert extension_to_dict(ext) == ext_data
+    assert validate_extension(ext) == reference_validate_extension(ext)
+
+
+@given(
+    pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    d=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_reports_on_flat_and_perturbed_files_match_the_reference(pq, d, data):
+    flat = extension_to_dict(flat_model_extension(MobiusSpace(*pq, d)))
+    ext = extension_from_dict(json.loads(dump_canonical(flat)))
+    assert validate_extension(ext) == reference_validate_extension(ext)
+    assert validate_extension(ext).passed
+    bent = json.loads(dump_canonical(flat))
+    dim = len(bent["alpha"])
+    shift = st.sampled_from(["1", "-1/2", "r", "1-r", "-3/2+r"])
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, dim - 1))
+        j = data.draw(st.integers(0, len(bent["alpha"][i]) - 1))
+        value = parse_scalar(bent["alpha"][i][j], d) + parse_scalar(data.draw(shift), d)
+        bent["alpha"][i][j] = str(value)
+    ext = extension_from_dict(bent)
+    assert validate_extension(ext) == reference_validate_extension(ext)
+    assert dump_canonical(extension_to_dict(ext)) == dump_canonical(bent)

@@ -11,11 +11,10 @@ from confsym.symmetry import (
     make_symmetry,
     solve_preserve,
     solve_swap,
-    stabilizer_element,
     tangent_is_minus_id,
 )
 
-from conftest import rand_covector, rand_null_vector
+from conftest import rand_covector, rand_null_vector, stabilizer_element
 
 
 ORBIT_A_Z = Vector(["-1*r", "0", "1*r"])
