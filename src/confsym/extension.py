@@ -38,37 +38,64 @@ class HomogeneousPair:
     SymmetricPair.  Extensions are defined over this weaker structure (the
     stabilizer of the flat model is not a symmetric complement).
 
-    When every h and m basis vector is a unit vector (the only form an
-    extension file gives), independence, closure and span membership are
-    decided on the indices: the bases are independent iff their indices
-    partition range(dim), and a vector lies in the span of unit vectors iff
-    its nonzero entries sit at their indices.  Other bases take the rank
-    route; both decide the same predicates exactly."""
+    The bases are given either as vectors (Vectors or lists of entries) or,
+    both of them, as index lists: an int i stands for the basis vector b_i of
+    k.  Index lists (the form an extension file gives) are kept as they are,
+    so the pair costs time and memory linear in dim, and independence,
+    closure and span membership are decided on the indices: the bases are
+    independent iff their indices partition range(dim), and a vector lies in
+    the span of unit vectors iff its nonzero entries sit at their indices.
+    Vector bases take the rank route; both decide the same predicates
+    exactly."""
 
     def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
         self.alg = alg
-        self.h_basis = [v if isinstance(v, Vector) else Vector(v) for v in h_basis]
-        self.m_basis = [v if isinstance(v, Vector) else Vector(v) for v in m_basis]
-        if len(self.h_basis) + len(self.m_basis) != alg.dim:
+        h_basis, m_basis = list(h_basis), list(m_basis)
+        if len(h_basis) + len(m_basis) != alg.dim:
             raise ValueError("h and m bases must decompose the algebra")
-        h_idx = _unit_indices(self.h_basis, alg.dim)
-        m_idx = _unit_indices(self.m_basis, alg.dim)
-        self._units = None if h_idx is None or m_idx is None else (h_idx, m_idx)
-        if self._units is not None:
-            independent = sorted(h_idx + m_idx) == list(range(alg.dim))
+        if all(type(b) is int for b in h_basis + m_basis):
+            self._units = (h_basis, m_basis)
+            independent = sorted(h_basis + m_basis) == list(range(alg.dim))
         else:
-            rows = [v.entries for v in self.h_basis + self.m_basis]
+            self._units = None
+            self._bases = tuple(
+                [v if isinstance(v, Vector) else Vector(v) for v in basis]
+                for basis in (h_basis, m_basis)
+            )
+            rows = [v.entries for v in self._bases[_H] + self._bases[_M]]
             independent = rank(Matrix(rows)) == alg.dim
         if not independent:
             raise ValueError("h and m bases are not linearly independent")
         if not self._closed(_H, _H, _H):
             raise ValueError("h is not a subalgebra: [h, h] leaves h")
 
+    @property
+    def h_basis(self) -> list:
+        return self._basis(_H)
+
+    @property
+    def m_basis(self) -> list:
+        return self._basis(_M)
+
+    def _basis(self, family: int) -> list:
+        """The vectors of the basis `family` (_H or _M); index lists are
+        turned into unit vectors on each call."""
+        if self._units is None:
+            return self._bases[family]
+        return [Vector.unit(self.alg.dim, i) for i in self._units[family]]
+
+    def _terms(self, family: int) -> list:
+        """The nonzero (k, c) of each vector of the basis `family`, in index
+        order, without building the vectors of an index list."""
+        if self._units is None:
+            return [_nonzero(v) for v in self._bases[family]]
+        return [((i, ONE),) for i in self._units[family]]
+
     def _closed(self, xs: int, ys: int, target: int) -> bool:
         """Whether every [x, y] lies in the span of the target basis, for x
         over the basis xs and y over the basis ys (_H or _M).
 
-        On unit bases: every term of every nonzero [b_i, b_j] with i in xs
+        On index lists: every term of every nonzero [b_i, b_j] with i in xs
         and j in ys has its index in target, read off the nonzero brackets.
         Otherwise the target basis is independent, so this holds iff adding
         all the brackets to it leaves the rank at len(target); one rank
@@ -82,24 +109,23 @@ class HomogeneousPair:
                     if j in ys_idx and any(k not in target_idx for k, _ in terms):
                         return False
             return True
-        bases = (self.h_basis, self.m_basis)
         same = xs == ys
-        xs, ys = bases[xs], bases[ys]
-        rows = [v.entries for v in bases[target]]
+        xs, ys = self._bases[xs], self._bases[ys]
+        rows = [v.entries for v in self._bases[target]]
         for i, x in enumerate(xs):
             for y in ys[i:] if same else ys:
                 rows.append(self.alg.bracket(x, y).entries)
-        return not rows or rank(Matrix(rows)) == len(bases[target])
+        return not rows or rank(Matrix(rows)) == len(self._bases[target])
 
     def _in_span(self, family: int, v: Vector) -> bool:
         """Whether v lies in the span of the basis `family` (_H or _M).  On
-        unit bases, iff each nonzero entry of v sits at one of its indices.
+        index lists, iff each nonzero entry of v sits at one of its indices.
         Otherwise, for an independent basis, iff adding v leaves the rank at
         len(basis).  The empty basis spans only 0."""
         if self._units is not None and len(v) == self.alg.dim:
             idx = set(self._units[family])
             return all(k in idx for k, c in enumerate(v.entries) if c)
-        basis = (self.h_basis, self.m_basis)[family]
+        basis = self._basis(family)
         return rank(Matrix([b.entries for b in basis] + [v.entries])) == len(basis)
 
     def h_contains(self, v: Vector) -> bool:
@@ -111,20 +137,6 @@ class HomogeneousPair:
 
 # The two bases of a pair, as `HomogeneousPair._closed` and `_in_span` name them.
 _H, _M = 0, 1
-
-
-def _unit_indices(basis, dim: int):
-    """The index of the entry 1 of each vector when every vector of the basis
-    is a unit vector of length dim; None otherwise."""
-    out = []
-    for v in basis:
-        if len(v) != dim:
-            return None
-        nz = [k for k, c in enumerate(v.entries) if c]
-        if len(nz) != 1 or v.entries[nz[0]] != ONE:
-            return None
-        out.append(nz[0])
-    return out
 
 
 class SymmetricPair(HomogeneousPair):
@@ -213,20 +225,21 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     pair = ext.pair
     alg = pair.alg
     n = space.n
-    if alg.dim - len(pair.h_basis) != n:
-        raise ValueError(
-            f"dim k - dim h = {alg.dim - len(pair.h_basis)} does not match p+q = {n}"
-        )
+    hs = pair._terms(_H)
+    if alg.dim - len(hs) != n:
+        raise ValueError(f"dim k - dim h = {alg.dim - len(hs)} does not match p+q = {n}")
 
-    h_images = [ext.coords(h) for h in pair.h_basis]
-    bad_h = [idx for idx, ah in enumerate(h_images) if any(ah.entries[1 : n + 1])]
+    zero = Scalar(0)
+    h_images = [ext._image(h) for h in hs]
+    bad_h = [idx for idx, ah in enumerate(h_images) if any(ah.get(j) for j in range(1, n + 1))]
     cond1 = ConditionReport(
         passed=not bad_h,
         detail="alpha(h) inside the stabilizer subalgebra",
         witnesses=bad_h,
     )
 
-    x_rows = [ext.coords(m).entries[1 : n + 1] for m in pair.m_basis]
+    m_images = [ext._image(m) for m in pair._terms(_M)]
+    x_rows = [[am.get(j, zero) for j in range(1, n + 1)] for am in m_images]
     r = rank(Matrix(x_rows)) if x_rows else 0
     cond2 = ConditionReport(
         passed=r == n,
@@ -238,10 +251,9 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     alpha_rows = ext._rows
     alpha_support = [y for y, row in enumerate(alpha_rows) if row]
     bad_pairs = []
-    for hi, (h, ah) in enumerate(zip(pair.h_basis, h_images)):
-        h_terms = _nonzero(h)
+    for hi, (h_terms, ah) in enumerate(zip(hs, h_images)):
         h_rows = {i: alg.row(i) for i, _ in h_terms}
-        ah_terms = _nonzero(ah)
+        ah_terms = [(j, c) for j, c in ah.items() if c]
         ys = set()
         for row in h_rows.values():
             ys.update(row)
@@ -358,9 +370,5 @@ def flat_model_extension(space: MobiusSpace) -> Extension:
     n = space.n
     m_idx = list(range(1, n + 1))
     h_idx = [0] + list(range(n + 1, dim))
-    pair = HomogeneousPair(
-        alg,
-        [Vector.unit(dim, i) for i in h_idx],
-        [Vector.unit(dim, i) for i in m_idx],
-    )
+    pair = HomogeneousPair(alg, h_idx, m_idx)
     return Extension(space, pair, Matrix.identity(dim))

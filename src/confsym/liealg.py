@@ -116,15 +116,13 @@ def degrade(space: MobiusSpace, M: Matrix) -> Vector:
     return Vector._of_scalars(M[pos] if v > 0 else -M[pos] for (pos, v), _ in basis)
 
 
-def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector, check: bool = True) -> CoElement:
+def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
     """The endomorphism eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T,
     split into scaling part a = trace/n and trace-free part A in so(p, q).
 
     F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) is built entry by entry:
-    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m.  With `check`,
-    asserts that A lies in so(p, q) (the convention check); a caller that
-    passes the result straight to `weyl.co_action`, which refuses an A
-    outside so(p, q), may skip it."""
+    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m.  A lies in
+    so(p, q) for every Y and xi; `weyl.co_action` refuses an A outside it."""
     n = space.n
     if len(Y) != n or len(xi) != n:
         raise ValueError(f"expected covector and vector of length {n}")
@@ -143,8 +141,6 @@ def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector, check: bool = True
         F.append(row)
     a = sum((F[r][r] for r in range(n)), zero) * Scalar(1, 0, n)
     A = Matrix([x - a if r == m else x for m, x in enumerate(row)] for r, row in enumerate(F))
-    if check and not so_block_condition(space, A):
-        raise AssertionError("trace-free part left so(p, q); convention bug")
     return CoElement(a=a, A=A)
 
 
@@ -268,21 +264,9 @@ class StructureAlgebra:
         return _sparse_bracket(self._rows, x, y)
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of ad_x in the defining basis: column j is [x, b_j], read
-        off the nonzero brackets of each b_i with x_i nonzero."""
-        if len(x) != self.dim:
-            raise ValueError("coordinate vector has wrong length")
-        cols = [{} for _ in range(self.dim)]
-        for i, xi in _nonzero(x):
-            for j, terms in self._rows[i].items():
-                col = cols[j]
-                for k, c in terms:
-                    t = xi * c
-                    col[k] = col[k] + t if k in col else t
-        zero = Scalar(0)
-        return Matrix._of_scalars(
-            [[col.get(k, zero) for col in cols] for k in range(self.dim)]
-        )
+        """Matrix of ad_x in the defining basis."""
+        cols = [self.bracket(x, Vector.unit(self.dim, j)) for j in range(self.dim)]
+        return Matrix.from_columns(cols)
 
 
 def _integer_rows(rows) -> tuple:

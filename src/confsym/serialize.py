@@ -237,16 +237,11 @@ def extension_from_dict(data: dict) -> Extension:
         )
     alg = structure_algebra_from_dict(data["algebra"], space.d)
 
-    def units(key):
-        out = []
+    for key in ("h", "m"):
         for i in data[key]:
             if not (type(i) is int and 0 <= i < dim):
                 raise ValueError(f"{key!r} index {i!r} needs an integer 0 <= i < {dim}")
-            out.append(Vector.unit(dim, i))
-        return out
-
-    h, m = units("h"), units("m")
     pair_cls = SymmetricPair if data.get("symmetric") else HomogeneousPair
-    pair = pair_cls(alg, h, m)
+    pair = pair_cls(alg, data["h"], data["m"])
     alpha = matrix_from_literals(data["alpha"], space.d)
     return Extension(space, pair, alpha)

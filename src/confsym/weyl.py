@@ -463,10 +463,7 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     seen = set()
     rows = []
     for i in range(n):
-        # co_action checks so(p, q) membership, so it is checked once per Upsilon.
-        block = [
-            co_action(upsilon_action(space, Y, units[i], check=False), W).values for Y in units
-        ]
+        block = [co_action(upsilon_action(space, Y, units[i]), W).values for Y in units]
         grew = False
         for cols, vals in sparse_rows_from_scalars(list(zip(*block)), W.d):
             g = gcd(*vals)

@@ -5,6 +5,7 @@ import pytest
 
 from confsym import extension, liealg
 from confsym.cli import MAX_DIMENSION, main, fixture_cases, run_fixture_case
+from confsym.linalg import Vector
 from confsym.scalars import Scalar
 from confsym.serialize import dump_canonical
 
@@ -397,12 +398,15 @@ def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeyp
     brackets = [[3, 4, ["0"] * 5 + ["1"] + ["0"] * (dim - 6)]] if one_bracket else []
     path = _hostile_file(tmp_path / "big.json", dim, brackets)
     # Jacobi triples visited, bracket-table lookups, sides compared by the
-    # equivariance check and Scalars built.
-    counts = {"triples": 0, "lookups": 0, "sides": 0, "scalars": 0}
+    # equivariance check, Scalars built and entries of the Vectors built (a
+    # unit vector per h index would make these dim^2).
+    counts = {"triples": 0, "lookups": 0, "sides": 0, "scalars": 0, "entries": 0}
     triples = liealg._jacobi_triples
     row = liealg.StructureAlgebra.row
     drop_zeros = extension._drop_zeros
     init = Scalar.__init__
+    vector_init = Vector.__init__
+    of_scalars = Vector._of_scalars
 
     def counting_triples(rows):
         out = triples(rows)
@@ -421,7 +425,18 @@ def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeyp
         counts["scalars"] += 1
         init(self, *args)
 
+    def counting_vector_init(self, entries):
+        vector_init(self, entries)
+        counts["entries"] += len(self)
+
+    def counting_of_scalars(cls, entries):
+        v = of_scalars(entries)
+        counts["entries"] += len(v)
+        return v
+
     monkeypatch.setattr(liealg, "_jacobi_triples", counting_triples)
+    monkeypatch.setattr(Vector, "__init__", counting_vector_init)
+    monkeypatch.setattr(Vector, "_of_scalars", classmethod(counting_of_scalars))
     monkeypatch.setattr(liealg.StructureAlgebra, "row", counting_row)
     monkeypatch.setattr(extension, "_drop_zeros", counting_drop_zeros)
     monkeypatch.setattr(Scalar, "__init__", counting_init)
@@ -434,6 +449,7 @@ def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeyp
     assert counts["lookups"] <= 2 * dim
     assert counts["sides"] == (4 if one_bracket else 0)
     assert counts["scalars"] <= 2 * dim
+    assert counts["entries"] <= 2 * dim
 
 
 @pytest.mark.parametrize("dim", [10**9, 11, 9])

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsym.cli import MAX_DIMENSION
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     CoElement,
@@ -525,14 +526,17 @@ def test_antisymmetry_covers_the_diagonal_and_one_sided_pairs():
     assert alg.row(0) == {}
 
 
-# -- the so(p, q) check that prolongation leaves to co_action ----------------
+# -- upsilon_action stays in so(p, q) ------------------------------------------
 
 
-@pytest.mark.parametrize("pq", [(3, 0), (2, 1), (4, 0), (3, 1), (2, 2), (5, 0), (4, 1), (3, 2)])
-def test_upsilon_action_lies_in_so_pq_on_every_basis_pair(pq):
-    space = MobiusSpace(*pq)
-    n = space.n
-    for i in range(n):
-        for j in range(n):
-            c = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i), check=False)
-            assert reference_so_block_condition(space, c.A)
+@pytest.mark.parametrize("n", range(3, MAX_DIMENSION + 1))
+def test_upsilon_action_lies_in_so_pq_on_every_basis_pair(n):
+    """upsilon_action is bilinear in (Y, xi), so its trace-free part lies in
+    so(p, q) for all arguments once it does on every pair of basis vectors;
+    checked for every signature the command line accepts."""
+    for p in range(n + 1):
+        space = MobiusSpace(p, n - p)
+        for i in range(n):
+            for j in range(n):
+                c = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i))
+                assert reference_so_block_condition(space, c.A)
