@@ -170,7 +170,7 @@ class Extension:
         if len(x) != self.pair.alg.dim:
             raise ValueError("coordinate vector has wrong length")
         acc = self._image(_nonzero(x))
-        zero = Scalar(0)
+        zero = Scalar(0, 0, 1, self.space.d)
         return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
 
     def _image(self, terms) -> dict:
@@ -359,8 +359,8 @@ def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:
 def flat_model_extension(space: MobiusSpace) -> Extension:
     """The identity extension of so(p+1, q+1) over its stabilizer subalgebra:
     h spans the (a, A, Z) blocks, m the lower block, alpha the identity in
-    graded coordinates.  The algebra is built on the nonzero brackets of
-    `so_table`."""
+    graded coordinates, its entries tagged with the field of `space`.  The
+    algebra is built on the nonzero brackets of `so_table`."""
     table = so_table(space.signature.p, space.signature.q)
     dim = len(table)
     alg = StructureAlgebra(
@@ -371,4 +371,6 @@ def flat_model_extension(space: MobiusSpace) -> Extension:
     m_idx = list(range(1, n + 1))
     h_idx = [0] + list(range(n + 1, dim))
     pair = HomogeneousPair(alg, h_idx, m_idx)
-    return Extension(space, pair, Matrix.identity(dim))
+    one, zero = Scalar(1, 0, 1, space.d), Scalar(0, 0, 1, space.d)
+    alpha = Matrix._of_scalars([one if i == j else zero for j in range(dim)] for i in range(dim))
+    return Extension(space, pair, alpha)

@@ -5,17 +5,21 @@ symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The first three generate an 8-way symmetry of the
 components, stated only by one table of orbits per n (`_orbits`), and a
 `WeylTensor` stores one value per orbit; its n^4 flat components are derived
-through the table.  First Bianchi and the trace are sparse integer rows
+through the table, which is walked on the two pair codes (i n + j, k n + l)
+of a component.  First Bianchi and the trace are sparse integer rows
 (`_constraint_rows`).  The space of all Weyl tensors is their exact kernel on
-the orbit values; `WeylTensor.validate` evaluates the same rows.  co(p, q)
-acts on a tensor viewed as a (1,3)-tensor (one index raised with J), so the
-pure scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
+the orbit values, solved on the distinct rows only: empty rows and rows that
+repeat up to a rational factor are dropped first (`_distinct_rows`).
+`WeylTensor.validate` evaluates the same rows, reading only the nonzero orbit
+values of the tensor, and checks every basis tensor.  co(p, q) acts on a
+tensor viewed as a (1,3)-tensor (one index raised with J), so the pure
+scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
 numerators over one common denominator.  so(p, q) and the scaling commute
 with the component symmetries, so `co_action` evaluates only the canonical
 member of each orbit.  The first prolongation collects the covectors Y whose
 induced endomorphisms annihilate the tensor for every direction xi.
 `prolongation` builds that system lazily, one xi-block of one row per orbit
-at a time; it drops rows that repeat up to a scalar factor and stops as soon
+at a time; it drops rows that repeat up to a rational factor and stops as soon
 as the rank reaches n: a trivial kernel is then certified without the other
 blocks.
 """
@@ -123,29 +127,31 @@ class WeylTensor:
         the field; raises ValueError on violation.  (The pair antisymmetries
         and the pair interchange hold by construction.)
 
-        Every irrational orbit value must lie in Q(sqrt d).  The rows are
-        evaluated on the numerators of the orbit values over one common
-        denominator.  Pass a prebuilt `system` for the same signature to skip
-        building it."""
+        Only the nonzero orbit values are read: one pass collects them, and
+        the field check, the common denominator and the row sums run on
+        those alone.  Every irrational orbit value must lie in Q(sqrt d).
+        The rows that a nonzero value touches are evaluated on the
+        numerators over one common denominator; every other row is zero.
+        Pass a prebuilt `system` for the same signature to skip building it."""
         p, q = self.p, self.q
         if system is None:
             system = _ConstraintSystem(p, q)
         elif (system.p, system.q) != (p, q):
             raise ValueError("constraint system of another signature")
-        for members, x in zip(system.orbits, self.values):
+        nonzero = [(u, x) for u, x in enumerate(self.values) if x.a or x.b]
+        for u, x in nonzero:
             if x.b and x.d != self.d:
                 raise ValueError(
-                    f"component {_unflat(self.n, members[0][0])} lies in Q(sqrt {x.d}), "
-                    f"not in the tensor's field Q(sqrt {self.d})"
+                    f"component {_unflat(self.n, system.orbits[u][0][0])} lies in "
+                    f"Q(sqrt {x.d}), not in the tensor's field Q(sqrt {self.d})"
                 )
-        denom = lcm(*(x.q for x in self.values if x))
+        denom = lcm(*(x.q for _, x in nonzero))
         res = {}
-        for u, x in enumerate(self.values):
-            if x:
-                f = denom // x.q
-                for r, coef in system.index[u]:
-                    a, b = res.get(r, (0, 0))
-                    res[r] = (a + coef * f * x.a, b + coef * f * x.b)
+        for u, x in nonzero:
+            f = denom // x.q
+            for r, coef in system.index[u]:
+                a, b = res.get(r, (0, 0))
+                res[r] = (a + coef * f * x.a, b + coef * f * x.b)
         failed = [r for r, v in res.items() if v != (0, 0)]
         if failed:
             raise ValueError(system.describe(min(failed)))
@@ -223,6 +229,25 @@ _SYMMETRIES = (
 _WALK = (0, 1, 0, 2, 0, 1, 0)
 
 
+def _walk_on_pairs() -> list[tuple[int, int, int]]:
+    """The members of `_WALK` as (x, y, sign): a member of the orbit of
+    canonical pair codes (A, B) = (i n + j, k n + l) has the pair codes
+    (c[x], c[y]) with c = (A, B, A swapped, B swapped), and that sign.
+
+    Derived by applying each generator's permutation to the index positions
+    (0, 1, 2, 3) of the canonical component; every generator maps index pairs
+    onto index pairs, so each member reads whole, possibly swapped, pairs."""
+    code = {(0, 1): 0, (2, 3): 1, (1, 0): 2, (3, 2): 3}
+    idx, sign = (0, 1, 2, 3), 1
+    out = [(0, 1, 1)]
+    for g in _WALK:
+        _, perm, s = _SYMMETRIES[g]
+        idx = tuple(idx[x] for x in perm)
+        sign *= s
+        out.append((code[idx[:2]], code[idx[2:]], sign))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> tuple[tuple, tuple]:
     """The component orbits of `_SYMMETRIES` in dimension n: (orbits, slot).
@@ -233,25 +258,25 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
     one; when (i,j) = (k,l) the first three steps reach all four members.
     The largest member always has sign +1.  `slot[t]` is (orbit, sign) of
     flat index t, or None when i = j or k = l forces the component to zero.
-    Built once per n; both parts are tuples."""
+    The walk runs on the two pair codes of a component (see
+    `_walk_on_pairs`); flat index t is (i n + j) n^2 + (k n + l).  Built once
+    per n; both parts are tuples."""
+    n2 = n * n
+    walk = _walk_on_pairs()
+    codes = [i * n + j for i, j in combinations(range(n), 2)]
     orbits = []
-    pairs = list(combinations(range(n), 2))
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a:]:
-            idx, sign = (i, j, k, l), 1
-            members = [(_flat(n, *idx), sign)]
-            for g in _WALK[: 3 if (i, j) == (k, l) else 7]:
-                _, perm, s = _SYMMETRIES[g]
-                idx = tuple(idx[x] for x in perm)
-                sign *= s
-                members.append((_flat(n, *idx), sign))
-            orbits.append(members)
+    for a, A in enumerate(codes):
+        sA = A % n * n + A // n
+        for B in codes[a:]:
+            c = (A, B, sA, B % n * n + B // n)
+            members = walk[: 4 if A == B else 8]
+            orbits.append(tuple([(c[x] * n2 + c[y], s) for x, y, s in members]))
     orbits.sort(key=lambda members: max(members)[0])
-    slot = [None] * n**4
+    slot = [None] * n2 * n2
     for u, members in enumerate(orbits):
         for t, s in members:
             slot[t] = (u, s)
-    return tuple(map(tuple, orbits)), tuple(slot)
+    return tuple(orbits), tuple(slot)
 
 
 def _constraint_rows(p: int, q: int, ends: list | None = None):
@@ -319,11 +344,32 @@ def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
             rows[r][0].append(u)
             rows[r][1].extend((coef, 0))
     out = []
-    for v in kernel_sparse(rows, len(system.orbits), d):
+    for v in kernel_sparse(_distinct_rows(rows, set()), len(system.orbits), d):
         W = WeylTensor._from_values(p, q, v.entries, d)
         W.validate(system)
         out.append(W)
     return tuple(out)
+
+
+def _distinct_rows(rows, seen: set) -> list:
+    """The nonempty sparse Z[sqrt d] `rows`, in order, each divided by the
+    gcd of its entries and given a positive leading entry, without those
+    that repeat an earlier row or a row of `seen` up to a rational factor.
+    The rows returned, as tuples (cols, vals), are added to `seen`.  The
+    row space is kept, so the RREF, which is unique, and the kernel are
+    unchanged."""
+    out = []
+    for cols, vals in rows:
+        if not cols:
+            continue
+        g = gcd(*vals)
+        if next(v for v in vals if v) < 0:
+            g = -g
+        key = (tuple(cols), tuple([v // g for v in vals]))
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
 
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:
@@ -450,13 +496,13 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     The system has a row per (xi_i, orbit) and a column per Y = e_j: every
     co_action(upsilon, W) is stored by orbit, and the other components'
     rows are +-copies of their orbit's row or zero.  It is built lazily, one
-    xi-block at a time.  Each row is divided by the gcd of its integer
-    entries and given a positive leading entry, and rows already seen are
-    dropped; the row space stays exact.  After each block the distinct rows
-    so far are reduced, and once the rank is n the kernel is trivial: that
-    certifies [] without building the remaining blocks.  Otherwise the
-    result is the canonical kernel of all distinct rows, which by the
-    uniqueness of the RREF equals that of the whole stacked system."""
+    xi-block at a time.  Rows that repeat one already seen up to a rational
+    factor are dropped (`_distinct_rows`); the row space stays exact.  After
+    each block the distinct rows so far are reduced, and once the rank is n
+    the kernel is trivial: that certifies [] without building the remaining
+    blocks.  Otherwise the result is the canonical kernel of all distinct
+    rows, which by the uniqueness of the RREF equals that of the whole
+    stacked system."""
     space = MobiusSpace(W.p, W.q, W.d)
     n = W.n
     units = [Vector.unit(n, j) for j in range(n)]
@@ -464,18 +510,9 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     rows = []
     for i in range(n):
         block = [co_action(upsilon_action(space, Y, units[i]), W).values for Y in units]
-        grew = False
-        for cols, vals in sparse_rows_from_scalars(list(zip(*block)), W.d):
-            g = gcd(*vals)
-            if next(v for v in vals if v) < 0:
-                g = -g
-            vals = [v // g for v in vals]
-            key = (tuple(cols), tuple(vals))
-            if key not in seen:
-                seen.add(key)
-                rows.append((cols, vals))
-                grew = True
-        if i < n - 1 and grew and len(_core.rref_sparse(rows, W.d)[0]) == n:
+        new = _distinct_rows(sparse_rows_from_scalars(list(zip(*block)), W.d), seen)
+        rows += new
+        if i < n - 1 and new and len(_core.rref_sparse(rows, W.d)[0]) == n:
             return []
     return kernel_sparse(rows, n, W.d)
 

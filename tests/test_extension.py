@@ -52,6 +52,18 @@ def graded_alpha_rows(images):
     return Matrix([e.entries for e in images])
 
 
+def test_flat_model_extension_carries_the_field_of_its_space():
+    """The identity alpha and the zero padding of `coords` are tagged with
+    the space's d, not the default d = 2."""
+    ext = flat_model_extension(MobiusSpace(3, 1, d=3))
+    entries = [x for row in ext.alpha.rows for x in row]
+    assert len(entries) == 225
+    assert {x.d for x in entries} == {3}
+    for x in ext.pair.h_basis + ext.pair.m_basis:
+        padding = [c for c in ext.coords(x).entries if not c]
+        assert padding and {c.d for c in padding} == {3}
+
+
 def test_flat_model_extension_validates(space21):
     ext = flat_model_extension(space21)
     report = validate_extension(ext)

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -258,11 +259,13 @@ def _unflat(n, t):
     return t // n**3, t // n**2 % n, t // n % n, t % n
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_orbit_table(n):
     """Every flat index lies in exactly one orbit or is forced to zero, there
     is one orbit per unordered pair of planes, and the member signs satisfy
-    W_jikl = -W_ijkl, W_ijlk = -W_ijkl and W_klij = W_ijkl."""
+    W_jikl = -W_ijkl, W_ijlk = -W_ijkl and W_klij = W_ijkl.  Consecutive
+    members are related by the generators of `_WALK`, permutation and sign:
+    the flat constructor names the failing symmetry by that order."""
     orbits, slot = _orbits(n)
     planes = n * (n - 1) // 2
     assert len(orbits) == planes * (planes + 1) // 2
@@ -280,6 +283,7 @@ def test_orbit_table(n):
     for orbit in orbits:
         i, j, k, l = _unflat(n, orbit[0][0])
         assert orbit[0][1] == 1 and i < j and k < l and (i, j) <= (k, l)
+        assert len(orbit) == (4 if (i, j) == (k, l) else 8)
         assert max(orbit)[1] == 1
         sign = dict(orbit)
         for t, s in orbit:
@@ -287,6 +291,43 @@ def test_orbit_table(n):
             assert sign[flat(j, i, k, l)] == -s
             assert sign[flat(i, j, l, k)] == -s
             assert sign[flat(k, l, i, j)] == s
+        for g, (t, s), (t2, s2) in zip(weyl_module._WALK, orbit, orbit[1:]):
+            _, perm, step_sign = weyl_module._SYMMETRIES[g]
+            idx = _unflat(n, t)
+            assert _unflat(n, t2) == tuple(idx[x] for x in perm)
+            assert s2 == s * step_sign
+
+
+@pytest.fixture
+def cold_basis():
+    """An empty basis cache before and after the test."""
+    weyl_module._basis_cached.cache_clear()
+    yield
+    weyl_module._basis_cached.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "pq, distinct",
+    [((4, 0), 11), ((2, 2), 11), ((5, 0), 20), ((3, 2), 20), ((6, 0), 36), ((3, 3), 36)],
+)
+def test_cold_basis_reduces_pairwise_distinct_rows(monkeypatch, cold_basis, pq, distinct):
+    """A cold basis sends no empty row and no two rows equal up to a scalar
+    factor to the engine: exactly as many rows as pivots."""
+    calls = []
+    rref = weyl_module._core.rref_sparse
+    monkeypatch.setattr(
+        weyl_module._core, "rref_sparse", lambda rows, d: calls.append(list(rows)) or rref(rows, d)
+    )
+    basis = weyl_space_basis(*pq)
+    assert len(calls) == 1
+    rows = calls[0]
+    normalised = set()
+    for cols, vals in rows:
+        assert cols and not any(vals[1::2])
+        lead = Fraction(vals[0])
+        normalised.add((tuple(cols), tuple(Fraction(v) / lead for v in vals[::2])))
+    assert len(rows) == len(normalised) == distinct
+    assert len(_orbits(sum(pq))[0]) - basis.dimension == distinct
 
 
 def reference_constraint_rows(p, q):
@@ -454,6 +495,59 @@ def test_constraint_rows_report_their_family_ends():
     assert len(ends) == 2  # first Bianchi, trace-free condition
     assert ends == sorted(ends) and ends[-1] == len(rows)
     assert _constraint_rows(3, 2) == rows
+
+
+def _corrupt_kernel(monkeypatch, k, change):
+    """Make weyl.kernel_sparse replace its k-th vector's entries e by
+    change(e), a list of the same length."""
+    kernel_sparse = weyl_module.kernel_sparse
+
+    def corrupted(rows, ncols, d):
+        out = kernel_sparse(rows, ncols, d)
+        out[k] = Vector(change(list(out[k].entries)))
+        return out
+
+    monkeypatch.setattr(weyl_module, "kernel_sparse", corrupted)
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (2, 2), (5, 0), (3, 2)])
+@pytest.mark.parametrize("c", [Scalar(1), Scalar(-1, 0, 3), Scalar(0, 1)])
+def test_basis_check_catches_a_corrupted_kernel_entry(monkeypatch, cold_basis, pq, c):
+    """Adding c to any one orbit value of a kernel vector breaks a constraint
+    row (every orbit lies on one), and the basis check names the first
+    Bianchi or trace-free failure, one that the reference validator finds."""
+    p, q = pq
+    dim = weyl_space_basis(p, q).dimension
+    for u in range(len(_orbits(p + q)[0])):
+        k = u % dim
+        weyl_module._basis_cached.cache_clear()
+        _corrupt_kernel(monkeypatch, k, lambda e: e[:u] + [e[u] + c] + e[u + 1 :])
+        with pytest.raises(ValueError) as exc:
+            weyl_space_basis(p, q)
+        monkeypatch.undo()
+        values = list(weyl_space_basis(p, q).elements[k].values)
+        values[u] = values[u] + c
+        want = reference_violations(p, q, _orbital(p, q, values).components)
+        assert want <= {"first Bianchi", "trace-free condition"}
+        assert any(str(exc.value).startswith(family + " fails at ") for family in want), exc.value
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (3, 1), (5, 0)])
+def test_basis_check_catches_a_kernel_entry_from_another_field(monkeypatch, cold_basis, pq):
+    """Two orbit values of a d = 2 kernel vector replaced by sqrt 3: the
+    basis check names the first of them."""
+    p, q = pq
+    n = p + q
+    orbits = _orbits(n)[0]
+    first, second = 2, len(orbits) - 1
+    odd = Scalar(0, 1, 1, 3)
+    _corrupt_kernel(
+        monkeypatch, 0, lambda e: [odd if u in (first, second) else x for u, x in enumerate(e)]
+    )
+    component = _unflat(n, orbits[first][0][0])
+    message = f"component {component} lies in Q(sqrt 3), not in the tensor's field Q(sqrt 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        weyl_space_basis(p, q)
 
 
 def test_validate_rejects_components_from_another_field():
