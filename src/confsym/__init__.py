@@ -28,7 +28,7 @@ from .liealg import (
     upsilon_action,
     upsilon_bracket_constant,
 )
-from .linalg import AffineSubspace, Covector, Matrix, Vector, kernel, rank, solve_affine
+from .linalg import AffineSubspace, Matrix, Vector, kernel, rank, solve_affine
 from .scalars import FieldMismatchError, Scalar, parse_scalar
 from .symmetry import (
     SymmetryReport,

@@ -91,6 +91,9 @@ def _int_field(data: dict, key: str, default=None) -> int:
 def _file_vector(space: MobiusSpace, data: dict, key: str) -> Vector:
     if key not in data:
         raise InputError(f"input file has no {key!r}")
+    # A JSON string is iterable too, and would be read one character per entry.
+    if not isinstance(data[key], list):
+        raise InputError(f"bad vector {key!r}: expected a JSON array of scalar literals")
     try:
         return space.vector(data[key])
     except (TypeError, ValueError) as exc:
@@ -230,8 +233,11 @@ def cmd_extension(config: SessionConfig, args) -> int:
         ext = flat_model_extension(config.space())
         payload = dump_canonical(extension_to_dict(ext))
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from None
             if not config.machine:
                 print(f"wrote flat-model extension to {args.output}")
         else:
@@ -351,13 +357,13 @@ class CaseResult:
     match: bool
 
 
-def _point(entries, d) -> AffineSubspace:
-    return AffineSubspace.point(Vector(parse_scalar(x, d) for x in entries))
+def _point(entries) -> AffineSubspace:
+    return AffineSubspace.point(Vector(parse_scalar(x) for x in entries))
 
 
-def _conditions(n: int, rows, rhs, d) -> AffineSubspace:
-    M = Matrix([[parse_scalar(x, d) for x in row] for row in rows])
-    return solve_affine(M, Vector(parse_scalar(x, d) for x in rhs))
+def _conditions(rows, rhs) -> AffineSubspace:
+    M = Matrix([[parse_scalar(x) for x in row] for row in rows])
+    return solve_affine(M, Vector(parse_scalar(x) for x in rhs))
 
 
 def fixture_cases() -> list[CaseFixture]:
@@ -395,51 +401,49 @@ def fixture_cases() -> list[CaseFixture]:
     ]
 
 
-def expected_sets(case: CaseFixture, d: int) -> dict[str, AffineSubspace]:
+def expected_sets(case: CaseFixture) -> dict[str, AffineSubspace]:
     n3 = 3
     if case.case_id == "orbit-A":
         return {
             "preserving": AffineSubspace.empty(n3),
-            "swapping": _point(["-1*r", "0", "1*r"], d),
+            "swapping": _point(["-1*r", "0", "1*r"]),
         }
     if case.case_id == "orbit-B":
         return {
-            "preserving": _point(["0", "0", "0"], d),
+            "preserving": _point(["0", "0", "0"]),
             "swapping": AffineSubspace.empty(n3),
         }
     if case.case_id == "orbit-C":
         return {
             "preserving": AffineSubspace.empty(n3),
-            "swapping": _conditions(n3, [["1", "0", "1"]], ["-1"], d),
+            "swapping": _conditions([["1", "0", "1"]], ["-1"]),
         }
     if case.case_id == "orbit-D":
         return {
-            "preserving": _conditions(
-                4, [["1", "0", "0", "1"], ["0", "1", "1", "0"]], ["0", "0"], d
-            ),
+            "preserving": _conditions([["1", "0", "0", "1"], ["0", "1", "1", "0"]], ["0", "0"]),
             "swapping": AffineSubspace.empty(4),
         }
     if case.case_id == "example-2":
         return {
             "preserving": AffineSubspace.empty(n3),
             "swapping": AffineSubspace.empty(n3),
-            "preserve_first": _point(["0", "0", "0"], d),
-            "preserve_second": _conditions(n3, [["1", "0", "1"]], ["-2"], d),
+            "preserve_first": _point(["0", "0", "0"]),
+            "preserve_second": _conditions([["1", "0", "1"]], ["-2"]),
         }
     if case.case_id == "example-3":
         return {
             "preserving": AffineSubspace.empty(n3),
-            "swapping": _point(["0", "0", "0"], d),
+            "swapping": _point(["0", "0", "0"]),
         }
     raise KeyError(case.case_id)
 
 
-def run_fixture_case(case: CaseFixture, d: int = 2) -> CaseResult:
-    space = MobiusSpace(case.p, case.q, d)
-    u = space.line([parse_scalar(x, d) for x in case.u])
-    v = space.line([parse_scalar(x, d) for x in case.v])
+def run_fixture_case(case: CaseFixture) -> CaseResult:
+    space = MobiusSpace(case.p, case.q)
+    u = space.line([parse_scalar(x) for x in case.u])
+    v = space.line([parse_scalar(x) for x in case.v])
     report = find_symmetries(space, u, v, space.origin)
-    expected = expected_sets(case, d)
+    expected = expected_sets(case)
     match = report.preserving == expected["preserving"] and report.swapping == expected["swapping"]
     if "preserve_first" in expected:
         match = (
@@ -451,7 +455,9 @@ def run_fixture_case(case: CaseFixture, d: int = 2) -> CaseResult:
 
 
 def cmd_reproduce(config: SessionConfig, args) -> int:
-    results = [run_fixture_case(case, config.d) for case in fixture_cases()]
+    if config.d != 2:
+        raise InputError(f"reproduce-paper runs over Q(sqrt 2) only, got --d {config.d}")
+    results = [run_fixture_case(case) for case in fixture_cases()]
     if config.machine:
         payload = [
             {

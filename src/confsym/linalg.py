@@ -2,9 +2,11 @@
 
 Vectors and matrices are immutable dense containers of Scalar entries; the
 heavy lifting (kernels, ranks, affine solution sets) goes through the sparse
-row-echelon engine in confsym._core.  Kernel and solution bases come out in
-the canonical reduced form determined by the unique RREF, so equal subspaces
-produce identical bases.
+row-echelon engine in confsym._core.  `kernel_sparse` is the one function that
+turns the engine's reduced rows into solution vectors: `kernel` reads it, and
+`solve_affine` reads the kernel of the augmented system [M | -rhs].  Kernel
+and solution bases come out in the canonical reduced form determined by the
+unique RREF, so equal subspaces produce identical bases.
 """
 
 from __future__ import annotations
@@ -89,9 +91,6 @@ class Vector:
         return cls._of_scalars(ONE if j == i else ZERO for j in range(n))
 
 
-Covector = Vector
-
-
 class Matrix:
     """Dense matrix of Scalars with fixed shape."""
 
@@ -140,9 +139,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return Vector(self.rows[i])
-
-    def col(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
 
     def __add__(self, other: Matrix) -> Matrix:
         if self.shape != other.shape:
@@ -234,25 +230,6 @@ class Matrix:
     def outer(cls, u: Vector, v: Vector) -> Matrix:
         return cls(tuple(x * y for y in v.entries) for x in u.entries)
 
-    def inverse(self) -> Matrix:
-        """Exact inverse via RREF of the augmented system; raises on singular."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        rows = []
-        for i, r in enumerate(self.rows):
-            aug = list(r) + [Scalar(1) if j == i else Scalar(0) for j in range(n)]
-            rows.append(aug)
-        pivots, reduced = _rref_scalar_rows(rows)
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        inv = [[Scalar(0)] * n for _ in range(n)]
-        for i in range(n):
-            for c, s in reduced[i].items():
-                if c >= n:
-                    inv[i][c - n] = s
-        return Matrix(inv)
-
 
 def _same_len(u: Vector, v: Vector):
     if len(u) != len(v):
@@ -295,20 +272,6 @@ def _infer_d(entries: Iterable[Scalar], default: int = 2) -> int:
         if e.b != 0:
             return e.d
     return default
-
-
-def _rref_scalar_rows(rows, d=None):
-    """RREF of dense Scalar rows; returns (pivot cols, list of {col: Scalar})."""
-    if d is None:
-        d = _infer_d(e for row in rows for e in row)
-    pivots, reduced = _core.rref_sparse(sparse_rows_from_scalars(rows, d), d)
-    dict_rows = []
-    for cols, triples in reduced:
-        entry = {}
-        for k, c in enumerate(cols):
-            entry[c] = Scalar(triples[3 * k], triples[3 * k + 1], triples[3 * k + 2], d)
-        dict_rows.append(entry)
-    return pivots, dict_rows
 
 
 def kernel_sparse(rows, ncols: int, d: int) -> list[Vector]:
@@ -420,10 +383,10 @@ class AffineSubspace:
             return False
         if len(v) != self.ambient:
             raise ValueError("point has wrong length")
-        if not self.directions:
-            return v == self.base
-        D = Matrix.from_columns(list(self.directions))
-        return not solve_affine(D, v - self.base).is_empty
+        # Independent directions: v - base lies in their span iff adding it
+        # leaves the rank at len(directions).
+        rows = [w.entries for w in self.directions] + [(v - self.base).entries]
+        return rank(Matrix._of_scalars(rows)) == len(self.directions)
 
     def __eq__(self, other):
         if not isinstance(other, AffineSubspace):
@@ -440,11 +403,6 @@ class AffineSubspace:
         # Only what geometrically equal subspaces share: base points and
         # directions differ between descriptions of one subspace.
         return hash((self.ambient, None if self.is_empty else self.dim))
-
-    def translate(self, v: Vector) -> AffineSubspace:
-        if self.is_empty:
-            return self
-        return AffineSubspace(self.ambient, self.base + v, self.directions)
 
     def intersect(self, other: AffineSubspace) -> AffineSubspace:
         """Exact intersection."""
@@ -488,45 +446,39 @@ def _lincomb(vectors: Sequence[Vector], coeffs: Vector, ambient: int) -> Vector:
 
 def canonical_span(vectors: Sequence[Vector]) -> list[Vector]:
     """Canonical independent basis of span(vectors) (RREF row basis)."""
-    vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
     n = len(vectors[0])
     d = _infer_d(e for v in vectors for e in v)
-    _, reduced = _rref_scalar_rows([v.entries for v in vectors], d)
+    _, reduced = _core.rref_sparse(sparse_rows_from_scalars(vectors, d), d)
+    zero = Scalar(0, 0, 1, d)
     out = []
-    for row in reduced:
-        entries = [Scalar(0)] * n
-        for c, s in row.items():
-            entries[c] = s
-        out.append(Vector(entries))
+    for cols, triples in reduced:
+        entries = [zero] * n
+        for k, c in enumerate(cols):
+            entries[c] = Scalar(triples[3 * k], triples[3 * k + 1], triples[3 * k + 2], d)
+        out.append(Vector._of_scalars(entries))
     return out
 
 
 def solve_affine(M: Matrix, rhs: Vector) -> AffineSubspace:
     """Full exact solution set of M x = rhs as an AffineSubspace (EMPTY marker
-    when the system is inconsistent)."""
+    when the system is inconsistent), read off the canonical kernel of
+    [M | -rhs].  Column n is free exactly when the system is consistent; it
+    is then the last free column, so only the last kernel vector is nonzero
+    there.  Its first n entries are the base point, and those of the others
+    the directions."""
     if M.nrows != len(rhs):
         raise ValueError(f"rhs length {len(rhs)} does not match {M.nrows} rows")
     n = M.ncols
-    d = _infer_d(list(rhs.entries) + [e for r in M.rows for e in r])
-    aug = [list(row) + [-b] for row, b in zip(M.rows, rhs.entries)]
-    pivots, reduced = _rref_scalar_rows(aug, d)
-    if n in pivots:
+    if not M.rows:
+        # No equations, and no row to carry column n: the point of R^0.
+        return AffineSubspace.point(Vector(()))
+    basis = kernel(Matrix._of_scalars(list(row) + [-b] for row, b in zip(M.rows, rhs.entries)))
+    if not basis or not basis[-1][n]:
         return AffineSubspace.empty(n)
-    base = [Scalar(0)] * n
-    for pc, row in zip(pivots, reduced):
-        if n in row:
-            base[pc] = -row[n]
-    directions = []
-    pivot_set = set(pivots)
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        entries = [Scalar(0)] * n
-        entries[f] = Scalar(1)
-        for pc, row in zip(pivots, reduced):
-            if f in row:
-                entries[pc] = -row[f]
-        directions.append(Vector(entries))
-    return AffineSubspace(n, Vector(base), directions)
+    return AffineSubspace(
+        n,
+        Vector._of_scalars(basis[-1].entries[:n]),
+        [Vector._of_scalars(v.entries[:n]) for v in basis[:-1]],
+    )

@@ -71,27 +71,11 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, x: Fraction | int, d: int = 2) -> Scalar:
-        x = Fraction(x)
-        return cls(x.numerator, 0, x.denominator, d)
-
-    @classmethod
     def sqrt_d(cls, d: int = 2) -> Scalar:
         """The generator sqrt(d) itself."""
         return cls(0, 1, 1, check_field_parameter(d))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def rational_part(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-    @property
-    def radical_part(self) -> Fraction:
-        return Fraction(self.b, self.q)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:

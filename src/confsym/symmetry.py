@@ -25,7 +25,8 @@ from .flatmodel import (
     isometry_inverse,
     transitive_witness,
 )
-from .linalg import AffineSubspace, Matrix, Vector
+from .liealg import degrade, graded_dim, realize
+from .linalg import AffineSubspace, Matrix, Vector, solve_affine
 from .scalars import Scalar
 
 
@@ -55,8 +56,6 @@ def tangent_is_minus_id(space: MobiusSpace, Z: Vector) -> bool:
     """Check that s_Z acts as -id on the tangent space at the origin: for each
     lower-block basis direction X, Ad_{s_Z} X + X falls into the stabilizer
     subalgebra (zero lower block)."""
-    from .liealg import degrade, graded_dim, realize
-
     n = space.n
     s = make_symmetry(space, Z)
     s_inv = isometry_inverse(space, s)
@@ -75,8 +74,9 @@ def apply_to_line(space: MobiusSpace, S: Matrix, L: NullLine) -> NullLine:
 
 
 def conjugate_symmetry(space: MobiusSpace, h: Matrix, Z: Vector) -> Matrix:
-    """The symmetry h s_Z h^{-1} at the point h<e_0>."""
-    return h @ make_symmetry(space, Z) @ h.inverse()
+    """The symmetry h s_Z h^{-1} at the point h<e_0>; h must be an isometry
+    of the form (ValueError otherwise)."""
+    return h @ make_symmetry(space, Z) @ isometry_inverse(space, h)
 
 
 def _split(space: MobiusSpace, line: NullLine):
@@ -113,7 +113,7 @@ def solve_preserve(space: MobiusSpace, L: NullLine) -> AffineSubspace:
             return AffineSubspace.point(z)
         return AffineSubspace.empty(n)
     if not U.is_zero():
-        return _hyperplane(n, U, Scalar(-2) * u0)
+        return _hyperplane(U, Scalar(-2) * u0)
     return AffineSubspace.full(n)
 
 
@@ -145,16 +145,14 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
                 break
         if mu is None or V.scale(mu) != U:
             return AffineSubspace.empty(n)
-        return _hyperplane(n, U, -u0 - mu * v0)
+        return _hyperplane(U, -u0 - mu * v0)
     # L1 = <e_0> is fixed by every s_Z, so a swap exists only onto itself.
     if L2 == space.origin:
         return AffineSubspace.full(n)
     return AffineSubspace.empty(n)
 
 
-def _hyperplane(n: int, normal: Vector, rhs: Scalar) -> AffineSubspace:
-    from .linalg import solve_affine
-
+def _hyperplane(normal: Vector, rhs: Scalar) -> AffineSubspace:
     return solve_affine(Matrix([normal.entries]), Vector([rhs]))
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,42 @@ def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
                 s = s + Scalar(space.signature.j_sign(i)) * x * x
             if not s:
                 return Vector([x0] + middle + [Scalar(rng.randint(-3, 3))])
+
+
+# -- naive dense reference over pairs (x, y) = x + y sqrt(d) of Fractions ------
+
+
+def _mul(e, f, d):
+    return (e[0] * f[0] + d * e[1] * f[1], e[0] * f[1] + e[1] * f[0])
+
+
+def _inv(e, d):
+    norm = e[0] * e[0] - d * e[1] * e[1]
+    return (e[0] / norm, -e[1] / norm)
+
+
+def reference_rref(dense, ncols, d):
+    """Gauss-Jordan elimination on dense rows of Fraction pairs."""
+    rows = [list(r) for r in dense]
+    pivots = []
+    for c in range(ncols):
+        hit = next((i for i in range(len(pivots), len(rows)) if any(rows[i][c])), None)
+        if hit is None:
+            continue
+        row = rows.pop(hit)
+        lead = _inv(row[c], d)
+        row = [_mul(e, lead, d) for e in row]
+        for i, other in enumerate(rows):
+            f = other[c]
+            rows[i] = [(o[0] - g[0], o[1] - g[1]) for o, g in zip(other, (_mul(f, e, d) for e in row))]
+        rows.insert(len(pivots), row)
+        pivots.append(c)
+    return pivots, rows[: len(pivots)]
+
+
+def fraction_pair(e: Scalar) -> tuple:
+    """The reference form (x, y) of the Scalar x + y sqrt(d)."""
+    return (Fraction(e.a, e.q), Fraction(e.b, e.q))
 
 
 # -- matrix references for the graded algebra ---------------------------------

@@ -45,6 +45,14 @@ def test_each_case_individually():
         assert result.match, case.case_id
 
 
+@pytest.mark.parametrize("d", ["3", "5"])
+@pytest.mark.parametrize("machine", [[], ["--machine"]])
+def test_reproduce_paper_rejects_other_fields(capsys, d, machine):
+    # The desk cases are Q(sqrt 2) data: under another d their lines are not null.
+    err = _bad_input(capsys, "--d", d, *machine, "reproduce-paper")
+    assert "Q(sqrt 2) only" in err
+
+
 def test_classify_command(capsys):
     code, out = run(
         capsys, "classify", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"
@@ -173,6 +181,11 @@ def test_weyl_prolongation_output_is_pinned(capsys, p, q, d):
 def test_weyl_basis_dim_output_is_pinned(capsys, n):
     runs = [["--p", str(n), "--q", "0", *mode, "weyl", "basis-dim"] for mode in ([], ["--machine"])]
     assert _transcript(capsys, runs) == WEYL_BASIS_DIM_SHA256[n]
+
+
+def test_make_flat_into_a_missing_directory_exits_2(tmp_path, capsys):
+    err = _bad_input(capsys, "extension", "make-flat", "-o", str(tmp_path / "missing" / "x.json"))
+    assert "cannot write" in err
 
 
 def test_extension_flow(tmp_path, capsys):
@@ -584,3 +597,12 @@ def test_input_file_small_signature(tmp_path, capsys):
     code, err = _solve_file(tmp_path, capsys, {**_LINES, "p": 1, "q": 1})
     assert code == 2
     assert err == "error: need p + q >= 3\n"
+
+
+@pytest.mark.parametrize("key", ["u", "v", "w"])
+def test_input_file_vector_must_be_an_array(tmp_path, capsys, key):
+    # "01010" would otherwise be read one character per entry.
+    payload = {**_LINES, "w": ["1", "0", "0", "0", "0"], key: "01010"}
+    code, err = _solve_file(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.startswith(f"error: bad vector {key!r}") and err.count("\n") == 1

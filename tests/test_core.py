@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from confsym import _core
 
+from conftest import reference_rref
+
 
 def random_system(seed, nrows=40, ncols=25, density=0.3, span=9, d=2):
     rng = random.Random(seed)
@@ -38,37 +40,6 @@ def test_rref_normalizes_leading_entries():
         assert triples[0:3] == [1, 0, 1]
         # pivot rows carry no other pivot columns
         assert all(c not in pivots for c in cols[1:])
-
-
-# -- naive dense reference over pairs (x, y) = x + y sqrt(d) of Fractions ------
-
-
-def _mul(e, f, d):
-    return (e[0] * f[0] + d * e[1] * f[1], e[0] * f[1] + e[1] * f[0])
-
-
-def _inv(e, d):
-    norm = e[0] * e[0] - d * e[1] * e[1]
-    return (e[0] / norm, -e[1] / norm)
-
-
-def reference_rref(dense, ncols, d):
-    """Gauss-Jordan elimination on dense rows of Fraction pairs."""
-    rows = [list(r) for r in dense]
-    pivots = []
-    for c in range(ncols):
-        hit = next((i for i in range(len(pivots), len(rows)) if any(rows[i][c])), None)
-        if hit is None:
-            continue
-        row = rows.pop(hit)
-        lead = _inv(row[c], d)
-        row = [_mul(e, lead, d) for e in row]
-        for i, other in enumerate(rows):
-            f = other[c]
-            rows[i] = [(o[0] - g[0], o[1] - g[1]) for o, g in zip(other, (_mul(f, e, d) for e in row))]
-        rows.insert(len(pivots), row)
-        pivots.append(c)
-    return pivots, rows[: len(pivots)]
 
 
 def _triple(e):

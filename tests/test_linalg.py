@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from confsym.linalg import (
 )
 from confsym.scalars import FieldMismatchError, Scalar
 
-from conftest import rand_scalar
+from conftest import fraction_pair, rand_scalar, reference_rref
 
 
 def rand_sparse_system(rng: random.Random, nrows: int, ncols: int):
@@ -154,6 +155,8 @@ def test_solve_affine_hyperplane():
 def test_solve_affine_unique_point():
     sol = solve_affine(Matrix.identity(3), Vector([0, 0, 0]))
     assert sol.dim == 0 and sol.base == Vector.zero(3)
+    # No equations in no unknowns: the one point of R^0.
+    assert solve_affine(Matrix(()), Vector(())) == AffineSubspace.point(Vector(()))
 
 
 def test_solve_affine_inconsistent():
@@ -175,17 +178,72 @@ def test_rank_nullity(rng):
             assert M.matvec(v).is_zero()
 
 
+def rand_field_rows(rng: random.Random, d: int, nrows: int, ncols: int) -> list:
+    """Random dense rows over Q(sqrt d), about a third of the entries zero."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Scalar(0, 0, 1, d)
+        return Scalar(rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(1, 3), d)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def reference_solution(M: Matrix, rhs: Vector, d: int):
+    """None for an inconsistent system, else (base, directions) as Fraction
+    pairs, read off the dense reference RREF of [M | -rhs] in the canonical
+    order: the base point is 0 at every free column, and each direction is 1
+    at its own free column and 0 at the others."""
+    n = M.ncols
+    neg = lambda e: (-e[0], -e[1])
+    dense = [
+        [fraction_pair(e) for e in row] + [neg(fraction_pair(b))]
+        for row, b in zip(M.rows, rhs)
+    ]
+    pivots, rows = reference_rref(dense, n + 1, d)
+    if n in pivots:
+        return None
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    base = [zero] * n
+    for pc, row in zip(pivots, rows):
+        base[pc] = neg(row[n])
+    directions = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        entries = [zero] * n
+        entries[f] = one
+        for pc, row in zip(pivots, rows):
+            entries[pc] = neg(row[f])
+        directions.append(entries)
+    return base, directions
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_solution_set_is_exact(seed):
     rng = random.Random(seed)
-    nrows = rng.randint(1, 4)
-    ncols = rng.randint(1, 4)
-    M = Matrix([[rand_scalar(rng, 3) for _ in range(ncols)] for _ in range(nrows)])
-    rhs = Vector([rand_scalar(rng, 3) for _ in range(nrows)])
+    d = rng.choice((2, 3, 5))
+    n = rng.randint(1, 4)
+    aug = rand_field_rows(rng, d, rng.randint(1, 4), n + 1)
+    # Multiples of earlier rows make the system rank-deficient; a shifted
+    # right-hand side on one of them makes it inconsistent.
+    for _ in range(rng.randint(0, 2)):
+        c = Scalar(rng.choice((-2, -1, 3)), rng.randint(0, 1), rng.randint(1, 2), d)
+        row = [c * e for e in rng.choice(aug)]
+        if rng.random() < 0.3:
+            row[n] = row[n] + Scalar(1, 0, 1, d)
+        aug.insert(rng.randint(0, len(aug)), row)
+    M = Matrix([row[:n] for row in aug])
+    rhs = Vector(row[n] for row in aug)
     sol = solve_affine(M, rhs)
-    if sol.is_empty:
+    ref = reference_solution(M, rhs, d)
+    assert sol.is_empty == (ref is None)
+    if ref is None:
         return
+    base, directions = ref
+    assert [fraction_pair(e) for e in sol.base] == base
+    assert [[fraction_pair(e) for e in v] for v in sol.directions] == directions
     for v in sol.points():
         assert M.matvec(v) == rhs
 
@@ -229,14 +287,6 @@ def test_kernel_sparse_on_random_sparse_systems(seed):
     # same vectors, entries and field tags as the per-column scan
     form = lambda vs: [[(e.a, e.b, e.q, e.d) for e in v] for v in vs]
     assert form(ker) == form(kernel_by_column_scan(rows, ncols, 2))
-
-
-def test_matrix_inverse_exact():
-    A = Matrix([["1+1*r", "2", "0"], ["0", "3", "1*r"], ["1", "0", "1"]])
-    assert A @ A.inverse() == Matrix.identity(3)
-    assert A.inverse() @ A == Matrix.identity(3)
-    with pytest.raises(ZeroDivisionError):
-        Matrix([[1, 2], [2, 4]]).inverse()
 
 
 def test_affine_subspace_equality_is_geometric():
@@ -297,8 +347,20 @@ def test_full_space():
     assert full.contains(Vector(["1*r", "-5", "1/3"]))
 
 
-def test_canonical_span_removes_dependence():
+def test_canonical_span_removes_dependence(rng):
     vs = [Vector([1, 1, 0]), Vector([2, 2, 0]), Vector([0, 0, 1])]
     basis = canonical_span(vs)
     assert len(basis) == 2
     assert canonical_span(basis) == basis
+    # The nonzero rows of the dense reference RREF, in order, with zero and
+    # dependent vectors among the input.
+    for _ in range(40):
+        d = rng.choice((2, 3, 5))
+        n = rng.randint(1, 5)
+        rows = rand_field_rows(rng, d, rng.randint(1, 4), n)
+        rows.append([Scalar(0, 0, 1, d)] * n)
+        rows.append([Scalar(-3, 1, 2, d) * e for e in rows[0]])
+        vectors = [Vector(row) for row in rows]
+        rng.shuffle(vectors)
+        _, ref = reference_rref([[fraction_pair(e) for e in v] for v in vectors], n, d)
+        assert [[fraction_pair(e) for e in v] for v in canonical_span(vectors)] == ref

@@ -222,6 +222,14 @@ def test_conjugate_symmetry_examples(space21, rng):
     assert apply_to_line(space21, conj, w) == w
 
 
+def test_conjugate_symmetry_rejects_a_non_isometry(space21, rng):
+    z = rand_covector(rng, 3)
+    # 2 I is invertible but scales the form; the zero matrix is singular.
+    for h in (Matrix.identity(5).scale(2), Matrix.zero(5, 5)):
+        with pytest.raises(ValueError, match="not an isometry"):
+            conjugate_symmetry(space21, h, z)
+
+
 def test_stabilizer_elements_fix_the_origin_line(space21, rng):
     for flip in (False, True):
         h = stabilizer_element(space21, rand_covector(rng, 3), extra_flip=flip)
