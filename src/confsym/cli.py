@@ -4,8 +4,10 @@
 
 Commands: classify, solve, weyl, extension, reproduce-paper.  Vectors are
 given inline as comma-separated scalar literals ("1,1*r,0,0,-1") or through a
-JSON input file with fields p, q, d, u, v, w.  Machine mode emits canonical
-JSON (sorted keys) whose parse/re-serialize round trip is the identity.
+JSON input file with fields p, q, d, u, v, w.  A list may start with a minus
+sign: "--u -1,0,0,1*r,1" reads as "--u=-1,0,0,1*r,1".  Machine mode emits
+canonical JSON (sorted keys) whose parse/re-serialize round trip is the
+identity.
 Exit status is 0 exactly when every check made by the invoked command passed.
 """
 
@@ -522,8 +524,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value is a literal list, which may start with "-".
+_LIST_FLAGS = frozenset(("--u", "--v", "--w", "--y", "--candidates"))
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and of its subcommands."""
+    out = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _option_strings(sub)
+    return out
+
+
+def _attach_list_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join a list flag and the token after it ("--u", "-1,0" -> "--u=-1,0")
+    unless that token is one of the parser's options: argparse reads a value
+    that starts with "-" as an option and refuses the flag."""
+    if not _LIST_FLAGS.intersection(argv):
+        return argv
+    options = _option_strings(parser)
+    out = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else None
+        if token in _LIST_FLAGS and value is not None and value.split("=", 1)[0] not in options:
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_list_values(parser, argv))
     try:
         config = SessionConfig(p=args.p, q=args.q, d=args.d, machine=args.machine)
     except ValueError as exc:

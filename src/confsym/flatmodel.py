@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix, Vector, rank
-from .scalars import Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ class MinkowskiForm:
         n = sig.n
         rows = []
         for i in range(sig.ambient):
-            row = [Scalar(0)] * sig.ambient
+            row = [ZERO] * sig.ambient
             if i == 0:
-                row[sig.ambient - 1] = Scalar(1)
+                row[sig.ambient - 1] = ONE
             elif i == sig.ambient - 1:
-                row[0] = Scalar(1)
+                row[0] = ONE
             else:
                 row[i] = Scalar(sig.j_sign(i - 1))
             rows.append(row)
-        self.matrix = Matrix(rows)
+        self.matrix = Matrix._of_scalars(rows)
 
     def pairing(self, x: Vector, y: Vector) -> Scalar:
         """m(x, y) = x_0 y_{n+1} + x_{n+1} y_0 + sum_i J_ii x_i y_i."""
@@ -81,7 +81,7 @@ class MinkowskiForm:
         for i in range(1, last):
             s = x[i] * y[i]
             if s:
-                out = out + Scalar(sig.j_sign(i - 1)) * s
+                out = out + s if sig.j_sign(i - 1) > 0 else out - s
         return out
 
     def is_null(self, v: Vector) -> bool:
@@ -195,8 +195,12 @@ def reflection(space: MobiusSpace, v: Vector) -> Matrix:
     if not qv:
         raise ValueError("cannot reflect in a null vector")
     factor = Scalar(-2) / qv
-    mv = space.form.matrix.matvec(v)
-    return Matrix.identity(space.ambient) + Matrix.outer(v.scale(factor), mv)
+    mv = space.form.matrix.matvec(v).entries
+    # Entry by entry, the sum identity + outer(factor v, m v).
+    return Matrix._of_scalars(
+        [(ONE if i == j else ZERO) + fx * y for j, y in enumerate(mv)]
+        for i, fx in enumerate(factor * x for x in v)
+    )
 
 
 def transitive_witness(space: MobiusSpace, w: NullLine) -> Matrix:
@@ -257,9 +261,30 @@ def _null_bridge(space: MobiusSpace, rep: Vector) -> Vector:
 
 
 def isometry_inverse(space: MobiusSpace, g: Matrix) -> Matrix:
-    """Inverse of a form isometry: g^-1 = m g^T m (exact, m^2 = I)."""
-    m = space.form.matrix
-    inv = m @ g.transpose() @ m
-    if not (g @ inv == Matrix.identity(space.ambient)):
+    """Inverse of a form isometry: g^-1 = m g^T m (exact, m^2 = I).
+
+    m is the signed permutation that swaps coordinates 0 and n+1 and scales
+    middle coordinate i by J_ii, so m g^T m is the signed transpose with
+    entry (i, j) = s_i s_j g[pi j][pi i], pi swapping 0 and n+1.  The
+    product g inv = I is the check that g is an isometry."""
+    size = space.ambient
+    if g.shape != (size, size):
+        raise ValueError(f"expected a {size}x{size} matrix, got {g.shape}")
+    sign = [1] + [space.signature.j_sign(i) for i in range(space.n)] + [1]
+    perm = [size - 1] + list(range(1, size - 1)) + [0]
+    rows = g.rows
+    inv = Matrix._of_scalars(
+        [_signed(rows[perm[j]][perm[i]], sign[i] * sign[j]) for j in range(size)]
+        for i in range(size)
+    )
+    if not (g @ inv == Matrix.identity(size)):
         raise ValueError("matrix is not an isometry of the form")
     return inv
+
+
+def _signed(e: Scalar, s: int) -> Scalar:
+    """s * e with the field tag that m g^T m gives it: an irrational entry
+    keeps its d, a rational one takes the d = 2 of m's entries."""
+    if e.b or e.d == 2:
+        return e if s > 0 else -e
+    return Scalar(s * e.a, 0, e.q)

@@ -46,22 +46,22 @@ class Vector:
 
     def __add__(self, other: Vector) -> Vector:
         _same_len(self, other)
-        return Vector(x + y for x, y in zip(self.entries, other.entries))
+        return Vector._of_scalars(x + y for x, y in zip(self.entries, other.entries))
 
     def __sub__(self, other: Vector) -> Vector:
         _same_len(self, other)
-        return Vector(x - y for x, y in zip(self.entries, other.entries))
+        return Vector._of_scalars(x - y for x, y in zip(self.entries, other.entries))
 
     def __neg__(self) -> Vector:
-        return Vector(-x for x in self.entries)
+        return Vector._of_scalars(-x for x in self.entries)
 
     def scale(self, c) -> Vector:
         c = as_scalar(c)
-        return Vector(c * x for x in self.entries)
+        return Vector._of_scalars(c * x for x in self.entries)
 
     def dot(self, other: Vector) -> Scalar:
         _same_len(self, other)
-        out = Scalar(0)
+        out = ZERO
         for x, y in zip(self.entries, other.entries):
             if x and y:
                 out = out + x * y
@@ -137,29 +137,26 @@ class Matrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
-
     def __add__(self, other: Matrix) -> Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix(
+        return Matrix._of_scalars(
             tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix(
+        return Matrix._of_scalars(
             tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
 
     def __neg__(self) -> Matrix:
-        return Matrix(tuple(-x for x in r) for r in self.rows)
+        return Matrix._of_scalars(tuple(-x for x in r) for r in self.rows)
 
     def scale(self, c) -> Matrix:
         c = as_scalar(c)
-        return Matrix(tuple(c * x for x in r) for r in self.rows)
+        return Matrix._of_scalars(tuple(c * x for x in r) for r in self.rows)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
@@ -167,7 +164,7 @@ class Matrix:
         cols = other.ncols
         out = []
         for r in self.rows:
-            orow = [Scalar(0)] * cols
+            orow = [ZERO] * cols
             for k, x in enumerate(r):
                 if not x:
                     continue
@@ -177,25 +174,25 @@ class Matrix:
                     if y:
                         orow[j] = orow[j] + x * y
             out.append(orow)
-        return Matrix(out)
+        return Matrix._of_scalars(out)
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError(f"shape mismatch {self.shape} * {len(v)}")
         out = []
         for r in self.rows:
-            s = Scalar(0)
+            s = ZERO
             for x, y in zip(r, v.entries):
                 if x and y:
                     s = s + x * y
             out.append(s)
-        return Vector(out)
+        return Vector._of_scalars(out)
 
     def transpose(self) -> Matrix:
-        return Matrix(zip(*self.rows)) if self.rows else Matrix(())
+        return Matrix._of_scalars(zip(*self.rows))
 
     def trace(self) -> Scalar:
-        out = Scalar(0)
+        out = ZERO
         for i in range(min(self.nrows, self.ncols)):
             out = out + self.rows[i][i]
         return out
@@ -204,7 +201,7 @@ class Matrix:
         return all(not e for r in self.rows for e in r)
 
     def flatten(self) -> Vector:
-        return Vector(e for r in self.rows for e in r)
+        return Vector._of_scalars(e for r in self.rows for e in r)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
@@ -213,22 +210,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls(
-            tuple(Scalar(1) if i == j else Scalar(0) for j in range(n))
-            for i in range(n)
+        return cls._of_scalars(
+            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
         )
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> Matrix:
-        return cls(tuple(Scalar(0) for _ in range(ncols)) for _ in range(nrows))
+        return cls._of_scalars((ZERO,) * ncols for _ in range(nrows))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> Matrix:
-        return cls(zip(*[c.entries for c in cols])) if cols else cls(())
+        return cls._of_scalars(zip(*[c.entries for c in cols]))
 
     @classmethod
     def outer(cls, u: Vector, v: Vector) -> Matrix:
-        return cls(tuple(x * y for y in v.entries) for x in u.entries)
+        return cls._of_scalars(tuple(x * y for y in v.entries) for x in u.entries)
 
 
 def _same_len(u: Vector, v: Vector):

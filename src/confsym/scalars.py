@@ -5,6 +5,12 @@ a, b, q in the canonical form q > 0, gcd(a, b, q) = 1.  Equal field elements
 therefore compare equal bit-for-bit.  Rational values (b = 0) mix freely with
 elements of any ambient d; combining two irrational values from different
 fields raises FieldMismatchError.
+
+The arithmetic leans on that form.  Any (a, b, 1) is canonical, so the
+constructor does no gcd work when q = 1, and a sum of two values with q = 1
+is (a + a', b + b', 1) as it stands.  A product of two rationals is
+(a a', 0, q q'), reduced by the constructor.  A result takes the d of its
+irrational operand, or the d of the second operand when both are rational.
 """
 
 from __future__ import annotations
@@ -51,19 +57,20 @@ class Scalar:
     __slots__ = ("a", "b", "q", "d")
 
     def __init__(self, a: int, b: int = 0, q: int = 1, d: int = 2):
-        if q == 0:
-            raise ZeroDivisionError("scalar denominator is zero")
-        if q < 0:
-            a, b, q = -a, -b, -q
-        g = gcd(gcd(a, b), q)
-        if g > 1:
-            a //= g
-            b //= g
-            q //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        if q != 1:
+            if q == 0:
+                raise ZeroDivisionError("scalar denominator is zero")
+            if q < 0:
+                a, b, q = -a, -b, -q
+            g = gcd(a, b, q)
+            if g > 1:
+                a //= g
+                b //= g
+                q //= g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_q(self, q)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -91,13 +98,14 @@ class Scalar:
 
     def __hash__(self):
         if self.b == 0:
-            return hash(Fraction(self.a, self.q))
+            return hash(self.a) if self.q == 1 else hash(Fraction(self.a, self.q))
         return hash((self.a, self.b, self.q, self.d))
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other, self.d)
+            if other is NotImplemented:
+                return NotImplemented
         if self.b != 0 and other.b != 0 and self.d != other.d:
             return False
         return self.a == other.a and self.b == other.b and self.q == other.q
@@ -112,10 +120,13 @@ class Scalar:
         raise FieldMismatchError(f"cannot mix Q(sqrt {self.d}) with Q(sqrt {other.d})")
 
     def __add__(self, other) -> Scalar:
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other, self.d)
+            if other is NotImplemented:
+                return NotImplemented
         d = self._join_d(other)
+        if self.q == 1 and other.q == 1:
+            return Scalar(self.a + other.a, self.b + other.b, 1, d)
         return Scalar(
             self.a * other.q + other.a * self.q,
             self.b * other.q + other.b * self.q,
@@ -129,18 +140,22 @@ class Scalar:
         return Scalar(-self.a, -self.b, self.q, self.d)
 
     def __sub__(self, other) -> Scalar:
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other, self.d)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> Scalar:
         return (-self) + other
 
     def __mul__(self, other) -> Scalar:
-        other = _coerce(other, self.d)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other, self.d)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.b == 0 and other.b == 0:
+            return Scalar(self.a * other.a, 0, self.q * other.q, other.d)
         d = self._join_d(other)
         return Scalar(
             self.a * other.a + d * self.b * other.b,
@@ -184,12 +199,12 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return _fmt_rat(Fraction(self.a, self.q))
-        radical = _fmt_rat(abs(Fraction(self.b, self.q))) + "*r"
+            return _fmt_rat(self.a, self.q)
+        radical = _fmt_rat(abs(self.b), self.q) + "*r"
         if self.a == 0:
             return radical if self.b > 0 else "-" + radical
         sign = "+" if self.b > 0 else "-"
-        return _fmt_rat(Fraction(self.a, self.q)) + sign + radical
+        return _fmt_rat(self.a, self.q) + sign + radical
 
     def __repr__(self) -> str:
         return f"Scalar('{self}', d={self.d})"
@@ -205,10 +220,19 @@ def _coerce(x, d: int):
     return NotImplemented
 
 
-def _fmt_rat(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+_set_q = Scalar.q.__set__
+_set_d = Scalar.d.__set__
+
+
+def _fmt_rat(num: int, den: int) -> str:
+    """num/den in lowest terms; den > 0."""
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 _RAT = r"-?\d+(?:/\d+)?"
@@ -260,6 +284,8 @@ def _split_rat(rat: str, text: str) -> tuple[int, int]:
 
 def as_scalar(x, d: int = 2) -> Scalar:
     """Coerce int / Fraction / literal string / Scalar to Scalar."""
+    if x.__class__ is Scalar:
+        return x
     if isinstance(x, str):
         return parse_scalar(x, d)
     s = _coerce(x, d)

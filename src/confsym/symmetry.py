@@ -27,7 +27,10 @@ from .flatmodel import (
 )
 from .liealg import degrade, graded_dim, realize
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
+
+_HALF = Scalar(1, 0, 2)
+_MINUS_ONE = Scalar(-1)
 
 
 def make_symmetry(space: MobiusSpace, Z: Vector) -> Matrix:
@@ -35,16 +38,16 @@ def make_symmetry(space: MobiusSpace, Z: Vector) -> Matrix:
     n = space.n
     if len(Z) != n:
         raise ValueError(f"covector must have length {n}")
-    jz = [Scalar(space.signature.j_sign(i)) * Z[i] for i in range(n)]
-    corner = Scalar(1, 0, 2) * sum((Z[i] * jz[i] for i in range(n)), Scalar(0))
-    rows = [[Scalar(-1)] + [-z for z in Z] + [corner]]
+    jz = [z if space.signature.j_sign(i) > 0 else -z for i, z in enumerate(Z)]
+    corner = _HALF * sum((Z[i] * jz[i] for i in range(n)), ZERO)
+    rows = [[_MINUS_ONE] + [-z for z in Z] + [corner]]
     for i in range(n):
-        row = [Scalar(0)] * (n + 2)
-        row[1 + i] = Scalar(1)
+        row = [ZERO] * (n + 2)
+        row[1 + i] = ONE
         row[n + 1] = -jz[i]
         rows.append(row)
-    rows.append([Scalar(0)] * (n + 1) + [Scalar(-1)])
-    return Matrix(rows)
+    rows.append([ZERO] * (n + 1) + [_MINUS_ONE])
+    return Matrix._of_scalars(rows)
 
 
 def is_involutive(space: MobiusSpace, Z: Vector) -> bool:

@@ -101,6 +101,48 @@ def test_solve_machine_round_trip(capsys):
     assert dump_canonical(json.loads(out)) == out.strip()
 
 
+@pytest.mark.parametrize("machine", [[], ["--machine"]])
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", [("--u", "-1,0,0,1*r,1"), ("--v", "1,0,0,1*r,-1")]),
+        ("solve", [("--u", "-r,0,0,2,1*r"), ("--v", "1,0,0,1*r,-1"), ("--w", "-1/2,1,0,0,1")]),
+        ("classify", [("--u", "-1,0,0,1*r,1"), ("--v", "1,0,0,1*r,-1"), ("--w", "-2,0,2,0,1")]),
+    ],
+)
+def test_list_flag_value_may_start_with_a_minus(capsys, machine, command, flags):
+    head = [*machine, "--p", "3", "--q", "0", command]
+    code, spaced = run(capsys, *head, *[x for flag in flags for x in flag])
+    assert code == 0
+    assert run(capsys, *head, *[f"{flag}={value}" for flag, value in flags]) == (0, spaced)
+
+
+@pytest.mark.parametrize("flag, value", [("--y", "-1,0,0"), ("--candidates", "-1,0,0;0,1,0")])
+def test_criterion_list_value_may_start_with_a_minus(tmp_path, capsys, flag, value):
+    path = tmp_path / "flat21.json"
+    run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(path))
+    head = ["--machine", "extension", "criterion", "--file", str(path)]
+    code, spaced = run(capsys, *head, flag, value)
+    assert code in (0, 1) and spaced
+    assert run(capsys, *head, f"{flag}={value}") == (code, spaced)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--u", "--v", "0,0,0,0,1"],
+        ["solve", "--v", "0,0,0,0,1", "--u"],
+        ["classify", "--u", "-h"],
+        ["solve", "--u", "--machine", "--v", "0,0,0,0,1"],
+    ],
+)
+def test_list_flag_without_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_solve_reads_input_file(tmp_path, capsys):
     payload = {
         "p": 2,

@@ -6,6 +6,7 @@ from confsym.flatmodel import (
     Signature,
     classify_orbit,
     isometry_inverse,
+    reflection,
     transitive_witness,
 )
 from confsym.linalg import Matrix, Vector
@@ -165,3 +166,62 @@ def test_witness_on_random_lines(pq, rng):
         assert NullLine(space.form, g.matvec(space.basis_vector(0))) == w
         gi = isometry_inverse(space, g)
         assert g @ gi == Matrix.identity(space.ambient)
+
+
+def _entry(space, rng):
+    return Scalar(rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(1, 3), space.d)
+
+
+def _nonzero_entry(space, rng):
+    while True:
+        e = _entry(space, rng)
+        if e:
+            return e
+
+
+def _null_over_field(space, rng) -> Vector:
+    """A null vector over Q(sqrt d): e_last, an isotropic middle with x_0 = 0
+    (two-reflection witnesses), or a generic one with the last entry solved."""
+    sig, zero = space.signature, Scalar(0, 0, 1, space.d)
+    kind = rng.random()
+    if kind < 0.15:
+        return Vector([zero] * (sig.n + 1) + [_nonzero_entry(space, rng)])
+    if kind < 0.4 and sig.p and sig.q:
+        mid = [zero] * sig.n
+        mid[rng.randrange(sig.p)] = mid[sig.p + rng.randrange(sig.q)] = _nonzero_entry(space, rng)
+        return Vector([zero] + mid + [_entry(space, rng)])
+    x0 = _nonzero_entry(space, rng)
+    mid = [_entry(space, rng) for _ in range(sig.n)]
+    s = sum((x * x if sig.j_sign(i) > 0 else -(x * x) for i, x in enumerate(mid)), zero)
+    return Vector([x0] + mid + [-s / (Scalar(2) * x0)])
+
+
+def _non_null(space, rng) -> Vector:
+    while True:
+        v = Vector(_entry(space, rng) for _ in range(space.ambient))
+        if space.pairing(v, v):
+            return v
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 2), (3, 1), (4, 1)])
+def test_isometry_inverse_is_the_former_product(pq, d, rng):
+    # The signed transpose gives every entry the value and field tag of
+    # m g^T m, down to its repr.
+    space = MobiusSpace(*pq, d=d)
+    m = space.form.matrix
+    for _ in range(6):
+        for g in (
+            transitive_witness(space, NullLine(space.form, _null_over_field(space, rng))),
+            reflection(space, _non_null(space, rng)) @ reflection(space, _non_null(space, rng)),
+        ):
+            got, want = isometry_inverse(space, g), m @ g.transpose() @ m
+            assert got == want
+            assert [repr(e) for r in got.rows for e in r] == [repr(e) for r in want.rows for e in r]
+
+
+def test_isometry_inverse_rejects_a_non_isometry(space21):
+    shear = Matrix.identity(5) + Matrix([[1 if (i, j) == (1, 2) else 0 for j in range(5)] for i in range(5)])
+    for g in (Matrix.identity(5).scale(2), shear, Matrix.identity(4), Matrix.zero(5, 4)):
+        with pytest.raises(ValueError):
+            isometry_inverse(space21, g)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -231,3 +232,99 @@ def test_powers():
     assert (Scalar(1) + ROOT2) ** 2 == Scalar(3, 2, 1)
     assert ROOT2**-2 == Scalar(1, 0, 2)
     assert Scalar(5) ** 0 == Scalar(1)
+
+
+# -- every operation against a Fraction-pair reference ------------------------
+
+
+def _ref(a, b, q, d):
+    """Reference value (x, y, d) of (a + b sqrt d) / q."""
+    return (Fraction(a, q), Fraction(b, q), d)
+
+
+def _ref_d(s, o):
+    """The field tag of a result: the irrational operand's d, else o's d."""
+    if s[1] == 0:
+        return o[2]
+    if o[1] == 0 or s[2] == o[2]:
+        return s[2]
+    raise FieldMismatchError
+
+
+def _ref_op(op, s, o):
+    d = _ref_d(s, o)
+    (x1, y1, _), (x2, y2, d2) = s, o
+    if op == "-":
+        x2, y2 = -x2, -y2
+    if op == "/":
+        n = x2 * x2 - d2 * y2 * y2
+        x2, y2 = x2 / n, -y2 / n
+    if op in "+-":
+        return (x1 + x2, y1 + y2, d)
+    return (x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, d)
+
+
+def _ref_slots(r):
+    x, y, d = r
+    q = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q, d)
+
+
+def _ref_str(r):
+    """The former formatting, through Fraction."""
+    x, y, _ = r
+    fmt = lambda f: str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if y == 0:
+        return fmt(x)
+    radical = fmt(abs(y)) + "*r"
+    if x == 0:
+        return radical if y > 0 else "-" + radical
+    return fmt(x) + ("+" if y > 0 else "-") + radical
+
+
+def _assert_matches(got, r):
+    assert (got.a, got.b, got.q, got.d) == _ref_slots(r)
+    assert hash(got) == (hash(r[0]) if r[1] == 0 else hash(_ref_slots(r)))
+    assert str(got) == _ref_str(r)
+    assert repr(got) == f"Scalar('{_ref_str(r)}', d={r[2]})"
+
+
+# q = 1 and b = 0 are drawn often: the short formulas start there.
+_parts = st.tuples(
+    st.one_of(st.just(0), small),
+    st.one_of(st.just(0), small),
+    st.one_of(st.just(1), st.integers(-12, 12)),
+    st.sampled_from([2, 3]),
+)
+
+
+@given(_parts, st.one_of(_parts, small), st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_arithmetic_matches_the_fraction_pair_reference(parts, other, int_on_left):
+    if parts[2] == 0:
+        with pytest.raises(ZeroDivisionError):
+            Scalar(*parts)
+        return
+    x, rx = Scalar(*parts), _ref(*parts)
+    _assert_matches(x, rx)
+    _assert_matches(-x, (-rx[0], -rx[1], rx[2]))
+    if isinstance(other, int):
+        # An int operand is a rational of x's field, on either side.
+        y, ry = other, _ref(other, 0, 1, rx[2])
+        if int_on_left:
+            x, rx, y, ry = y, ry, x, rx
+    elif other[2] == 0:
+        return
+    else:
+        y, ry = Scalar(*other), _ref(*other)
+    mixed = rx[1] != 0 and ry[1] != 0 and rx[2] != ry[2]
+    assert (x == y) == (not mixed and rx[:2] == ry[:2])
+    for op, fn in (("+", operator.add), ("-", operator.sub), ("*", operator.mul), ("/", operator.truediv)):
+        if mixed:
+            with pytest.raises(FieldMismatchError):
+                fn(x, y)
+        elif op == "/" and ry[:2] == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                fn(x, y)
+        else:
+            _assert_matches(fn(x, y), _ref_op(op, rx, ry))
