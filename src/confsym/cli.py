@@ -319,7 +319,12 @@ def cmd_extension(config: SessionConfig, args) -> int:
             raise InputError(f"covector {text!r} has {len(Y)} entries, expected {n}")
         return Y
 
-    if args.candidates:
+    for flag, value in (("--y", args.y), ("--candidates", args.candidates)):
+        if value is not None and not value.strip():
+            raise InputError(f"{flag} needs a value")
+    if args.y is not None and args.candidates is not None:
+        raise InputError("give --y or --candidates, not both")
+    if args.candidates is not None:
         candidates = [covector(c) for c in args.candidates.split(";")]
         hit = symmetry_criterion_search(ext, candidates)
         found = hit is not None
@@ -329,7 +334,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
             [f"first passing Y: {hit}" if found else "no candidate passed"],
         )
         return 0 if found else 1
-    Y = covector(args.y) if args.y else Vector.zero(n)
+    Y = covector(args.y) if args.y is not None else Vector.zero(n)
     ok = symmetry_criterion(ext, Y)
     _emit(
         config,

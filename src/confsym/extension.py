@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from .flatmodel import MobiusSpace
 from .liealg import (
     StructureAlgebra,
-    _add_bracket,
+    _coordinates,
     _nonzero,
+    _numerators,
+    _one_field,
     _so_rows,
-    ad_s0,
     bracket,
     exp_nilpotent,
     graded_dim,
@@ -153,7 +154,8 @@ class SymmetricPair(HomogeneousPair):
 
 class Extension:
     """Linear map alpha: k -> so(p+1, q+1), one row of graded coordinates per
-    basis element of k."""
+    basis element of k; the nonzero entries are also kept as Scalars and as
+    Z[sqrt d] numerators over one common denominator."""
 
     def __init__(self, space: MobiusSpace, pair: HomogeneousPair, alpha: Matrix):
         if alpha.shape != (pair.alg.dim, graded_dim(space)):
@@ -164,25 +166,19 @@ class Extension:
         self.pair = pair
         self.alpha = alpha
         self._rows = [[(j, c) for j, c in enumerate(row) if c] for row in alpha.rows]
+        self._integer = _numerators(self._rows)
 
     def coords(self, x: Vector) -> Vector:
         """The graded coordinates of alpha(x)."""
         if len(x) != self.pair.alg.dim:
             raise ValueError("coordinate vector has wrong length")
-        acc = self._image(_nonzero(x))
-        zero = Scalar(0, 0, 1, self.space.d)
-        return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
-
-    def _image(self, terms) -> dict:
-        """alpha of the sum of x_k b_k over the (k, x_k) of `terms`: the sum
-        of x_k times row k of alpha, through the nonzero entries of each row
-        (kept from __init__), as j -> coordinate; absent j stand for zero."""
         acc = {}
-        for k, xk in terms:
+        for k, xk in _nonzero(x):
             for j, c in self._rows[k]:
                 t = xk * c
                 acc[j] = acc[j] + t if j in acc else t
-        return acc
+        zero = Scalar(0, 0, 1, self.space.d)
+        return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
 
 
 @dataclass
@@ -216,11 +212,11 @@ def validate_extension(ext: Extension) -> ExtensionReport:
         basis element b_y of k, the right side through the structure table
         of so(p+1, q+1).
 
-    For each H, (3) visits only the y where a side can be nonzero: those
-    with [b_i, b_y] nonzero for some H_i nonzero, and, when alpha(H) is
-    nonzero, those with alpha(b_y) nonzero.  Both sides are sums over the
-    nonzero brackets and rows of alpha, and the witnesses are the same
-    (h index, y) pairs in the same order as over all pairs."""
+    All three run on Z[sqrt d] numerators, of h and m over common denominators
+    that cancel, of alpha over q_alpha and of k over q_k: (3) compares
+    lhs q_alpha with rhs q_k.  For each H it visits only the y where a side
+    can be nonzero: [b_i, b_y] nonzero for some H_i nonzero, or alpha(H) and
+    alpha(b_y) nonzero.  The witnesses are the (h index, y) pairs in order."""
     space = ext.space
     pair = ext.pair
     alg = pair.alg
@@ -229,18 +225,27 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     if alg.dim - len(hs) != n:
         raise ValueError(f"dim k - dim h = {alg.dim - len(hs)} does not match p+q = {n}")
 
-    zero = Scalar(0)
-    h_images = [ext._image(h) for h in hs]
-    bad_h = [idx for idx, ah in enumerate(h_images) if any(ah.get(j) for j in range(1, n + 1))]
+    alg_d, q_alg, alg_rows = alg._integer
+    alpha_fields, q_alpha, alpha_rows = ext._integer
+    h_fields, _, h_int = _numerators(hs)
+    m_fields, _, m_int = _numerators(pair._terms(_M))
+    d = _one_field({alg_d, *alpha_fields, *h_fields, *m_fields} - {0})
+    h_images = [
+        [(j, a, b) for j, (a, b) in _combine(d, h, alpha_rows).items() if a or b] for h in h_int
+    ]
+    bad_h = [idx for idx, ah in enumerate(h_images) if any(1 <= j <= n for j, _, _ in ah)]
     cond1 = ConditionReport(
         passed=not bad_h,
         detail="alpha(h) inside the stabilizer subalgebra",
         witnesses=bad_h,
     )
 
-    m_images = [ext._image(m) for m in pair._terms(_M)]
-    x_rows = [[am.get(j, zero) for j in range(1, n + 1)] for am in m_images]
-    r = rank(Matrix(x_rows)) if x_rows else 0
+    # The numerators of alpha(m) are alpha(m) times a nonzero integer: same rank.
+    m_images = [_combine(d, m, alpha_rows) for m in m_int]
+    x_rows = [
+        [Scalar(*am.get(j, (0, 0)), 1, d or space.d) for j in range(1, n + 1)] for am in m_images
+    ]
+    r = rank(Matrix._of_scalars(x_rows)) if x_rows else 0
     cond2 = ConditionReport(
         passed=r == n,
         detail=f"induced map on the quotient has rank {r} (need {n})",
@@ -248,24 +253,24 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     )
 
     so = _so_rows(space.signature.p, space.signature.q)
-    alpha_rows = ext._rows
     alpha_support = [y for y, row in enumerate(alpha_rows) if row]
     bad_pairs = []
-    for hi, (h_terms, ah) in enumerate(zip(hs, h_images)):
-        h_rows = {i: alg.row(i) for i, _ in h_terms}
-        ah_terms = [(j, c) for j, c in ah.items() if c]
+    for hi, (h_terms, ah) in enumerate(zip(h_int, h_images)):
+        # ad[m] = [alpha(H), b_m], so the right side at y is alpha(b_y) through ad.
+        ad = [[] for _ in so]
+        for j, xa, xb in ah:
+            for m, terms in so[j].items():
+                ad[m].extend((l, xa * c, xb * c) for l, c in terms)
         ys = set()
-        for row in h_rows.values():
-            ys.update(row)
-        if ah_terms:
+        for i, _, _ in h_terms:
+            ys.update(alg_rows[i])
+        if ah:
             ys.update(alpha_support)
         for y in sorted(ys):
-            br = {}
-            _add_bracket(h_rows, br, h_terms, ((y, ONE),))
-            lhs = ext._image(br.items())
-            rhs = {}
-            _add_bracket(so, rhs, ah_terms, alpha_rows[y])
-            if _drop_zeros(lhs) != _drop_zeros(rhs):
+            br = _combine(d, h_terms, {i: alg_rows[i].get(y, ()) for i, _, _ in h_terms})
+            lhs = _combine(d, [(k, a, b) for k, (a, b) in br.items()], alpha_rows)
+            rhs = _combine(d, alpha_rows[y], ad)
+            if _scaled(lhs, q_alpha) != _scaled(rhs, q_alg):
                 bad_pairs.append((hi, y))
     cond3 = ConditionReport(
         passed=not bad_pairs,
@@ -275,8 +280,25 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     return ExtensionReport(cond1, cond2, cond3)
 
 
-def _drop_zeros(acc: dict) -> dict:
-    return {k: v for k, v in acc.items() if v}
+def _combine(d: int, coeffs, rows) -> dict:
+    """The sum of c_i rows[i] in Z[sqrt d], for the (i, a, b) of `coeffs`
+    (c_i = a + b sqrt d) and each row an iterable of (j, a, b), as
+    j -> (a, b); absent j stand for zero."""
+    acc = {}
+    for i, ca, cb in coeffs:
+        for j, ra, rb in rows[i]:
+            a, b = ca * ra + d * cb * rb, ca * rb + cb * ra
+            if j in acc:
+                oa, ob = acc[j]
+                acc[j] = (oa + a, ob + b)
+            else:
+                acc[j] = (a, b)
+    return acc
+
+
+def _scaled(acc: dict, f: int) -> dict:
+    """The nonzero (a, b) of j -> (a, b), each times f."""
+    return {j: (a * f, b * f) for j, (a, b) in acc.items() if a or b}
 
 
 def curvature(ext: Extension, x: Vector, y: Vector) -> Vector:
@@ -301,16 +323,23 @@ def is_flat(ext: Extension) -> bool:
 
 def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
     """Whether Ad_{exp Y} alpha(k) is stable under conjugation by the origin
-    symmetry: rank([V; Ad_{s_0} V]) equals rank(V) for the moved image V."""
+    symmetry: rank([V; Ad_{s_0} V]) equals rank(V) for the moved image V.
+    Each g alpha(e_i) g^{-1}, g = exp(Y), lies in the algebra and is read
+    back into graded coordinates; there Ad_{s_0} (s_0 = diag(-1, E, -1)) is
+    -1 on the X and Z coordinates and +1 on (a, A)."""
     space = ext.space
+    n = space.n
     g = exp_nilpotent(space, Y)
     g_inv = exp_nilpotent(space, -Y)
     # alpha(e_i) is row i of alpha.
-    moved = [g @ realize(space, Vector._of_scalars(row)) @ g_inv for row in ext.alpha.rows]
-    rows = [mat.flatten().entries for mat in moved]
-    base_rank = rank(Matrix(rows))
-    flipped = [ad_s0(space, mat).flatten().entries for mat in moved]
-    return rank(Matrix(rows + flipped)) == base_rank
+    rows = [
+        _coordinates(space, g @ realize(space, Vector._of_scalars(row)) @ g_inv)
+        for row in ext.alpha.rows
+    ]
+    z0 = graded_dim(space) - n
+    flipped = [[-x if 0 < k <= n or k >= z0 else x for k, x in enumerate(row)] for row in rows]
+    base_rank = rank(Matrix._of_scalars(rows))
+    return rank(Matrix._of_scalars(rows + flipped)) == base_rank
 
 
 def symmetry_criterion_search(ext: Extension, candidates) -> Vector | None:

@@ -22,7 +22,11 @@ as integer structure constants, built once per signature), `bracket`,
 Matrices appear only at the group-element boundary: `realize` and `degrade`
 convert to and from (n+2)x(n+2) matrices for `exp_nilpotent`, the involution
 criterion, `symmetry.tangent_is_minus_id` and the independent matrix side of
-`upsilon_bracket_constant`.
+`upsilon_bracket_constant`.  The criterion reads each conjugated matrix
+back into coordinates off the positions of `_graded_basis`, as `degrade`
+does, and applies Ad_{s_0} there as the sign flip of the X and Z coordinates.
+`StructureAlgebra` keeps Z[sqrt d] numerators of its nonzero brackets for
+antisymmetry, Jacobi and the equivariance of extensions.
 
 The module also carries the one-form-to-endomorphism map
 
@@ -112,8 +116,14 @@ def degrade(space: MobiusSpace, M: Matrix) -> Vector:
         raise ValueError(f"expected a {(n + 2)}x{(n + 2)} matrix")
     if not algebra_condition(space, M):
         raise ValueError("matrix does not satisfy M^T m + m M = 0")
+    return Vector._of_scalars(_coordinates(space, M))
+
+
+def _coordinates(space: MobiusSpace, M: Matrix) -> list:
+    """The graded coordinates of a matrix of the algebra, off their positions."""
+    rows = M.rows
     basis = _graded_basis(space.signature.p, space.signature.q)
-    return Vector._of_scalars(M[pos] if v > 0 else -M[pos] for (pos, v), _ in basis)
+    return [rows[r][c] if v > 0 else -rows[r][c] for ((r, c), v), _ in basis]
 
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
@@ -212,17 +222,6 @@ def exp_nilpotent(space: MobiusSpace, Y: Vector) -> Matrix:
     return Matrix.identity(space.ambient) + N + n2.scale(Scalar(1, 0, 2))
 
 
-def ad_s0(space: MobiusSpace, M: Matrix) -> Matrix:
-    """Conjugation by the origin symmetry s_0 = diag(-1, E, -1): it negates
-    exactly the entries with one corner index, so it acts as +1 on the
-    (a, A) blocks and -1 on the X, Z blocks."""
-    corners = (0, space.n + 1)
-    return Matrix(
-        tuple(-x if (i in corners) != (j in corners) else x for j, x in enumerate(row))
-        for i, row in enumerate(M.rows)
-    )
-
-
 # -- abstract algebras from structure constants ------------------------------
 
 
@@ -249,9 +248,14 @@ class StructureAlgebra:
                 rows[i][j] = terms
         self.dim = dim
         self._rows = rows
-        d, integer_rows = _integer_rows(rows)
+        fields, den, numerators = _numerators([t for row in rows for t in row.values()])
+        numerators = iter(numerators)
+        integer_rows = [{j: next(numerators) for j in row} for row in rows]
+        d = _one_field(fields)
         _check_antisymmetry(integer_rows)
         _check_jacobi(d, integer_rows)
+        # Row i, j as (k, a, b) with c = (a + b sqrt d) / den; d = 0 when all c are rational.
+        self._integer = (d, den, integer_rows)
 
     def row(self, i: int) -> dict:
         """The nonzero brackets of b_i: j -> the nonzero (k, c) of
@@ -269,33 +273,35 @@ class StructureAlgebra:
         return Matrix.from_columns(cols)
 
 
-def _integer_rows(rows) -> tuple:
-    """(d, integer rows) of a table of nonzero terms: each (k, c) becomes
-    (k, a, b) with c = (a + b sqrt d) / D for one common denominator D.
-    Rational tables take d = 2 (their b are all zero).  Raises
-    FieldMismatchError on irrational coefficients of two different fields."""
+def _numerators(term_lists) -> tuple:
+    """(fields, den, lists) for lists of (k, c): each c, a Scalar or an int,
+    becomes (k, a, b) with c = (a + b sqrt d) / den for one common
+    denominator den; `fields` holds the d of the irrational c."""
     fields = set()
     den = 1
-    for row in rows:
-        for terms in row.values():
-            for _, c in terms:
-                if type(c) is not int:
-                    den = lcm(den, c.q)
-                    if c.b:
-                        fields.add(c.d)
+    for terms in term_lists:
+        for _, c in terms:
+            if type(c) is not int:
+                den = lcm(den, c.q)
+                if c.b:
+                    fields.add(c.d)
+    out = [
+        tuple(
+            (k, c * den, 0) if type(c) is int else (k, c.a * (den // c.q), c.b * (den // c.q))
+            for k, c in terms
+        )
+        for terms in term_lists
+    ]
+    return fields, den, out
+
+
+def _one_field(fields) -> int:
+    """The one d of a set of irrational fields, or 0 (all b are 0) when it is
+    empty; FieldMismatchError when two fields meet."""
     if len(fields) > 1:
         a, b = sorted(fields)[:2]
         raise FieldMismatchError(f"cannot mix Q(sqrt {a}) with Q(sqrt {b})")
-    out = []
-    for row in rows:
-        irow = {}
-        for j, terms in row.items():
-            irow[j] = tuple(
-                (k, c * den, 0) if type(c) is int else (k, c.a * (den // c.q), c.b * (den // c.q))
-                for k, c in terms
-            )
-        out.append(irow)
-    return (fields.pop() if fields else 2), out
+    return next(iter(fields), 0)
 
 
 def _check_antisymmetry(rows) -> None:
@@ -311,44 +317,38 @@ def _check_antisymmetry(rows) -> None:
 
 def _check_jacobi(d: int, rows) -> None:
     """The cyclic sum [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]
-    over every i < j < k, on integer rows; the first failure in
-    lexicographic order is named.  Only `_jacobi_triples` are visited: the
-    other triples have three zero brackets."""
-    for i, j, k in _jacobi_triples(rows):
-        acc_a = {}
-        acc_b = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = rows[y].get(z)
-            if not inner:
+    over every i < j < k, on antisymmetric integer rows, in one pass over the
+    nonzero double brackets [b_x, [b_y, b_z]], y < z: for each term m of
+    [b_y, b_z], x runs over the keys of row m, as [b_x, b_m] = -[b_m, b_x].
+    Each is a term of the triple (x, y, z) if x < y, (y, z, x) if z < x and,
+    with sign -1, (y, x, z) if y < x < z (x = y or x = z: of none).  Triples
+    no double bracket reaches sum to zero, so the least failing triple is
+    the first in lexicographic order."""
+    acc_a = {}
+    acc_b = {}
+    for y, row in enumerate(rows):
+        for z, inner in row.items():
+            if z <= y:
                 continue
-            outer = rows[x]
             for m, a1, b1 in inner:
-                for l, a2, b2 in outer.get(m, ()):
-                    acc_a[l] = acc_a.get(l, 0) + a1 * a2 + d * b1 * b2
-                    acc_b[l] = acc_b.get(l, 0) + a1 * b2 + b1 * a2
-        if any(acc_a.values()) or any(acc_b.values()):
-            raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
-
-
-def _jacobi_triples(rows) -> list:
-    """Every i < j < k with at least one of [b_i, b_j], [b_j, b_k], [b_i, b_k]
-    nonzero, in lexicographic order: at most dim per nonzero pair.  Each
-    triple is collected as the integer (i dim + j) dim + k, whose order is
-    the lexicographic one."""
-    dim = len(rows)
-    dd = dim * dim
-    codes = set()
-    for a, row in enumerate(rows):
-        for b in row:
-            if a < b:
-                codes.update(range(a * dim + b, a * dd + a * dim + b, dd))  # (c, a, b)
-                codes.update(range(a * dd + (a + 1) * dim + b, a * dd + b * dim + b, dim))  # (a, c, b)
-                codes.update(range(a * dd + b * dim + b + 1, a * dd + b * dim + dim))  # (a, b, c)
-    out = []
-    for code in sorted(codes):
-        i, rest = divmod(code, dd)
-        out.append((i, *divmod(rest, dim)))
-    return out
+                for x, outer in rows[m].items():
+                    if x < y:
+                        key, s = (x, y, z), -1
+                    elif x > z:
+                        key, s = (y, z, x), -1
+                    elif y < x < z:
+                        key, s = (y, x, z), 1
+                    else:
+                        continue
+                    sa, sb = s * a1, s * b1
+                    for l, a2, b2 in outer:
+                        kl = key + (l,)
+                        acc_a[kl] = acc_a.get(kl, 0) + sa * a2 + d * sb * b2
+                        if sb or b2:
+                            acc_b[kl] = acc_b.get(kl, 0) + sa * b2 + sb * a2
+    failed = [kl for acc in (acc_a, acc_b) for kl, v in acc.items() if v]
+    if failed:
+        raise ValueError("Jacobi identity fails at ({}, {}, {})".format(*min(failed)))
 
 
 def _nonzero(v: Vector) -> list:
@@ -356,12 +356,13 @@ def _nonzero(v: Vector) -> list:
     return [(k, c) for k, c in enumerate(v.entries) if c]
 
 
-def _add_bracket(rows, acc: dict, xs, ys) -> None:
-    """acc[k] += [x, y]_k for x, y given by their nonzero (index, value)
-    pairs, through a table whose row i maps j to the nonzero (k, c) of
-    [b_i, b_j] (pairs absent from a row bracket to zero); absent keys of acc
-    stand for zero.  A coefficient c may be a Scalar or an int."""
-    for i, xi in xs:
+def _sparse_bracket(rows, x: Vector, y: Vector) -> Vector:
+    """[x, y] as a dense coordinate vector through a table whose row i maps
+    j to the nonzero (k, c) of [b_i, b_j] (pairs absent from a row bracket
+    to zero).  A coefficient c may be a Scalar or an int."""
+    acc = {}
+    ys = _nonzero(y)
+    for i, xi in _nonzero(x):
         row = rows[i]
         if not row:
             continue
@@ -373,12 +374,6 @@ def _add_bracket(rows, acc: dict, xs, ys) -> None:
             for k, c in terms:
                 t = s * c
                 acc[k] = acc[k] + t if k in acc else t
-
-
-def _sparse_bracket(rows, x: Vector, y: Vector) -> Vector:
-    """[x, y] as a dense coordinate vector through a sparse table."""
-    acc = {}
-    _add_bracket(rows, acc, _nonzero(x), _nonzero(y))
     zero = Scalar(0)
     return Vector._of_scalars(acc.get(k, zero) for k in range(len(rows)))
 
@@ -470,5 +465,5 @@ def bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
 def _so_rows(p: int, q: int) -> tuple:
     """`so_table` with only its nonzero brackets: row i maps j to the terms
     of [b_i, b_j].  This is the form `StructureAlgebra` keeps and
-    `_add_bracket` reads."""
+    `_sparse_bracket` and `validate_extension` read."""
     return tuple({j: terms for j, terms in enumerate(row) if terms} for row in so_table(p, q))

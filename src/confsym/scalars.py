@@ -89,10 +89,6 @@ class Scalar:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.a, self.q)
 
-    def conjugate(self) -> Scalar:
-        """Galois conjugate a - b*sqrt(d)."""
-        return Scalar(self.a, -self.b, self.q, self.d)
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 

@@ -225,8 +225,8 @@ def extension_signature(data: dict) -> tuple[int, int, int]:
 
 
 def extension_from_dict(data: dict) -> Extension:
-    """Rejects non-integer p, q, d and dim, and h or m indices that are not
-    integers 0 <= i < dim."""
+    """Rejects non-integer p, q, d and dim, an m of other than p + q
+    indices, and h or m indices that are not integers 0 <= i < dim."""
     space = MobiusSpace(*extension_signature(data))
     # The lists of the file bound dim before anything of size dim is built.
     dim = _json_int(data["algebra"]["dim"], "dim")
@@ -235,6 +235,8 @@ def extension_from_dict(data: dict) -> Extension:
             f"algebra dim {dim} does not match {len(data['alpha'])} alpha rows "
             f"and {len(data['h'])} + {len(data['m'])} h and m indices"
         )
+    if len(data["m"]) != space.n:
+        raise ValueError(f"'m' has {len(data['m'])} indices, expected p + q = {space.n}")
     alg = structure_algebra_from_dict(data["algebra"], space.d)
 
     for key in ("h", "m"):

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from confsym.extension import SymmetricPair
+from confsym.extension import (
+    ConditionReport,
+    Extension,
+    ExtensionReport,
+    HomogeneousPair,
+    SymmetricPair,
+)
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim
+from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim, so_table
 from confsym.linalg import Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
 from confsym.symmetry import make_symmetry
@@ -203,6 +209,111 @@ def reference_commutator(space: MobiusSpace, x: Vector, y: Vector) -> Matrix:
     m1 = reference_realize(space, x)
     m2 = reference_realize(space, y)
     return m1 @ m2 - m2 @ m1
+
+
+# -- references for the extension layer ----------------------------------------
+
+
+def reference_jacobi_failure(dim: int, brackets):
+    """The first i < j < k, in lexicographic order, whose cyclic sum
+    [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is nonzero,
+    or None: every triple summed in Scalar arithmetic on the dense table of
+    the (i, j) -> (k, c) mapping that `StructureAlgebra` takes."""
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (i, j), terms in brackets.items():
+        for k, c in terms:
+            table[i][j][k] = Scalar(c) if isinstance(c, int) else c
+
+    def double(x, y, z):
+        out = {}
+        for m, c in table[y][z].items():
+            for l, e in table[x][m].items():
+                out[l] = out.get(l, Scalar(0)) + c * e
+        return out
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                total = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, e in double(x, y, z).items():
+                        total[l] = total.get(l, Scalar(0)) + e
+                if any(total.values()):
+                    return (i, j, k)
+    return None
+
+
+def rescaled_so_brackets(p: int, q: int, scales) -> dict:
+    """The (i, j) -> (k, c) mapping of so(p+1, q+1) on the basis
+    b'_i = s_i b_i: each c of `so_table` becomes s_i s_j c / s_k.  With
+    irrational s the coefficients are irrational, with denominators."""
+    return {
+        (i, j): [(k, scales[i] * scales[j] * Scalar(c) / scales[k]) for k, c in terms]
+        for i, row in enumerate(so_table(p, q))
+        for j, terms in enumerate(row)
+        if terms
+    }
+
+
+def rescaled_flat_extension(space: MobiusSpace, scales) -> Extension:
+    """The flat model on the basis b'_i = s_i b_i (`rescaled_so_brackets`),
+    with alpha(b'_i) = s_i b_i: still a valid extension."""
+    dim = graded_dim(space)
+    alg = StructureAlgebra(dim, rescaled_so_brackets(space.signature.p, space.signature.q, scales))
+    n = space.n
+    pair = HomogeneousPair(alg, [0] + list(range(n + 1, dim)), list(range(1, n + 1)))
+    zero = Scalar(0, 0, 1, space.d)
+    alpha = Matrix([scales[i] if i == j else zero for j in range(dim)] for i in range(dim))
+    return Extension(space, pair, alpha)
+
+
+def reference_validate_extension(ext: Extension) -> ExtensionReport:
+    """The three conditions in Scalar arithmetic: alpha applied afresh for
+    every h, every m and every (h, y) pair, and the bracket taken as the
+    commutator of the reference realizations."""
+    space = ext.space
+    pair = ext.pair
+    n = space.n
+    bad_h = [idx for idx, h in enumerate(pair.h_basis) if any(ext.coords(h).entries[1 : n + 1])]
+    x_rows = [ext.coords(m).entries[1 : n + 1] for m in pair.m_basis]
+    r = rank(Matrix(x_rows)) if x_rows else 0
+    bad_pairs = []
+    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
+    for hi, h in enumerate(pair.h_basis):
+        ah = ext.coords(h)
+        for yi, y in enumerate(k_basis):
+            lhs = reference_realize(space, ext.coords(pair.alg.bracket(h, y)))
+            rhs = reference_commutator(space, ah, ext.coords(y))
+            if lhs != rhs:
+                bad_pairs.append((hi, yi))
+    return ExtensionReport(
+        ConditionReport(not bad_h, "alpha(h) inside the stabilizer subalgebra", bad_h),
+        ConditionReport(r == n, f"induced map on the quotient has rank {r} (need {n})", [r]),
+        ConditionReport(not bad_pairs, "alpha is equivariant over h", bad_pairs),
+    )
+
+
+def reference_ad_s0(space: MobiusSpace, M: Matrix) -> Matrix:
+    """Conjugation by the origin symmetry s_0 = diag(-1, E, -1) as a matrix:
+    it negates exactly the entries with one corner index."""
+    corners = (0, space.n + 1)
+    return Matrix(
+        tuple(-x if (i in corners) != (j in corners) else x for j, x in enumerate(row))
+        for i, row in enumerate(M.rows)
+    )
+
+
+def reference_symmetry_criterion(ext: Extension, Y: Vector) -> bool:
+    """The criterion on matrices: the moved images g alpha(e_i) g^{-1} and
+    their `reference_ad_s0` flips, flattened to (n+2)^2 entries, span a
+    space of the same rank as the moved images alone."""
+    space = ext.space
+    g = exp_nilpotent(space, Y)
+    g_inv = exp_nilpotent(space, -Y)
+    moved = [g @ reference_realize(space, Vector(row)) @ g_inv for row in ext.alpha.rows]
+    rows = [mat.flatten().entries for mat in moved]
+    flipped = [reference_ad_s0(space, mat).flatten().entries for mat in moved]
+    return rank(Matrix(rows + flipped)) == rank(Matrix(rows))
 
 
 # -- random symmetric pairs ---------------------------------------------------

@@ -350,6 +350,41 @@ def test_criterion_rejects_a_covector_of_the_wrong_length(tmp_path, capsys, flag
     assert "expected 3" in err
 
 
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([("--y", "")], "--y needs a value"),
+        ([("--candidates", "")], "--candidates needs a value"),
+        ([("--y", "1,0,0"), ("--candidates", "1,0,0;0,1,0")], "not both"),
+        ([("--candidates", "-1,0,0"), ("--y", "0,0,0")], "not both"),
+    ],
+)
+def test_criterion_refuses_an_empty_or_a_second_covector_flag(
+    tmp_path, capsys, joined, flags, message
+):
+    # Both used to run the criterion at Y = 0, or ignore --y, and exit 0.
+    path = tmp_path / "flat21.json"
+    run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(path))
+    if joined:
+        argv = [f"{flag}={value}" for flag, value in flags]
+    else:
+        argv = [x for pair in flags for x in pair]
+    err = _bad_input(capsys, "--machine", "extension", "criterion", "--file", str(path), *argv)
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "criterion"])
+def test_extension_file_whose_m_does_not_match_the_signature(tmp_path, capsys, command):
+    # An empty h and all ten indices in m: validate used to end in a traceback.
+    def edit(data):
+        data["h"], data["m"] = [], list(range(10))
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "--machine", "extension", command, "--file", str(path))
+    assert "'m' has 10 indices, expected p + q = 3" in err
+
+
 def test_extension_file_with_non_list_alpha(tmp_path, capsys):
     path = tmp_path / "flat.json"
     run(capsys, "extension", "make-flat", "-o", str(path))
@@ -446,35 +481,43 @@ def _hostile_file(path, dim, brackets):
     return path
 
 
+def _count_double_brackets(monkeypatch, counts):
+    """Count the double brackets [b_x, [b_y, b_z]] that `_check_jacobi`
+    visits: one for each key of each row m it reads."""
+    jacobi = liealg._check_jacobi
+
+    class Rows(list):
+        def __getitem__(self, m):
+            row = super().__getitem__(m)
+            counts["double brackets"] += len(row)
+            return row
+
+    monkeypatch.setattr(liealg, "_check_jacobi", lambda d, rows: jacobi(d, Rows(rows)))
+
+
 @pytest.mark.parametrize("one_bracket", [False, True])
 @pytest.mark.parametrize("dim", [100, 400])
 def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeypatch, dim, one_bracket):
     # [b_3, b_4] = b_5 stays in h and satisfies Jacobi.
     brackets = [[3, 4, ["0"] * 5 + ["1"] + ["0"] * (dim - 6)]] if one_bracket else []
     path = _hostile_file(tmp_path / "big.json", dim, brackets)
-    # Jacobi triples visited, bracket-table lookups, sides compared by the
-    # equivariance check, Scalars built and entries of the Vectors built (a
-    # unit vector per h index would make these dim^2).
-    counts = {"triples": 0, "lookups": 0, "sides": 0, "scalars": 0, "entries": 0}
-    triples = liealg._jacobi_triples
+    # Jacobi double brackets visited, bracket-table lookups, sides compared
+    # by the equivariance check, Scalars built and entries of the Vectors
+    # built (a unit vector per h index would make these dim^2).
+    counts = {"double brackets": 0, "lookups": 0, "sides": 0, "scalars": 0, "entries": 0}
     row = liealg.StructureAlgebra.row
-    drop_zeros = extension._drop_zeros
+    scaled = extension._scaled
     init = Scalar.__init__
     vector_init = Vector.__init__
     of_scalars = Vector._of_scalars
-
-    def counting_triples(rows):
-        out = triples(rows)
-        counts["triples"] += len(out)
-        return out
 
     def counting_row(self, i):
         counts["lookups"] += 1
         return row(self, i)
 
-    def counting_drop_zeros(acc):
+    def counting_scaled(acc, f):
         counts["sides"] += 1
-        return drop_zeros(acc)
+        return scaled(acc, f)
 
     def counting_init(self, *args):
         counts["scalars"] += 1
@@ -489,22 +532,43 @@ def test_large_sparse_extension_file_takes_linear_work(tmp_path, capsys, monkeyp
         counts["entries"] += len(v)
         return v
 
-    monkeypatch.setattr(liealg, "_jacobi_triples", counting_triples)
+    _count_double_brackets(monkeypatch, counts)
     monkeypatch.setattr(Vector, "__init__", counting_vector_init)
     monkeypatch.setattr(Vector, "_of_scalars", classmethod(counting_of_scalars))
     monkeypatch.setattr(liealg.StructureAlgebra, "row", counting_row)
-    monkeypatch.setattr(extension, "_drop_zeros", counting_drop_zeros)
+    monkeypatch.setattr(extension, "_scaled", counting_scaled)
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     code, out = run(capsys, "--machine", "extension", "validate", "--file", str(path))
     assert code == 1
     report = json.loads(out)
     assert not report["quotient"]["passed"]
     assert report["stabilizer"]["passed"] and report["equivariance"]["passed"]
-    assert counts["triples"] == (dim - 2 if one_bracket else 0)
+    # b_5 has no nonzero bracket, so [b_3, b_4] = b_5 has no outer bracket.
+    assert counts["double brackets"] == 0
     assert counts["lookups"] <= 2 * dim
     assert counts["sides"] == (4 if one_bracket else 0)
     assert counts["scalars"] <= 2 * dim
     assert counts["entries"] <= 2 * dim
+
+
+def test_derivation_algebra_file_takes_linear_jacobi_work(tmp_path, capsys, monkeypatch):
+    """[b_0, b_j] = b_j for every j >= 1: dim - 1 nonzero brackets, which
+    reach about dim^2 / 2 triples, but only dim - 1 double brackets."""
+    dim = 1000
+    path = _hostile_file(
+        tmp_path / "derivation.json",
+        dim,
+        [[0, j, ["0"] * j + ["1"] + ["0"] * (dim - j - 1)] for j in range(1, dim)],
+    )
+    data = json.loads(path.read_text())
+    data["h"], data["m"] = [0] + list(range(4, dim)), [1, 2, 3]
+    path.write_text(json.dumps(data))
+    counts = {"double brackets": 0}
+    _count_double_brackets(monkeypatch, counts)
+    code, out = run(capsys, "--machine", "extension", "validate", "--file", str(path))
+    assert code == 1
+    assert not json.loads(out)["quotient"]["passed"]
+    assert 0 < counts["double brackets"] <= 2 * dim
 
 
 @pytest.mark.parametrize("dim", [10**9, 11, 9])

@@ -1,11 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsym.extension import (
-    ConditionReport,
     Extension,
-    ExtensionReport,
     HomogeneousPair,
     SymmetricPair,
     curvature,
@@ -20,20 +20,24 @@ from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     StructureAlgebra,
     algebra_condition,
+    degrade,
+    exp_nilpotent,
     graded_dim,
     killing_form,
     realize,
 )
-from confsym.linalg import Matrix, Vector, rank
-from confsym.scalars import Scalar
+from confsym.linalg import Matrix, Vector
+from confsym.scalars import FieldMismatchError, Scalar
 
 from conftest import (
     heisenberg_pair,
     pure_x,
     pure_z,
     rand_symmetric_pair,
-    reference_commutator,
     reference_realize,
+    reference_symmetry_criterion,
+    reference_validate_extension,
+    rescaled_flat_extension,
     so_k_pair,
 )
 
@@ -304,32 +308,6 @@ def test_flat_pair_is_not_symmetric(space21):
 # -- the report against the former per-pair validation -----------------------
 
 
-def reference_validate_extension(ext):
-    """The former validate_extension: alpha applied afresh for every h, every
-    m and every (h, y) pair, and the bracket taken as the commutator of the
-    reference realizations."""
-    space = ext.space
-    pair = ext.pair
-    n = space.n
-    bad_h = [idx for idx, h in enumerate(pair.h_basis) if any(ext.coords(h).entries[1 : n + 1])]
-    x_rows = [ext.coords(m).entries[1 : n + 1] for m in pair.m_basis]
-    r = rank(Matrix(x_rows)) if x_rows else 0
-    bad_pairs = []
-    k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
-    for hi, h in enumerate(pair.h_basis):
-        ah = ext.coords(h)
-        for yi, y in enumerate(k_basis):
-            lhs = reference_realize(space, ext.coords(pair.alg.bracket(h, y)))
-            rhs = reference_commutator(space, ah, ext.coords(y))
-            if lhs != rhs:
-                bad_pairs.append((hi, yi))
-    return ExtensionReport(
-        ConditionReport(not bad_h, "alpha(h) inside the stabilizer subalgebra", bad_h),
-        ConditionReport(r == n, f"induced map on the quotient has rank {r} (need {n})", [r]),
-        ConditionReport(not bad_pairs, "alpha is equivariant over h", bad_pairs),
-    )
-
-
 _FLAT = {}
 
 
@@ -399,3 +377,91 @@ def test_random_perturbation_report_matches_the_reference(pq, d, data):
         j = data.draw(st.integers(0, dim - 1))
         rows[i][j] = rows[i][j] + data.draw(_shifts(d))
     _assert_same_report(_with_rows(ext, rows))
+
+
+@given(pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]), d=_FIELDS, data=st.data())
+@settings(max_examples=16, deadline=None)
+def test_rescaled_irrational_report_matches_the_reference(pq, d, data):
+    """On an irrationally rescaled basis the algebra and alpha have
+    irrational entries over different denominators; the report on
+    numerators equals the Scalar reference, valid or perturbed."""
+    space = MobiusSpace(*pq, d)
+    dim = graded_dim(space)
+    ext = rescaled_flat_extension(space, [data.draw(_shifts(d)) for _ in range(dim)])
+    rows = [list(r) for r in ext.alpha.rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, dim - 1))
+        j = data.draw(st.integers(0, dim - 1))
+        rows[i][j] = rows[i][j] + data.draw(_shifts(d))
+    _assert_same_report(_with_rows(ext, rows))
+
+
+def _stable_rows(space, rng, values, Y):
+    """alpha rows spanning Ad_{exp(-Y)} W, for W spanned by random vectors
+    on the (a, A) coordinates and random vectors on the X and Z
+    coordinates: W is Ad_{s_0}-stable, so the criterion holds at Y."""
+    dim = graded_dim(space)
+    n = space.n
+    odd = [k for k in range(dim) if 0 < k <= n or k >= dim - n]
+    zero = Scalar(0, 0, 1, space.d)
+    g = exp_nilpotent(space, Y)
+    g_inv = exp_nilpotent(space, -Y)
+    rows = []
+    for support in [odd] * 2 + [[k for k in range(dim) if k not in odd]]:
+        w = [rng.choice(values) if k in support else zero for k in range(dim)]
+        rows.append(degrade(space, g_inv @ realize(space, Vector(w)) @ g).entries)
+    return rows + [[zero] * dim] * (dim - len(rows))
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_symmetry_criterion_matches_the_matrix_formula(pq, d):
+    """The criterion on graded coordinates, with Ad_{s_0} as a sign flip,
+    against the ranks of the flattened matrices and their matrix flips: on
+    the flat model, on perturbed alphas, on alphas of a few random rows and
+    on images that are stable by construction, for Y over Q(sqrt d)."""
+    rng = random.Random(sum(pq) * 10 + d)
+    flat = _flat(pq, d)
+    dim = flat.pair.alg.dim
+    n = flat.space.n
+    values = [Scalar(0, 0, 1, d)] * 3 + [
+        Scalar(1, 0, 1, d), Scalar(-1, 0, 2, d), Scalar(0, 1, 1, d), Scalar(1, -1, 1, d)
+    ]
+    verdicts = []
+    for trial in range(12):
+        Y = Vector(values[0] if trial < 4 else rng.choice(values) for _ in range(n))
+        rows = [list(r) for r in flat.alpha.rows]
+        if trial % 4 == 1:
+            for _ in range(3):
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                rows[i][j] = rows[i][j] + rng.choice(values[3:])
+        elif trial % 4 == 2:
+            kept = rng.sample(range(dim), rng.randint(1, 3))
+            rows = [
+                [rng.choice(values) for _ in range(dim)] if i in kept else [values[0]] * dim
+                for i in range(dim)
+            ]
+        elif trial % 4 == 3:
+            rows = _stable_rows(flat.space, rng, values, Y)
+        ext = _with_rows(flat, rows)
+        got = symmetry_criterion(ext, Y)
+        assert got == reference_symmetry_criterion(ext, Y)
+        verdicts.append(got)
+    assert verdicts[3::4] == [True] * 3 and False in verdicts
+
+
+def test_validate_refuses_irrational_entries_of_two_fields(space21):
+    # The numerators carry one d, so two fields are refused even where no
+    # product of the two is formed ([a, A] = 0 here).
+    flat = _flat((2, 1))
+    rows = [list(r) for r in flat.alpha.rows]
+    rows[0][0] = Scalar(0, 1, 1, 2)
+    rows[4][4] = Scalar(0, 1, 1, 3)
+    with pytest.raises(FieldMismatchError):
+        validate_extension(_with_rows(flat, rows))
+    # alpha over Q(sqrt 3) on an algebra over Q(sqrt 2)
+    rescaled = rescaled_flat_extension(space21, [Scalar(0, 1, 1, 2)] * 10)
+    rows = [list(r) for r in rescaled.alpha.rows]
+    rows[0][0] = Scalar(0, 1, 1, 3)
+    with pytest.raises(FieldMismatchError):
+        validate_extension(_with_rows(rescaled, rows))

@@ -7,7 +7,6 @@ from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     CoElement,
     StructureAlgebra,
-    ad_s0,
     algebra_condition,
     bracket,
     degrade,
@@ -32,9 +31,12 @@ from conftest import (
     rand_scalar,
     rand_so_matrix,
     rand_vector,
+    reference_ad_s0,
     reference_commutator,
+    reference_jacobi_failure,
     reference_realize,
     reference_so_block_condition,
+    rescaled_so_brackets,
     so_basis,
     so_k_pair,
     sparse_brackets,
@@ -230,12 +232,12 @@ def test_exp_nilpotent(space21, rng):
 
 def test_ad_s0_blockwise(space21, rng):
     e = rand_graded(space21, rng)
-    conj = degrade(space21, ad_s0(space21, realize(space21, e)))
+    conj = degrade(space21, reference_ad_s0(space21, realize(space21, e)))
     # +1 on a and A_(i<j) (coordinates 0 and 4..6), -1 on X and Z
     signs = [1, -1, -1, -1, 1, 1, 1, -1, -1, -1]
     assert conj == Vector(x if s > 0 else -x for x, s in zip(e, signs))
     M = realize(space21, e)
-    assert ad_s0(space21, ad_s0(space21, M)) == M
+    assert reference_ad_s0(space21, reference_ad_s0(space21, M)) == M
 
 
 def abelian(dim):
@@ -405,21 +407,6 @@ def reference_dense_bracket(dim, table, x, y):
     return out
 
 
-def reference_jacobi_failure(dim, table):
-    """The former dense Jacobi loop; the first failing (i, j, k) or None."""
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                total = (
-                    reference_dense_bracket(dim, table, Vector.unit(dim, i), table[j][k])
-                    + reference_dense_bracket(dim, table, Vector.unit(dim, j), table[k][i])
-                    + reference_dense_bracket(dim, table, Vector.unit(dim, k), table[i][j])
-                )
-                if not total.is_zero():
-                    return (i, j, k)
-    return None
-
-
 _TABLE_ENTRY = st.one_of(
     st.just(Scalar(0)),
     st.builds(Scalar, st.integers(-2, 2)),
@@ -450,7 +437,7 @@ def _coordinate_vectors(dim):
 @settings(max_examples=200, deadline=None)
 def test_sparse_jacobi_and_bracket_match_the_dense_reference(case, data):
     dim, table = case
-    failure = reference_jacobi_failure(dim, table)
+    failure = reference_jacobi_failure(dim, sparse_brackets(table))
     if failure is not None:
         with pytest.raises(ValueError) as info:
             StructureAlgebra(dim, sparse_brackets(table))
@@ -463,6 +450,45 @@ def test_sparse_jacobi_and_bracket_match_the_dense_reference(case, data):
         got = alg.bracket(x, y)
         want = reference_dense_bracket(dim, table, x, y)
         assert got == want and [str(e) for e in got] == [str(e) for e in want]
+
+
+def _field_values(d):
+    """Rational and irrational nonzero constants of Q(sqrt d)."""
+    pairs = ((1, 0, 1), (-2, 0, 1), (1, 0, 3), (0, 1, 1), (1, -1, 1), (-3, 1, 2))
+    return [Scalar(a, b, q, d) for a, b, q in pairs]
+
+
+@given(
+    pq=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    d=st.sampled_from([2, 3]),
+    rescaled=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_jacobi_check_names_the_reference_triple(pq, d, rescaled, data):
+    """One entry of the table of so(p+1, q+1), on its own basis or on an
+    irrationally rescaled one, shifted by a rational or irrational constant
+    (and its antisymmetric partner with it): the one-pass check names the
+    triple that the cyclic sum over every i < j < k names first."""
+    values = _field_values(d)
+    dim = len(so_table(*pq))
+    scales = [data.draw(st.sampled_from(values)) if rescaled else 1 for _ in range(dim)]
+    brackets = rescaled_so_brackets(*pq, scales)
+    i = data.draw(st.integers(0, dim - 2))
+    j = data.draw(st.integers(i + 1, dim - 1))
+    k = data.draw(st.integers(0, dim - 1))
+    c = data.draw(st.sampled_from(values))
+    for key, shift in (((i, j), c), ((j, i), -c)):
+        terms = dict(brackets.get(key, ()))
+        terms[k] = terms.get(k, 0) + shift
+        brackets[key] = sorted((m, e) for m, e in terms.items() if e)
+    failure = reference_jacobi_failure(dim, brackets)
+    if failure is None:
+        StructureAlgebra(dim, brackets)
+    else:
+        with pytest.raises(ValueError) as info:
+            StructureAlgebra(dim, brackets)
+        assert str(info.value) == f"Jacobi identity fails at {failure}"
 
 
 @pytest.mark.parametrize("which", ["so3", "so4", "heisenberg", "so21"])

@@ -27,9 +27,14 @@ from confsym.serialize import (
 from confsym.symmetry import find_symmetries
 from confsym.weyl import random_weyl
 
-from conftest import dense_table, sl2_pair
-from test_extension import reference_validate_extension
-from test_liealg import _TABLE_ENTRY, _antisymmetric_tables, reference_jacobi_failure
+from conftest import (
+    dense_table,
+    reference_jacobi_failure,
+    reference_validate_extension,
+    sl2_pair,
+    sparse_brackets,
+)
+from test_liealg import _TABLE_ENTRY, _antisymmetric_tables
 
 
 def test_subspace_round_trip():
@@ -153,7 +158,7 @@ def test_sparse_reader_matches_the_dense_reference(case, d, data):
     dim, table = case
     table = _over(table, d)
     algebra = _algebra_dict(dim, table)
-    failure = reference_jacobi_failure(dim, table)
+    failure = reference_jacobi_failure(dim, sparse_brackets(table))
     if failure is not None:
         with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails at {failure}")):
             structure_algebra_from_dict(algebra, d)
