@@ -8,13 +8,17 @@ JSON input file with fields p, q, d, u, v, w.  A list may start with a minus
 sign: "--u -1,0,0,1*r,1" reads as "--u=-1,0,0,1*r,1".  Machine mode emits
 canonical JSON (sorted keys) whose parse/re-serialize round trip is the
 identity.
-Exit status is 0 exactly when every check made by the invoked command passed.
+Exit status is 0 exactly when every check made by the invoked command passed,
+1 when one failed, 2 on bad input (one `error:` line on stderr, also for a
+flag that the subcommand does not read) and EXIT_CLOSED_PIPE when standard
+output closes before everything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +46,10 @@ from .serialize import (
 from .symmetry import SymmetryReport, find_symmetries
 from .weyl import prolongation, random_weyl, weyl_space_basis
 
+
+# Exit status when standard output closes before everything is written, the
+# status a shell reports for a process that SIGPIPE ends (128 + 13).
+EXIT_CLOSED_PIPE = 141
 
 # Largest p + q accepted from the command line or an input file.  The cost
 # grows steeply with n (make-flat takes about 48 s at n = 12, the Weyl basis
@@ -198,6 +206,8 @@ def cmd_solve(config: SessionConfig, args) -> int:
 
 def cmd_weyl(config: SessionConfig, args) -> int:
     if args.weyl_command == "basis-dim":
+        if args.seed is not None:
+            raise InputError("weyl basis-dim takes no --seed")
         basis = weyl_space_basis(config.p, config.q, config.d)
         _emit(
             config,
@@ -206,8 +216,9 @@ def cmd_weyl(config: SessionConfig, args) -> int:
         )
         return 0
     # prolongation
+    seed = 0 if args.seed is None else args.seed
     try:
-        W = random_weyl(config.p, config.q, args.seed, config.d)
+        W = random_weyl(config.p, config.q, seed, config.d)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     pro = prolongation(W)
@@ -216,13 +227,13 @@ def cmd_weyl(config: SessionConfig, args) -> int:
         {
             "p": config.p,
             "q": config.q,
-            "seed": args.seed,
+            "seed": seed,
             "prolongation_dimension": len(pro),
             "prolongation_basis": [vector_to_literals(y) for y in pro],
             "tensor": weyl_to_dict(W),
         },
         [
-            f"random nonzero Weyl-type tensor (seed {args.seed}) on ({config.p}, {config.q})",
+            f"random nonzero Weyl-type tensor (seed {seed}) on ({config.p}, {config.q})",
             f"prolongation dimension: {len(pro)}",
         ]
         + [f"  basis covector: {y}" for y in pro],
@@ -230,7 +241,20 @@ def cmd_weyl(config: SessionConfig, args) -> int:
     return 0
 
 
+# The extension flags that only some subcommands read: (attribute, flag, the
+# subcommands that read it).  Any other subcommand refuses the flag.
+_EXTENSION_FLAGS = (
+    ("file", "--file", ("validate", "curvature", "criterion")),
+    ("y", "--y", ("criterion",)),
+    ("candidates", "--candidates", ("criterion",)),
+    ("output", "--output", ("make-flat",)),
+)
+
+
 def cmd_extension(config: SessionConfig, args) -> int:
+    for attr, flag, readers in _EXTENSION_FLAGS:
+        if getattr(args, attr) is not None and args.ext_command not in readers:
+            raise InputError(f"extension {args.ext_command} takes no {flag}")
     if args.ext_command == "make-flat":
         ext = flat_model_extension(config.space())
         payload = dump_canonical(extension_to_dict(ext))
@@ -516,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wp = sub.add_parser("weyl", help="algebraic Weyl space computations")
     wp.add_argument("weyl_command", choices=["basis-dim", "prolongation"])
-    wp.add_argument("--seed", type=int, default=0, help="seed for the random tensor")
+    wp.add_argument("--seed", type=int, help="seed for the random tensor of prolongation (default 0)")
 
     ep = sub.add_parser("extension", help="validate and analyze extensions")
     ep.add_argument("ext_command", choices=["validate", "curvature", "criterion", "make-flat"])
@@ -565,6 +589,21 @@ def _attach_list_values(parser: argparse.ArgumentParser, argv: list[str]) -> lis
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # Inside the guard, so that a closed pipe raises here, not at exit;
+            # this also covers --help, which leaves through SystemExit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented pattern: what is left of the output goes to
+        # devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_list_values(parser, argv))

@@ -3,7 +3,8 @@
 Vectors and matrices are immutable dense containers of Scalar entries; the
 heavy lifting (kernels, ranks, affine solution sets) goes through the sparse
 row-echelon engine in confsym._core.  `kernel_sparse` is the one function that
-turns the engine's reduced rows into solution vectors: `kernel` reads it, and
+turns the engine's reduced rows into solution vectors, each as its nonzero
+terms: `kernel` makes them dense Vectors (`Vector.from_terms`), and
 `solve_affine` reads the kernel of the augmented system [M | -rhs].  Kernel
 and solution bases come out in the canonical reduced form determined by the
 unique RREF, so equal subspaces produce identical bases.
@@ -85,6 +86,15 @@ class Vector:
         v = cls.__new__(cls)
         object.__setattr__(v, "entries", tuple(entries))
         return v
+
+    @classmethod
+    def from_terms(cls, terms, n: int, d: int) -> Vector:
+        """The length-n vector with the (index, Scalar) `terms`, zero (tagged
+        with d) elsewhere."""
+        entries = [Scalar(0, 0, 1, d)] * n
+        for i, x in terms:
+            entries[i] = x
+        return cls._of_scalars(entries)
 
     @classmethod
     def unit(cls, n: int, i: int) -> Vector:
@@ -270,33 +280,28 @@ def _infer_d(entries: Iterable[Scalar], default: int = 2) -> int:
     return default
 
 
-def kernel_sparse(rows, ncols: int, d: int) -> list[Vector]:
-    """Canonical kernel basis of a sparse Z[sqrt d] system (one vector per
-    free column, unit at its free column, zero at the other free columns).
+def kernel_sparse(rows, ncols: int, d: int) -> list[list[tuple[int, Scalar]]]:
+    """Canonical kernel basis of a sparse Z[sqrt d] system, one vector per
+    free column (unit at its free column, zero at the other free columns).
+    Each vector is the list of its nonzero (column, Scalar) terms in column
+    order; `Vector.from_terms` makes the dense Vector.
 
     Every fully reduced pivot row holds its pivot column (first, monic) and
-    free columns only, so one pass over the rows scatters each entry into
-    the vector of its free column."""
+    free columns only, all larger than the pivot, so one pass over the rows
+    in pivot order appends each entry to the terms of its free column in
+    column order, and the unit at the free column comes last."""
     pivots, reduced = _core.rref_sparse(rows, d)
     pivot_set = set(pivots)
-    free = [f for f in range(ncols) if f not in pivot_set]
-    slot = {f: k for k, f in enumerate(free)}
-    zero = Scalar(0, 0, 1, d)
-    one = Scalar(1, 0, 1, d)
-    basis = []
-    for f in free:
-        entries = [zero] * ncols
-        entries[f] = one
-        basis.append(entries)
+    basis = {f: [] for f in range(ncols) if f not in pivot_set}
     for (cols, triples), pc in zip(reduced, pivots):
         for k in range(1, len(cols)):
-            basis[slot[cols[k]]][pc] = Scalar(
-                -triples[3 * k], -triples[3 * k + 1], triples[3 * k + 2], d
+            basis[cols[k]].append(
+                (pc, Scalar(-triples[3 * k], -triples[3 * k + 1], triples[3 * k + 2], d))
             )
-    # In place, so each entry list is freed as soon as its Vector exists.
-    for k, entries in enumerate(basis):
-        basis[k] = Vector._of_scalars(entries)
-    return basis
+    one = Scalar(1, 0, 1, d)
+    for f, terms in basis.items():
+        terms.append((f, one))
+    return list(basis.values())
 
 
 def rank(M: Matrix) -> int:
@@ -309,7 +314,11 @@ def rank(M: Matrix) -> int:
 def kernel(M: Matrix) -> list[Vector]:
     """Exact basis of the null space {v : M v = 0}; empty when M is injective."""
     d = _infer_d(e for r in M.rows for e in r)
-    return kernel_sparse(sparse_rows_from_scalars(M.rows, d), M.ncols, d)
+    n = M.ncols
+    return [
+        Vector.from_terms(terms, n, d)
+        for terms in kernel_sparse(sparse_rows_from_scalars(M.rows, d), n, d)
+    ]
 
 
 class AffineSubspace:

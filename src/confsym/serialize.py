@@ -121,7 +121,7 @@ def weyl_to_dict(W: WeylTensor) -> dict:
     keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
     members of its orbit are that value times their signs."""
     keys = _weyl_keys(W.n, _orbits(W.n)[0])
-    comps = {key: str(x) for key, x in zip(keys, W.values) if x}
+    comps = {keys[u]: str(x) for u, x in W.terms}
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 
 

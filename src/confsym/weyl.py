@@ -4,19 +4,22 @@ A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The first three generate an 8-way symmetry of the
 components, stated only by one table of orbits per n (`_orbits`), and a
-`WeylTensor` stores one value per orbit; its n^4 flat components are derived
-through the table, which is walked on the two pair codes (i n + j, k n + l)
-of a component.  First Bianchi and the trace are sparse integer rows
-(`_constraint_rows`).  The space of all Weyl tensors is their exact kernel on
-the orbit values, solved on the distinct rows only: empty rows and rows that
-repeat up to a rational factor are dropped first (`_distinct_rows`).
-`WeylTensor.validate` evaluates the same rows, reading only the nonzero orbit
-values of the tensor, and checks every basis tensor.  co(p, q) acts on a
-tensor viewed as a (1,3)-tensor (one index raised with J), so the pure
-scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
-numerators over one common denominator.  so(p, q) and the scaling commute
-with the component symmetries, so `co_action` evaluates only the canonical
-member of each orbit.  The first prolongation collects the covectors Y whose
+`WeylTensor` stores its nonzero orbit values; its n^4 flat components are
+derived through the table, which is walked on the two pair codes
+(i n + j, k n + l) of a component.  First Bianchi and the trace are sparse
+integer rows (`_constraint_rows`): one Bianchi row per 4-set i < j < k < l
+and one trace row per j <= l, C(n, 4) + n (n + 1) / 2 rows in all.  Every
+other row of the two families is empty on the orbit values or a multiple of
+one of these (the proof is in `_constraint_rows`), so these are the distinct
+rows, and the space of all Weyl tensors is their exact kernel on the orbit
+values.  `kernel_sparse` gives each basis tensor as its nonzero terms, and
+`WeylTensor.validate`, which checks every basis tensor, evaluates the same
+rows on those nonzero values only.  co(p, q) acts on a tensor viewed as a
+(1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
+`co_action` computes it on integer Z[sqrt d] numerators over one common
+denominator.  so(p, q) and the scaling commute with the component
+symmetries, so `co_action` evaluates only the canonical member of each
+orbit.  The first prolongation collects the covectors Y whose
 induced endomorphisms annihilate the tensor for every direction xi.
 `prolongation` builds that system lazily, one xi-block of one row per orbit
 at a time; it drops rows that repeat up to a rational factor and stops as soon
@@ -27,6 +30,7 @@ blocks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -40,15 +44,16 @@ from .scalars import FieldMismatchError, Scalar
 
 
 class WeylTensor:
-    """A tensor with the component symmetries of `_orbits`, stored as one
-    value per orbit: the component of its canonical member.
+    """A tensor with the component symmetries of `_orbits`, stored as the
+    nonzero orbit values: `terms` lists (orbit, value) in orbit order, the
+    value being the component of the orbit's canonical member.
 
     Built from the n^4 flat components W[i][j][k][l] (row-major, 0-based),
     which must agree, with the signs, along every orbit and vanish where
     i = j or k = l; otherwise ValueError names the failing symmetry, even
     with validate=False.  `validate` checks the rest (see there)."""
 
-    __slots__ = ("p", "q", "d", "values", "_ints")
+    __slots__ = ("p", "q", "d", "terms", "_ints")
 
     def __init__(self, p: int, q: int, components, d: int = 2, validate: bool = True):
         n = p + q
@@ -64,22 +69,28 @@ class WeylTensor:
             for g, (t, s), (t2, s2) in zip(_WALK, members, members[1:]):
                 if components[t2] != (components[t] if s == s2 else -components[t]):
                     raise ValueError(f"{_SYMMETRIES[g][0]} fails at {_unflat(n, t)}")
-        self._init(p, q, d, (components[members[0][0]] for members in orbits))
+        self._init(p, q, d, _nonzero(components[members[0][0]] for members in orbits))
         if validate:
             self.validate()
 
     @classmethod
     def _from_values(cls, p: int, q: int, values, d: int) -> WeylTensor:
         """The tensor with one value per orbit of `_orbits(p + q)`, unchecked."""
+        return cls._from_terms(p, q, _nonzero(values), d)
+
+    @classmethod
+    def _from_terms(cls, p: int, q: int, terms, d: int) -> WeylTensor:
+        """The tensor with the nonzero (orbit, value) `terms`, in orbit order,
+        unchecked."""
         W = object.__new__(cls)
-        W._init(p, q, d, values)
+        W._init(p, q, d, terms)
         return W
 
-    def _init(self, p, q, d, values):
+    def _init(self, p, q, d, terms):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
@@ -90,64 +101,74 @@ class WeylTensor:
         return self.p + self.q
 
     @property
+    def values(self) -> tuple[Scalar, ...]:
+        """One value per orbit of `_orbits(n)`, zero (tagged with d) where
+        `terms` has none."""
+        out = [Scalar(0, 0, 1, self.d)] * len(_orbits(self.n)[0])
+        for u, x in self.terms:
+            out[u] = x
+        return tuple(out)
+
+    @property
     def components(self) -> tuple[Scalar, ...]:
         """The n^4 flat components: each orbit member gets its orbit's value
         times its sign, every other component zero."""
-        zero = Scalar(0, 0, 1, self.d)
-        comps = [zero] * self.n**4
-        for members, x in zip(_orbits(self.n)[0], self.values):
-            if x:
-                neg = -x
-                for t, s in members:
-                    comps[t] = x if s > 0 else neg
+        comps = [Scalar(0, 0, 1, self.d)] * self.n**4
+        orbits = _orbits(self.n)[0]
+        for u, x in self.terms:
+            neg = -x
+            for t, s in orbits[u]:
+                comps[t] = x if s > 0 else neg
         return tuple(comps)
 
     def __getitem__(self, ijkl) -> Scalar:
         slot = _orbits(self.n)[1][_flat(self.n, *ijkl)]
-        x = self.values[slot[0]] if slot else None
-        if not x:
-            return Scalar(0, 0, 1, self.d)
-        return x if slot[1] > 0 else -x
+        if slot:
+            k = bisect_left(self.terms, (slot[0],))
+            if k < len(self.terms) and self.terms[k][0] == slot[0]:
+                x = self.terms[k][1]
+                return x if slot[1] > 0 else -x
+        return Scalar(0, 0, 1, self.d)
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylTensor)
             and (self.p, self.q) == (other.p, other.q)
-            and self.values == other.values
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.p, self.q, self.values))
+        return hash((self.p, self.q, self.terms))
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not self.terms
 
     def validate(self, system: _ConstraintSystem | None = None):
         """Exact check of the first Bianchi and trace-free conditions and of
         the field; raises ValueError on violation.  (The pair antisymmetries
         and the pair interchange hold by construction.)
 
-        Only the nonzero orbit values are read: one pass collects them, and
-        the field check, the common denominator and the row sums run on
-        those alone.  Every irrational orbit value must lie in Q(sqrt d).
-        The rows that a nonzero value touches are evaluated on the
-        numerators over one common denominator; every other row is zero.
-        Pass a prebuilt `system` for the same signature to skip building it."""
+        Only the nonzero orbit values (`terms`) are read.  Every irrational
+        one must lie in Q(sqrt d).  The rows that a nonzero value touches are
+        evaluated on the numerators over one common denominator; every other
+        row is zero.  The message names the first failing row of
+        `_constraint_rows`.  Pass a prebuilt `system` for the same signature
+        to skip building it."""
         p, q = self.p, self.q
         if system is None:
             system = _ConstraintSystem(p, q)
         elif (system.p, system.q) != (p, q):
             raise ValueError("constraint system of another signature")
-        nonzero = [(u, x) for u, x in enumerate(self.values) if x.a or x.b]
-        for u, x in nonzero:
+        terms = self.terms
+        for u, x in terms:
             if x.b and x.d != self.d:
                 raise ValueError(
                     f"component {_unflat(self.n, system.orbits[u][0][0])} lies in "
                     f"Q(sqrt {x.d}), not in the tensor's field Q(sqrt {self.d})"
                 )
-        denom = lcm(*(x.q for _, x in nonzero))
+        denom = lcm(*(x.q for _, x in terms))
         res = {}
-        for u, x in nonzero:
+        for u, x in terms:
             f = denom // x.q
             for r, coef in system.index[u]:
                 a, b = res.get(r, (0, 0))
@@ -163,28 +184,29 @@ class WeylTensor:
         FieldMismatchError when the values mix fields."""
         if self._ints is None:
             d = None
-            for x in self.values:
+            for _, x in self.terms:
                 if x.b:
                     if d is None:
                         d = x.d
                     elif x.d != d:
                         raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
-            q = lcm(*(x.q for x in self.values if x))
+            q = lcm(*(x.q for _, x in self.terms))
             a = [0] * self.n**4
             b = None if d is None else [0] * self.n**4
-            for members, x in zip(_orbits(self.n)[0], self.values):
-                if x:
-                    f = q // x.q
-                    for t, s in members:
-                        a[t] = s * f * x.a
-                        if b is not None:
-                            b[t] = s * f * x.b
+            orbits = _orbits(self.n)[0]
+            for u, x in self.terms:
+                f = q // x.q
+                for t, s in orbits[u]:
+                    a[t] = s * f * x.a
+                    if b is not None:
+                        b[t] = s * f * x.b
             object.__setattr__(self, "_ints", (d, q, a, b))
         return self._ints
 
     def scale(self, c) -> WeylTensor:
         c = c if isinstance(c, Scalar) else Scalar(c)
-        return WeylTensor._from_values(self.p, self.q, (c * x for x in self.values), self.d)
+        terms = [(u, c * x) for u, x in self.terms] if c else ()
+        return WeylTensor._from_terms(self.p, self.q, terms, self.d)
 
     def __add__(self, other: WeylTensor) -> WeylTensor:
         if (self.p, self.q) != (other.p, other.q):
@@ -192,6 +214,11 @@ class WeylTensor:
         return WeylTensor._from_values(
             self.p, self.q, (x + y for x, y in zip(self.values, other.values)), self.d
         )
+
+
+def _nonzero(values) -> list:
+    """The (index, value) pairs of the nonzero `values`."""
+    return [(u, x) for u, x in enumerate(values) if x]
 
 
 @dataclass(frozen=True)
@@ -280,23 +307,37 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
 
 
 def _constraint_rows(p: int, q: int, ends: list | None = None):
-    """Sparse integer rows of the first Bianchi and then the J-trace
-    conditions on the flat components.  When `ends` is a list, the row count
-    after each of the two families is appended to it."""
+    """Sparse integer rows on the flat components: the first Bianchi rows
+    W_ijkl + W_iklj + W_iljk for i < j < k < l, one per 4-set, and then the
+    J-trace rows sum_i J_ii W_ijil for j <= l; C(n, 4) + n (n + 1) / 2 rows.
+    When `ends` is a list, the row count after each of the two families is
+    appended to it.
+
+    These are the distinct rows of the full families (a Bianchi row for every
+    i and j < k < l, in that order, and a trace row for every (j, l)) on
+    orbit values; every other row of them is empty or a nonzero multiple of
+    an earlier row kept here:
+    - a Bianchi row with i in {j, k, l} is empty on orbit values, since
+      W_jjkl = 0 and W_jklj = -W_jljk (and likewise for i = k, l);
+    - on tensors with the pair symmetries the Bianchi sum is alternating in
+      all four indices, so the three other choices of i in a 4-set give
+      +- the row of i = min, which comes earlier in the full order;
+    - the trace row (l, j) equals the row (j, l) by pair symmetry.
+    So the row space, the canonical kernel and the first failing row that
+    `WeylTensor.validate` names are those of the full families."""
     n = p + q
     ends = [] if ends is None else ends
     rows = []
-    for i in range(n):
-        for j, k, l in combinations(range(n), 3):
-            cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
-            rows.append((cols, [1, 0, 1, 0, 1, 0]))
+    for i, j, k, l in combinations(range(n), 4):
+        cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
+        rows.append((cols, [1, 0, 1, 0, 1, 0]))
     ends.append(len(rows))
     # Every trace row sums W_ijil with the coefficients J_ii.
     vals = []
     for i in range(n):
         vals += [1 if i < p else -1, 0]
     for j in range(n):
-        for l in range(n):
+        for l in range(j, n):
             rows.append(([_flat(n, i, j, i, l) for i in range(n)], vals))
     ends.append(len(rows))
     return rows
@@ -337,6 +378,10 @@ class _ConstraintSystem:
 
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
+    """The canonical kernel of the rows of `_constraint_rows` on the orbit
+    values.  Those rows are nonempty and pairwise distinct up to a factor, so
+    they go to the engine as they are; each kernel vector's nonzero terms
+    become a tensor, which is validated."""
     system = _ConstraintSystem(p, q)
     rows = [([], []) for _ in system.rows]
     for u, entries in enumerate(system.index):
@@ -344,8 +389,8 @@ def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
             rows[r][0].append(u)
             rows[r][1].extend((coef, 0))
     out = []
-    for v in kernel_sparse(_distinct_rows(rows, set()), len(system.orbits), d):
-        W = WeylTensor._from_values(p, q, v.entries, d)
+    for terms in kernel_sparse(rows, len(system.orbits), d):
+        W = WeylTensor._from_terms(p, q, terms, d)
         W.validate(system)
         out.append(W)
     return tuple(out)
@@ -426,9 +471,8 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
         _gather(p, n, fa, wb, targets, out_b)
     _gather(p, n, fb, wa, targets, out_b)
     q = qf * qw
-    zero = Scalar(0, 0, 1, d)
-    out = [Scalar(a, b, q, d) if a or b else zero for a, b in zip(out_a, out_b)]
-    return WeylTensor._from_values(W.p, W.q, out, W.d)
+    terms = [(u, Scalar(a, b, q, d)) for u, (a, b) in enumerate(zip(out_a, out_b)) if a or b]
+    return WeylTensor._from_terms(W.p, W.q, terms, W.d)
 
 
 def _gather(p: int, n: int, f: list, w: list, targets, out: list):
@@ -514,7 +558,7 @@ def prolongation(W: WeylTensor) -> list[Vector]:
         rows += new
         if i < n - 1 and new and len(_core.rref_sparse(rows, W.d)[0]) == n:
             return []
-    return kernel_sparse(rows, n, W.d)
+    return [Vector.from_terms(terms, n, W.d) for terms in kernel_sparse(rows, n, W.d)]
 
 
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
@@ -529,11 +573,10 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):
             break
-    values = [Scalar(0, 0, 1, d)] * len(basis.elements[0].values)
+    values = [Scalar(0, 0, 1, d)] * len(_orbits(p + q)[0])
     for coef, elt in zip(coeffs, basis.elements):
         if coef:
             c = Scalar(coef)
-            for u, v in enumerate(elt.values):
-                if v:
-                    values[u] = values[u] + c * v
+            for u, v in elt.terms:
+                values[u] = values[u] + c * v
     return WeylTensor._from_values(p, q, values, d)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim, so_table
 from confsym.linalg import Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
 from confsym.symmetry import make_symmetry
+from confsym.weyl import _flat, _orbits, _unflat
 
 
 def rand_scalar(rng: random.Random, span: int = 9) -> Scalar:
@@ -406,6 +408,77 @@ def rand_symmetric_pair(rng: random.Random) -> SymmetricPair:
         return out
 
     return SymmetricPair(alg, mix(th, h_units), mix(tm, m_units))
+
+
+# -- the former full families of Weyl constraint rows ------------------------
+
+
+def reference_weyl_rows(p: int, q: int, ends: list | None = None):
+    """The former `weyl._constraint_rows`: a first Bianchi row for every i and
+    every j < k < l, then a J-trace row for every (j, l), on the flat
+    components.  When `ends` is a list, the row count after each of the two
+    families is appended to it."""
+    n = p + q
+    ends = [] if ends is None else ends
+    rows = []
+    for i in range(n):
+        for j, k, l in combinations(range(n), 3):
+            cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
+            rows.append((cols, [1, 0, 1, 0, 1, 0]))
+    ends.append(len(rows))
+    vals = []
+    for i in range(n):
+        vals += [1 if i < p else -1, 0]
+    for j in range(n):
+        for l in range(n):
+            rows.append(([_flat(n, i, j, i, l) for i in range(n)], vals))
+    ends.append(len(rows))
+    return rows
+
+
+class ReferenceConstraintSystem:
+    """The former `weyl._ConstraintSystem`, on `reference_weyl_rows`:
+    `index[u]` lists (row, integer coefficient) of the rows on one unknown
+    per orbit, where each member's column becomes its orbit's, times its
+    sign."""
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+        self.orbits, slot = _orbits(p + q)
+        self.ends = []
+        self.rows = reference_weyl_rows(p, q, self.ends)
+        self.index = [[] for _ in self.orbits]
+        for r, (cols, vals) in enumerate(self.rows):
+            acc = {}
+            for t, v in zip(cols, vals[::2]):
+                if slot[t]:
+                    u, s = slot[t]
+                    acc[u] = acc.get(u, 0) + s * v
+            for u, coef in acc.items():
+                if coef:
+                    self.index[u].append((r, coef))
+
+    def describe(self, r: int) -> str:
+        """Failure message for row r: its family and its first component."""
+        i, j, k, l = _unflat(self.p + self.q, self.rows[r][0][0])
+        if r < self.ends[0]:
+            return f"first Bianchi fails at {(i, j, k, l)}"
+        return f"trace-free condition fails at (j, l) = {(j, l)}"
+
+
+def reference_weyl_failure(W) -> str | None:
+    """The message of the first row of the full families that the flat
+    components of W break, summed in Scalars; None when none breaks."""
+    system = ReferenceConstraintSystem(W.p, W.q)
+    comps = W.components
+    for r, (cols, vals) in enumerate(system.rows):
+        total = Scalar(0)
+        for t, v in zip(cols, vals[::2]):
+            total = total + Scalar(v) * comps[t]
+        if total:
+            return system.describe(r)
+    return None
 
 
 @pytest.fixture

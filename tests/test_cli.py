@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confsym
 from confsym import extension, liealg
-from confsym.cli import MAX_DIMENSION, main, fixture_cases, run_fixture_case
+from confsym.cli import EXIT_CLOSED_PIPE, MAX_DIMENSION, main, fixture_cases, run_fixture_case
 from confsym.linalg import Vector
 from confsym.scalars import Scalar
 from confsym.serialize import dump_canonical
@@ -228,6 +233,77 @@ def test_weyl_basis_dim_output_is_pinned(capsys, n):
 def test_make_flat_into_a_missing_directory_exits_2(tmp_path, capsys):
     err = _bad_input(capsys, "extension", "make-flat", "-o", str(tmp_path / "missing" / "x.json"))
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["validate", "--file", "FLAT", "--y", "1,0,0"], "--y"),
+        (["validate", "--file", "FLAT", "--candidates", "1,0,0"], "--candidates"),
+        (["curvature", "--file", "FLAT", "--y", "1,0,0"], "--y"),
+        (["curvature", "--file", "FLAT", "--candidates", "1,0,0"], "--candidates"),
+        (["make-flat", "--y", "1,0,0"], "--y"),
+        (["make-flat", "--candidates", "1,0,0"], "--candidates"),
+        (["make-flat", "--file", "FLAT"], "--file"),
+        (["validate", "--file", "FLAT", "-o", "OUT"], "--output"),
+        (["curvature", "--file", "FLAT", "-o", "OUT"], "--output"),
+        (["criterion", "--file", "FLAT", "-o", "OUT"], "--output"),
+    ],
+)
+def test_extension_refuses_a_flag_its_subcommand_does_not_read(tmp_path, capsys, argv, flag):
+    # Each flag used to be dropped silently, with exit 0.
+    flat = tmp_path / "flat21.json"
+    out = tmp_path / "out.json"
+    run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(flat))
+    argv = [{"FLAT": str(flat), "OUT": str(out)}.get(x, x) for x in argv]
+    err = _bad_input(capsys, "extension", *argv)
+    assert err == f"error: extension {argv[0]} takes no {flag}\n"
+    assert not out.exists()
+
+
+def test_weyl_basis_dim_refuses_a_seed(capsys):
+    err = _bad_input(capsys, "--p", "4", "--q", "0", "weyl", "basis-dim", "--seed", "3")
+    assert err == "error: weyl basis-dim takes no --seed\n"
+
+
+def test_weyl_prolongation_seed_defaults_to_0(capsys):
+    argv = ["--p", "4", "--q", "0", "--machine", "weyl", "prolongation"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, read, unbuffered",
+    [
+        (["--p", "4", "--q", "3", "extension", "make-flat"], 10, False),
+        (["--p", "4", "--q", "3", "extension", "make-flat"], 10, True),
+        (["--p", "4", "--q", "0", "weyl", "basis-dim"], 0, False),
+        (["--p", "4", "--q", "0", "weyl", "basis-dim"], 0, True),
+        # Unbuffered, argparse itself ignores the failed write of --help.
+        (["--help"], 0, False),
+    ],
+)
+def test_closed_pipe_exits_quietly(argv, read, unbuffered):
+    """The reader of a real pipe closes it after `read` bytes: after 10 of
+    the 166 KB of make-flat, or before basis-dim or --help writes anything.
+    The command ends with EXIT_CLOSED_PIPE and an empty stderr, where it used
+    to show a BrokenPipeError traceback.  With buffered output the short
+    texts reach the pipe only when the command flushes."""
+    src = str(Path(confsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "confsym.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
+    assert err == b""
 
 
 def test_extension_flow(tmp_path, capsys):

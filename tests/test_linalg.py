@@ -271,7 +271,12 @@ def test_kernel_sparse_on_random_sparse_systems(seed):
     ncols = rng.randint(1, 12)
     rows = rand_sparse_system(rng, rng.randint(1, 10), ncols)
     M = sparse_to_matrix(rows, ncols)
-    ker = kernel_sparse(rows, ncols, 2)
+    sparse = kernel_sparse(rows, ncols, 2)
+    # each vector is its nonzero terms, in strictly increasing column order
+    for terms in sparse:
+        assert all(x for _, x in terms)
+        assert [c for c, _ in terms] == sorted({c for c, _ in terms})
+    ker = [Vector.from_terms(terms, ncols, 2) for terms in sparse]
     for v in ker:
         assert M.matvec(v).is_zero()
     assert len(ker) == ncols - naive_rank(M)

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from confsym.flatmodel import MobiusSpace
 from confsym.liealg import CoElement, upsilon_action
 from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
 from confsym.scalars import FieldMismatchError, Scalar
+from confsym.serialize import weyl_from_dict, weyl_to_dict
 import confsym.weyl as weyl_module
 from confsym.weyl import (
     WeylTensor,
@@ -23,7 +25,12 @@ from confsym.weyl import (
     weyl_space_basis,
 )
 
-from conftest import rand_covector, rand_so_matrix
+from conftest import (
+    ReferenceConstraintSystem,
+    rand_covector,
+    rand_so_matrix,
+    reference_weyl_failure,
+)
 
 
 def weyl_dim_oracle(n: int) -> int:
@@ -361,7 +368,11 @@ def reference_constraint_rows(p, q):
 def reference_basis(p, q, d):
     """The former basis: the flat components of each vector of the canonical
     kernel of the full system."""
-    return [v.entries for v in kernel_sparse(reference_constraint_rows(p, q), (p + q) ** 4, d)]
+    N = (p + q) ** 4
+    return [
+        Vector.from_terms(terms, N, d).entries
+        for terms in kernel_sparse(reference_constraint_rows(p, q), N, d)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -497,14 +508,84 @@ def test_constraint_rows_report_their_family_ends():
     assert _constraint_rows(3, 2) == rows
 
 
+def _orbit_rows(system):
+    """The rows of a constraint system on the orbit values, as dicts
+    {orbit: coefficient}."""
+    rows = [{} for _ in system.rows]
+    for u, entries in enumerate(system.index):
+        for r, coef in entries:
+            rows[r][u] = coef
+    return rows
+
+
+def _up_to_factor(row):
+    """A row divided by its first coefficient."""
+    lead = row[min(row)]
+    return tuple(sorted((u, Fraction(c, lead)) for u, c in row.items()))
+
+
+@pytest.mark.parametrize(
+    "pq", sorted({(p, n - p) for n in range(3, 13) for p in (n, n - n // 2, 1)})
+)
+def test_constraint_rows_are_the_distinct_rows_of_the_full_families(pq):
+    """Certificate for `_constraint_rows`: walking the former full families in
+    order, every row is empty on the orbit values, or is the next kept row
+    (same coefficients, same message), or a rational multiple of an earlier
+    kept row.  The kept rows are nonempty, pairwise distinct up to a factor
+    and number C(n, 4) + n (n + 1) / 2."""
+    p, q = pq
+    n = p + q
+    kept = weyl_module._ConstraintSystem(p, q)
+    full = ReferenceConstraintSystem(p, q)
+    rows = _orbit_rows(kept)
+    assert kept.ends == [comb(n, 4), comb(n, 4) + n * (n + 1) // 2] and len(rows) == kept.ends[-1]
+    assert all(rows) and len({_up_to_factor(row) for row in rows}) == len(rows)
+    earlier = set()
+    k = 0
+    for r, row in enumerate(_orbit_rows(full)):
+        if not row:
+            continue
+        if k < len(rows) and row == rows[k]:
+            assert kept.describe(k) == full.describe(r)
+            earlier.add(_up_to_factor(row))
+            k += 1
+        else:
+            assert _up_to_factor(row) in earlier, full.describe(r)
+    assert k == len(rows)
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (2, 2), (5, 0), (3, 2)])
+@pytest.mark.parametrize("c", [Scalar(1), Scalar(-1, 0, 3), Scalar(0, 1), Scalar(2, -1, 3)])
+def test_validate_names_the_first_failing_row_of_the_full_families(pq, c):
+    """A basis tensor with one orbit value changed by c: `validate` and
+    `weyl_from_dict` raise the message of the first row of the former full
+    families that it breaks, in both families."""
+    p, q = pq
+    basis = weyl_space_basis(p, q).elements
+    families = set()
+    for u in range(len(_orbits(p + q)[0])):
+        values = list(basis[u % len(basis)].values)
+        values[u] = values[u] + c
+        W = WeylTensor._from_values(p, q, values, 2)
+        want = reference_weyl_failure(W)
+        for check in (W.validate, lambda: weyl_from_dict(weyl_to_dict(W))):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == want
+        families.add(want.split(" fails")[0])
+    assert families == {"first Bianchi", "trace-free condition"}
+
+
 def _corrupt_kernel(monkeypatch, k, change):
-    """Make weyl.kernel_sparse replace its k-th vector's entries e by
-    change(e), a list of the same length."""
+    """Make weyl.kernel_sparse give its k-th vector the terms of
+    change(values), where values maps each column of the vector's terms to
+    its value: a new column becomes a term in column order, and a column
+    mapped to zero loses its term."""
     kernel_sparse = weyl_module.kernel_sparse
 
     def corrupted(rows, ncols, d):
         out = kernel_sparse(rows, ncols, d)
-        out[k] = Vector(change(list(out[k].entries)))
+        out[k] = sorted((u, x) for u, x in change(dict(out[k])).items() if x)
         return out
 
     monkeypatch.setattr(weyl_module, "kernel_sparse", corrupted)
@@ -515,21 +596,26 @@ def _corrupt_kernel(monkeypatch, k, change):
 def test_basis_check_catches_a_corrupted_kernel_entry(monkeypatch, cold_basis, pq, c):
     """Adding c to any one orbit value of a kernel vector breaks a constraint
     row (every orbit lies on one), and the basis check names the first
-    Bianchi or trace-free failure, one that the reference validator finds."""
+    Bianchi or trace-free failure, one that the reference validator finds.
+    Where the value is zero the vector has no term there, and one is
+    inserted."""
     p, q = pq
-    dim = weyl_space_basis(p, q).dimension
+    clean = weyl_space_basis(p, q).elements
+    inserted = 0
     for u in range(len(_orbits(p + q)[0])):
-        k = u % dim
+        k = u % len(clean)
+        values = list(clean[k].values)
+        inserted += not values[u]
         weyl_module._basis_cached.cache_clear()
-        _corrupt_kernel(monkeypatch, k, lambda e: e[:u] + [e[u] + c] + e[u + 1 :])
+        _corrupt_kernel(monkeypatch, k, lambda v: v | {u: v.get(u, Scalar(0)) + c})
         with pytest.raises(ValueError) as exc:
             weyl_space_basis(p, q)
         monkeypatch.undo()
-        values = list(weyl_space_basis(p, q).elements[k].values)
         values[u] = values[u] + c
         want = reference_violations(p, q, _orbital(p, q, values).components)
         assert want <= {"first Bianchi", "trace-free condition"}
         assert any(str(exc.value).startswith(family + " fails at ") for family in want), exc.value
+    assert 0 < inserted < len(_orbits(p + q)[0])
 
 
 @pytest.mark.parametrize("pq", [(4, 0), (3, 1), (5, 0)])
@@ -541,9 +627,7 @@ def test_basis_check_catches_a_kernel_entry_from_another_field(monkeypatch, cold
     orbits = _orbits(n)[0]
     first, second = 2, len(orbits) - 1
     odd = Scalar(0, 1, 1, 3)
-    _corrupt_kernel(
-        monkeypatch, 0, lambda e: [odd if u in (first, second) else x for u, x in enumerate(e)]
-    )
+    _corrupt_kernel(monkeypatch, 0, lambda v: v | {first: odd, second: odd})
     component = _unflat(n, orbits[first][0][0])
     message = f"component {component} lies in Q(sqrt 3), not in the tensor's field Q(sqrt 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
