@@ -517,8 +517,23 @@ def cmd_reproduce(config: SessionConfig, args) -> int:
     return 0 if all(r.match for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops any OSError from writing help or usage; this parser
+    lets a closed pipe through to the guard in `main`.  Subparsers share the
+    class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except BrokenPipeError:
+                raise
+            except (AttributeError, OSError):
+                pass
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confsym",
         description="Exact conformal-symmetry toolkit for the Mobius space",
     )

@@ -20,7 +20,6 @@ from .liealg import (
     _coordinates,
     _nonzero,
     _numerators,
-    _one_field,
     _so_rows,
     bracket,
     exp_nilpotent,
@@ -29,7 +28,7 @@ from .liealg import (
     so_table,
 )
 from .linalg import Matrix, Vector, rank, solve_affine
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar, one_field
 
 
 class HomogeneousPair:
@@ -177,8 +176,7 @@ class Extension:
             for j, c in self._rows[k]:
                 t = xk * c
                 acc[j] = acc[j] + t if j in acc else t
-        zero = Scalar(0, 0, 1, self.space.d)
-        return Vector._of_scalars(acc.get(j, zero) for j in range(self.alpha.ncols))
+        return Vector._of_scalars(acc.get(j, ZERO) for j in range(self.alpha.ncols))
 
 
 @dataclass
@@ -229,7 +227,7 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     alpha_fields, q_alpha, alpha_rows = ext._integer
     h_fields, _, h_int = _numerators(hs)
     m_fields, _, m_int = _numerators(pair._terms(_M))
-    d = _one_field({alg_d, *alpha_fields, *h_fields, *m_fields} - {0})
+    d = one_field((alg_d, *alpha_fields, *h_fields, *m_fields))
     h_images = [
         [(j, a, b) for j, (a, b) in _combine(d, h, alpha_rows).items() if a or b] for h in h_int
     ]
@@ -243,7 +241,7 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     # The numerators of alpha(m) are alpha(m) times a nonzero integer: same rank.
     m_images = [_combine(d, m, alpha_rows) for m in m_int]
     x_rows = [
-        [Scalar(*am.get(j, (0, 0)), 1, d or space.d) for j in range(1, n + 1)] for am in m_images
+        [Scalar(*am.get(j, (0, 0)), 1, d) for j in range(1, n + 1)] for am in m_images
     ]
     r = rank(Matrix._of_scalars(x_rows)) if x_rows else 0
     cond2 = ConditionReport(
@@ -388,8 +386,8 @@ def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:
 def flat_model_extension(space: MobiusSpace) -> Extension:
     """The identity extension of so(p+1, q+1) over its stabilizer subalgebra:
     h spans the (a, A, Z) blocks, m the lower block, alpha the identity in
-    graded coordinates, its entries tagged with the field of `space`.  The
-    algebra is built on the nonzero brackets of `so_table`."""
+    graded coordinates, over the field of `space`.  The algebra is built on
+    the nonzero brackets of `so_table`."""
     table = so_table(space.signature.p, space.signature.q)
     dim = len(table)
     alg = StructureAlgebra(
@@ -400,6 +398,5 @@ def flat_model_extension(space: MobiusSpace) -> Extension:
     m_idx = list(range(1, n + 1))
     h_idx = [0] + list(range(n + 1, dim))
     pair = HomogeneousPair(alg, h_idx, m_idx)
-    one, zero = Scalar(1, 0, 1, space.d), Scalar(0, 0, 1, space.d)
-    alpha = Matrix._of_scalars([one if i == j else zero for j in range(dim)] for i in range(dim))
+    alpha = Matrix._of_scalars([ONE if i == j else ZERO for j in range(dim)] for i in range(dim))
     return Extension(space, pair, alpha)

@@ -272,19 +272,11 @@ def isometry_inverse(space: MobiusSpace, g: Matrix) -> Matrix:
         raise ValueError(f"expected a {size}x{size} matrix, got {g.shape}")
     sign = [1] + [space.signature.j_sign(i) for i in range(space.n)] + [1]
     perm = [size - 1] + list(range(1, size - 1)) + [0]
-    rows = g.rows
+    cols = list(zip(*g.rows))
     inv = Matrix._of_scalars(
-        [_signed(rows[perm[j]][perm[i]], sign[i] * sign[j]) for j in range(size)]
+        [x if sign[i] == sign[j] else -x for j, x in enumerate(cols[perm[i]][k] for k in perm)]
         for i in range(size)
     )
     if not (g @ inv == Matrix.identity(size)):
         raise ValueError("matrix is not an isometry of the form")
     return inv
-
-
-def _signed(e: Scalar, s: int) -> Scalar:
-    """s * e with the field tag that m g^T m gives it: an irrational entry
-    keeps its d, a rational one takes the d = 2 of m's entries."""
-    if e.b or e.d == 2:
-        return e if s > 0 else -e
-    return Scalar(s * e.a, 0, e.q)

@@ -44,7 +44,7 @@ from math import lcm
 
 from .flatmodel import MobiusSpace
 from .linalg import Matrix, Vector
-from .scalars import FieldMismatchError, Scalar
+from .scalars import Scalar, one_field
 
 
 def so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
@@ -251,7 +251,7 @@ class StructureAlgebra:
         fields, den, numerators = _numerators([t for row in rows for t in row.values()])
         numerators = iter(numerators)
         integer_rows = [{j: next(numerators) for j in row} for row in rows]
-        d = _one_field(fields)
+        d = one_field(fields)
         _check_antisymmetry(integer_rows)
         _check_jacobi(d, integer_rows)
         # Row i, j as (k, a, b) with c = (a + b sqrt d) / den; d = 0 when all c are rational.
@@ -276,15 +276,14 @@ class StructureAlgebra:
 def _numerators(term_lists) -> tuple:
     """(fields, den, lists) for lists of (k, c): each c, a Scalar or an int,
     becomes (k, a, b) with c = (a + b sqrt d) / den for one common
-    denominator den; `fields` holds the d of the irrational c."""
+    denominator den; `fields` holds the d of every Scalar c (0 when rational)."""
     fields = set()
     den = 1
     for terms in term_lists:
         for _, c in terms:
             if type(c) is not int:
                 den = lcm(den, c.q)
-                if c.b:
-                    fields.add(c.d)
+                fields.add(c.d)
     out = [
         tuple(
             (k, c * den, 0) if type(c) is int else (k, c.a * (den // c.q), c.b * (den // c.q))
@@ -293,15 +292,6 @@ def _numerators(term_lists) -> tuple:
         for terms in term_lists
     ]
     return fields, den, out
-
-
-def _one_field(fields) -> int:
-    """The one d of a set of irrational fields, or 0 (all b are 0) when it is
-    empty; FieldMismatchError when two fields meet."""
-    if len(fields) > 1:
-        a, b = sorted(fields)[:2]
-        raise FieldMismatchError(f"cannot mix Q(sqrt {a}) with Q(sqrt {b})")
-    return next(iter(fields), 0)
 
 
 def _check_antisymmetry(rows) -> None:

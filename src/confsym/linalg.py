@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import _core
-from .scalars import ONE, ZERO, FieldMismatchError, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, one_field
 
 
 class Vector:
@@ -88,10 +88,10 @@ class Vector:
         return v
 
     @classmethod
-    def from_terms(cls, terms, n: int, d: int) -> Vector:
-        """The length-n vector with the (index, Scalar) `terms`, zero (tagged
-        with d) elsewhere."""
-        entries = [Scalar(0, 0, 1, d)] * n
+    def from_terms(cls, terms, n: int) -> Vector:
+        """The length-n vector with the (index, Scalar) `terms`, zero
+        elsewhere."""
+        entries = [ZERO] * n
         for i, x in terms:
             entries[i] = x
         return cls._of_scalars(entries)
@@ -251,14 +251,12 @@ def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]], d: int):
     Raises FieldMismatchError on an irrational entry of another Q(sqrt d):
     the rows carry only numerators, so the field must be checked here."""
     out = []
+    fields = {d}
     for row in rows:
         denom = 1
         for e in row:
             if e:
-                if e.b and e.d != d:
-                    raise FieldMismatchError(
-                        f"entry {e} lies in Q(sqrt {e.d}), not in Q(sqrt {d})"
-                    )
+                fields.add(e.d)
                 denom = lcm(denom, e.q)
         cols = []
         vals = []
@@ -270,14 +268,8 @@ def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]], d: int):
                 vals.append(e.b * f)
         if cols:
             out.append((cols, vals))
+    one_field(fields)
     return out
-
-
-def _infer_d(entries: Iterable[Scalar], default: int = 2) -> int:
-    for e in entries:
-        if e.b != 0:
-            return e.d
-    return default
 
 
 def kernel_sparse(rows, ncols: int, d: int) -> list[list[tuple[int, Scalar]]]:
@@ -298,25 +290,24 @@ def kernel_sparse(rows, ncols: int, d: int) -> list[list[tuple[int, Scalar]]]:
             basis[cols[k]].append(
                 (pc, Scalar(-triples[3 * k], -triples[3 * k + 1], triples[3 * k + 2], d))
             )
-    one = Scalar(1, 0, 1, d)
     for f, terms in basis.items():
-        terms.append((f, one))
+        terms.append((f, ONE))
     return list(basis.values())
 
 
 def rank(M: Matrix) -> int:
     """Exact rank."""
-    d = _infer_d(e for r in M.rows for e in r)
+    d = one_field(e.d for r in M.rows for e in r)
     pivots, _ = _core.rref_sparse(sparse_rows_from_scalars(M.rows, d), d)
     return len(pivots)
 
 
 def kernel(M: Matrix) -> list[Vector]:
     """Exact basis of the null space {v : M v = 0}; empty when M is injective."""
-    d = _infer_d(e for r in M.rows for e in r)
+    d = one_field(e.d for r in M.rows for e in r)
     n = M.ncols
     return [
-        Vector.from_terms(terms, n, d)
+        Vector.from_terms(terms, n)
         for terms in kernel_sparse(sparse_rows_from_scalars(M.rows, d), n, d)
     ]
 
@@ -454,12 +445,11 @@ def canonical_span(vectors: Sequence[Vector]) -> list[Vector]:
     if not vectors:
         return []
     n = len(vectors[0])
-    d = _infer_d(e for v in vectors for e in v)
+    d = one_field(e.d for v in vectors for e in v)
     _, reduced = _core.rref_sparse(sparse_rows_from_scalars(vectors, d), d)
-    zero = Scalar(0, 0, 1, d)
     out = []
     for cols, triples in reduced:
-        entries = [zero] * n
+        entries = [ZERO] * n
         for k, c in enumerate(cols):
             entries[c] = Scalar(triples[3 * k], triples[3 * k + 1], triples[3 * k + 2], d)
         out.append(Vector._of_scalars(entries))

@@ -1,16 +1,18 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(d)).
 
 An element is stored as (a + b*sqrt(d)) / q with arbitrary-precision integers
-a, b, q in the canonical form q > 0, gcd(a, b, q) = 1.  Equal field elements
-therefore compare equal bit-for-bit.  Rational values (b = 0) mix freely with
-elements of any ambient d; combining two irrational values from different
-fields raises FieldMismatchError.
+a, b, q in the canonical form q > 0, gcd(a, b, q) = 1, and d = 0 exactly when
+b = 0: a rational value lies in every field, so it carries none, whatever d
+it was built with.  Equal values are therefore equal slot for slot.  The
+field is a property of a system (a space, a tensor, a file), and
+`one_field` is the one function that reads it off a set of values.  A result
+takes the nonzero d of its operands; combining two irrational values from
+different fields raises FieldMismatchError.
 
 The arithmetic leans on that form.  Any (a, b, 1) is canonical, so the
 constructor does no gcd work when q = 1, and a sum of two values with q = 1
 is (a + a', b + b', 1) as it stands.  A product of two rationals is
-(a a', 0, q q'), reduced by the constructor.  A result takes the d of its
-irrational operand, or the d of the second operand when both are rational.
+(a a', 0, q q'), reduced by the constructor.
 """
 
 from __future__ import annotations
@@ -43,6 +45,19 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
+def one_field(ds) -> int:
+    """The field of a system whose values have the field parameters `ds`:
+    the one nonzero d among them, or 0 when all values are rational.  Raises
+    FieldMismatchError when two different nonzero d meet."""
+    out = 0
+    for d in ds:
+        if d and d != out:
+            if out:
+                raise FieldMismatchError(f"cannot mix Q(sqrt {out}) with Q(sqrt {d})")
+            out = d
+    return out
+
+
 def check_field_parameter(d: int) -> int:
     """Validate the ambient field parameter (square-free, 2 <= d <=
     MAX_FIELD_PARAMETER; default 2)."""
@@ -52,7 +67,7 @@ def check_field_parameter(d: int) -> int:
 
 
 class Scalar:
-    """One element of Q(sqrt(d)), exact."""
+    """One element of Q(sqrt(d)), exact; d is stored as 0 when b = 0."""
 
     __slots__ = ("a", "b", "q", "d")
 
@@ -70,7 +85,7 @@ class Scalar:
         _set_a(self, a)
         _set_b(self, b)
         _set_q(self, q)
-        _set_d(self, d)
+        _set_d(self, d if b else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -99,25 +114,25 @@ class Scalar:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
-            other = _coerce(other, self.d)
+            other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            return False
-        return self.a == other.a and self.b == other.b and self.q == other.q
+        return (
+            self.a == other.a and self.b == other.b and self.q == other.q and self.d == other.d
+        )
 
     # -- arithmetic --------------------------------------------------------
 
     def _join_d(self, other: Scalar) -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0 or self.d == other.d:
+        if not other.d or self.d == other.d:
             return self.d
+        if not self.d:
+            return other.d
         raise FieldMismatchError(f"cannot mix Q(sqrt {self.d}) with Q(sqrt {other.d})")
 
     def __add__(self, other) -> Scalar:
         if other.__class__ is not Scalar:
-            other = _coerce(other, self.d)
+            other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         d = self._join_d(other)
@@ -137,21 +152,24 @@ class Scalar:
 
     def __sub__(self, other) -> Scalar:
         if other.__class__ is not Scalar:
-            other = _coerce(other, self.d)
+            other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> Scalar:
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> Scalar:
         if other.__class__ is not Scalar:
-            other = _coerce(other, self.d)
+            other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         if self.b == 0 and other.b == 0:
-            return Scalar(self.a * other.a, 0, self.q * other.q, other.d)
+            return Scalar(self.a * other.a, 0, self.q * other.q)
         d = self._join_d(other)
         return Scalar(
             self.a * other.a + d * self.b * other.b,
@@ -171,18 +189,23 @@ class Scalar:
         return Scalar(self.q * self.a, -self.q * self.b, n, self.d)
 
     def __truediv__(self, other) -> Scalar:
-        other = _coerce(other, self.d)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> Scalar:
-        return _coerce(other, self.d) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int) -> Scalar:
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = Scalar(1, 0, 1, self.d)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -206,13 +229,13 @@ class Scalar:
         return f"Scalar('{self}', d={self.d})"
 
 
-def _coerce(x, d: int):
+def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, int):
-        return Scalar(x, 0, 1, d)
+        return Scalar(x)
     if isinstance(x, Fraction):
-        return Scalar(x.numerator, 0, x.denominator, d)
+        return Scalar(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -284,7 +307,7 @@ def as_scalar(x, d: int = 2) -> Scalar:
         return x
     if isinstance(x, str):
         return parse_scalar(x, d)
-    s = _coerce(x, d)
+    s = _coerce(x)
     if s is NotImplemented:
         raise TypeError(f"cannot interpret {x!r} as a scalar")
     return s

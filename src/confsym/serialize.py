@@ -13,7 +13,7 @@ from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel
 from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
-from .scalars import Scalar, parse_scalar
+from .scalars import ZERO, Scalar, parse_scalar
 from .symmetry import SymmetryReport
 from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
 
@@ -26,16 +26,15 @@ def vector_to_literals(v: Vector) -> list[str]:
     return [str(e) for e in v]
 
 
-def _literal(x, d: int, zero: Scalar) -> Scalar:
+def _literal(x, d: int) -> Scalar:
     """One literal of a file: the exact string "0" is the literal of zero
     and needs no parse; every other literal goes through the grammar."""
     text = str(x)
-    return zero if text == "0" else parse_scalar(text, d)
+    return ZERO if text == "0" else parse_scalar(text, d)
 
 
 def vector_from_literals(items, d: int) -> Vector:
-    zero = Scalar(0, 0, 1, d)
-    return Vector._of_scalars([_literal(x, d, zero) for x in items])
+    return Vector._of_scalars([_literal(x, d) for x in items])
 
 
 def matrix_to_literals(M: Matrix) -> list[list[str]]:
@@ -43,8 +42,7 @@ def matrix_to_literals(M: Matrix) -> list[list[str]]:
 
 
 def matrix_from_literals(rows, d: int) -> Matrix:
-    zero = Scalar(0, 0, 1, d)
-    return Matrix._of_scalars([_literal(x, d, zero) for x in row] for row in rows)
+    return Matrix._of_scalars([_literal(x, d) for x in row] for row in rows)
 
 
 def subspace_to_dict(s: AffineSubspace) -> dict:
@@ -132,7 +130,7 @@ def weyl_from_dict(data: dict) -> WeylTensor:
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     system = _ConstraintSystem(p, q)
     slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
-    values = [Scalar(0, 0, 1, d)] * len(system.orbits)
+    values = [ZERO] * len(system.orbits)
     for key, lit in data["components"].items():
         if key not in slots:
             raise ValueError(f"non-canonical component key {key!r}")
@@ -173,7 +171,6 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
     list whose length is not dim.  Only the nonzero coefficients are kept,
     so the work grows with the number of literals, not with dim^2."""
     dim = _json_int(data["dim"], "dim")
-    zero = Scalar(0, 0, 1, d)
     brackets = {}
     for i, j, coeffs in data["brackets"]:
         if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
@@ -186,7 +183,7 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
             )
         terms = []
         for k, x in enumerate(coeffs):
-            c = _literal(x, d, zero)
+            c = _literal(x, d)
             if c:
                 terms.append((k, c))
         brackets[i, j] = terms

@@ -40,7 +40,7 @@ from . import _core
 from .flatmodel import MobiusSpace
 from .liealg import CoElement, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
-from .scalars import FieldMismatchError, Scalar
+from .scalars import ZERO, Scalar, one_field
 
 
 class WeylTensor:
@@ -102,9 +102,9 @@ class WeylTensor:
 
     @property
     def values(self) -> tuple[Scalar, ...]:
-        """One value per orbit of `_orbits(n)`, zero (tagged with d) where
-        `terms` has none."""
-        out = [Scalar(0, 0, 1, self.d)] * len(_orbits(self.n)[0])
+        """One value per orbit of `_orbits(n)`, zero where `terms` has
+        none."""
+        out = [ZERO] * len(_orbits(self.n)[0])
         for u, x in self.terms:
             out[u] = x
         return tuple(out)
@@ -113,7 +113,7 @@ class WeylTensor:
     def components(self) -> tuple[Scalar, ...]:
         """The n^4 flat components: each orbit member gets its orbit's value
         times its sign, every other component zero."""
-        comps = [Scalar(0, 0, 1, self.d)] * self.n**4
+        comps = [ZERO] * self.n**4
         orbits = _orbits(self.n)[0]
         for u, x in self.terms:
             neg = -x
@@ -128,7 +128,7 @@ class WeylTensor:
             if k < len(self.terms) and self.terms[k][0] == slot[0]:
                 x = self.terms[k][1]
                 return x if slot[1] > 0 else -x
-        return Scalar(0, 0, 1, self.d)
+        return ZERO
 
     def __eq__(self, other):
         return (
@@ -180,19 +180,13 @@ class WeylTensor:
     def _integer_form(self):
         """(d, q, a, b), computed once per tensor.  Flat component t is
         (a[t] + b[t] sqrt d) / q with one common denominator q; d is the field
-        of the irrational values and b is None when there are none.  Raises
-        FieldMismatchError when the values mix fields."""
+        of the values (`one_field`) and b is None when they are all rational.
+        Raises FieldMismatchError when the values mix fields."""
         if self._ints is None:
-            d = None
-            for _, x in self.terms:
-                if x.b:
-                    if d is None:
-                        d = x.d
-                    elif x.d != d:
-                        raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+            d = one_field(x.d for _, x in self.terms)
             q = lcm(*(x.q for _, x in self.terms))
             a = [0] * self.n**4
-            b = None if d is None else [0] * self.n**4
+            b = [0] * self.n**4 if d else None
             orbits = _orbits(self.n)[0]
             for u, x in self.terms:
                 f = q // x.q
@@ -452,12 +446,7 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
                 f = f + c.a
             if f:
                 f_entries.append((r, m, f))
-                if f.b:
-                    if d is None:
-                        d = f.d
-                    elif f.d != d:
-                        raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {f.d})")
-    d = W.d if d is None else d
+    d = one_field((d, *(f.d for _, _, f in f_entries)))
     qf = lcm(*(f.q for _, _, f in f_entries))
     fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
     fb = [(r, m, f.b * (qf // f.q)) for r, m, f in f_entries if f.b]
@@ -558,7 +547,7 @@ def prolongation(W: WeylTensor) -> list[Vector]:
         rows += new
         if i < n - 1 and new and len(_core.rref_sparse(rows, W.d)[0]) == n:
             return []
-    return [Vector.from_terms(terms, n, W.d) for terms in kernel_sparse(rows, n, W.d)]
+    return [Vector.from_terms(terms, n) for terms in kernel_sparse(rows, n, W.d)]
 
 
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
@@ -573,7 +562,7 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):
             break
-    values = [Scalar(0, 0, 1, d)] * len(_orbits(p + q)[0])
+    values = [ZERO] * len(_orbits(p + q)[0])
     for coef, elt in zip(coeffs, basis.elements):
         if coef:
             c = Scalar(coef)

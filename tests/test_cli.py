@@ -278,8 +278,8 @@ def test_weyl_prolongation_seed_defaults_to_0(capsys):
         (["--p", "4", "--q", "3", "extension", "make-flat"], 10, True),
         (["--p", "4", "--q", "0", "weyl", "basis-dim"], 0, False),
         (["--p", "4", "--q", "0", "weyl", "basis-dim"], 0, True),
-        # Unbuffered, argparse itself ignores the failed write of --help.
         (["--help"], 0, False),
+        (["--help"], 0, True),
     ],
 )
 def test_closed_pipe_exits_quietly(argv, read, unbuffered):

@@ -28,6 +28,7 @@ from confsym.liealg import (
 )
 from confsym.linalg import Matrix, Vector
 from confsym.scalars import FieldMismatchError, Scalar
+from confsym.serialize import extension_from_dict, extension_to_dict
 
 from conftest import (
     heisenberg_pair,
@@ -57,15 +58,24 @@ def graded_alpha_rows(images):
 
 
 def test_flat_model_extension_carries_the_field_of_its_space():
-    """The identity alpha and the zero padding of `coords` are tagged with
-    the space's d, not the default d = 2."""
+    """The field belongs to the space: the identity alpha and the zero
+    padding of `coords` are rational and carry d = 0, while an irrational
+    literal read from a file over Q(sqrt 3) keeps d = 3."""
     ext = flat_model_extension(MobiusSpace(3, 1, d=3))
+    assert ext.space.d == 3
     entries = [x for row in ext.alpha.rows for x in row]
     assert len(entries) == 225
-    assert {x.d for x in entries} == {3}
+    assert {x.d for x in entries} == {0}
     for x in ext.pair.h_basis + ext.pair.m_basis:
         padding = [c for c in ext.coords(x).entries if not c]
-        assert padding and {c.d for c in padding} == {3}
+        assert padding and {c.d for c in padding} == {0}
+    data = extension_to_dict(ext)
+    assert data["d"] == 3
+    data["alpha"][0][0] = "1*r"
+    back = extension_from_dict(data)
+    assert back.space.d == 3
+    assert (back.alpha[0, 0], back.alpha[0, 0].d) == (Scalar.sqrt_d(3), 3)
+    assert {x.d for row in back.alpha.rows[1:] for x in row} == {0}
 
 
 def test_flat_model_extension_validates(space21):

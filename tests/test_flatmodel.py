@@ -206,8 +206,8 @@ def _non_null(space, rng) -> Vector:
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 2), (3, 1), (4, 1)])
 def test_isometry_inverse_is_the_former_product(pq, d, rng):
-    # The signed transpose gives every entry the value and field tag of
-    # m g^T m, down to its repr.
+    # The signed transpose gives every entry the value of m g^T m, down to
+    # its repr: d on the irrational entries, 0 on the rational ones.
     space = MobiusSpace(*pq, d=d)
     m = space.form.matrix
     for _ in range(6):
@@ -218,6 +218,19 @@ def test_isometry_inverse_is_the_former_product(pq, d, rng):
             got, want = isometry_inverse(space, g), m @ g.transpose() @ m
             assert got == want
             assert [repr(e) for r in got.rows for e in r] == [repr(e) for r in want.rows for e in r]
+
+
+def test_isometry_inverse_keeps_the_field_on_irrational_entries_only():
+    """Over Q(sqrt 3), the rational entries of the inverse carry d = 0 (the
+    signed transpose once tagged them d = 2) and the irrational ones d = 3."""
+    space = MobiusSpace(2, 1, d=3)
+    fields = set()
+    for entries in (["1", "1", "0", "0", "-1/2"], ["1", "r", "0", "0", "-3/2"]):
+        g = transitive_witness(space, space.line(entries))
+        inv = isometry_inverse(space, g)
+        assert {e.d for r in inv.rows for e in r if not e.b} == {0}
+        fields |= {e.d for r in inv.rows for e in r if e.b}
+    assert fields == {3}
 
 
 def test_isometry_inverse_rejects_a_non_isometry(space21):

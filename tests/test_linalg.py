@@ -142,6 +142,15 @@ def test_entry_points_reject_mixed_fields():
     assert rank(Matrix([[Scalar.sqrt_d(3), 1], [Scalar(1, 0, 2), 1]])) == 2
 
 
+def test_kernel_of_a_rational_system_is_rational():
+    """Rationals built with d = 3 carry no field, so neither does their
+    kernel: no d is guessed for a system without irrational entries."""
+    ker = kernel(Matrix([[Scalar(1, 0, 1, 3)] * 2]))
+    assert [[(e.a, e.b, e.q, e.d) for e in v] for v in ker] == [[(-1, 0, 1, 0), (1, 0, 1, 0)]]
+    span = canonical_span([Vector([Scalar(2, 0, 1, 3), Scalar(4, 0, 1, 5)])])
+    assert [[(e.a, e.b, e.q, e.d) for e in v] for v in span] == [[(1, 0, 1, 0), (2, 0, 1, 0)]]
+
+
 def test_solve_affine_hyperplane():
     n = 5
     M = Matrix([[1] + [0] * (n - 2) + [1]])
@@ -276,7 +285,7 @@ def test_kernel_sparse_on_random_sparse_systems(seed):
     for terms in sparse:
         assert all(x for _, x in terms)
         assert [c for c, _ in terms] == sorted({c for c, _ in terms})
-    ker = [Vector.from_terms(terms, ncols, 2) for terms in sparse]
+    ker = [Vector.from_terms(terms, ncols) for terms in sparse]
     for v in ker:
         assert M.matvec(v).is_zero()
     assert len(ker) == ncols - naive_rank(M)

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from confsym.scalars import (
     _LITERAL,
     MAX_FIELD_PARAMETER,
+    ONE,
     FieldMismatchError,
     Scalar,
     as_scalar,
     check_field_parameter,
     is_squarefree,
+    one_field,
     parse_scalar,
 )
 
@@ -265,9 +268,10 @@ def _ref_op(op, s, o):
 
 
 def _ref_slots(r):
+    """The canonical slots: a rational value carries d = 0."""
     x, y, d = r
     q = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q, d)
+    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q, d if y else 0)
 
 
 def _ref_str(r):
@@ -286,7 +290,7 @@ def _assert_matches(got, r):
     assert (got.a, got.b, got.q, got.d) == _ref_slots(r)
     assert hash(got) == (hash(r[0]) if r[1] == 0 else hash(_ref_slots(r)))
     assert str(got) == _ref_str(r)
-    assert repr(got) == f"Scalar('{_ref_str(r)}', d={r[2]})"
+    assert repr(got) == f"Scalar('{_ref_str(r)}', d={r[2] if r[1] else 0})"
 
 
 # q = 1 and b = 0 are drawn often: the short formulas start there.
@@ -328,3 +332,74 @@ def test_arithmetic_matches_the_fraction_pair_reference(parts, other, int_on_lef
                 fn(x, y)
         else:
             _assert_matches(fn(x, y), _ref_op(op, rx, ry))
+
+
+# -- one canonical form per value ---------------------------------------------
+
+
+def test_a_rational_carries_no_field():
+    """Whatever d a rational value is built with, it is stored with d = 0,
+    and a result takes the nonzero d of its operands."""
+    x = Scalar(1, 0, 1, 3)
+    assert (x.a, x.b, x.q, x.d) == (ONE.a, ONE.b, ONE.q, ONE.d) == (1, 0, 1, 0)
+    assert repr(x) == repr(Scalar(1)) == "Scalar('1', d=0)"
+    assert parse_scalar("-3/2", 5).d == 0
+    assert (x + Scalar.sqrt_d(3)).d == 3
+    assert (Scalar.sqrt_d(3) * Scalar.sqrt_d(3)).d == 0
+
+
+def test_one_field_reads_the_field_of_a_system():
+    assert one_field([]) == one_field([0, 0]) == 0
+    assert one_field([0, 3, 0, 3]) == 3
+    with pytest.raises(FieldMismatchError, match="Q\\(sqrt 2\\) with Q\\(sqrt 5\\)"):
+        one_field([0, 2, 2, 5])
+
+
+_fields = st.sampled_from([2, 3, 5])
+_parsed = st.builds(
+    parse_scalar,
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2", "r", "-r", "1+r", "1/2*r", "2-3*r"]),
+    _fields,
+)
+
+
+@st.composite
+def _built(draw):
+    """A parsed Scalar after a few arithmetic steps with other parsed values
+    and ints, on either side, over d in {2, 3, 5}."""
+    x = draw(_parsed)
+    for _ in range(draw(st.integers(0, 3))):
+        fn = draw(st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]))
+        y = draw(st.one_of(_parsed, st.integers(-3, 3)))
+        try:
+            x = fn(x, y) if draw(st.booleans()) else fn(y, x)
+        except (FieldMismatchError, ZeroDivisionError):
+            pass
+    return x
+
+
+@given(_built(), _built())
+@settings(max_examples=400, deadline=None)
+def test_equal_values_are_equal_slot_for_slot(x, y):
+    slots = lambda s: (s.a, s.b, s.q, s.d)
+    assert (x == y) == (slots(x) == slots(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x.d == 0) == (x.b == 0)
+
+
+@pytest.mark.parametrize(
+    "fn, left, right, symbol",
+    [
+        (operator.truediv, 1.5, Scalar(2), "/"),
+        (operator.sub, 1.5, Scalar(2), "-"),
+        (operator.pow, Scalar(2), 0.5, "**"),
+        (operator.add, 1.5, Scalar(2), "+"),
+        (operator.mul, 1.5, Scalar(2), "*"),
+        (operator.truediv, Scalar(2), 1.5, "/"),
+        (operator.sub, Scalar(2), 1.5, "-"),
+    ],
+)
+def test_unsupported_operands_name_the_operator(fn, left, right, symbol):
+    with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for {re.escape(symbol)}[: ]"):
+        fn(left, right)
