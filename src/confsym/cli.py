@@ -373,12 +373,16 @@ def cmd_extension(config: SessionConfig, args) -> int:
 
 @dataclass
 class CaseFixture:
+    """A desk case: two removed lines of (p, q) and, for each SymmetryReport
+    field that the case checks, its exact expected set."""
+
     case_id: str
     p: int
     q: int
     u: list[str]
     v: list[str]
     expected_desc: str
+    expected: dict[str, AffineSubspace]
 
 
 @dataclass
@@ -398,75 +402,53 @@ def _conditions(rows, rhs) -> AffineSubspace:
 
 
 def fixture_cases() -> list[CaseFixture]:
+    empty3 = AffineSubspace.empty(3)
     return [
         CaseFixture(
             "orbit-A", 2, 1,
             ["1", "1*r", "0", "0", "-1"], ["1", "0", "0", "-1*r", "1"],
             "swap at exactly Z = (-1*r, 0, 1*r); nothing preserves both lines",
+            {"preserving": empty3, "swapping": _point(["-1*r", "0", "1*r"])},
         ),
         CaseFixture(
             "orbit-B", 2, 1,
             ["0", "1", "0", "1", "0"], ["0", "0", "0", "0", "1"],
             "preserve at exactly Z = 0; nothing swaps the lines",
+            {"preserving": _point(["0", "0", "0"]), "swapping": empty3},
         ),
         CaseFixture(
             "orbit-C", 2, 1,
             ["0", "1", "0", "1", "0"], ["1", "1", "0", "1", "0"],
             "swap on the hyperplane z1 + z3 = -1; nothing preserves both lines",
+            {"preserving": empty3, "swapping": _conditions([["1", "0", "1"]], ["-1"])},
         ),
         CaseFixture(
             "orbit-D", 2, 2,
             ["0", "1", "0", "0", "1", "0"], ["0", "0", "1", "1", "0", "0"],
             "preserve on z1 + z4 = 0, z2 + z3 = 0; nothing swaps the lines",
+            {
+                "preserving": _conditions([["1", "0", "0", "1"], ["0", "1", "1", "0"]], ["0", "0"]),
+                "swapping": AffineSubspace.empty(4),
+            },
         ),
         CaseFixture(
             "example-2", 2, 1,
             ["0", "0", "0", "0", "1"], ["1", "1", "0", "1", "0"],
             "no symmetry: single-line sets are Z = 0 and z1 + z3 = -2, disjoint",
+            {
+                "preserving": empty3,
+                "swapping": empty3,
+                "preserve_first": _point(["0", "0", "0"]),
+                "preserve_second": _conditions([["1", "0", "1"]], ["-2"]),
+            },
         ),
         CaseFixture(
             "example-3", 3, 0,
             ["-1", "0", "0", "1*r", "1"], ["1", "0", "0", "1*r", "-1"],
             "swap at exactly Z = 0; nothing preserves both lines",
+            {"preserving": empty3, "swapping": _point(["0", "0", "0"])},
         ),
     ]
-
-
-def expected_sets(case: CaseFixture) -> dict[str, AffineSubspace]:
-    n3 = 3
-    if case.case_id == "orbit-A":
-        return {
-            "preserving": AffineSubspace.empty(n3),
-            "swapping": _point(["-1*r", "0", "1*r"]),
-        }
-    if case.case_id == "orbit-B":
-        return {
-            "preserving": _point(["0", "0", "0"]),
-            "swapping": AffineSubspace.empty(n3),
-        }
-    if case.case_id == "orbit-C":
-        return {
-            "preserving": AffineSubspace.empty(n3),
-            "swapping": _conditions([["1", "0", "1"]], ["-1"]),
-        }
-    if case.case_id == "orbit-D":
-        return {
-            "preserving": _conditions([["1", "0", "0", "1"], ["0", "1", "1", "0"]], ["0", "0"]),
-            "swapping": AffineSubspace.empty(4),
-        }
-    if case.case_id == "example-2":
-        return {
-            "preserving": AffineSubspace.empty(n3),
-            "swapping": AffineSubspace.empty(n3),
-            "preserve_first": _point(["0", "0", "0"]),
-            "preserve_second": _conditions([["1", "0", "1"]], ["-2"]),
-        }
-    if case.case_id == "example-3":
-        return {
-            "preserving": AffineSubspace.empty(n3),
-            "swapping": _point(["0", "0", "0"]),
-        }
-    raise KeyError(case.case_id)
 
 
 def run_fixture_case(case: CaseFixture) -> CaseResult:
@@ -474,14 +456,7 @@ def run_fixture_case(case: CaseFixture) -> CaseResult:
     u = space.line([parse_scalar(x) for x in case.u])
     v = space.line([parse_scalar(x) for x in case.v])
     report = find_symmetries(space, u, v, space.origin)
-    expected = expected_sets(case)
-    match = report.preserving == expected["preserving"] and report.swapping == expected["swapping"]
-    if "preserve_first" in expected:
-        match = (
-            match
-            and report.preserve_first == expected["preserve_first"]
-            and report.preserve_second == expected["preserve_second"]
-        )
+    match = all(getattr(report, field) == want for field, want in case.expected.items())
     return CaseResult(case=case, report=report, match=match)
 
 
@@ -571,30 +546,21 @@ def build_parser() -> argparse.ArgumentParser:
 # Flags whose value is a literal list, which may start with "-".
 _LIST_FLAGS = frozenset(("--u", "--v", "--w", "--y", "--candidates"))
 
-
-def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
-    """Every option string of the parser and of its subcommands."""
-    out = set(parser._option_string_actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out |= _option_strings(sub)
-    return out
+# How a literal list that starts with a minus sign begins: "-" and then a
+# digit or "r".  No option of the parser begins this way.
+_MINUS_LIST_HEADS = tuple(f"-{c}" for c in "0123456789r")
 
 
-def _attach_list_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Join a list flag and the token after it ("--u", "-1,0" -> "--u=-1,0")
-    unless that token is one of the parser's options: argparse reads a value
-    that starts with "-" as an option and refuses the flag."""
-    if not _LIST_FLAGS.intersection(argv):
-        return argv
-    options = _option_strings(parser)
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Join a list flag and a literal list after it that starts with a minus
+    sign ("--u", "-1,0" -> "--u=-1,0"): argparse reads such a value as an
+    option and refuses the flag."""
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        value = argv[i + 1] if i + 1 < len(argv) else None
-        if token in _LIST_FLAGS and value is not None and value.split("=", 1)[0] not in options:
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token in _LIST_FLAGS and value.startswith(_MINUS_LIST_HEADS):
             out.append(f"{token}={value}")
             i += 2
         else:
@@ -621,7 +587,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_list_values(parser, argv))
+    args = parser.parse_args(_attach_list_values(argv))
     try:
         config = SessionConfig(p=args.p, q=args.q, d=args.d, machine=args.machine)
     except ValueError as exc:

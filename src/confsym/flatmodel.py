@@ -173,9 +173,10 @@ class MobiusSpace:
 def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) -> OrbitLabel:
     """Label the point w relative to the removed lines <u>, <v>.
 
-    Exact pairing tests decide isotropy; a rank comparison of [u; v] against
-    [u; v; w] decides membership in the plane.  Rescaling any representative
-    cannot change the answer."""
+    Exact pairing tests decide isotropy, and w lies in the plane of u and v
+    exactly when rank [u; v; w] is 2.  That is rank [u; v] itself: the lines
+    are distinct, so their normalized representatives are not proportional.
+    Rescaling any representative cannot change the answer."""
     if u == v:
         raise ValueError("removed lines must be distinct")
     if w == u or w == v:
@@ -183,9 +184,8 @@ def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) ->
     wr, ur, vr = w.representative, u.representative, v.representative
     iso_u = not space.pairing(wr, ur)
     iso_v = not space.pairing(wr, vr)
-    span_uv = rank(Matrix([ur.entries, vr.entries]))
-    span_uvw = rank(Matrix([ur.entries, vr.entries, wr.entries]))
-    return OrbitLabel(iso_u=iso_u, iso_v=iso_v, in_span=span_uv == span_uvw)
+    in_span = rank(Matrix([ur.entries, vr.entries, wr.entries])) == 2
+    return OrbitLabel(iso_u=iso_u, iso_v=iso_v, in_span=in_span)
 
 
 def reflection(space: MobiusSpace, v: Vector) -> Matrix:

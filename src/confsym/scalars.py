@@ -232,7 +232,8 @@ class Scalar:
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, int):
+    # A bool is an int, but a file's `true` is no scalar literal.
+    if isinstance(x, int) and x.__class__ is not bool:
         return Scalar(x)
     if isinstance(x, Fraction):
         return Scalar(x.numerator, 0, x.denominator)

@@ -33,8 +33,16 @@ def _literal(x, d: int) -> Scalar:
     return ZERO if text == "0" else parse_scalar(text, d)
 
 
+def _literal_list(items) -> list:
+    """A literal list of a file.  A JSON string is iterable too, and would be
+    read one character per entry, so only a JSON array passes."""
+    if not isinstance(items, list):
+        raise ValueError(f"expected a JSON array of scalar literals, got {type(items).__name__}")
+    return items
+
+
 def vector_from_literals(items, d: int) -> Vector:
-    return Vector._of_scalars([_literal(x, d) for x in items])
+    return Vector._of_scalars([_literal(x, d) for x in _literal_list(items)])
 
 
 def matrix_to_literals(M: Matrix) -> list[list[str]]:
@@ -42,7 +50,9 @@ def matrix_to_literals(M: Matrix) -> list[list[str]]:
 
 
 def matrix_from_literals(rows, d: int) -> Matrix:
-    return Matrix._of_scalars([_literal(x, d) for x in row] for row in rows)
+    return Matrix._of_scalars(
+        [_literal(x, d) for x in _literal_list(row)] for row in _literal_list(rows)
+    )
 
 
 def subspace_to_dict(s: AffineSubspace) -> dict:
@@ -177,7 +187,7 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
             raise ValueError(f"bracket entry {[i, j]!r} needs integers 0 <= i < j < {dim}")
         if (i, j) in brackets:
             raise ValueError(f"bracket entry {[i, j]!r} is repeated")
-        if len(coeffs) != dim:
+        if len(_literal_list(coeffs)) != dim:
             raise ValueError(
                 f"bracket entry {[i, j]!r} has {len(coeffs)} coefficients, expected {dim}"
             )
@@ -240,7 +250,10 @@ def extension_from_dict(data: dict) -> Extension:
         for i in data[key]:
             if not (type(i) is int and 0 <= i < dim):
                 raise ValueError(f"{key!r} index {i!r} needs an integer 0 <= i < {dim}")
-    pair_cls = SymmetricPair if data.get("symmetric") else HomogeneousPair
+    symmetric = data.get("symmetric", False)
+    if type(symmetric) is not bool:
+        raise ValueError(f"'symmetric' must be a JSON boolean, got {symmetric!r}")
+    pair_cls = SymmetricPair if symmetric else HomogeneousPair
     pair = pair_cls(alg, data["h"], data["m"])
     alpha = matrix_from_literals(data["alpha"], space.d)
     return Extension(space, pair, alpha)

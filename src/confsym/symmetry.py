@@ -11,6 +11,13 @@ the conjugates g s_Z g^{-1} by group elements g moving the origin there.  The
 solver below computes, exactly, the set of all Z whose symmetry preserves a
 given null line or maps it onto another, and packages the answer for a pair
 of removed lines as a SymmetryReport.
+
+`solve_swap` is the one case tree.  It writes s_Z u = mu v on representatives
+u of L1 and v of L2, and reads the factor mu off u_inf, or else off the first
+nonzero entry of U.  Preserving a line is swapping it with itself, so
+`solve_preserve(L)` is `solve_swap(L, L)`.  Its three cases give mu = -1 when
+u_inf != 0 (one point Z), mu = 1 when u_inf = 0 and U != 0 (a hyperplane of
+Z), and mu = -1 at the origin, since s_Z e_0 = -e_0 for every Z.
 """
 
 from __future__ import annotations
@@ -96,33 +103,25 @@ def _pinned_z(space: MobiusSpace, middle: Vector) -> Vector:
 
 
 def solve_preserve(space: MobiusSpace, L: NullLine) -> AffineSubspace:
-    """All Z with s_Z L = L, as an affine subspace of covector space.
-
-    Case tree on the representative (u_0, U, u_inf):
-      - u_inf != 0: the proportionality factor is forced to -1 and the middle
-        block pins Z = 2 U^T J / u_inf; the remaining corner equation is a
-        consistency check, so the answer is that point or EMPTY.
-      - u_inf = 0, U != 0: factor 1, single affine condition Z.U = -2 u_0.
-      - u_inf = 0, U = 0: L = <e_0>, every symmetry fixes it.
-    """
-    n = space.n
-    u0, U, uinf = _split(space, L)
-    if uinf:
-        z = _pinned_z(space, U.scale(Scalar(2) / uinf))
-        # corner equation with factor -1: -u0 - Z.U + (ZJZ^T/2) u_inf = -u0
-        jz = _pinned_z(space, z)
-        quad = Scalar(1, 0, 2) * z.dot(jz)
-        if -z.dot(U) + quad * uinf == Scalar(0):
-            return AffineSubspace.point(z)
-        return AffineSubspace.empty(n)
-    if not U.is_zero():
-        return _hyperplane(U, Scalar(-2) * u0)
-    return AffineSubspace.full(n)
+    """All Z with s_Z L = L, as an affine subspace of covector space: the
+    swap of L with itself."""
+    return solve_swap(space, L, L)
 
 
 def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace:
     """All Z with s_Z L1 = L2; involutivity then gives s_Z L2 = L1 for free
-    (asserted on every reported solution by the callers' tests)."""
+    (asserted on every reported solution by the callers' tests).
+
+    Case tree on the representatives (u_0, U, u_inf) of L1 and (v_0, V, v_inf)
+    of L2, with s_Z u = mu v:
+      - u_inf != 0: the last row forces mu = -u_inf / v_inf (EMPTY when
+        v_inf = 0), and the middle block pins Z = J (U - mu V)^T / u_inf; the
+        corner equation is a consistency check, so the answer is that point
+        or EMPTY.
+      - u_inf = 0, U != 0: v_inf = 0 and U = mu V are needed, and then the
+        corner gives the single affine condition Z.U = -u_0 - mu v_0.
+      - u_inf = 0, U = 0: L1 = <e_0>, which every symmetry fixes.
+    """
     n = space.n
     u0, U, uinf = _split(space, L1)
     v0, V, vinf = _split(space, L2)
@@ -139,14 +138,14 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
     if not U.is_zero():
         if vinf:
             return AffineSubspace.empty(n)
-        mu = None
+        # U != 0, so the loop stops at some entry.
         for i in range(n):
             if U[i] or V[i]:
                 if not V[i]:
                     return AffineSubspace.empty(n)
                 mu = U[i] / V[i]
                 break
-        if mu is None or V.scale(mu) != U:
+        if V.scale(mu) != U:
             return AffineSubspace.empty(n)
         return _hyperplane(U, -u0 - mu * v0)
     # L1 = <e_0> is fixed by every s_Z, so a swap exists only onto itself.

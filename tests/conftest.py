@@ -11,11 +11,11 @@ from confsym.extension import (
     HomogeneousPair,
     SymmetricPair,
 )
-from confsym.flatmodel import MobiusSpace
+from confsym.flatmodel import MobiusSpace, NullLine, OrbitLabel
 from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim, so_table
-from confsym.linalg import Matrix, Vector, rank, solve_affine
+from confsym.linalg import AffineSubspace, Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
-from confsym.symmetry import make_symmetry
+from confsym.symmetry import _hyperplane, _pinned_z, _split, make_symmetry
 from confsym.weyl import _flat, _orbits, _unflat
 
 
@@ -70,6 +70,38 @@ def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
                 s = s + Scalar(space.signature.j_sign(i)) * x * x
             if not s:
                 return Vector([x0] + middle + [Scalar(rng.randint(-3, 3))])
+
+
+def reference_solve_preserve(space: MobiusSpace, L: NullLine) -> AffineSubspace:
+    """All Z with s_Z L = L, by the case tree on the representative
+    (u_0, U, u_inf) that `solve_swap(space, L, L)` must reproduce:
+      - u_inf != 0: factor -1, the middle block pins Z = 2 J U^T / u_inf, and
+        the corner equation decides between that point and EMPTY;
+      - u_inf = 0, U != 0: factor 1, the hyperplane Z.U = -2 u_0;
+      - u_inf = 0, U = 0: L = <e_0>, fixed by every s_Z."""
+    n = space.n
+    u0, U, uinf = _split(space, L)
+    if uinf:
+        z = _pinned_z(space, U.scale(Scalar(2) / uinf))
+        jz = _pinned_z(space, z)
+        quad = Scalar(1, 0, 2) * z.dot(jz)
+        if -z.dot(U) + quad * uinf == Scalar(0):
+            return AffineSubspace.point(z)
+        return AffineSubspace.empty(n)
+    if not U.is_zero():
+        return _hyperplane(U, Scalar(-2) * u0)
+    return AffineSubspace.full(n)
+
+
+def reference_classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) -> OrbitLabel:
+    """The orbit label with w in the span exactly when rank [u; v; w] equals
+    rank [u; v], for distinct u, v and a w that is neither."""
+    wr, ur, vr = w.representative, u.representative, v.representative
+    span_uv = rank(Matrix([ur.entries, vr.entries]))
+    span_uvw = rank(Matrix([ur.entries, vr.entries, wr.entries]))
+    return OrbitLabel(
+        iso_u=not space.pairing(wr, ur), iso_v=not space.pairing(wr, vr), in_span=span_uv == span_uvw
+    )
 
 
 # -- naive dense reference over pairs (x, y) = x + y sqrt(d) of Fractions ------

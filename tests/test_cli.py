@@ -122,7 +122,10 @@ def test_list_flag_value_may_start_with_a_minus(capsys, machine, command, flags)
     assert run(capsys, *head, *[f"{flag}={value}" for flag, value in flags]) == (0, spaced)
 
 
-@pytest.mark.parametrize("flag, value", [("--y", "-1,0,0"), ("--candidates", "-1,0,0;0,1,0")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--y", "-1,0,0"), ("--candidates", "-1,0,0;0,1,0"), ("--candidates", "-r,1,0;0,1,0")],
+)
 def test_criterion_list_value_may_start_with_a_minus(tmp_path, capsys, flag, value):
     path = tmp_path / "flat21.json"
     run(capsys, "--p", "2", "--q", "1", "extension", "make-flat", "-o", str(path))
@@ -228,6 +231,67 @@ def test_weyl_prolongation_output_is_pinned(capsys, p, q, d):
 def test_weyl_basis_dim_output_is_pinned(capsys, n):
     runs = [["--p", str(n), "--q", "0", *mode, "weyl", "basis-dim"] for mode in ([], ["--machine"])]
     assert _transcript(capsys, runs) == WEYL_BASIS_DIM_SHA256[n]
+
+
+# SHA-256 of the exit codes and stdout of `solve` and `classify`, human and
+# --machine, keyed by (p, q, d, command), and of `reproduce-paper`, human and
+# --machine, recorded while `solve_preserve` had a case tree of its own and
+# `classify_orbit` ranked two matrices.  The lines are the six desk cases,
+# the CI's commands and one (1, 3) case; a command with an "r" entry runs
+# only under d = 2, where its lines are null.
+LINE_COMMAND_SHA256 = {
+    (2, 1, 2, "solve --u 1,1*r,0,0,-1 --v 1,0,0,-1*r,1"):
+        "886bc21959dcf2784e401a04239e3e784ca7f771ef35cca6d35c38cbebd7ff3b",
+    (2, 1, 2, "solve --u 0,1,0,1,0 --v 0,0,0,0,1"):
+        "b93d8ef7390ce12540c08629b7d3ae3122c7421c91b9ef095f59729575c78f35",
+    (2, 1, 3, "solve --u 0,1,0,1,0 --v 0,0,0,0,1"):
+        "abe1a7f384e89597c10f7f561bd8dccbbcdd99ec10d72aa132fd03d4cb100110",
+    (2, 1, 2, "solve --u 0,1,0,1,0 --v 1,1,0,1,0"):
+        "126562e0edf86618fe335a5ad4a3351edec443137fcc73ec65f80d2fc8573af7",
+    (2, 1, 3, "solve --u 0,1,0,1,0 --v 1,1,0,1,0"):
+        "6775b5a53eebebdd0629edc4d07a958f7946fd3180182e475a404808f49d7385",
+    (2, 2, 2, "solve --u 0,1,0,0,1,0 --v 0,0,1,1,0,0"):
+        "d8a9c2081f185ed8f2717c506b51cff8345f34668d842bead4b76a36a3d8f377",
+    (2, 2, 3, "solve --u 0,1,0,0,1,0 --v 0,0,1,1,0,0"):
+        "2b91228f02d84c3c8d3f944fe777e0f74d275ef06ac04d87c91e044958c83c53",
+    (2, 1, 2, "solve --u 0,0,0,0,1 --v 1,1,0,1,0"):
+        "f23f62cfbc7c5606f277914636e59d513a544f09174ef35be8a71d55dc88f73a",
+    (2, 1, 3, "solve --u 0,0,0,0,1 --v 1,1,0,1,0"):
+        "5af40bac8fc3f7a3a2e53883d7a51e4a7511b8a6cd2596eb43f20fda80eaa71a",
+    (3, 0, 2, "solve --u -1,0,0,1*r,1 --v 1,0,0,1*r,-1"):
+        "02d88c8ef1b35d8ce02febf5ffbc32d26c9b98eb6689d7fbcc5d5b198e5d8774",
+    (2, 1, 2, "solve --u 0,1,0,1,0 --v 1,1,0,1,0 --w 1,1*r,0,0,-1"):
+        "42b8509ce173200d541bf7619a6a287d328b1875b0e0d39b88866ad1c2009c93",
+    (2, 2, 2, "solve --u 0,1,0,0,1,0 --v 0,0,1,1,0,0 --w 0,1,0,0,-1,0"):
+        "5abcfe2dbdfd35367f373e5f6e9f7bc6f9f36c941d8b4d2d30ddd13d8a8e2572",
+    (2, 2, 3, "solve --u 0,1,0,0,1,0 --v 0,0,1,1,0,0 --w 0,1,0,0,-1,0"):
+        "792684134cc80c108c4e8f0c1f1c60e427843d8f236472c01183f0f55487655f",
+    (1, 3, 2, "solve --u 0,1,1,0,0,0 --v 0,0,0,0,0,1 --w 1,0,0,0,1,1/2"):
+        "188c75a0bce9cd4dba00f7715c397892f42e26e28a6b4c7b2e54460f5a83e3b4",
+    (1, 3, 3, "solve --u 0,1,1,0,0,0 --v 0,0,0,0,0,1 --w 1,0,0,0,1,1/2"):
+        "dd08424346a189a0568961fbabb92fb22d57297d2f86d10de03ff20000f282a8",
+    (2, 1, 2, "classify --u 1,1*r,0,0,-1 --v 1,0,0,-1*r,1"):
+        "17906270acd8cb444fe09bd423e8fea659ca6ad1d7a79accd8b58bd6b13daab3",
+    (2, 1, 2, "classify --u 0,1,0,1,0 --v 1,1,0,1,0 --w 1,2,0,2,0"):
+        "798acf9ce9ec899cb157026fb63d1a314d458ec51dbcea3cb285d004064d8d3d",
+    (2, 1, 3, "classify --u 0,1,0,1,0 --v 1,1,0,1,0 --w 1,2,0,2,0"):
+        "798acf9ce9ec899cb157026fb63d1a314d458ec51dbcea3cb285d004064d8d3d",
+    (1, 3, 2, "classify --u 0,1,1,0,0,0 --v 0,0,0,0,0,1 --w 1,0,0,0,1,1/2"):
+        "b25416fa9b11c54004252359487532a0f58a9db4d1598500cf902fbe53909ef0",
+}
+REPRODUCE_PAPER_SHA256 = "85cb1e80432f5a4045c014028437a8d467b9db47b97ba38e82cc3fc122f17e4e"
+
+
+@pytest.mark.parametrize("p, q, d, command", sorted(LINE_COMMAND_SHA256))
+def test_line_command_output_is_pinned(capsys, p, q, d, command):
+    head = ["--p", str(p), "--q", str(q), "--d", str(d)]
+    runs = [[*head, *mode, *command.split()] for mode in ([], ["--machine"])]
+    assert _transcript(capsys, runs) == LINE_COMMAND_SHA256[p, q, d, command]
+
+
+def test_reproduce_paper_output_is_pinned(capsys):
+    runs = [[*mode, "reproduce-paper"] for mode in ([], ["--machine"])]
+    assert _transcript(capsys, runs) == REPRODUCE_PAPER_SHA256
 
 
 def test_make_flat_into_a_missing_directory_exits_2(tmp_path, capsys):
@@ -476,6 +540,41 @@ def _edited_flat_file(tmp_path, capsys, edit):
     edit(data)
     path.write_text(json.dumps(data))
     return path
+
+
+_NOT_AN_ARRAY = "expected a JSON array of scalar literals, got str"
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("alpha", None, _NOT_AN_ARRAY),
+        ("bracket", None, _NOT_AN_ARRAY),
+        ("symmetric", "false", "'symmetric' must be a JSON boolean, got 'false'"),
+        ("symmetric", 1, "'symmetric' must be a JSON boolean, got 1"),
+    ],
+    ids=["alpha", "bracket", "symmetric-string", "symmetric-number"],
+)
+@pytest.mark.parametrize("command", ["validate", "curvature", "criterion"])
+def test_extension_file_literal_lists_are_arrays_and_symmetric_a_boolean(
+    tmp_path, capsys, where, value, message, command
+):
+    # A list of one-character literals given as the string that joins them
+    # used to pass, read one character per entry.
+    def edit(data):
+        if where == "symmetric":
+            data["symmetric"] = value
+            return
+        if where == "alpha":
+            slots = [(data["alpha"], k) for k in range(len(data["alpha"]))]
+        else:
+            slots = [(entry, 2) for entry in data["algebra"]["brackets"]]
+        holder, k = next((h, k) for h, k in slots if all(len(x) == 1 for x in h[k]))
+        holder[k] = "".join(holder[k])
+
+    path = _edited_flat_file(tmp_path, capsys, edit)
+    err = _bad_input(capsys, "extension", command, "--file", str(path))
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -779,6 +878,16 @@ def test_input_file_small_signature(tmp_path, capsys):
     code, err = _solve_file(tmp_path, capsys, {**_LINES, "p": 1, "q": 1})
     assert code == 2
     assert err == "error: need p + q >= 3\n"
+
+
+@pytest.mark.parametrize("key", ["u", "v", "w"])
+@pytest.mark.parametrize("value", [True, False])
+def test_input_file_vector_entry_may_not_be_a_boolean(tmp_path, capsys, key, value):
+    vector = ["1", "0", "0", "0", "0"] if key == "w" else list(_LINES[key])
+    payload = {**_LINES, "w": ["1", "0", "0", "0", "0"], key: vector[:1] + [value] + vector[2:]}
+    code, err = _solve_file(tmp_path, capsys, payload)
+    assert code == 2
+    assert err == f"error: bad vector {key!r}: cannot interpret {value} as a scalar\n"
 
 
 @pytest.mark.parametrize("key", ["u", "v", "w"])

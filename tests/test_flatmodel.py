@@ -11,8 +11,9 @@ from confsym.flatmodel import (
 )
 from confsym.linalg import Matrix, Vector
 from confsym.scalars import Scalar
+from confsym.symmetry import make_symmetry
 
-from conftest import rand_null_vector
+from conftest import rand_covector, rand_null_vector, reference_classify_orbit
 
 
 def test_signature_validation():
@@ -113,6 +114,34 @@ def test_classify_orbit_scale_invariant(space21):
         space21.line(["5", "10", "0", "10", "0"]),
     )
     assert lab_a == lab_b
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (1, 3)])
+def test_classify_orbit_matches_the_two_rank_form(pq, rng):
+    space = MobiusSpace(*pq)
+    n = space.n
+    triples = []
+    for _ in range(30):
+        u, v, w = (space.line(rand_null_vector(space, rng)) for _ in range(3))
+        if u != v and w not in (u, v):
+            triples.append((u, v, w))
+    if space.signature.q:
+        # e_0 and (0, e_1 + e_n, 0) are orthogonal null lines.  A random
+        # isometry g moves them to an isotropic pair u, v, and w = u + v is a
+        # third null line of their plane.
+        x = Vector(["0", "1"] + ["0"] * (n - 2) + ["1", "0"])
+        for _ in range(10):
+            elsewhere = space.line(rand_null_vector(space, rng))
+            g = make_symmetry(space, rand_covector(rng, n)) @ transitive_witness(space, elsewhere)
+            u_vec, v_vec = g.matvec(space.basis_vector(0)), g.matvec(x)
+            triples.append((space.line(u_vec), space.line(v_vec), space.line(u_vec + v_vec)))
+    seen = set()
+    for u, v, w in triples:
+        label = classify_orbit(space, w, u, v)
+        assert label == reference_classify_orbit(space, w, u, v)
+        seen.add(label.in_span)
+    # In definite signature a plane through two distinct null lines holds no third.
+    assert seen == ({False, True} if space.signature.q else {False})
 
 
 def test_span_membership_forces_isotropy(space21, rng):

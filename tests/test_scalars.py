@@ -199,6 +199,17 @@ def test_as_scalar_coercions():
         as_scalar(1.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_a_scalar(value):
+    # A bool is an int to Python; read as one, `true` in a file would be 1.
+    with pytest.raises(TypeError, match=f"cannot interpret {value} as a scalar"):
+        as_scalar(value)
+    with pytest.raises(TypeError):
+        Scalar(1) + value
+    with pytest.raises(TypeError):
+        value * Scalar(1)
+
+
 small = st.integers(min_value=-30, max_value=30)
 denom = st.integers(min_value=1, max_value=12)
 scalars = st.builds(Scalar, small, small, denom)

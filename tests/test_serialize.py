@@ -217,3 +217,16 @@ def test_reports_on_flat_and_perturbed_files_match_the_reference(pq, d, data):
     ext = extension_from_dict(bent)
     assert validate_extension(ext) == reference_validate_extension(ext)
     assert dump_canonical(extension_to_dict(ext)) == dump_canonical(bent)
+
+
+@pytest.mark.parametrize("path", [("base_point",), ("witness", 0), ("swapping", "base")])
+def test_report_from_dict_refuses_a_string_for_a_literal_list(space21, path):
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    data = report_to_dict(space21, find_symmetries(space21, u, v, space21.origin))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = "".join(holder[path[-1]])
+    with pytest.raises(ValueError, match="expected a JSON array of scalar literals, got str"):
+        report_from_dict(data)

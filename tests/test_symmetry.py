@@ -14,7 +14,12 @@ from confsym.symmetry import (
     tangent_is_minus_id,
 )
 
-from conftest import rand_covector, rand_null_vector, stabilizer_element
+from conftest import (
+    rand_covector,
+    rand_null_vector,
+    reference_solve_preserve,
+    stabilizer_element,
+)
 
 
 ORBIT_A_Z = Vector(["-1*r", "0", "1*r"])
@@ -116,6 +121,23 @@ def test_solve_preserve_members_work_nonmembers_fail(space21, rng):
             break
     assert outside is not None
     assert apply_to_line(space21, make_symmetry(space21, outside), line) != line
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (1, 3)])
+def test_solve_preserve_matches_the_reference_tree(pq, rng):
+    # Structural equality: the self-swap must build the very base point and
+    # directions that the reference tree builds, so every report keeps its bytes.
+    space = MobiusSpace(*pq)
+    n = space.n
+    # One line per branch: u_inf != 0, then u_inf = 0 with U != 0 (only when
+    # the middle block is indefinite), then the origin.
+    lines = [space.line(Vector.unit(n + 2, n + 1))]
+    if space.signature.q:
+        lines.append(space.line(["1", "1"] + ["0"] * (n - 2) + ["1", "0"]))
+    lines.append(space.origin)
+    lines += [space.line(rand_null_vector(space, rng)) for _ in range(40)]
+    for L in lines:
+        assert str(solve_preserve(space, L)) == str(reference_solve_preserve(space, L)), L
 
 
 def test_solve_swap_unique_point(space21):
