@@ -96,7 +96,8 @@ class HomogeneousPair:
         over the basis xs and y over the basis ys (_H or _M).
 
         On index lists: every term of every nonzero [b_i, b_j] with i in xs
-        and j in ys has its index in target, read off the nonzero brackets.
+        and j in ys has its index in target, read off the keys and indices of
+        the algebra's integer rows, so no Scalar row is built.
         Otherwise the target basis is independent, so this holds iff adding
         all the brackets to it leaves the rank at len(target); one rank
         decides the whole family.  When xs equals ys, only the pairs i <= j
@@ -104,9 +105,10 @@ class HomogeneousPair:
         if self._units is not None:
             ys_idx = set(self._units[ys])
             target_idx = set(self._units[target])
+            integer_rows = self.alg._integer[2]
             for i in self._units[xs]:
-                for j, terms in self.alg.row(i).items():
-                    if j in ys_idx and any(k not in target_idx for k, _ in terms):
+                for j, terms in integer_rows[i].items():
+                    if j in ys_idx and any(k not in target_idx for k, _, _ in terms):
                         return False
             return True
         same = xs == ys

@@ -25,8 +25,12 @@ criterion, `symmetry.tangent_is_minus_id` and the independent matrix side of
 `upsilon_bracket_constant`.  The criterion reads each conjugated matrix
 back into coordinates off the positions of `_graded_basis`, as `degrade`
 does, and applies Ad_{s_0} there as the sign flip of the X and Z coordinates.
-`StructureAlgebra` keeps Z[sqrt d] numerators of its nonzero brackets for
-antisymmetry, Jacobi and the equivariance of extensions.
+`StructureAlgebra` keeps Z[sqrt d] numerators of its nonzero brackets, each
+converted once, for antisymmetry, Jacobi, the closure of pairs and the
+equivariance of extensions.  Built from a mapping, it also keeps the given
+Scalar rows; read from a file, it states only the i < j half, mirrors it in
+integers and builds a row of Scalars only when `row` or `bracket` first
+reads it.
 
 The module also carries the one-form-to-endomorphism map
 
@@ -233,39 +237,71 @@ class StructureAlgebra:
     integer table of so(p+1, q+1)).  Only the nonzero terms are kept, one
     mapping j -> terms per i, so memory and time grow with the number of
     nonzero brackets, not with dim^2.  Antisymmetry and the Jacobi identity
-    are validated exactly at construction."""
+    are validated exactly at construction.
+
+    What is kept is `_integer`: every nonzero term as Z[sqrt d] numerators
+    over one common denominator, each converted once; antisymmetry, Jacobi,
+    the pair's closure and the equivariance of extensions read it.  Given a
+    mapping, the Scalar rows are kept as given.  Given an `_UpperHalf` (the
+    form the file reader builds), [b_j, b_i] is the integer mirror of
+    [b_i, b_j], so the table is antisymmetric by construction and is not
+    checked again, and a Scalar row is built from the numerators the first
+    time `row` or `bracket` reads it."""
 
     def __init__(self, dim: int, brackets):
-        rows = [{} for _ in range(dim)]
-        for (i, j), terms in brackets.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"bracket index {(i, j)} out of range for dim {dim}")
-            terms = tuple((k, c) for k, c in terms if c)
-            ks = [k for k, _ in terms]
-            if any(not 0 <= k < dim for k in ks) or ks != sorted(set(ks)):
-                raise ValueError(f"bracket {(i, j)} needs distinct indices 0 <= k < {dim} in order")
-            if terms:
-                rows[i][j] = terms
-        self.dim = dim
-        self._rows = rows
-        fields, den, numerators = _numerators([t for row in rows for t in row.values()])
-        numerators = iter(numerators)
-        integer_rows = [{j: next(numerators) for j in row} for row in rows]
+        upper = type(brackets) is _UpperHalf
+        if upper:
+            pairs = [(ij, terms) for ij, terms in brackets.items() if terms]
+        else:
+            pairs = []
+            for (i, j), terms in brackets.items():
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise ValueError(f"bracket index {(i, j)} out of range for dim {dim}")
+                terms = tuple((k, c) for k, c in terms if c)
+                ks = [k for k, _ in terms]
+                if any(not 0 <= k < dim for k in ks) or ks != sorted(set(ks)):
+                    raise ValueError(
+                        f"bracket {(i, j)} needs distinct indices 0 <= k < {dim} in order"
+                    )
+                if terms:
+                    pairs.append(((i, j), terms))
+        fields, den, numerators = _numerators([terms for _, terms in pairs])
         d = one_field(fields)
-        _check_antisymmetry(integer_rows)
+        integer_rows = [{} for _ in range(dim)]
+        for ((i, j), _), terms in zip(pairs, numerators):
+            integer_rows[i][j] = terms
+            if upper:
+                integer_rows[j][i] = tuple([(k, -a, -b) for k, a, b in terms])
+        if upper:
+            rows = [None] * dim
+        else:
+            _check_antisymmetry(integer_rows)
+            rows = [{} for _ in range(dim)]
+            for (i, j), terms in pairs:
+                rows[i][j] = terms
         _check_jacobi(d, integer_rows)
+        self.dim = dim
         # Row i, j as (k, a, b) with c = (a + b sqrt d) / den; d = 0 when all c are rational.
         self._integer = (d, den, integer_rows)
+        # Row i of Scalars, or None until `row` first builds it.
+        self._rows = rows
 
     def row(self, i: int) -> dict:
         """The nonzero brackets of b_i: j -> the nonzero (k, c) of
         [b_i, b_j].  Read it, never change it."""
-        return self._rows[i]
+        row = self._rows[i]
+        if row is None:
+            d, den, integer_rows = self._integer
+            row = self._rows[i] = {
+                j: tuple((k, Scalar(a, b, den, d)) for k, a, b in terms)
+                for j, terms in integer_rows[i].items()
+            }
+        return row
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coordinate vectors have wrong length")
-        return _sparse_bracket(self._rows, x, y)
+        return _sparse_bracket(self.row, x, y)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad_x in the defining basis."""
@@ -273,17 +309,29 @@ class StructureAlgebra:
         return Matrix.from_columns(cols)
 
 
+class _UpperHalf(dict):
+    """(i, j) -> the nonzero (k, c) of [b_i, b_j], in increasing k, for
+    0 <= i < j < dim with each pair once (an empty tuple for a zero
+    bracket): the half of a table that a file states, as
+    `serialize.structure_algebra_from_dict` builds it.  `StructureAlgebra`
+    takes it without a check and mirrors it, so its builder guarantees that
+    form."""
+
+    __slots__ = ()
+
+
 def _numerators(term_lists) -> tuple:
     """(fields, den, lists) for lists of (k, c): each c, a Scalar or an int,
     becomes (k, a, b) with c = (a + b sqrt d) / den for one common
     denominator den; `fields` holds the d of every Scalar c (0 when rational)."""
     fields = set()
-    den = 1
+    dens = set()
     for terms in term_lists:
         for _, c in terms:
             if type(c) is not int:
-                den = lcm(den, c.q)
+                dens.add(c.q)
                 fields.add(c.d)
+    den = lcm(*dens)
     out = [
         tuple(
             (k, c * den, 0) if type(c) is int else (k, c.a * (den // c.q), c.b * (den // c.q))
@@ -297,12 +345,21 @@ def _numerators(term_lists) -> tuple:
 def _check_antisymmetry(rows) -> None:
     """[b_j, b_i] = -[b_i, b_j] for every i <= j (so the diagonal vanishes),
     on integer rows; the first broken pair in lexicographic order is named.
-    A pair absent in both orders holds, so only the present pairs are
-    visited."""
-    present = {(min(i, j), max(i, j)) for i, row in enumerate(rows) for j in row}
-    for i, j in sorted(present):
-        if rows[i].get(j, ()) != tuple((k, -a, -b) for k, a, b in rows[j].get(i, ())):
-            raise ValueError(f"bracket table is not antisymmetric at ({i}, {j})")
+    A pair absent in both orders holds, so one pass over the present
+    brackets decides it: each pair i < j present in row i is compared
+    there, a bracket of row i at j < i needs a partner in row j, and one at
+    j = i breaks the diagonal."""
+    broken = []
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            if j > i:
+                other = rows[j].get(i, ())
+                if terms != tuple((k, -a, -b) for k, a, b in other):
+                    broken.append((i, j))
+            elif j == i or i not in rows[j]:
+                broken.append((j, i))
+    if broken:
+        raise ValueError("bracket table is not antisymmetric at ({}, {})".format(*min(broken)))
 
 
 def _check_jacobi(d: int, rows) -> None:
@@ -313,7 +370,10 @@ def _check_jacobi(d: int, rows) -> None:
     Each is a term of the triple (x, y, z) if x < y, (y, z, x) if z < x and,
     with sign -1, (y, x, z) if y < x < z (x = y or x = z: of none).  Triples
     no double bracket reaches sum to zero, so the least failing triple is
-    the first in lexicographic order."""
+    the first in lexicographic order.  The sums are keyed on the one integer
+    ((i dim + j) dim + k) dim + l, which orders as (i, j, k, l) does; with
+    d = 0 every b is zero and only the rational parts are summed."""
+    dim = len(rows)
     acc_a = {}
     acc_b = {}
     for y, row in enumerate(rows):
@@ -323,22 +383,28 @@ def _check_jacobi(d: int, rows) -> None:
             for m, a1, b1 in inner:
                 for x, outer in rows[m].items():
                     if x < y:
-                        key, s = (x, y, z), -1
+                        key, s = ((x * dim + y) * dim + z) * dim, -1
                     elif x > z:
-                        key, s = (y, z, x), -1
+                        key, s = ((y * dim + z) * dim + x) * dim, -1
                     elif y < x < z:
-                        key, s = (y, x, z), 1
+                        key, s = ((y * dim + x) * dim + z) * dim, 1
                     else:
                         continue
                     sa, sb = s * a1, s * b1
-                    for l, a2, b2 in outer:
-                        kl = key + (l,)
-                        acc_a[kl] = acc_a.get(kl, 0) + sa * a2 + d * sb * b2
-                        if sb or b2:
-                            acc_b[kl] = acc_b.get(kl, 0) + sa * b2 + sb * a2
+                    if d:
+                        for l, a2, b2 in outer:
+                            kl = key + l
+                            acc_a[kl] = acc_a.get(kl, 0) + sa * a2 + d * sb * b2
+                            if sb or b2:
+                                acc_b[kl] = acc_b.get(kl, 0) + sa * b2 + sb * a2
+                    else:
+                        for l, a2, _ in outer:
+                            kl = key + l
+                            acc_a[kl] = acc_a.get(kl, 0) + sa * a2
     failed = [kl for acc in (acc_a, acc_b) for kl, v in acc.items() if v]
     if failed:
-        raise ValueError("Jacobi identity fails at ({}, {}, {})".format(*min(failed)))
+        i, jk = divmod(min(failed) // dim, dim * dim)
+        raise ValueError("Jacobi identity fails at ({}, {}, {})".format(i, *divmod(jk, dim)))
 
 
 def _nonzero(v: Vector) -> list:
@@ -346,14 +412,15 @@ def _nonzero(v: Vector) -> list:
     return [(k, c) for k, c in enumerate(v.entries) if c]
 
 
-def _sparse_bracket(rows, x: Vector, y: Vector) -> Vector:
-    """[x, y] as a dense coordinate vector through a table whose row i maps
-    j to the nonzero (k, c) of [b_i, b_j] (pairs absent from a row bracket
-    to zero).  A coefficient c may be a Scalar or an int."""
+def _sparse_bracket(row_of, x: Vector, y: Vector) -> Vector:
+    """[x, y] as a dense coordinate vector through a table whose row
+    `row_of(i)` maps j to the nonzero (k, c) of [b_i, b_j] (pairs absent
+    from a row bracket to zero); only the rows of the nonzero x_i are read.
+    A coefficient c may be a Scalar or an int."""
     acc = {}
     ys = _nonzero(y)
     for i, xi in _nonzero(x):
-        row = rows[i]
+        row = row_of(i)
         if not row:
             continue
         for j, yj in ys:
@@ -365,7 +432,7 @@ def _sparse_bracket(rows, x: Vector, y: Vector) -> Vector:
                 t = s * c
                 acc[k] = acc[k] + t if k in acc else t
     zero = Scalar(0)
-    return Vector._of_scalars(acc.get(k, zero) for k in range(len(rows)))
+    return Vector._of_scalars(acc.get(k, zero) for k in range(len(x)))
 
 
 def killing_form(alg: StructureAlgebra, x: Vector, y: Vector) -> Scalar:
@@ -448,7 +515,7 @@ def bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
     dim = graded_dim(space)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"expected {dim} coordinates")
-    return _sparse_bracket(_so_rows(space.signature.p, space.signature.q), x, y)
+    return _sparse_bracket(_so_rows(space.signature.p, space.signature.q).__getitem__, x, y)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import json
 
 from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel
-from .liealg import StructureAlgebra
+from .liealg import StructureAlgebra, _UpperHalf
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, Scalar, parse_scalar
 from .symmetry import SymmetryReport
@@ -26,13 +26,6 @@ def vector_to_literals(v: Vector) -> list[str]:
     return [str(e) for e in v]
 
 
-def _literal(x, d: int) -> Scalar:
-    """One literal of a file: the exact string "0" is the literal of zero
-    and needs no parse; every other literal goes through the grammar."""
-    text = str(x)
-    return ZERO if text == "0" else parse_scalar(text, d)
-
-
 def _literal_list(items) -> list:
     """A literal list of a file.  A JSON string is iterable too, and would be
     read one character per entry, so only a JSON array passes."""
@@ -41,8 +34,15 @@ def _literal_list(items) -> list:
     return items
 
 
+def _scalars(items, d: int) -> list:
+    """The Scalars of a literal list: the exact string "0" is the literal of
+    zero and is read as it stands; every other literal goes through the
+    grammar."""
+    return [ZERO if x == "0" else parse_scalar(str(x), d) for x in _literal_list(items)]
+
+
 def vector_from_literals(items, d: int) -> Vector:
-    return Vector._of_scalars([_literal(x, d) for x in _literal_list(items)])
+    return Vector._of_scalars(_scalars(items, d))
 
 
 def matrix_to_literals(M: Matrix) -> list[list[str]]:
@@ -50,9 +50,7 @@ def matrix_to_literals(M: Matrix) -> list[list[str]]:
 
 
 def matrix_from_literals(rows, d: int) -> Matrix:
-    return Matrix._of_scalars(
-        [_literal(x, d) for x in _literal_list(row)] for row in _literal_list(rows)
-    )
+    return Matrix._of_scalars(_scalars(row, d) for row in _literal_list(rows))
 
 
 def subspace_to_dict(s: AffineSubspace) -> dict:
@@ -68,7 +66,8 @@ def subspace_to_dict(s: AffineSubspace) -> dict:
 
 
 def subspace_from_dict(data: dict, d: int) -> AffineSubspace:
-    if data["empty"]:
+    """Rejects an `empty` flag that is not a JSON boolean."""
+    if _json_bool(data["empty"], "empty"):
         return AffineSubspace.empty(data["ambient"])
     return AffineSubspace(
         data["ambient"],
@@ -82,7 +81,8 @@ def orbit_to_dict(label: OrbitLabel) -> dict:
 
 
 def orbit_from_dict(data: dict) -> OrbitLabel:
-    return OrbitLabel(bool(data["iso_u"]), bool(data["iso_v"]), bool(data["in_span"]))
+    """Rejects flags that are not JSON booleans."""
+    return OrbitLabel(*(_json_bool(data[key], key) for key in ("iso_u", "iso_v", "in_span")))
 
 
 def report_to_dict(space: MobiusSpace, report: SymmetryReport) -> dict:
@@ -175,13 +175,24 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_bool(value, key: str) -> bool:
+    """A JSON boolean read from a file; any other value is refused, never
+    read by its truth value."""
+    if type(value) is not bool:
+        raise ValueError(f"{key!r} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
     """Rejects a dim that is not an integer, any bracket entry whose indices
     are not integers 0 <= i < j < dim, a repeated (i, j), and a coefficient
     list whose length is not dim.  Only the nonzero coefficients are kept,
-    so the work grows with the number of literals, not with dim^2."""
+    so the work grows with the number of literals, not with dim^2: the
+    literal "0" is skipped as it stands, and every other literal goes through
+    the grammar once.  The file states only the i < j half, each pair once,
+    so the algebra mirrors it and the table is antisymmetric by construction."""
     dim = _json_int(data["dim"], "dim")
-    brackets = {}
+    brackets = _UpperHalf()
     for i, j, coeffs in data["brackets"]:
         if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise ValueError(f"bracket entry {[i, j]!r} needs integers 0 <= i < j < {dim}")
@@ -193,11 +204,11 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
             )
         terms = []
         for k, x in enumerate(coeffs):
-            c = _literal(x, d)
-            if c:
-                terms.append((k, c))
-        brackets[i, j] = terms
-        brackets[j, i] = [(k, -c) for k, c in terms]
+            if x != "0":
+                c = parse_scalar(str(x), d)
+                if c:
+                    terms.append((k, c))
+        brackets[i, j] = tuple(terms)
     return StructureAlgebra(dim, brackets)
 
 
@@ -250,9 +261,7 @@ def extension_from_dict(data: dict) -> Extension:
         for i in data[key]:
             if not (type(i) is int and 0 <= i < dim):
                 raise ValueError(f"{key!r} index {i!r} needs an integer 0 <= i < {dim}")
-    symmetric = data.get("symmetric", False)
-    if type(symmetric) is not bool:
-        raise ValueError(f"'symmetric' must be a JSON boolean, got {symmetric!r}")
+    symmetric = _json_bool(data.get("symmetric", False), "symmetric")
     pair_cls = SymmetricPair if symmetric else HomogeneousPair
     pair = pair_cls(alg, data["h"], data["m"])
     alpha = matrix_from_literals(data["alpha"], space.d)

@@ -371,23 +371,22 @@ class _ConstraintSystem:
 
 
 @lru_cache(maxsize=None)
-def _basis_cached(p: int, q: int, d: int) -> tuple[WeylTensor, ...]:
-    """The canonical kernel of the rows of `_constraint_rows` on the orbit
-    values.  Those rows are nonempty and pairwise distinct up to a factor, so
-    they go to the engine as they are; each kernel vector's nonzero terms
-    become a tensor, which is validated."""
+def _basis_cached(p: int, q: int) -> tuple:
+    """(solved, system, tagged): the canonical kernel of the rows of
+    `_constraint_rows` on the orbit values, as the nonzero (orbit, value)
+    terms of each basis tensor, with the constraint system that checks
+    them.  Those rows are nonempty and pairwise distinct up to a factor, so
+    they go to the engine as they are.  The rows are rational, so the solve
+    is too, and one solve per signature serves every field:
+    `weyl_space_basis` makes and validates the tensors over the field of
+    its call and keeps them in `tagged`, d -> tensors."""
     system = _ConstraintSystem(p, q)
     rows = [([], []) for _ in system.rows]
     for u, entries in enumerate(system.index):
         for r, coef in entries:
             rows[r][0].append(u)
             rows[r][1].extend((coef, 0))
-    out = []
-    for terms in kernel_sparse(rows, len(system.orbits), d):
-        W = WeylTensor._from_terms(p, q, terms, d)
-        W.validate(system)
-        out.append(W)
-    return tuple(out)
+    return tuple(kernel_sparse(rows, len(system.orbits), 0)), system, {}
 
 
 def _distinct_rows(rows, seen: set) -> list:
@@ -416,7 +415,14 @@ def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:
     dimension 0 in total dimension 3."""
     if p + q < 3:
         raise ValueError("need p + q >= 3")
-    return WeylBasis(p, q, _basis_cached(p, q, d))
+    solved, system, tagged = _basis_cached(p, q)
+    elements = tagged.get(d)
+    if elements is None:
+        elements = tuple(WeylTensor._from_terms(p, q, terms, d) for terms in solved)
+        for W in elements:
+            W.validate(system)
+        tagged[d] = elements
+    return WeylBasis(p, q, elements)
 
 
 def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:

@@ -7,6 +7,7 @@ from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     CoElement,
     StructureAlgebra,
+    _UpperHalf,
     algebra_condition,
     bracket,
     degrade,
@@ -550,6 +551,25 @@ def test_antisymmetry_covers_the_diagonal_and_one_sided_pairs():
     # zero terms are dropped, so they break nothing
     alg = StructureAlgebra(3, {(0, 1): [(2, Scalar(0))]})
     assert alg.row(0) == {}
+
+
+def test_upper_half_is_mirrored_and_builds_scalar_rows_where_read(rng):
+    """Given the i < j half, the algebra mirrors it in integers, as the
+    mapping constructor converts both halves, and builds a Scalar row only
+    when `row` or `bracket` reads it."""
+    table = so_table(2, 1)
+    dim = len(table)
+    scales = [Scalar(1, 0, 2), Scalar(-3), Scalar(1, 1, 1)] + [Scalar(1)] * (dim - 3)
+    both = rescaled_so_brackets(2, 1, scales)
+    upper = _UpperHalf({(i, j): tuple(terms) for (i, j), terms in both.items() if i < j})
+    alg = StructureAlgebra(dim, upper)
+    ref = StructureAlgebra(dim, both)
+    assert alg._integer == ref._integer
+    assert alg._rows == [None] * dim
+    x, y = Vector.unit(dim, 2).scale(Scalar(0, 1)), rand_vector(rng, dim, 3)
+    assert alg.bracket(x, y) == ref.bracket(x, y)
+    assert [i for i, row in enumerate(alg._rows) if row is not None] == [2]
+    assert [alg.row(i) for i in range(dim)] == [ref.row(i) for i in range(dim)]
 
 
 # -- upsilon_action stays in so(p, q) ------------------------------------------

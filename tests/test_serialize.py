@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from confsym.extension import flat_model_extension, validate_extension
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import graded_dim
+from confsym.liealg import StructureAlgebra, _check_antisymmetry, graded_dim
 from confsym.linalg import AffineSubspace, Vector
 from confsym.scalars import Scalar, parse_scalar
 from confsym.serialize import (
     dump_canonical,
     extension_from_dict,
     extension_to_dict,
+    orbit_from_dict,
     report_from_dict,
     report_to_dict,
     structure_algebra_from_dict,
@@ -164,6 +165,17 @@ def test_sparse_reader_matches_the_dense_reference(case, d, data):
             structure_algebra_from_dict(algebra, d)
         return
     alg = structure_algebra_from_dict(algebra, d)
+    # The reader's algebra is the mapping constructor's: the same numerators,
+    # and the Scalar rows it builds on first read, by bracket and by row.
+    ref = StructureAlgebra(dim, sparse_brackets(table))
+    assert alg._integer == ref._integer
+    entry = _TABLE_ENTRY.map(lambda c: parse_scalar(str(c), d))
+    vectors = st.lists(entry, min_size=dim, max_size=dim).map(Vector)
+    for _ in range(3):
+        x, y = data.draw(vectors), data.draw(vectors)
+        got, want = alg.bracket(x, y), ref.bracket(x, y)
+        assert got == want and [str(e) for e in got] == [str(e) for e in want]
+    assert all(alg.row(i) == ref.row(i) for i in range(dim))
     assert structure_algebra_to_dict(alg) == algebra
     assert dense_table(alg) == table
     if dim < 3:
@@ -193,6 +205,82 @@ def test_sparse_reader_matches_the_dense_reference(case, d, data):
     ext = extension_from_dict(ext_data)
     assert extension_to_dict(ext) == ext_data
     assert validate_extension(ext) == reference_validate_extension(ext)
+
+
+_FILE_LITERAL = st.sampled_from(
+    ["0", "0", "0", "1", "-1", "1/2", "r", "-2/3*r", "1-r", "0/4", "-0"]
+)
+
+
+@st.composite
+def _bracket_files(draw):
+    """Algebra files as anyone might write them: up to four entries on any
+    ordered pairs, the diagonal, reversed and repeated pairs included, with
+    mostly zero literals, among them zeros that are not the literal "0"."""
+    dim = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    coeffs = st.lists(_FILE_LITERAL, min_size=dim, max_size=dim)
+    entries = draw(st.lists(st.tuples(pair, coeffs), max_size=4))
+    return {"dim": dim, "brackets": [[i, j, c] for (i, j), c in entries]}
+
+
+@given(_bracket_files(), st.sampled_from([2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_no_file_states_a_table_that_is_not_antisymmetric(algebra, d):
+    """The reader takes only i < j, each pair once, and mirrors it, so the
+    integer rows of every file it accepts pass the antisymmetry check that
+    it skips."""
+    try:
+        alg = structure_algebra_from_dict(algebra, d)
+    except ValueError:
+        return
+    rows = alg._integer[2]
+    _check_antisymmetry(rows)
+    # Each entry is the bracket it states, and no other bracket is nonzero.
+    for i, j, coeffs in algebra["brackets"]:
+        assert alg.row(i).get(j, ()) == tuple(_terms_of(coeffs, d))
+    stated = _mapping_of(algebra, d)
+    nonzero = {(i, j) for i, row in enumerate(rows) for j in row}
+    assert nonzero == {ij for ij, terms in stated.items() if terms}
+
+
+def _terms_of(coeffs, d):
+    """The nonzero (k, c) of a coefficient list of a file."""
+    return [(k, c) for k, c in ((k, parse_scalar(x, d)) for k, x in enumerate(coeffs)) if c]
+
+
+def _mapping_of(algebra, d):
+    """The (i, j) -> nonzero (k, c) mapping of a file's algebra, both
+    halves, as the mapping constructor and the reference take it."""
+    brackets = {}
+    for i, j, coeffs in algebra["brackets"]:
+        terms = _terms_of(coeffs, d)
+        brackets[i, j] = terms
+        brackets[j, i] = [(k, -c) for k, c in terms]
+    return brackets
+
+
+@pytest.mark.parametrize("d, literal", [(2, "2"), (3, "1/2*r")])
+@pytest.mark.parametrize("entry", [0, 5, -1])
+def test_jacobi_breaking_file_names_the_reference_triple_on_both_paths(d, literal, entry):
+    """One coefficient of a bracket of the (3,1) flat file: its first
+    nonzero one set to 2, or its first zero one set to 1/2*r over Q(sqrt 3).
+    The reader and the mapping constructor name the reference triple."""
+    algebra = extension_to_dict(flat_model_extension(MobiusSpace(3, 1, d)))["algebra"]
+    coeffs = algebra["brackets"][entry][2]
+    if literal == "2":
+        coeffs[next(k for k, x in enumerate(coeffs) if x != "0")] = literal
+    else:
+        coeffs[coeffs.index("0")] = literal
+    dim = algebra["dim"]
+    brackets = _mapping_of(algebra, d)
+    failure = reference_jacobi_failure(dim, brackets)
+    assert failure is not None
+    with pytest.raises(ValueError) as by_reader:
+        structure_algebra_from_dict(algebra, d)
+    with pytest.raises(ValueError) as by_mapping:
+        StructureAlgebra(dim, brackets)
+    assert str(by_reader.value) == str(by_mapping.value) == f"Jacobi identity fails at {failure}"
 
 
 @given(
@@ -229,4 +317,43 @@ def test_report_from_dict_refuses_a_string_for_a_literal_list(space21, path):
         holder = holder[key]
     holder[path[-1]] = "".join(holder[path[-1]])
     with pytest.raises(ValueError, match="expected a JSON array of scalar literals, got str"):
+        report_from_dict(data)
+
+
+# -- flags are JSON booleans ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value", [("iso_u", "false"), ("iso_v", 0), ("in_span", []), ("in_span", None)]
+)
+def test_orbit_flags_must_be_json_booleans(key, value):
+    data = {"iso_u": True, "iso_v": False, "in_span": True, key: value}
+    message = f"{key!r} must be a JSON boolean, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orbit_from_dict(data)
+
+
+def test_subspace_empty_flag_must_be_a_json_boolean():
+    point = {"empty": "false", "ambient": 3, "dim": 0, "base": ["0", "0", "0"], "dirs": []}
+    with pytest.raises(ValueError, match="'empty' must be a JSON boolean, got 'false'"):
+        subspace_from_dict(point, 2)
+    assert subspace_from_dict({**point, "empty": False}, 2) == AffineSubspace(3, Vector.zero(3), [])
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("orbit", "iso_u"), "false"),
+        (("orbit", "in_span"), 1),
+        (("preserving", "empty"), "true"),
+        (("swapping", "empty"), 0),
+    ],
+)
+def test_report_from_dict_refuses_flags_that_are_not_booleans(space21, path, value):
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    data = report_to_dict(space21, find_symmetries(space21, u, v, space21.origin))
+    data[path[0]][path[1]] = value
+    message = f"{path[1]!r} must be a JSON boolean, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         report_from_dict(data)

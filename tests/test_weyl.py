@@ -394,6 +394,23 @@ def test_basis_components_carry_the_field():
     assert {x.d for W in basis.elements for x in W.components} == {0}
 
 
+def test_one_solve_serves_every_field(monkeypatch, cold_basis):
+    """The basis values are rational, so the second field reuses the first
+    field's solve and only the tensors' d differs."""
+    solves = []
+    kernel = weyl_module.kernel_sparse
+    monkeypatch.setattr(
+        weyl_module, "kernel_sparse", lambda *args: solves.append(args) or kernel(*args)
+    )
+    over2 = weyl_space_basis(4, 0, 2)
+    over3 = weyl_space_basis(4, 0, 3)
+    assert len(solves) == 1
+    assert weyl_module._basis_cached.cache_info().misses == 1
+    assert {W.d for W in over2.elements} == {2} and {W.d for W in over3.elements} == {3}
+    assert [W.terms for W in over2.elements] == [W.terms for W in over3.elements]
+    assert weyl_space_basis(4, 0, 2).elements is over2.elements
+
+
 # -- validate against the former hand-written checks --------------------------
 
 
