@@ -110,13 +110,20 @@ def _file_vector(space: MobiusSpace, data: dict, key: str) -> Vector:
         raise InputError(f"bad vector {key!r}: {exc}") from None
 
 
+def _read_json(path: str, prefix: str):
+    """The JSON value of a file.  ValueError covers bad JSON, bytes that are
+    not UTF-8 and an integer past the conversion limit; RecursionError, a
+    file nested too deep."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"{prefix} {path}: {exc}") from None
+
+
 def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, NullLine, NullLine]:
     if args.file:
-        try:
-            with open(args.file) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read {args.file}: {exc}") from None
+        data = _read_json(args.file, "cannot read")
         if not isinstance(data, dict):
             raise InputError("input file must hold a JSON object")
         p, q = _int_field(data, "p"), _int_field(data, "q")
@@ -272,14 +279,13 @@ def cmd_extension(config: SessionConfig, args) -> int:
 
     if not args.file:
         raise InputError(f"extension {args.ext_command} needs --file")
+    data = _read_json(args.file, "cannot load extension from")
     try:
-        with open(args.file) as fh:
-            data = json.load(fh)
         # The file's signature and field pass the checks of the flags before
         # anything is built from them.
         SessionConfig(*extension_signature(data))
         ext = extension_from_dict(data)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load extension from {args.file}: {exc}") from None
 
     if args.ext_command == "validate":

@@ -20,7 +20,6 @@ from .liealg import (
     _coordinates,
     _nonzero,
     _numerators,
-    _so_rows,
     bracket,
     exp_nilpotent,
     graded_dim,
@@ -252,7 +251,7 @@ def validate_extension(ext: Extension) -> ExtensionReport:
         witnesses=[r],
     )
 
-    so = _so_rows(space.signature.p, space.signature.q)
+    so = so_table(space.signature.p, space.signature.q)
     alpha_support = [y for y, row in enumerate(alpha_rows) if row]
     bad_pairs = []
     for hi, (h_terms, ah) in enumerate(zip(h_int, h_images)):
@@ -389,12 +388,11 @@ def flat_model_extension(space: MobiusSpace) -> Extension:
     """The identity extension of so(p+1, q+1) over its stabilizer subalgebra:
     h spans the (a, A, Z) blocks, m the lower block, alpha the identity in
     graded coordinates, over the field of `space`.  The algebra is built on
-    the nonzero brackets of `so_table`."""
+    the i < j half of `so_table`."""
     table = so_table(space.signature.p, space.signature.q)
     dim = len(table)
     alg = StructureAlgebra(
-        dim,
-        {(i, j): terms for i, row in enumerate(table) for j, terms in enumerate(row) if terms},
+        dim, {(i, j): terms for i, row in enumerate(table) for j, terms in row.items() if j > i}
     )
     n = space.n
     m_idx = list(range(1, n + 1))

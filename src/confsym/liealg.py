@@ -15,9 +15,9 @@ of the block matrix
 with X a vector, Z a covector, a a scalar and A in so(p, q), where
 A_(ij) = (E_ij - E_ji) J, so the (i<j) coordinate is J_j A[i, j].  The three
 block degrees X / (a, A) / Z realize the grading g_{-1} + g_0 + g_1.
-`_graded_basis` is the one statement of this basis; `so_table` (the bracket
-as integer structure constants, built once per signature), `bracket`,
-`realize` and `degrade` all read it.
+`_graded_basis` is the one statement of this basis; `so_table` (the nonzero
+brackets as integer structure constants, one mapping j -> terms per row,
+built once per signature), `bracket`, `realize` and `degrade` all read it.
 
 Matrices appear only at the group-element boundary: `realize` and `degrade`
 convert to and from (n+2)x(n+2) matrices for `exp_nilpotent`, the involution
@@ -25,11 +25,11 @@ criterion, `symmetry.tangent_is_minus_id` and the independent matrix side of
 `upsilon_bracket_constant`.  The criterion reads each conjugated matrix
 back into coordinates off the positions of `_graded_basis`, as `degrade`
 does, and applies Ad_{s_0} there as the sign flip of the X and Z coordinates.
-`StructureAlgebra` keeps Z[sqrt d] numerators of its nonzero brackets, each
-converted once, for antisymmetry, Jacobi, the closure of pairs and the
-equivariance of extensions.  Built from a mapping, it also keeps the given
-Scalar rows; read from a file, it states only the i < j half, mirrors it in
-integers and builds a row of Scalars only when `row` or `bracket` first
+`StructureAlgebra` takes the i < j half of a bracket table, the half a file
+states, and mirrors it in integers, so its table is antisymmetric by
+construction.  It keeps Z[sqrt d] numerators of its nonzero brackets, each
+converted once, for Jacobi, the closure of pairs and the equivariance of
+extensions, and builds a row of Scalars only when `row` or `bracket` first
 reads it.
 
 The module also carries the one-form-to-endomorphism map
@@ -231,60 +231,49 @@ def exp_nilpotent(space: MobiusSpace, Y: Vector) -> Matrix:
 
 class StructureAlgebra:
     """Finite-dimensional algebra over Q(sqrt d) given by its structure
-    constants: `brackets` maps (i, j) to the (k, c) with
-    [b_i, b_j] = sum of c b_k, in increasing k; a pair that is absent, and a
-    term whose c is zero, stand for zero.  Each c is a Scalar or an int (the
-    integer table of so(p+1, q+1)).  Only the nonzero terms are kept, one
-    mapping j -> terms per i, so memory and time grow with the number of
-    nonzero brackets, not with dim^2.  Antisymmetry and the Jacobi identity
-    are validated exactly at construction.
+    constants.  `brackets` is the half of the table that a file states: it
+    maps each (i, j) with 0 <= i < j < dim to the (k, c) with
+    [b_i, b_j] = sum of c b_k, in strictly increasing k, each c a Scalar or
+    an int; absent pairs and zero c stand for zero.  [b_j, b_i] is the
+    mirror -[b_i, b_j], so the table is antisymmetric by construction; the
+    Jacobi identity is checked exactly.
 
-    What is kept is `_integer`: every nonzero term as Z[sqrt d] numerators
-    over one common denominator, each converted once; antisymmetry, Jacobi,
-    the pair's closure and the equivariance of extensions read it.  Given a
-    mapping, the Scalar rows are kept as given.  Given an `_UpperHalf` (the
-    form the file reader builds), [b_j, b_i] is the integer mirror of
-    [b_i, b_j], so the table is antisymmetric by construction and is not
-    checked again, and a Scalar row is built from the numerators the first
-    time `row` or `bracket` reads it."""
+    What is kept is `_integer`: every nonzero term of both halves as
+    Z[sqrt d] numerators over one common denominator, one mapping j -> terms
+    per i, so memory and time grow with the number of nonzero brackets, not
+    with dim^2.  Jacobi, the pair's closure and the equivariance of
+    extensions read it; `row` builds a row of Scalars from it when first
+    read."""
 
     def __init__(self, dim: int, brackets):
-        upper = type(brackets) is _UpperHalf
-        if upper:
-            pairs = [(ij, terms) for ij, terms in brackets.items() if terms]
-        else:
-            pairs = []
-            for (i, j), terms in brackets.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError(f"bracket index {(i, j)} out of range for dim {dim}")
-                terms = tuple((k, c) for k, c in terms if c)
-                ks = [k for k, _ in terms]
-                if any(not 0 <= k < dim for k in ks) or ks != sorted(set(ks)):
+        pairs = []
+        for (i, j), terms in brackets.items():
+            if not 0 <= i < j < dim:
+                raise ValueError(f"bracket index {(i, j)} needs 0 <= i < j < {dim}")
+            kept = []
+            last = -1
+            for k, c in terms:
+                if not last < k < dim:
                     raise ValueError(
-                        f"bracket {(i, j)} needs distinct indices 0 <= k < {dim} in order"
+                        f"bracket {(i, j)} needs indices 0 <= k < {dim} in increasing order"
                     )
-                if terms:
-                    pairs.append(((i, j), terms))
+                last = k
+                if c:
+                    kept.append((k, c))
+            if kept:
+                pairs.append(((i, j), kept))
         fields, den, numerators = _numerators([terms for _, terms in pairs])
         d = one_field(fields)
         integer_rows = [{} for _ in range(dim)]
         for ((i, j), _), terms in zip(pairs, numerators):
             integer_rows[i][j] = terms
-            if upper:
-                integer_rows[j][i] = tuple([(k, -a, -b) for k, a, b in terms])
-        if upper:
-            rows = [None] * dim
-        else:
-            _check_antisymmetry(integer_rows)
-            rows = [{} for _ in range(dim)]
-            for (i, j), terms in pairs:
-                rows[i][j] = terms
+            integer_rows[j][i] = tuple([(k, -a, -b) for k, a, b in terms])
         _check_jacobi(d, integer_rows)
         self.dim = dim
         # Row i, j as (k, a, b) with c = (a + b sqrt d) / den; d = 0 when all c are rational.
         self._integer = (d, den, integer_rows)
         # Row i of Scalars, or None until `row` first builds it.
-        self._rows = rows
+        self._rows = [None] * dim
 
     def row(self, i: int) -> dict:
         """The nonzero brackets of b_i: j -> the nonzero (k, c) of
@@ -309,17 +298,6 @@ class StructureAlgebra:
         return Matrix.from_columns(cols)
 
 
-class _UpperHalf(dict):
-    """(i, j) -> the nonzero (k, c) of [b_i, b_j], in increasing k, for
-    0 <= i < j < dim with each pair once (an empty tuple for a zero
-    bracket): the half of a table that a file states, as
-    `serialize.structure_algebra_from_dict` builds it.  `StructureAlgebra`
-    takes it without a check and mirrors it, so its builder guarantees that
-    form."""
-
-    __slots__ = ()
-
-
 def _numerators(term_lists) -> tuple:
     """(fields, den, lists) for lists of (k, c): each c, a Scalar or an int,
     becomes (k, a, b) with c = (a + b sqrt d) / den for one common
@@ -340,26 +318,6 @@ def _numerators(term_lists) -> tuple:
         for terms in term_lists
     ]
     return fields, den, out
-
-
-def _check_antisymmetry(rows) -> None:
-    """[b_j, b_i] = -[b_i, b_j] for every i <= j (so the diagonal vanishes),
-    on integer rows; the first broken pair in lexicographic order is named.
-    A pair absent in both orders holds, so one pass over the present
-    brackets decides it: each pair i < j present in row i is compared
-    there, a bracket of row i at j < i needs a partner in row j, and one at
-    j = i breaks the diagonal."""
-    broken = []
-    for i, row in enumerate(rows):
-        for j, terms in row.items():
-            if j > i:
-                other = rows[j].get(i, ())
-                if terms != tuple((k, -a, -b) for k, a, b in other):
-                    broken.append((i, j))
-            elif j == i or i not in rows[j]:
-                broken.append((j, i))
-    if broken:
-        raise ValueError("bracket table is not antisymmetric at ({}, {})".format(*min(broken)))
 
 
 def _check_jacobi(d: int, rows) -> None:
@@ -477,13 +435,14 @@ def _graded_basis(p: int, q: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def so_table(p: int, q: int) -> tuple:
-    """The bracket of so(p+1, q+1) in graded coordinates: entry [i][j] lists
-    the nonzero (k, c) with [b_i, b_j] = sum of c b_k, each c an int, in
-    increasing k.
+    """The bracket of so(p+1, q+1) in graded coordinates, as its nonzero
+    brackets: row i maps j to the (k, c) with [b_i, b_j] = sum of c b_k,
+    each c an int, in increasing k.  This is the form `StructureAlgebra`
+    keeps, and `bracket` and `validate_extension` read.
 
     The basis matrices of `_graded_basis` have two nonzero entries each, so
-    each commutator is formed sparsely and each coordinate read off the one
-    matrix position that carries it."""
+    each commutator with i < j is formed sparsely, each coordinate read off
+    the one matrix position that carries it, and [b_j, b_i] is its mirror."""
     basis = _graded_basis(p, q)
     mats = [dict(entries) for entries in basis]
 
@@ -493,10 +452,10 @@ def so_table(p: int, q: int) -> tuple:
                 if t == u:
                     acc[r, c] = acc.get((r, c), 0) + s * x * y
 
-    table = []
-    for m1 in mats:
-        row = []
-        for m2 in mats:
+    table = [{} for _ in mats]
+    for i, m1 in enumerate(mats):
+        for j in range(i + 1, len(mats)):
+            m2 = mats[j]
             comm = {}
             product(m1, m2, comm, 1)
             product(m2, m1, comm, -1)
@@ -505,8 +464,9 @@ def so_table(p: int, q: int) -> tuple:
                 c = comm.get(pos, 0)
                 if c:
                     terms.append((k, f * c))
-            row.append(tuple(terms))
-        table.append(tuple(row))
+            if terms:
+                table[i][j] = tuple(terms)
+                table[j][i] = tuple([(k, -c) for k, c in terms])
     return tuple(table)
 
 
@@ -515,12 +475,4 @@ def bracket(space: MobiusSpace, x: Vector, y: Vector) -> Vector:
     dim = graded_dim(space)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"expected {dim} coordinates")
-    return _sparse_bracket(_so_rows(space.signature.p, space.signature.q).__getitem__, x, y)
-
-
-@lru_cache(maxsize=None)
-def _so_rows(p: int, q: int) -> tuple:
-    """`so_table` with only its nonzero brackets: row i maps j to the terms
-    of [b_i, b_j].  This is the form `StructureAlgebra` keeps and
-    `_sparse_bracket` and `validate_extension` read."""
-    return tuple({j: terms for j, terms in enumerate(row) if terms} for row in so_table(p, q))
+    return _sparse_bracket(so_table(space.signature.p, space.signature.q).__getitem__, x, y)

@@ -11,7 +11,7 @@ import json
 
 from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel
-from .liealg import StructureAlgebra, _UpperHalf
+from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, Scalar, parse_scalar
 from .symmetry import SymmetryReport
@@ -66,13 +66,19 @@ def subspace_to_dict(s: AffineSubspace) -> dict:
 
 
 def subspace_from_dict(data: dict, d: int) -> AffineSubspace:
-    """Rejects an `empty` flag that is not a JSON boolean."""
-    if _json_bool(data["empty"], "empty"):
-        return AffineSubspace.empty(data["ambient"])
+    """Rejects an `empty` flag that is not a JSON boolean, an `ambient` that
+    is not a JSON integer, and a `dim` that is not the number of `dirs`."""
+    empty = _json_bool(data["empty"], "empty")
+    ambient = _json_int(data["ambient"], "ambient")
+    if empty:
+        return AffineSubspace.empty(ambient)
+    dirs = data["dirs"]
+    if _json_int(data["dim"], "dim") != len(dirs):
+        raise ValueError(f"'dim' {data['dim']} does not match the {len(dirs)} 'dirs'")
     return AffineSubspace(
-        data["ambient"],
+        ambient,
         vector_from_literals(data["base"], d),
-        [vector_from_literals(v, d) for v in data["dirs"]],
+        [vector_from_literals(v, d) for v in dirs],
     )
 
 
@@ -190,9 +196,9 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
     so the work grows with the number of literals, not with dim^2: the
     literal "0" is skipped as it stands, and every other literal goes through
     the grammar once.  The file states only the i < j half, each pair once,
-    so the algebra mirrors it and the table is antisymmetric by construction."""
+    which is what `StructureAlgebra` takes and mirrors."""
     dim = _json_int(data["dim"], "dim")
-    brackets = _UpperHalf()
+    brackets = {}
     for i, j, coeffs in data["brackets"]:
         if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise ValueError(f"bracket entry {[i, j]!r} needs integers 0 <= i < j < {dim}")
@@ -208,7 +214,7 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
                 c = parse_scalar(str(x), d)
                 if c:
                     terms.append((k, c))
-        brackets[i, j] = tuple(terms)
+        brackets[i, j] = terms
     return StructureAlgebra(dim, brackets)
 
 

@@ -194,13 +194,13 @@ def pure_z(space: MobiusSpace, Z: Vector) -> Vector:
 
 
 def sparse_brackets(table) -> dict:
-    """The (i, j) -> nonzero (k, c) mapping that `StructureAlgebra` takes,
-    from a dense dim x dim table of coefficient vectors."""
+    """The i < j half, (i, j) -> nonzero (k, c), that `StructureAlgebra`
+    takes, from a dense dim x dim table of coefficient vectors."""
     return {
-        (i, j): [(k, c) for k, c in enumerate(v) if c]
+        (i, j): [(k, c) for k, c in enumerate(row[j]) if c]
         for i, row in enumerate(table)
-        for j, v in enumerate(row)
-        if not v.is_zero()
+        for j in range(i + 1, len(row))
+        if not row[j].is_zero()
     }
 
 
@@ -248,15 +248,38 @@ def reference_commutator(space: MobiusSpace, x: Vector, y: Vector) -> Matrix:
 # -- references for the extension layer ----------------------------------------
 
 
+def reference_antisymmetry_failure(rows):
+    """The first pair (i, j), i <= j in lexicographic order, with
+    [b_j, b_i] != -[b_i, b_j] on rows that map j to the (k, a, b) terms of
+    [b_i, b_j] (so a nonzero diagonal bracket fails), or None.  A pair
+    absent in both orders holds, so one pass over the present brackets
+    decides it: each pair i < j present in row i is compared there, a
+    bracket of row i at j < i needs a partner in row j, and one at j = i
+    breaks the diagonal."""
+    broken = []
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            if j > i:
+                other = rows[j].get(i, ())
+                if terms != tuple((k, -a, -b) for k, a, b in other):
+                    broken.append((i, j))
+            elif j == i or i not in rows[j]:
+                broken.append((j, i))
+    return min(broken, default=None)
+
+
 def reference_jacobi_failure(dim: int, brackets):
     """The first i < j < k, in lexicographic order, whose cyclic sum
     [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is nonzero,
-    or None: every triple summed in Scalar arithmetic on the dense table of
-    the (i, j) -> (k, c) mapping that `StructureAlgebra` takes."""
+    or None: every triple summed in Scalar arithmetic on the dense table
+    of the i < j half, (i, j) -> (k, c), that `StructureAlgebra` takes,
+    with [b_j, b_i] = -[b_i, b_j]."""
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for (i, j), terms in brackets.items():
         for k, c in terms:
-            table[i][j][k] = Scalar(c) if isinstance(c, int) else c
+            c = Scalar(c) if isinstance(c, int) else c
+            table[i][j][k] = c
+            table[j][i][k] = -c
 
     def double(x, y, z):
         out = {}
@@ -278,14 +301,14 @@ def reference_jacobi_failure(dim: int, brackets):
 
 
 def rescaled_so_brackets(p: int, q: int, scales) -> dict:
-    """The (i, j) -> (k, c) mapping of so(p+1, q+1) on the basis
+    """The i < j half, (i, j) -> (k, c), of so(p+1, q+1) on the basis
     b'_i = s_i b_i: each c of `so_table` becomes s_i s_j c / s_k.  With
     irrational s the coefficients are irrational, with denominators."""
     return {
         (i, j): [(k, scales[i] * scales[j] * Scalar(c) / scales[k]) for k, c in terms]
         for i, row in enumerate(so_table(p, q))
-        for j, terms in enumerate(row)
-        if terms
+        for j, terms in row.items()
+        if j > i
     }
 
 

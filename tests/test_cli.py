@@ -897,3 +897,29 @@ def test_input_file_vector_must_be_an_array(tmp_path, capsys, key):
     code, err = _solve_file(tmp_path, capsys, payload)
     assert code == 2
     assert err.startswith(f"error: bad vector {key!r}") and err.count("\n") == 1
+
+
+# A file nested 100000 deep, an integer of more than 4300 digits (Python's
+# limit on converting one) and bytes that are not UTF-8.
+_HOSTILE_FILES = {
+    "deep": b"[" * 100000 + b"]" * 100000,
+    "long-integer": b'{"p": ' + b"9" * 5000 + b"}",
+    "not-utf8": b'{"p": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE_FILES))
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("solve",), "cannot read"),
+        (("classify",), "cannot read"),
+        (("extension", "validate"), "cannot load extension from"),
+    ],
+    ids=["solve", "classify", "extension-validate"],
+)
+def test_hostile_json_file_is_one_error_line(tmp_path, capsys, kind, argv, prefix):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(_HOSTILE_FILES[kind])
+    err = _bad_input(capsys, *argv, "--file", str(path))
+    assert err.startswith(f"error: {prefix} {path}: ")

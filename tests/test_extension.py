@@ -25,6 +25,7 @@ from confsym.liealg import (
     graded_dim,
     killing_form,
     realize,
+    so_table,
 )
 from confsym.linalg import Matrix, Vector
 from confsym.scalars import FieldMismatchError, Scalar
@@ -76,6 +77,18 @@ def test_flat_model_extension_carries_the_field_of_its_space():
     assert back.space.d == 3
     assert (back.alpha[0, 0], back.alpha[0, 0].d) == (Scalar.sqrt_d(3), 3)
     assert {x.d for row in back.alpha.rows[1:] for x in row} == {0}
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+def test_flat_model_algebra_rows_are_the_so_table_rows(pq):
+    """Built from the i < j half of `so_table`, the flat model's algebra
+    mirrors it back into every row of the table, lower half included."""
+    table = so_table(*pq)
+    alg = flat_model_extension(MobiusSpace(*pq)).pair.alg
+    assert alg.dim == len(table)
+    for i, row in enumerate(table):
+        assert alg.row(i) == row
+        assert all(type(c) is Scalar for terms in alg.row(i).values() for _, c in terms)
 
 
 def test_flat_model_extension_validates(space21):
@@ -254,10 +267,7 @@ def test_metrizability_random_pairs(rng):
 def so3_plus_line():
     """so(3) on b0, b1, b2 ([b0, b1] = b2 and cyclic) plus a central b3."""
     e = [Vector.unit(4, i) for i in range(4)]
-    brackets = {}
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        brackets[i, j] = [(k, Scalar(1))]
-        brackets[j, i] = [(k, Scalar(-1))]
+    brackets = {(0, 1): [(2, Scalar(1))], (1, 2): [(0, Scalar(1))], (0, 2): [(1, Scalar(-1))]}
     return StructureAlgebra(4, brackets), e
 
 

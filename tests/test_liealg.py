@@ -7,7 +7,6 @@ from confsym.flatmodel import MobiusSpace
 from confsym.liealg import (
     CoElement,
     StructureAlgebra,
-    _UpperHalf,
     algebra_condition,
     bracket,
     degrade,
@@ -34,6 +33,7 @@ from conftest import (
     rand_vector,
     reference_ad_s0,
     reference_commutator,
+    reference_antisymmetry_failure,
     reference_jacobi_failure,
     reference_realize,
     reference_so_block_condition,
@@ -300,13 +300,6 @@ def test_killing_form_proportional_to_trace_form(space21):
 
 
 def test_structure_algebra_validation():
-    bad = [
-        [Vector([0, 0]), Vector([1, 0])],
-        [Vector([1, 0]), Vector([0, 0])],
-    ]
-    with pytest.raises(ValueError, match="antisymmetric"):
-        StructureAlgebra(2, sparse_brackets(bad))
-
     def v(*e):
         return Vector(list(e))
 
@@ -373,11 +366,9 @@ def test_so_table_matches_the_matrix_structure_constants(pq):
     table = so_table(*pq)
     assert len(table) == ref.dim == graded_dim(space)
     for i in range(ref.dim):
-        assert len(table[i]) == ref.dim
-        for j in range(ref.dim):
-            assert all(type(c) is int for _, c in table[i][j])
-            want = [(k, c.to_fraction()) for k, c in ref.row(i).get(j, ())]
-            assert list(table[i][j]) == want
+        assert all(type(c) is int for terms in table[i].values() for _, c in terms)
+        want = {j: [(k, c.to_fraction()) for k, c in terms] for j, terms in ref.row(i).items()}
+        assert {j: list(terms) for j, terms in table[i].items()} == want
 
 
 @given(_graded_coords(count=2))
@@ -467,10 +458,10 @@ def _field_values(d):
 )
 @settings(max_examples=60, deadline=None)
 def test_jacobi_check_names_the_reference_triple(pq, d, rescaled, data):
-    """One entry of the table of so(p+1, q+1), on its own basis or on an
-    irrationally rescaled one, shifted by a rational or irrational constant
-    (and its antisymmetric partner with it): the one-pass check names the
-    triple that the cyclic sum over every i < j < k names first."""
+    """One entry of the i < j half of so(p+1, q+1), on its own basis or on
+    an irrationally rescaled one, shifted by a rational or irrational
+    constant: the one-pass check names the triple that the cyclic sum over
+    every i < j < k names first."""
     values = _field_values(d)
     dim = len(so_table(*pq))
     scales = [data.draw(st.sampled_from(values)) if rescaled else 1 for _ in range(dim)]
@@ -478,11 +469,9 @@ def test_jacobi_check_names_the_reference_triple(pq, d, rescaled, data):
     i = data.draw(st.integers(0, dim - 2))
     j = data.draw(st.integers(i + 1, dim - 1))
     k = data.draw(st.integers(0, dim - 1))
-    c = data.draw(st.sampled_from(values))
-    for key, shift in (((i, j), c), ((j, i), -c)):
-        terms = dict(brackets.get(key, ()))
-        terms[k] = terms.get(k, 0) + shift
-        brackets[key] = sorted((m, e) for m, e in terms.items() if e)
+    terms = dict(brackets.get((i, j), ()))
+    terms[k] = terms.get(k, 0) + data.draw(st.sampled_from(values))
+    brackets[i, j] = sorted((m, e) for m, e in terms.items() if e)
     failure = reference_jacobi_failure(dim, brackets)
     if failure is None:
         StructureAlgebra(dim, brackets)
@@ -508,68 +497,73 @@ def test_sparse_bracket_matches_the_dense_reference_on_known_algebras(which, rng
         assert alg.bracket(x, y) == reference_dense_bracket(alg.dim, dense_table(alg), x, y)
 
 
-@given(_antisymmetric_tables(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_antisymmetry_check_names_the_first_broken_pair(case, data):
-    dim, table = case
-    i = data.draw(st.integers(0, dim - 1))
-    j = data.draw(st.integers(0, dim - 1))
-    k = data.draw(st.integers(0, dim - 1))
-    entries = list(table[i][j].entries)
-    entries[k] = entries[k] + Scalar(1)
-    table[i][j] = Vector(entries)
-    first = next(
-        (a, b)
-        for a in range(dim)
-        for b in range(a, dim)
-        if table[a][b] != -table[b][a]
-    )
-    with pytest.raises(ValueError) as info:
-        StructureAlgebra(dim, sparse_brackets(table))
-    assert str(info.value) == f"bracket table is not antisymmetric at {first}"
-
-
 def test_jacobi_refuses_irrational_coefficients_of_two_fields():
     r2, r3 = Scalar(0, 1, 1, 2), Scalar(0, 1, 1, 3)
-    brackets = {(0, 1): [(2, r2)], (1, 0): [(2, -r2)], (0, 2): [(1, r3)], (2, 0): [(1, -r3)]}
+    brackets = {(0, 1): [(2, r2)], (0, 2): [(1, r3)]}
     with pytest.raises(FieldMismatchError):
         StructureAlgebra(3, brackets)
     # a rational coefficient tagged d = 3 mixes with Q(sqrt 2)
     brackets[0, 2] = [(1, Scalar(1, 0, 1, 3))]
-    brackets[2, 0] = [(1, Scalar(-1, 0, 1, 3))]
     alg = StructureAlgebra(3, brackets)
     assert alg.row(0) == {1: ((2, r2),), 2: ((1, Scalar(1)),)}
 
 
-def test_antisymmetry_covers_the_diagonal_and_one_sided_pairs():
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ({(2, 0): [(1, 1)]}, "bracket index (2, 0) needs 0 <= i < j < 3"),
+        ({(1, 1): [(0, 1)]}, "bracket index (1, 1) needs 0 <= i < j < 3"),
+        ({(0, 3): [(1, 1)]}, "bracket index (0, 3) needs 0 <= i < j < 3"),
+        ({(3, 4): []}, "bracket index (3, 4) needs 0 <= i < j < 3"),
+        ({(-1, 2): [(0, 1)]}, "bracket index (-1, 2) needs 0 <= i < j < 3"),
+        ({(0, 1): [(3, 1)]}, "bracket (0, 1) needs indices 0 <= k < 3 in increasing order"),
+        ({(0, 1): [(-1, 1)]}, "bracket (0, 1) needs indices 0 <= k < 3 in increasing order"),
+        ({(0, 1): [(2, 1), (1, 1)]}, "bracket (0, 1) needs indices 0 <= k < 3 in increasing order"),
+        ({(0, 1): [(2, 1), (2, 1)]}, "bracket (0, 1) needs indices 0 <= k < 3 in increasing order"),
+    ],
+)
+def test_constructor_takes_only_the_i_lt_j_half(brackets, message):
     with pytest.raises(ValueError) as info:
-        StructureAlgebra(3, {(1, 1): [(0, Scalar(1))]})
-    assert str(info.value) == "bracket table is not antisymmetric at (1, 1)"
-    with pytest.raises(ValueError) as info:
-        StructureAlgebra(3, {(2, 0): [(1, Scalar(1))]})
-    assert str(info.value) == "bracket table is not antisymmetric at (0, 2)"
-    # zero terms are dropped, so they break nothing
+        StructureAlgebra(3, brackets)
+    assert str(info.value) == message
+
+
+def test_constructor_drops_zero_coefficients():
+    alg = StructureAlgebra(3, {(0, 1): [(0, 0), (1, Scalar(0)), (2, 1)]})
+    assert alg.row(0) == {1: ((2, Scalar(1)),)}
+    assert alg.row(1) == {0: ((2, Scalar(-1)),)}
+    assert alg.row(2) == {}
     alg = StructureAlgebra(3, {(0, 1): [(2, Scalar(0))]})
-    assert alg.row(0) == {}
+    assert alg._integer[2] == [{}, {}, {}]
+    assert all(alg.row(i) == {} for i in range(3))
 
 
 def test_upper_half_is_mirrored_and_builds_scalar_rows_where_read(rng):
-    """Given the i < j half, the algebra mirrors it in integers, as the
-    mapping constructor converts both halves, and builds a Scalar row only
-    when `row` or `bracket` reads it."""
+    """The algebra mirrors the i < j half in integers, so each of its rows is
+    the rescaled row of `so_table` (whose lower half the matrix test checks
+    on its own), and builds a Scalar row only when `row` or `bracket` reads
+    it."""
     table = so_table(2, 1)
     dim = len(table)
     scales = [Scalar(1, 0, 2), Scalar(-3), Scalar(1, 1, 1)] + [Scalar(1)] * (dim - 3)
-    both = rescaled_so_brackets(2, 1, scales)
-    upper = _UpperHalf({(i, j): tuple(terms) for (i, j), terms in both.items() if i < j})
-    alg = StructureAlgebra(dim, upper)
-    ref = StructureAlgebra(dim, both)
-    assert alg._integer == ref._integer
+    alg = StructureAlgebra(dim, rescaled_so_brackets(2, 1, scales))
+    assert reference_antisymmetry_failure(alg._integer[2]) is None
     assert alg._rows == [None] * dim
+    want = [
+        {
+            j: tuple((k, scales[i] * scales[j] * Scalar(c) / scales[k]) for k, c in terms)
+            for j, terms in row.items()
+        }
+        for i, row in enumerate(table)
+    ]
+    dense = [[Vector.zero(dim) for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(want):
+        for j, terms in row.items():
+            dense[i][j] = Vector([dict(terms).get(k, Scalar(0)) for k in range(dim)])
     x, y = Vector.unit(dim, 2).scale(Scalar(0, 1)), rand_vector(rng, dim, 3)
-    assert alg.bracket(x, y) == ref.bracket(x, y)
+    assert alg.bracket(x, y) == reference_dense_bracket(dim, dense, x, y)
     assert [i for i, row in enumerate(alg._rows) if row is not None] == [2]
-    assert [alg.row(i) for i in range(dim)] == [ref.row(i) for i in range(dim)]
+    assert [alg.row(i) for i in range(dim)] == want
 
 
 # -- upsilon_action stays in so(p, q) ------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from confsym.extension import flat_model_extension, validate_extension
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import StructureAlgebra, _check_antisymmetry, graded_dim
+from confsym.liealg import StructureAlgebra, graded_dim
 from confsym.linalg import AffineSubspace, Vector
 from confsym.scalars import Scalar, parse_scalar
 from confsym.serialize import (
@@ -30,6 +30,7 @@ from confsym.weyl import random_weyl
 
 from conftest import (
     dense_table,
+    reference_antisymmetry_failure,
     reference_jacobi_failure,
     reference_validate_extension,
     sl2_pair,
@@ -165,7 +166,7 @@ def test_sparse_reader_matches_the_dense_reference(case, d, data):
             structure_algebra_from_dict(algebra, d)
         return
     alg = structure_algebra_from_dict(algebra, d)
-    # The reader's algebra is the mapping constructor's: the same numerators,
+    # The reader's algebra is the constructor's: the same numerators,
     # and the Scalar rows it builds on first read, by bracket and by row.
     ref = StructureAlgebra(dim, sparse_brackets(table))
     assert alg._integer == ref._integer
@@ -227,21 +228,21 @@ def _bracket_files(draw):
 @given(_bracket_files(), st.sampled_from([2, 3]))
 @settings(max_examples=200, deadline=None)
 def test_no_file_states_a_table_that_is_not_antisymmetric(algebra, d):
-    """The reader takes only i < j, each pair once, and mirrors it, so the
-    integer rows of every file it accepts pass the antisymmetry check that
-    it skips."""
+    """The reader takes only i < j, each pair once, and the algebra mirrors
+    it, so the integer rows of every file it accepts pass the reference
+    antisymmetry check."""
     try:
         alg = structure_algebra_from_dict(algebra, d)
     except ValueError:
         return
     rows = alg._integer[2]
-    _check_antisymmetry(rows)
+    assert reference_antisymmetry_failure(rows) is None
     # Each entry is the bracket it states, and no other bracket is nonzero.
     for i, j, coeffs in algebra["brackets"]:
         assert alg.row(i).get(j, ()) == tuple(_terms_of(coeffs, d))
-    stated = _mapping_of(algebra, d)
+    stated = [ij for ij, terms in _mapping_of(algebra, d).items() if terms]
     nonzero = {(i, j) for i, row in enumerate(rows) for j in row}
-    assert nonzero == {ij for ij, terms in stated.items() if terms}
+    assert nonzero == {*stated, *((j, i) for i, j in stated)}
 
 
 def _terms_of(coeffs, d):
@@ -250,14 +251,9 @@ def _terms_of(coeffs, d):
 
 
 def _mapping_of(algebra, d):
-    """The (i, j) -> nonzero (k, c) mapping of a file's algebra, both
-    halves, as the mapping constructor and the reference take it."""
-    brackets = {}
-    for i, j, coeffs in algebra["brackets"]:
-        terms = _terms_of(coeffs, d)
-        brackets[i, j] = terms
-        brackets[j, i] = [(k, -c) for k, c in terms]
-    return brackets
+    """The i < j half, (i, j) -> nonzero (k, c), of a file's algebra, as the
+    constructor and the reference take it."""
+    return {(i, j): _terms_of(coeffs, d) for i, j, coeffs in algebra["brackets"]}
 
 
 @pytest.mark.parametrize("d, literal", [(2, "2"), (3, "1/2*r")])
@@ -265,7 +261,7 @@ def _mapping_of(algebra, d):
 def test_jacobi_breaking_file_names_the_reference_triple_on_both_paths(d, literal, entry):
     """One coefficient of a bracket of the (3,1) flat file: its first
     nonzero one set to 2, or its first zero one set to 1/2*r over Q(sqrt 3).
-    The reader and the mapping constructor name the reference triple."""
+    The reader and the constructor name the reference triple."""
     algebra = extension_to_dict(flat_model_extension(MobiusSpace(3, 1, d)))["algebra"]
     coeffs = algebra["brackets"][entry][2]
     if literal == "2":
@@ -338,6 +334,39 @@ def test_subspace_empty_flag_must_be_a_json_boolean():
     with pytest.raises(ValueError, match="'empty' must be a JSON boolean, got 'false'"):
         subspace_from_dict(point, 2)
     assert subspace_from_dict({**point, "empty": False}, 2) == AffineSubspace(3, Vector.zero(3), [])
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, True, None])
+@pytest.mark.parametrize("empty", [True, False])
+def test_subspace_ambient_must_be_a_json_integer(value, empty):
+    data = {"empty": empty, "ambient": value, "dim": 0, "base": ["0", "0", "0"], "dirs": []}
+    with pytest.raises(ValueError, match=re.escape(f"'ambient' must be an integer, got {value!r}")):
+        subspace_from_dict(data, 2)
+
+
+@pytest.mark.parametrize("dim", [7, 0, 2, "1", 1.0, True])
+def test_subspace_dim_must_be_the_number_of_directions(dim):
+    data = {"empty": False, "ambient": 3, "dim": 1, "base": ["0", "0", "0"], "dirs": [["1", "0", "0"]]}
+    assert subspace_from_dict(data, 2) == AffineSubspace(3, Vector.zero(3), [Vector.unit(3, 0)])
+    with pytest.raises(ValueError, match="'dim'"):
+        subspace_from_dict({**data, "dim": dim}, 2)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ambient", "5", "'ambient' must be an integer, got '5'"),
+        ("dim", 7, "'dim' 7 does not match the 0 'dirs'"),
+    ],
+)
+@pytest.mark.parametrize("field", ["preserving", "preserve_first"])
+def test_report_from_dict_checks_each_subspace_ambient_and_dim(space21, field, key, value, message):
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    data = report_to_dict(space21, find_symmetries(space21, u, v, space21.origin))
+    data[field] = {"empty": False, "ambient": 5, "dim": 0, "base": ["0"] * 5, "dirs": [], key: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_dict(data)
 
 
 @pytest.mark.parametrize(
