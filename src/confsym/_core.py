@@ -8,6 +8,11 @@ gcd(a, b, q) = 1, and pivot rows are kept monic; entries of reduced rows are
 then ratios of minors of the input, so coefficient growth stays polynomial.
 The output is the (unique) reduced row echelon form, entries as flat triples.
 
+Given `ncols`, the number of columns, `rref_sparse` stops as soon as its
+pivots fill every column.  That stop is a certificate, not a guess: the rank
+cannot exceed `ncols`, so the reduced form is then the identity whatever the
+remaining rows hold.  It reads no further rows and skips back-substitution.
+
 Entries stay Python ints throughout: a machine-word fast path would risk
 silent overflow, and exactness is the whole point.
 """
@@ -94,13 +99,17 @@ def _make_monic(cols, vals, d):
     return cols, out
 
 
-def rref_sparse(rows, d):
+def rref_sparse(rows, d, ncols=None):
     """Reduced row echelon form of the sparse system.
 
     rows: iterable of (cols, vals) over Z[sqrt d] as described above.
     Returns (pivot_cols, pivot_rows): pivot_cols sorted ascending and
     pivot_rows[i] the fully reduced monic row for pivot_cols[i] as
-    (cols, triples) with triples flat [a, b, q, ...]."""
+    (cols, triples) with triples flat [a, b, q, ...].
+
+    ncols: when given, every column index is below it, and the identity
+    form is returned once the pivots fill all `ncols` columns, without
+    reading the rows after the one that filled them."""
     piv = {}
     for in_cols, vals in rows:
         cols = []
@@ -116,6 +125,8 @@ def rref_sparse(rows, d):
             hit = piv.get(lead)
             if hit is None:
                 piv[lead] = _make_monic(cols, triples, d)
+                if len(piv) == ncols:
+                    return list(range(ncols)), [([c], [1, 0, 1]) for c in range(ncols)]
                 break
             pc, pv = hit
             cols, triples = _combine(

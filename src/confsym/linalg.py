@@ -248,25 +248,37 @@ def _same_len(u: Vector, v: Vector):
 def sparse_rows_from_scalars(rows: Iterable[Sequence[Scalar]], d: int):
     """Clear denominators row by row: Scalar rows -> Z[sqrt d] sparse rows.
 
-    Raises FieldMismatchError on an irrational entry of another Q(sqrt d):
-    the rows carry only numerators, so the field must be checked here."""
+    One pass per row finds the nonzero entries and their common denominator;
+    rows with no nonzero entry are dropped.  Raises FieldMismatchError on an
+    irrational entry of another Q(sqrt d): the rows carry only numerators,
+    so the field must be checked here."""
     out = []
     fields = {d}
     for row in rows:
-        denom = 1
-        for e in row:
-            if e:
-                fields.add(e.d)
-                denom = lcm(denom, e.q)
         cols = []
-        vals = []
-        for j, e in enumerate(row):
-            if e:
-                f = denom // e.q
+        nz = []
+        denom = 1
+        j = 0
+        for e in row:
+            if e.a or e.b:
                 cols.append(j)
-                vals.append(e.a * f)
-                vals.append(e.b * f)
+                nz.append(e)
+                if e.q != 1:
+                    denom = lcm(denom, e.q)
+                if e.b:
+                    fields.add(e.d)
+            j += 1
         if cols:
+            vals = []
+            if denom == 1:
+                for e in nz:
+                    vals.append(e.a)
+                    vals.append(e.b)
+            else:
+                for e in nz:
+                    f = denom // e.q
+                    vals.append(e.a * f)
+                    vals.append(e.b * f)
             out.append((cols, vals))
     one_field(fields)
     return out

@@ -273,6 +273,11 @@ def parse_scalar(text: str, d: int = 2) -> Scalar:
     "1*r" / "-1*r".  Examples: "1", "-3/2", "1/2*r", "1+2*r".  A zero
     denominator is a bad literal (ValueError).
     """
+    # A plain ASCII integer skips the regex; `int` alone would also take
+    # "1_000", "+1" and non-ASCII digits, so the characters are checked first.
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return Scalar(int(text))
     m = _LITERAL.match(text)
     if not m:
         raise ValueError(f"bad scalar literal {text!r}")

@@ -539,7 +539,9 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     factor are dropped (`_distinct_rows`); the row space stays exact.  After
     each block the distinct rows so far are reduced, and once the rank is n
     the kernel is trivial: that certifies [] without building the remaining
-    blocks.  Otherwise the result is the canonical kernel of all distinct
+    blocks.  The engine is told the n columns, so it stops reducing as soon
+    as its pivots fill them; the rank cannot exceed n, so the stop changes
+    no answer.  Otherwise the result is the canonical kernel of all distinct
     rows, which by the uniqueness of the RREF equals that of the whole
     stacked system."""
     space = MobiusSpace(W.p, W.q, W.d)
@@ -551,7 +553,7 @@ def prolongation(W: WeylTensor) -> list[Vector]:
         block = [co_action(upsilon_action(space, Y, units[i]), W).values for Y in units]
         new = _distinct_rows(sparse_rows_from_scalars(list(zip(*block)), W.d), seen)
         rows += new
-        if i < n - 1 and new and len(_core.rref_sparse(rows, W.d)[0]) == n:
+        if i < n - 1 and new and len(_core.rref_sparse(rows, W.d, ncols=n)[0]) == n:
             return []
     return [Vector.from_terms(terms, n) for terms in kernel_sparse(rows, n, W.d)]
 

@@ -71,19 +71,21 @@ def zsqrtd_systems(draw):
     return d, ncols, draw(st.permutations(rows))
 
 
-@given(zsqrtd_systems(), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_rref_matches_dense_fraction_reference(system, keep_zeros):
-    d, ncols, rows = system
-    sparse = []
+def _sparse(rows, keep_zeros):
+    out = []
     for row in rows:
         cols = [c for c, e in enumerate(row) if keep_zeros or any(e)]
-        sparse.append((cols, [x for c in cols for x in row[c]]))
-    pivots, reduced = _core.rref_sparse(sparse, d)
+        out.append((cols, [x for c in cols for x in row[c]]))
+    return out
 
-    ref_pivots, ref_rows = reference_rref(
-        [[(Fraction(a), Fraction(b)) for a, b in row] for row in rows], ncols, d
-    )
+
+def _reference(rows, ncols, d):
+    return reference_rref([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows], ncols, d)
+
+
+def _assert_matches(got, ref):
+    pivots, reduced = got
+    ref_pivots, ref_rows = ref
     assert pivots == ref_pivots
     assert len(reduced) == len(ref_rows)
     for (cols, triples), ref in zip(reduced, ref_rows):
@@ -92,3 +94,51 @@ def test_rref_matches_dense_fraction_reference(system, keep_zeros):
         assert [tuple(triples[3 * k : 3 * k + 3]) for k in range(len(cols))] == [
             _triple(ref[c]) for c in ref_cols
         ]
+
+
+@given(zsqrtd_systems(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_dense_fraction_reference(system, keep_zeros):
+    d, ncols, rows = system
+    _assert_matches(_core.rref_sparse(_sparse(rows, keep_zeros), d), _reference(rows, ncols, d))
+
+
+# -- the stop at full column rank ----------------------------------------------
+
+
+def _reader(rows, read):
+    """The rows as a generator that counts, in `read`, the rows taken."""
+    for row in rows:
+        read[0] += 1
+        yield row
+
+
+@given(zsqrtd_systems(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_early_stop_matches_dense_fraction_reference(system, keep_zeros, stop):
+    """With ncols given the result is still the reference RREF, and the
+    engine reads exactly the rows up to the first prefix of full rank.
+    Without it (ncols=None, the former call) it reads every row."""
+    d, ncols, rows = system
+    read = [0]
+    got = _core.rref_sparse(_reader(_sparse(rows, keep_zeros), read), d, ncols if stop else None)
+    _assert_matches(got, _reference(rows, ncols, d))
+    full = next(
+        (k for k in range(1, len(rows) + 1) if len(_reference(rows[:k], ncols, d)[0]) == ncols),
+        None,
+    )
+    assert read[0] == (full if stop and full else len(rows))
+
+
+def test_rows_after_the_stop_are_never_read():
+    """A generator that fails past its third row: the identity comes back
+    once three rows have filled the three columns."""
+
+    def rows():
+        yield [0, 2], [1, 0, 1, 1]
+        yield [1], [3, 0]
+        yield [2], [0, 5]
+        raise AssertionError("read a row after the pivots filled every column")
+
+    identity = [([c], [1, 0, 1]) for c in range(3)]
+    assert _core.rref_sparse(rows(), 2, 3) == ([0, 1, 2], identity)

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from confsym.linalg import (
     kernel_sparse,
     rank,
     solve_affine,
+    sparse_rows_from_scalars,
 )
-from confsym.scalars import FieldMismatchError, Scalar
+from confsym.scalars import FieldMismatchError, Scalar, one_field
 
 from conftest import fraction_pair, rand_scalar, reference_rref
 
@@ -140,6 +143,50 @@ def test_entry_points_reject_mixed_fields():
         solve_affine(Matrix([[Scalar.sqrt_d(2), 1]]), Vector([Scalar.sqrt_d(3)]))
     # rational entries belong to every field
     assert rank(Matrix([[Scalar.sqrt_d(3), 1], [Scalar(1, 0, 2), 1]])) == 2
+
+
+def reference_bridge(rows, d):
+    """The former bridge: a pass for the denominator and the fields, then a
+    second pass over every entry."""
+    out = []
+    fields = {d}
+    for row in rows:
+        denom = 1
+        for e in row:
+            if e:
+                fields.add(e.d)
+                denom = lcm(denom, e.q)
+        cols = [j for j, e in enumerate(row) if e]
+        vals = [x * (denom // row[j].q) for j in cols for x in (row[j].a, row[j].b)]
+        if cols:
+            out.append((cols, vals))
+    one_field(fields)
+    return out
+
+
+_bridge_entries = st.one_of(
+    st.just(Scalar(0)),
+    st.builds(Scalar, st.integers(-5, 5), st.just(0), st.integers(1, 4)),
+    st.builds(
+        Scalar, st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4), st.sampled_from([2, 3, 5])
+    ),
+)
+
+
+@given(
+    st.lists(st.lists(_bridge_entries, min_size=3, max_size=3), max_size=5),
+    st.sampled_from([0, 2, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_bridge_matches_the_former_two_pass_bridge(rows, d):
+    """The same rows, or the same FieldMismatchError message."""
+    try:
+        want = reference_bridge(rows, d)
+    except FieldMismatchError as exc:
+        with pytest.raises(FieldMismatchError, match=f"^{re.escape(str(exc))}$"):
+            sparse_rows_from_scalars(rows, d)
+        return
+    assert sparse_rows_from_scalars(rows, d) == want
 
 
 def test_kernel_of_a_rational_system_is_rational():

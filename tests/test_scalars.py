@@ -185,6 +185,36 @@ def test_parser_matches_the_fraction_reference(text, d):
     assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
 
 
+@pytest.mark.parametrize("text", ["1_000", "+1", "--1", "-", "1-", "0x1", "1e3", "²"])
+def test_integer_fast_path_refuses_what_int_alone_would_take(text):
+    with pytest.raises(ValueError, match="bad scalar literal"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", " 1", "1 ", "1\n", "١", "-١٢"])
+def test_plain_integers_parse_as_the_grammar_reads_them(text):
+    """Padded and non-ASCII integers leave the fast path; every form reads
+    as the full grammar reads it."""
+    got = parse_scalar(text, 3)
+    want = reference_parse_scalar(text, 3)
+    assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("digits", [4300, 4301, 5000])
+def test_long_integers_meet_the_interpreter_limit(sign, digits):
+    """A literal past Python's integer-conversion limit raises what int()
+    raises on it; one within the limit parses."""
+    text = sign + "7" * digits
+    try:
+        want = int(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            parse_scalar(text)
+        return
+    assert parse_scalar(text) == Scalar(want)
+
+
 def test_formatting_round_trips_canonically():
     for s in [Scalar(0), Scalar(-7, 3, 5), Scalar(1, -1, 2), Scalar(0, -4, 3), Scalar(5)]:
         assert parse_scalar(str(s)) == s

@@ -880,6 +880,43 @@ def test_lone_orbits_stop_after_the_measured_number_of_blocks(monkeypatch, pq, b
     assert counts == blocks
 
 
+@pytest.mark.parametrize("pq", [(6, 0), (4, 2), (3, 3)])
+@pytest.mark.parametrize("orbit, blocks", [(None, 1), (0, 2), (20, 3)])
+def test_prolongation_stops_the_engine_at_full_column_rank(monkeypatch, pq, orbit, blocks):
+    """Each full-rank check tells the engine the n columns.  A random tensor
+    fills them within its first block's rows and the rest are never read;
+    the lone orbits 0 and 20 fall short on the first block, so the stop fires
+    on a later call.  The answer is the reference's either way."""
+    p, q = pq
+    n = p + q
+    W = random_weyl(p, q, seed=11) if orbit is None else _lone_orbit(p, q, orbit)
+    calls = []
+    rref = weyl_module._core.rref_sparse
+
+    def counted(rows, d, ncols=None):
+        read = [0]
+
+        def reader():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        out = rref(reader(), d, ncols)
+        calls.append((ncols, len(out[0]), read[0], len(rows)))
+        return out
+
+    monkeypatch.setattr(weyl_module._core, "rref_sparse", counted)
+    assert prolongation(W) == []
+    monkeypatch.undo()
+    assert reference_prolongation(W) == []
+    assert len(calls) == blocks
+    assert all(ncols == n for ncols, *_ in calls)
+    assert [rank == n for _, rank, _, _ in calls] == [False] * (blocks - 1) + [True]
+    if orbit is None:
+        _, _, read, given_rows = calls[0]
+        assert read < given_rows
+
+
 @pytest.mark.parametrize("pq", [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2)])
 def test_prolongation_bridges_one_row_per_orbit(monkeypatch, pq):
     """Each xi-block sends one row per orbit to the bridge."""
