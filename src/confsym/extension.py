@@ -3,17 +3,20 @@
 An extension is a linear map alpha from an abstract algebra k (with a
 distinguished subalgebra h and complement m) into so(p+1, q+1) that sends h
 into the stabilizer subalgebra, induces an isomorphism k/h -> so/p on the
-quotients, and is equivariant over h.  The module validates the three
-conditions, evaluates the curvature defect [alpha X, alpha Y] - alpha [X, Y],
-runs the involution criterion Ad_{exp Y} alpha(k) = Ad_{s_0}-stable, and
-performs the trace check that puts the isotropy inside the orthogonal group
-for genuinely symmetric pairs.
+quotients, and is equivariant over h.  k is stated in a basis adapted to
+h + m, so a pair is two index lists into that basis, and alpha is one row
+per basis element; every check reads those rows at the indices of h and m.
+The module validates the three conditions, evaluates the curvature defect
+[alpha X, alpha Y] - alpha [X, Y], runs the involution criterion
+Ad_{exp Y} alpha(k) = Ad_{s_0}-stable, and performs the trace check that
+puts the isotropy inside the orthogonal group for genuinely symmetric pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _core
 from .flatmodel import MobiusSpace
 from .liealg import (
     StructureAlgebra,
@@ -26,129 +29,81 @@ from .liealg import (
     realize,
     so_table,
 )
-from .linalg import Matrix, Vector, rank, solve_affine
-from .scalars import ONE, ZERO, Scalar, one_field
+from .linalg import Matrix, Vector, rank
+from .scalars import ONE, ZERO, one_field
 
 
 class HomogeneousPair:
-    """Algebra k with subalgebra h and a vector-space complement m.
+    """Algebra k with subalgebra h and a vector-space complement m, stated in
+    a basis of k adapted to h + m: `h` and `m` are index lists, an int i
+    standing for the basis vector b_i of k, and together they partition
+    range(dim).  Any pair can be stated so, after restating k in a basis
+    that runs through a basis of h and then one of m.
 
     Only [h, h] <= h is required here; the stricter symmetric closure lives in
     SymmetricPair.  Extensions are defined over this weaker structure (the
     stabilizer of the flat model is not a symmetric complement).
 
-    The bases are given either as vectors (Vectors or lists of entries) or,
-    both of them, as index lists: an int i stands for the basis vector b_i of
-    k.  Index lists (the form an extension file gives) are kept as they are,
-    so the pair costs time and memory linear in dim, and independence,
-    closure and span membership are decided on the indices: the bases are
-    independent iff their indices partition range(dim), and a vector lies in
-    the span of unit vectors iff its nonzero entries sit at their indices.
-    Vector bases take the rank route; both decide the same predicates
-    exactly."""
+    The pair keeps the lists, so it costs time and memory linear in dim, and
+    closure and span membership are read off the indices: a vector lies in
+    the span of h iff its nonzero entries sit at indices of h."""
 
-    def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
+    def __init__(self, alg: StructureAlgebra, h, m):
         self.alg = alg
-        h_basis, m_basis = list(h_basis), list(m_basis)
-        if len(h_basis) + len(m_basis) != alg.dim:
-            raise ValueError("h and m bases must decompose the algebra")
-        if all(type(b) is int for b in h_basis + m_basis):
-            self._units = (h_basis, m_basis)
-            independent = sorted(h_basis + m_basis) == list(range(alg.dim))
-        else:
-            self._units = None
-            self._bases = tuple(
-                [v if isinstance(v, Vector) else Vector(v) for v in basis]
-                for basis in (h_basis, m_basis)
-            )
-            rows = [v.entries for v in self._bases[_H] + self._bases[_M]]
-            independent = rank(Matrix(rows)) == alg.dim
-        if not independent:
-            raise ValueError("h and m bases are not linearly independent")
-        if not self._closed(_H, _H, _H):
+        self.h, self.m = list(h), list(m)
+        if any(type(i) is not int for i in self.h + self.m):
+            raise ValueError("h and m are index lists: an int i stands for the basis vector b_i")
+        if sorted(self.h + self.m) != list(range(alg.dim)):
+            raise ValueError(f"h and m must partition the basis indices range({alg.dim})")
+        if not self._closed(self.h, self.h, self.h):
             raise ValueError("h is not a subalgebra: [h, h] leaves h")
 
+    # The bases as unit vectors, built on each read.
     @property
     def h_basis(self) -> list:
-        return self._basis(_H)
+        return [Vector.unit(self.alg.dim, i) for i in self.h]
 
     @property
     def m_basis(self) -> list:
-        return self._basis(_M)
+        return [Vector.unit(self.alg.dim, i) for i in self.m]
 
-    def _basis(self, family: int) -> list:
-        """The vectors of the basis `family` (_H or _M); index lists are
-        turned into unit vectors on each call."""
-        if self._units is None:
-            return self._bases[family]
-        return [Vector.unit(self.alg.dim, i) for i in self._units[family]]
+    def _closed(self, xs: list, ys: list, target: list) -> bool:
+        """Whether every [b_i, b_j], i in xs and j in ys, lies in the span of
+        target: every term of each nonzero bracket has its index in target,
+        read off the keys and indices of the algebra's integer rows, so no
+        Scalar row is built."""
+        ys, target = set(ys), set(target)
+        integer_rows = self.alg._integer[2]
+        for i in xs:
+            for j, terms in integer_rows[i].items():
+                if j in ys and any(k not in target for k, _, _ in terms):
+                    return False
+        return True
 
-    def _terms(self, family: int) -> list:
-        """The nonzero (k, c) of each vector of the basis `family`, in index
-        order, without building the vectors of an index list."""
-        if self._units is None:
-            return [_nonzero(v) for v in self._bases[family]]
-        return [((i, ONE),) for i in self._units[family]]
-
-    def _closed(self, xs: int, ys: int, target: int) -> bool:
-        """Whether every [x, y] lies in the span of the target basis, for x
-        over the basis xs and y over the basis ys (_H or _M).
-
-        On index lists: every term of every nonzero [b_i, b_j] with i in xs
-        and j in ys has its index in target, read off the keys and indices of
-        the algebra's integer rows, so no Scalar row is built.
-        Otherwise the target basis is independent, so this holds iff adding
-        all the brackets to it leaves the rank at len(target); one rank
-        decides the whole family.  When xs equals ys, only the pairs i <= j
-        are formed: [y, x] = -[x, y]."""
-        if self._units is not None:
-            ys_idx = set(self._units[ys])
-            target_idx = set(self._units[target])
-            integer_rows = self.alg._integer[2]
-            for i in self._units[xs]:
-                for j, terms in integer_rows[i].items():
-                    if j in ys_idx and any(k not in target_idx for k, _, _ in terms):
-                        return False
-            return True
-        same = xs == ys
-        xs, ys = self._bases[xs], self._bases[ys]
-        rows = [v.entries for v in self._bases[target]]
-        for i, x in enumerate(xs):
-            for y in ys[i:] if same else ys:
-                rows.append(self.alg.bracket(x, y).entries)
-        return not rows or rank(Matrix(rows)) == len(self._bases[target])
-
-    def _in_span(self, family: int, v: Vector) -> bool:
-        """Whether v lies in the span of the basis `family` (_H or _M).  On
-        index lists, iff each nonzero entry of v sits at one of its indices.
-        Otherwise, for an independent basis, iff adding v leaves the rank at
-        len(basis).  The empty basis spans only 0."""
-        if self._units is not None and len(v) == self.alg.dim:
-            idx = set(self._units[family])
-            return all(k in idx for k, c in enumerate(v.entries) if c)
-        basis = self._basis(family)
-        return rank(Matrix([b.entries for b in basis] + [v.entries])) == len(basis)
+    def _in_span(self, family: list, v: Vector) -> bool:
+        """Whether v lies in the span of the b_i, i in `family`: iff each
+        nonzero entry of v sits at one of its indices."""
+        if len(v) != self.alg.dim:
+            raise ValueError(f"expected a coordinate vector of length {self.alg.dim}, got {len(v)}")
+        idx = set(family)
+        return all(k in idx for k, c in enumerate(v.entries) if c)
 
     def h_contains(self, v: Vector) -> bool:
-        return self._in_span(_H, v)
+        return self._in_span(self.h, v)
 
     def m_contains(self, v: Vector) -> bool:
-        return self._in_span(_M, v)
-
-
-# The two bases of a pair, as `HomogeneousPair._closed` and `_in_span` name them.
-_H, _M = 0, 1
+        return self._in_span(self.m, v)
 
 
 class SymmetricPair(HomogeneousPair):
     """Pair with the full closure [h, m] <= m and [m, m] <= h; h and m are the
     +1 and -1 eigenspaces of the defining involution."""
 
-    def __init__(self, alg: StructureAlgebra, h_basis, m_basis):
-        super().__init__(alg, h_basis, m_basis)
-        if not self._closed(_H, _M, _M):
+    def __init__(self, alg: StructureAlgebra, h, m):
+        super().__init__(alg, h, m)
+        if not self._closed(self.h, self.m, self.m):
             raise ValueError("closure violation: [h, m] leaves m")
-        if not self._closed(_M, _M, _H):
+        if not self._closed(self.m, self.m, self.h):
             raise ValueError("closure violation: [m, m] leaves h")
 
 
@@ -207,44 +162,39 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     (the X block is coordinates 1..n):
     (1) alpha(h) has zero lower block;
     (2) the lower blocks of alpha(m) have full rank p+q;
-    (3) alpha([H, b_y]) = [alpha(H), alpha(b_y)] for H over h and every
+    (3) alpha([b_i, b_y]) = [alpha(b_i), alpha(b_y)] for i in h and every
         basis element b_y of k, the right side through the structure table
         of so(p+1, q+1).
 
-    All three run on Z[sqrt d] numerators, of h and m over common denominators
-    that cancel, of alpha over q_alpha and of k over q_k: (3) compares
-    lhs q_alpha with rhs q_k.  For each H it visits only the y where a side
-    can be nonzero: [b_i, b_y] nonzero for some H_i nonzero, or alpha(H) and
-    alpha(b_y) nonzero.  The witnesses are the (h index, y) pairs in order."""
+    All three run on Z[sqrt d] numerators, of alpha over q_alpha and of k
+    over q_k, read at the indices of h and m: (2) reduces the X blocks of
+    the m rows, (3) compares lhs q_alpha with rhs q_k.  For each i in h it
+    visits only the y where a side can be nonzero: [b_i, b_y] nonzero, or
+    alpha(b_i) and alpha(b_y) nonzero.  The witnesses are the (h position, y)
+    pairs in order."""
     space = ext.space
     pair = ext.pair
     alg = pair.alg
     n = space.n
-    hs = pair._terms(_H)
-    if alg.dim - len(hs) != n:
-        raise ValueError(f"dim k - dim h = {alg.dim - len(hs)} does not match p+q = {n}")
+    if alg.dim - len(pair.h) != n:
+        raise ValueError(f"dim k - dim h = {alg.dim - len(pair.h)} does not match p+q = {n}")
 
     alg_d, q_alg, alg_rows = alg._integer
     alpha_fields, q_alpha, alpha_rows = ext._integer
-    h_fields, _, h_int = _numerators(hs)
-    m_fields, _, m_int = _numerators(pair._terms(_M))
-    d = one_field((alg_d, *alpha_fields, *h_fields, *m_fields))
-    h_images = [
-        [(j, a, b) for j, (a, b) in _combine(d, h, alpha_rows).items() if a or b] for h in h_int
-    ]
-    bad_h = [idx for idx, ah in enumerate(h_images) if any(1 <= j <= n for j, _, _ in ah)]
+    d = one_field((alg_d, *alpha_fields))
+    bad_h = [idx for idx, i in enumerate(pair.h) if any(1 <= j <= n for j, _, _ in alpha_rows[i])]
     cond1 = ConditionReport(
         passed=not bad_h,
         detail="alpha(h) inside the stabilizer subalgebra",
         witnesses=bad_h,
     )
 
-    # The numerators of alpha(m) are alpha(m) times a nonzero integer: same rank.
-    m_images = [_combine(d, m, alpha_rows) for m in m_int]
-    x_rows = [
-        [Scalar(*am.get(j, (0, 0)), 1, d) for j in range(1, n + 1)] for am in m_images
-    ]
-    r = rank(Matrix._of_scalars(x_rows)) if x_rows else 0
+    # The numerators of alpha(m) are alpha(m) times q_alpha: same rank.
+    x_rows = []
+    for i in pair.m:
+        x = [(j - 1, a, b) for j, a, b in alpha_rows[i] if 1 <= j <= n]
+        x_rows.append(([j for j, _, _ in x], [v for _, a, b in x for v in (a, b)]))
+    r = len(_core.rref_sparse(x_rows, d, ncols=n)[0])
     cond2 = ConditionReport(
         passed=r == n,
         detail=f"induced map on the quotient has rank {r} (need {n})",
@@ -254,20 +204,18 @@ def validate_extension(ext: Extension) -> ExtensionReport:
     so = so_table(space.signature.p, space.signature.q)
     alpha_support = [y for y, row in enumerate(alpha_rows) if row]
     bad_pairs = []
-    for hi, (h_terms, ah) in enumerate(zip(h_int, h_images)):
-        # ad[m] = [alpha(H), b_m], so the right side at y is alpha(b_y) through ad.
+    for hi, i in enumerate(pair.h):
+        ah = alpha_rows[i]
+        # ad[m] = [alpha(b_i), b_m], so the right side at y is alpha(b_y) through ad.
         ad = [[] for _ in so]
         for j, xa, xb in ah:
             for m, terms in so[j].items():
                 ad[m].extend((l, xa * c, xb * c) for l, c in terms)
-        ys = set()
-        for i, _, _ in h_terms:
-            ys.update(alg_rows[i])
+        ys = set(alg_rows[i])
         if ah:
             ys.update(alpha_support)
         for y in sorted(ys):
-            br = _combine(d, h_terms, {i: alg_rows[i].get(y, ()) for i, _, _ in h_terms})
-            lhs = _combine(d, [(k, a, b) for k, (a, b) in br.items()], alpha_rows)
+            lhs = _combine(d, alg_rows[i].get(y, ()), alpha_rows)
             rhs = _combine(d, alpha_rows[y], ad)
             if _scaled(lhs, q_alpha) != _scaled(rhs, q_alg):
                 bad_pairs.append((hi, y))
@@ -360,24 +308,24 @@ class MetrizabilityReport:
 
 def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:
     """For every m-basis pair (X, Y): the trace of ad([X, Y]) restricted to m
-    vanishes.  This is what makes the isotropy act orthogonally."""
+    vanishes.  This is what makes the isotropy act orthogonally.  With
+    w = [X, Y] in h, [w, m] <= m, so that trace is the sum over k in m of the
+    coefficient of b_k in [w, b_k]."""
     alg = pair.alg
-    m_cols = Matrix.from_columns(list(pair.m_basis))
+    m_basis = pair.m_basis
     checked = []
     failures = []
-    for i, x in enumerate(pair.m_basis):
-        for j in range(i + 1, len(pair.m_basis)):
-            y = pair.m_basis[j]
-            w = alg.bracket(x, y)
+    for i, x in enumerate(m_basis):
+        for j in range(i + 1, len(m_basis)):
+            w = alg.bracket(x, m_basis[j])
             if not pair.h_contains(w):
                 raise ValueError("closure violation: [m, m] leaves h")
-            restricted = []
-            for b in pair.m_basis:
-                sol = solve_affine(m_cols, alg.bracket(w, b))
-                if sol.is_empty:
+            tr = ZERO
+            for k, b in zip(pair.m, m_basis):
+                wb = alg.bracket(w, b)
+                if not pair.m_contains(wb):
                     raise ValueError("closure violation: [h, m] leaves m")
-                restricted.append(sol.base.entries)
-            tr = Matrix(restricted).trace()
+                tr = tr + wb[k]
             checked.append((i, j))
             if tr:
                 failures.append(((i, j), tr))

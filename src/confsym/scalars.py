@@ -255,7 +255,8 @@ def _fmt_rat(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-_RAT = r"-?\d+(?:/\d+)?"
+# ASCII digits only: \d would also take every other Unicode decimal digit.
+_RAT = r"-?[0-9]+(?:/[0-9]+)?"
 _LITERAL = re.compile(
     rf"^\s*(?:"
     rf"(?P<lone_r>[+-]?r)"

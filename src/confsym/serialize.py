@@ -13,7 +13,7 @@ from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel
 from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
-from .scalars import ZERO, Scalar, parse_scalar
+from .scalars import ZERO, parse_scalar
 from .symmetry import SymmetryReport
 from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
 
@@ -219,22 +219,13 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
 
 
 def extension_to_dict(ext: Extension) -> dict:
-    def indices(basis):
-        out = []
-        for v in basis:
-            nz = [i for i, e in enumerate(v) if e]
-            if len(nz) != 1 or v[nz[0]] != Scalar(1):
-                raise ValueError("only unit-vector h/m bases serialize to index lists")
-            out.append(nz[0])
-        return out
-
     return {
         "p": ext.space.signature.p,
         "q": ext.space.signature.q,
         "d": ext.space.d,
         "algebra": structure_algebra_to_dict(ext.pair.alg),
-        "h": indices(ext.pair.h_basis),
-        "m": indices(ext.pair.m_basis),
+        "h": list(ext.pair.h),
+        "m": list(ext.pair.m),
         "alpha": matrix_to_literals(ext.alpha),
         "symmetric": isinstance(ext.pair, SymmetricPair),
     }

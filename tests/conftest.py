@@ -441,9 +441,28 @@ def _rand_invertible(rng: random.Random, n: int) -> Matrix:
             return M
 
 
+def in_basis(alg: StructureAlgebra, vectors) -> StructureAlgebra:
+    """The algebra restated on another basis of k: f_i = vectors[i], given in
+    coordinates of the basis of `alg`, and [f_i, f_j] solved for in the f."""
+    vectors = list(vectors)
+    cols = Matrix.from_columns(vectors)
+    if rank(cols) != alg.dim:
+        raise ValueError("the vectors are not a basis of k")
+    brackets = {}
+    for i, x in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            coeffs = solve_affine(cols, alg.bracket(x, vectors[j])).base
+            terms = [(k, c) for k, c in enumerate(coeffs) if c]
+            if terms:
+                brackets[i, j] = terms
+    return StructureAlgebra(alg.dim, brackets)
+
+
 def rand_symmetric_pair(rng: random.Random) -> SymmetricPair:
-    """A genuinely symmetric pair from a small family, with the h and m bases
-    scrambled by random invertible rational changes."""
+    """A genuinely symmetric pair from a small family, restated on a basis
+    scrambled by random invertible rational changes inside h and inside m,
+    so its structure constants are scrambled too; the pair is then the
+    index lists of the two blocks of that basis."""
     alg, h_idx, m_idx = rng.choice(
         [lambda: so_k_pair(3, 1), lambda: so_k_pair(4, 2), sl2_pair, heisenberg_pair]
     )()
@@ -462,7 +481,8 @@ def rand_symmetric_pair(rng: random.Random) -> SymmetricPair:
             out.append(v)
         return out
 
-    return SymmetricPair(alg, mix(th, h_units), mix(tm, m_units))
+    scrambled = in_basis(alg, mix(th, h_units) + mix(tm, m_units))
+    return SymmetricPair(scrambled, range(len(h_idx)), range(len(h_idx), alg.dim))
 
 
 # -- the former full families of Weyl constraint rows ------------------------

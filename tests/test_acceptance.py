@@ -189,11 +189,7 @@ def test_criterion_6_extension_suite():
     alg, h_idx, m_idx = so_k_pair(3, 1)
     from confsym.extension import SymmetricPair
 
-    so3 = SymmetricPair(
-        alg,
-        [Vector.unit(alg.dim, i) for i in h_idx],
-        [Vector.unit(alg.dim, i) for i in m_idx],
-    )
+    so3 = SymmetricPair(alg, h_idx, m_idx)
     assert metrizability_check(so3).passed
     rng = random.Random(606)
     for _ in range(10):

@@ -33,6 +33,7 @@ from confsym.serialize import extension_from_dict, extension_to_dict
 
 from conftest import (
     heisenberg_pair,
+    in_basis,
     pure_x,
     pure_z,
     rand_symmetric_pair,
@@ -51,7 +52,7 @@ def abelian_algebra(dim):
 def translation_pair(n):
     """Abelian k of dimension n; h empty, m everything (flat translations)."""
     alg = abelian_algebra(n)
-    return SymmetricPair(alg, [], [Vector.unit(n, i) for i in range(n)])
+    return SymmetricPair(alg, [], list(range(n)))
 
 
 def graded_alpha_rows(images):
@@ -139,7 +140,7 @@ def test_perturbed_alpha_fails_only_equivariance(space21):
     assert report.quotient_condition.passed
     assert not report.equivariance_condition.passed
     assert report.equivariance_condition.witnesses
-    h_list_index = [i for i, h in enumerate(ext.pair.h_basis) if h[h_target]][0]
+    h_list_index = ext.pair.h.index(h_target)
     assert any(w[0] == h_list_index for w in report.equivariance_condition.witnesses)
 
 
@@ -232,24 +233,14 @@ def test_symmetry_criterion_search(space21):
 
 def test_metrizability_so3():
     alg, h_idx, m_idx = so_k_pair(3, 1)
-    pair = SymmetricPair(
-        alg,
-        [Vector.unit(alg.dim, i) for i in h_idx],
-        [Vector.unit(alg.dim, i) for i in m_idx],
-    )
-    report = metrizability_check(pair)
+    report = metrizability_check(SymmetricPair(alg, h_idx, m_idx))
     assert report.passed
     assert report.checked_pairs == [(0, 1)]
 
 
 def test_metrizability_heisenberg_and_abelian():
     alg, h_idx, m_idx = heisenberg_pair()
-    pair = SymmetricPair(
-        alg,
-        [Vector.unit(3, i) for i in h_idx],
-        [Vector.unit(3, i) for i in m_idx],
-    )
-    assert metrizability_check(pair).passed
+    assert metrizability_check(SymmetricPair(alg, h_idx, m_idx)).passed
     assert metrizability_check(translation_pair(4)).passed
 
 
@@ -275,44 +266,70 @@ def test_symmetric_pair_names_the_failing_closure_family():
     alg, e = so3_plus_line()
     # [b3, .] = 0 keeps [h, m] in m, but [b0, b1] = b2 leaves h = span(b3)
     with pytest.raises(ValueError) as info:
-        SymmetricPair(alg, [e[3]], e[:3])
+        SymmetricPair(alg, [3], [0, 1, 2])
     assert str(info.value) == "closure violation: [m, m] leaves h"
     # [b2, b0] = b1 leaves h = span(b0, b2)
     with pytest.raises(ValueError) as info:
-        SymmetricPair(alg, [e[0], e[2]], [e[1], e[3]])
+        SymmetricPair(alg, [0, 2], [1, 3])
     assert str(info.value) == "h is not a subalgebra: [h, h] leaves h"
-    # [b0, b1] = b2 leaves m = span(b1, b0 + b2, b3)
+    # On the basis (b0, b1, b0 + b2, b3), [b0, b1] = b2 leaves
+    # m = span(b1, b0 + b2, b3)
+    skewed = in_basis(alg, [e[0], e[1], e[0] + e[2], e[3]])
     with pytest.raises(ValueError) as info:
-        SymmetricPair(alg, [e[0]], [e[1], e[0] + e[2], e[3]])
+        SymmetricPair(skewed, [0], [1, 2, 3])
     assert str(info.value) == "closure violation: [h, m] leaves m"
     # the symmetric pair of the rotation about b0
-    pair = SymmetricPair(alg, [e[0], e[3]], [e[1], e[2]])
+    pair = SymmetricPair(alg, [0, 3], [1, 2])
     assert pair.m_contains(alg.bracket(e[0], e[1]))
     assert pair.h_contains(alg.bracket(e[1], e[2]))
 
 
 def test_symmetric_pair_closure_validation():
     alg, h_idx, m_idx = so_k_pair(3, 1)
+    e = [Vector.unit(alg.dim, i) for i in range(alg.dim)]
     with pytest.raises(ValueError, match="closure"):
         # skewing the complement breaks [h, m] <= m
-        SymmetricPair(
-            alg,
-            [Vector.unit(alg.dim, 0)],
-            [
-                Vector.unit(alg.dim, 1),
-                Vector.unit(alg.dim, 0) + Vector.unit(alg.dim, 2),
-            ],
-        )
+        SymmetricPair(in_basis(alg, [e[0], e[1], e[0] + e[2]]), [0], [1, 2])
 
 
 def test_homogeneous_pair_requires_subalgebra():
     alg, h_idx, m_idx = so_k_pair(3, 1)
     with pytest.raises(ValueError, match="subalgebra"):
-        HomogeneousPair(
-            alg,
-            [Vector.unit(alg.dim, m_idx[0]), Vector.unit(alg.dim, m_idx[1])],
-            [Vector.unit(alg.dim, h_idx[0])],
-        )
+        HomogeneousPair(alg, m_idx, h_idx)
+
+
+@pytest.mark.parametrize(
+    "h, m",
+    [
+        ([Vector.unit(4, 0), Vector.unit(4, 3)], [Vector.unit(4, 1), Vector.unit(4, 2)]),
+        ([True, 3], [1, 2]),
+        ([0, 3], ["1", 2]),
+        ([0, 3], "12"),
+    ],
+)
+def test_homogeneous_pair_takes_index_lists_only(h, m):
+    """Vectors, bools and strings are refused with one ValueError that names
+    the index-list form, whether or not they would read as indices."""
+    alg, _ = so3_plus_line()
+    with pytest.raises(ValueError, match="^h and m are index lists: an int i stands for"):
+        HomogeneousPair(alg, h, m)
+
+
+@pytest.mark.parametrize("m", [[1], [1, 1], [1, 4], [1, 2, 2], [-1, 2]])
+def test_homogeneous_pair_indices_partition_range_dim(m):
+    alg, _ = so3_plus_line()
+    with pytest.raises(ValueError, match=r"^h and m must partition the basis indices range\(4\)$"):
+        HomogeneousPair(alg, [0, 3], m)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_span_membership_needs_a_vector_of_length_dim(length):
+    alg, _ = so3_plus_line()
+    pair = SymmetricPair(alg, [0, 3], [1, 2])
+    v = Vector.unit(length, 1)
+    for contains in (pair.h_contains, pair.m_contains):
+        with pytest.raises(ValueError, match=f"length 4, got {length}$"):
+            contains(v)
 
 
 def test_flat_pair_is_not_symmetric(space21):
@@ -322,7 +339,7 @@ def test_flat_pair_is_not_symmetric(space21):
     assert isinstance(ext.pair, HomogeneousPair)
     alg = ext.pair.alg
     with pytest.raises(ValueError, match="closure"):
-        SymmetricPair(alg, ext.pair.h_basis, ext.pair.m_basis)
+        SymmetricPair(alg, ext.pair.h, ext.pair.m)
 
 
 # -- the report against the former per-pair validation -----------------------
@@ -377,8 +394,7 @@ _FIELDS = st.sampled_from([2, 3])
 def test_scaling_perturbation_report_matches_the_reference(pq, d, data):
     # a constant added to the scaling coordinate of one h row of alpha
     ext = _flat(pq, d)
-    h_rows = [h.entries.index(Scalar(1)) for h in ext.pair.h_basis]
-    row = data.draw(st.sampled_from(h_rows))
+    row = data.draw(st.sampled_from(ext.pair.h))
     rows = [list(r) for r in ext.alpha.rows]
     rows[row][0] = rows[row][0] + data.draw(_shifts(d))
     report = _assert_same_report(_with_rows(ext, rows))

@@ -185,16 +185,20 @@ def test_parser_matches_the_fraction_reference(text, d):
     assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
 
 
-@pytest.mark.parametrize("text", ["1_000", "+1", "--1", "-", "1-", "0x1", "1e3", "²"])
+@pytest.mark.parametrize(
+    "text", ["1_000", "+1", "--1", "-", "1-", "0x1", "1e3", "²", "١", "-١٢", "1/٢", "١*r"]
+)
 def test_integer_fast_path_refuses_what_int_alone_would_take(text):
+    """Neither the fast path nor the grammar takes what `int` alone would,
+    non-ASCII digits included: the grammar's digits are 0-9."""
     with pytest.raises(ValueError, match="bad scalar literal"):
         parse_scalar(text)
 
 
-@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", " 1", "1 ", "1\n", "١", "-١٢"])
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", " 1", "1 ", "1\n"])
 def test_plain_integers_parse_as_the_grammar_reads_them(text):
-    """Padded and non-ASCII integers leave the fast path; every form reads
-    as the full grammar reads it."""
+    """Padded integers leave the fast path; every form reads as the full
+    grammar reads it."""
     got = parse_scalar(text, 3)
     want = reference_parse_scalar(text, 3)
     assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
