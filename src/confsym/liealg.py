@@ -48,22 +48,24 @@ from math import lcm
 
 from .flatmodel import MobiusSpace
 from .linalg import Matrix, Vector
-from .scalars import Scalar, one_field
+from .scalars import ZERO, Scalar, one_field
 
 
 def so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
-    """Membership of the middle block, A^T J + J A = 0, checked entrywise:
-    a zero diagonal and J_r A[r, m] = -J_m A[m, r] for r < m."""
+    """Membership of the middle block, A^T J + J A = 0, checked entrywise on
+    the rows of A: a zero diagonal and J_r A[r, m] = -J_m A[m, r] for r < m,
+    where J_r J_m = 1 exactly when r and m lie on the same side of p."""
     n = space.n
     if A.shape != (n, n):
         return False
-    sign = space.signature.j_sign
-    for r in range(n):
-        if A[r, r]:
+    p = space.signature.p
+    rows = A.rows
+    for r, row in enumerate(rows):
+        if row[r]:
             return False
         for m in range(r + 1, n):
-            x, y = A[r, m], A[m, r]
-            if x != (-y if sign(r) == sign(m) else y):
+            x, y = row[m], rows[m][r]
+            if (x or y) and x != (-y if (r < p) == (m < p) else y):
                 return False
     return True
 
@@ -132,30 +134,31 @@ def _coordinates(space: MobiusSpace, M: Matrix) -> list:
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:
     """The endomorphism eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T,
-    split into scaling part a = trace/n and trace-free part A in so(p, q).
+    split into scaling part a and trace-free part A in so(p, q).
 
-    F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) is built entry by entry:
-    F[r, m] = Y(xi) [r = m] + xi_r Y_m - J_r J_m Y_r xi_m.  A lies in
-    so(p, q) for every Y and xi; `weyl.co_action` refuses an A outside it."""
+    F = Y(xi) I + xi (x) Y - (JY) (x) (J xi), so F[r, m] = Y(xi) [r = m] +
+    xi_r Y_m - J_r J_m Y_r xi_m.  The two products cancel on the diagonal,
+    since J_r^2 = 1, so a = trace / n = Y(xi) and A is F off the diagonal,
+    built from the nonzero entries of Y and xi only.  A lies in so(p, q) for
+    every Y and xi; `weyl.co_action` refuses an A outside it."""
     n = space.n
     if len(Y) != n or len(xi) != n:
         raise ValueError(f"expected covector and vector of length {n}")
-    sign = space.signature.j_sign
-    y_of_xi = Y.dot(xi)
-    zero = Scalar(0)
-    F = []
-    for r in range(n):
-        row = []
-        for m in range(n):
-            x = xi[r] * Y[m] if xi[r] and Y[m] else zero
-            y = Y[r] * xi[m] if Y[r] and xi[m] else zero
-            if y:
-                x = x - y if sign(r) == sign(m) else x + y
-            row.append(x + y_of_xi if r == m else x)
-        F.append(row)
-    a = sum((F[r][r] for r in range(n)), zero) * Scalar(1, 0, n)
-    A = Matrix([x - a if r == m else x for m, x in enumerate(row)] for r, row in enumerate(F))
-    return CoElement(a=a, A=A)
+    a = Y.dot(xi)
+    p = space.signature.p
+    ys = [(m, y) for m, y in enumerate(Y) if y]
+    xs = [(r, x) for r, x in enumerate(xi) if x]
+    A = [[ZERO] * n for _ in range(n)]
+    for r, x in xs:
+        for m, y in ys:
+            if m != r:
+                A[r][m] = x * y
+    for r, y in ys:
+        for m, x in xs:
+            if m != r:
+                v = y * x
+                A[r][m] = A[r][m] - v if (r < p) == (m < p) else A[r][m] + v
+    return CoElement(a=a, A=Matrix._of_scalars(A))
 
 
 def upsilon_bracket_constant(space: MobiusSpace) -> Scalar:

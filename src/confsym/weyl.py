@@ -430,6 +430,8 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     (F.W)^i_jkl = F^i_m W^m_jkl - W^i_mkl F^m_j - W^i_jml F^m_k - W^i_jkm F^m_l
     for F = a id + A.  Pure scaling acts as -2a W in this convention.
 
+    The so(p, q) check (`so_block_condition`) and the nonzero entries of F
+    are read off the rows of A; A has a zero diagonal, so F's is a.
     Computed on integer numerators: with F = (Fa + Fb sqrt d) / qF and
     W = (Wa + Wb sqrt d) / qW, F.W = ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa)
     sqrt d) / (qF qW), each product a `_gather` evaluated at the canonical
@@ -444,14 +446,9 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     if not so_block_condition(MobiusSpace(W.p, W.q, W.d), c.A):
         raise ValueError("the endomorphism is not in so(p, q)")
     d, qw, wa, wb = W._integer_form()
-    f_entries = []
-    for r in range(n):
-        for m in range(n):
-            f = c.A[r, m]
-            if r == m and c.a:
-                f = f + c.a
-            if f:
-                f_entries.append((r, m, f))
+    f_entries = [(r, r, c.a) for r in range(n)] if c.a else []
+    for r, row in enumerate(c.A.rows):
+        f_entries += [(r, m, f) for m, f in enumerate(row) if f]
     d = one_field((d, *(f.d for _, _, f in f_entries)))
     qf = lcm(*(f.q for _, _, f in f_entries))
     fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
@@ -516,7 +513,7 @@ def annihilator(W: WeylTensor) -> list[CoElement]:
     """Exact basis of {c in co(p, q) : co_action(c, W) = 0}."""
     space = MobiusSpace(W.p, W.q, W.d)
     basis = co_basis(space)
-    columns = [Vector(co_action(c, W).values) for c in basis]
+    columns = [Vector._of_scalars(co_action(c, W).values) for c in basis]
     coeff_vectors = kernel(Matrix.from_columns(columns))
     out = []
     for v in coeff_vectors:
@@ -561,7 +558,11 @@ def prolongation(W: WeylTensor) -> list[Vector]:
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
     """Deterministic nonzero random combination of the basis with small
     integer coefficients in [-9, 9], not all zero; raises when the space is
-    trivial."""
+    trivial.
+
+    The basis is solved over Q, so the combination is summed on integer
+    numerators over one common denominator, with one Scalar per nonzero
+    orbit; an irrational basis value raises ArithmeticError."""
     basis = weyl_space_basis(p, q, d)
     if basis.dimension == 0:
         raise ValueError(f"the Weyl space is trivial for signature ({p}, {q})")
@@ -570,10 +571,12 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):
             break
-    values = [ZERO] * len(_orbits(p + q)[0])
-    for coef, elt in zip(coeffs, basis.elements):
-        if coef:
-            c = Scalar(coef)
-            for u, v in elt.terms:
-                values[u] = values[u] + c * v
-    return WeylTensor._from_values(p, q, values, d)
+    used = [(coef, elt.terms) for coef, elt in zip(coeffs, basis.elements) if coef]
+    den = lcm(*(x.q for _, terms in used for _, x in terms))
+    acc = [0] * len(_orbits(p + q)[0])
+    for coef, terms in used:
+        for u, x in terms:
+            if x.b:
+                raise ArithmeticError(f"the Weyl basis has the irrational value {x}")
+            acc[u] += coef * x.a * (den // x.q)
+    return WeylTensor._from_terms(p, q, [(u, Scalar(a, 0, den)) for u, a in enumerate(acc) if a], d)

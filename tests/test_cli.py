@@ -191,7 +191,9 @@ def test_weyl_prolongation_on_trivial_space_errors(capsys):
 
 # SHA-256 of the exit codes and stdout of `weyl prolongation`, human and
 # --machine, for seeds 0, 1 and 2, and of `weyl basis-dim` on (n, 0), human
-# and --machine, recorded before Weyl tensors were stored by component orbit.
+# and --machine, recorded before Weyl tensors were stored by component orbit;
+# the n = 6 entries were recorded before upsilon_action, co_action and
+# random_weyl left the Scalar path.
 WEYL_PROLONGATION_SHA256 = {
     (4, 0, 2): "2531eb791822c57f080de302d04999a0485c8ec96725b458e56db5a1897af180",
     (4, 0, 3): "565224551b57685f39c614dd77fcaf3a0ee118410098a36431105d2cd1d1ea49",
@@ -203,6 +205,10 @@ WEYL_PROLONGATION_SHA256 = {
     (5, 0, 3): "0cb493de4dbd84e0575d8f7a9e8dd9e0211c574d0a729f3c3c4a78ef3cba07a7",
     (3, 2, 2): "fba0f27fd51d079c34ddc38a14f00f31cc1cd4ad3013ce4c2dd6c8d9bcd2baa7",
     (3, 2, 3): "f25f4e5134a815b77738c55904951783e726370ecc32645509f7d298de37a271",
+    (6, 0, 2): "595ecf496469cb26e95b3eb28cb54880f02ff8524ed3725ab320429ac7f12d05",
+    (6, 0, 3): "630d836fd4349bc0ca7193e75aecdbfd82d25a6647cb6ff412812b5402afde5e",
+    (3, 3, 2): "7c75d4d8fa094cd35100596c579a6dc5cabf173bb0097ce8b118cca5f2359389",
+    (3, 3, 3): "6c72888ae7447bbf8624bf2e422513bf013d092ec0a48cbc92cf399b9aa8560a",
 }
 WEYL_BASIS_DIM_SHA256 = {
     3: "596312cfd92068c9edefabd8c9f79f01c69889c9acc65fa01c0642cd64afbd15",

@@ -244,6 +244,28 @@ def test_metrizability_heisenberg_and_abelian():
     assert metrizability_check(translation_pair(4)).passed
 
 
+def test_metrizability_names_the_pair_with_a_nonzero_trace():
+    """h = <b0, b1>, m = <b2, b3, b4>.  [b2, b4] = b0 and ad b0 scales m by
+    (-2, -1, 2), so that pair fails with trace -1; [b2, b3] = 0, and
+    [b3, b4] = -b1 with ad b1 nilpotent on m (b2 -> b3 -> 0)."""
+    alg = StructureAlgebra(
+        5,
+        {
+            (0, 1): [(1, 1)],
+            (0, 2): [(2, -2)],
+            (0, 3): [(3, -1)],
+            (0, 4): [(4, 2)],
+            (1, 2): [(3, 1)],
+            (2, 4): [(0, 1)],
+            (3, 4): [(1, -1)],
+        },
+    )
+    report = metrizability_check(SymmetricPair(alg, [0, 1], [2, 3, 4]))
+    assert not report.passed
+    assert report.checked_pairs == [(0, 1), (0, 2), (1, 2)]
+    assert report.failures == [((0, 2), Scalar(-1))]
+
+
 def test_metrizability_random_pairs(rng):
     for _ in range(10):
         pair = rand_symmetric_pair(rng)

@@ -187,20 +187,53 @@ def test_so_block_condition_rejects_the_wrong_size(space21):
     assert not so_block_condition(space21, Matrix.zero(4, 4))
 
 
-@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
-def test_upsilon_matches_the_matrix_formula(pq, rng):
+def _assert_upsilon_formula(space, Y, xi):
     """upsilon_action against F = Y(xi) I + xi (x) Y - (JY) (x) (J xi) built
-    from matrices, split into a = trace / n and A = F - a I."""
-    space = MobiusSpace(*pq)
+    from matrices, split into a = trace / n and A = F - a I (Scalar equality
+    compares the field tags too)."""
     n = space.n
     J = space.signature.j_matrix()
+    F = Matrix.identity(n).scale(Y.dot(xi)) + Matrix.outer(xi, Y)
+    F = F - Matrix.outer(J.matvec(Y), J.matvec(xi))
+    a = F.trace() * Scalar(1, 0, n)
+    got = upsilon_action(space, Y, xi)
+    assert got.a == a and got.A == F - Matrix.identity(n).scale(a)
+    assert all(type(x) is Scalar for row in got.A.rows for x in row)
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+def test_upsilon_matches_the_matrix_formula(pq, rng):
+    space = MobiusSpace(*pq)
+    n = space.n
     for _ in range(10):
-        Y, xi = rand_covector(rng, n, 4), rand_vector(rng, n, 4)
-        F = Matrix.identity(n).scale(Y.dot(xi)) + Matrix.outer(xi, Y)
-        F = F - Matrix.outer(J.matvec(Y), J.matvec(xi))
-        a = F.trace() * Scalar(1, 0, n)
-        got = upsilon_action(space, Y, xi)
-        assert got.a == a and got.A == F - Matrix.identity(n).scale(a)
+        _assert_upsilon_formula(space, rand_covector(rng, n, 4), rand_vector(rng, n, 4))
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (5, 0), (3, 3)])
+def test_upsilon_matches_the_matrix_formula_on_unit_pairs(pq):
+    """Every (Y, xi) = (e_j, e_i), the pairs `prolongation` builds."""
+    space = MobiusSpace(*pq)
+    n = space.n
+    for j in range(n):
+        for i in range(n):
+            _assert_upsilon_formula(space, Vector.unit(n, j), Vector.unit(n, i))
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (4, 0), (3, 3)])
+def test_upsilon_matches_the_matrix_formula_on_sparse_irrational_pairs(pq, rng):
+    """Y and xi over Q(sqrt 3) with one to three nonzero entries each, on
+    shared and on disjoint supports."""
+    space = MobiusSpace(*pq, d=3)
+    n = space.n
+
+    def sparse():
+        entries = [Scalar(0)] * n
+        for k in rng.sample(range(n), rng.randint(1, 3)):
+            entries[k] = Scalar(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 3), 3)
+        return Vector(entries)
+
+    for _ in range(30):
+        _assert_upsilon_formula(space, sparse(), sparse())
 
 
 @pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 2)])

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
@@ -248,6 +249,70 @@ def test_random_weyl_is_deterministic_and_valid():
 def test_random_weyl_rejects_trivial_space():
     with pytest.raises(ValueError):
         random_weyl(3, 0, seed=0)
+
+
+def reference_random_weyl(p, q, seed, d=2):
+    """The former random_weyl: the same draws, summed in Scalars orbit by
+    orbit."""
+    basis = weyl_module.weyl_space_basis(p, q, d)
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
+        if any(coeffs):
+            break
+    values = [Scalar(0)] * len(_orbits(p + q)[0])
+    for coef, elt in zip(coeffs, basis.elements):
+        if coef:
+            c = Scalar(coef)
+            for u, v in elt.terms:
+                values[u] = values[u] + c * v
+    return WeylTensor._from_values(p, q, values, d)
+
+
+def _slots(W):
+    return [(u, x.a, x.b, x.q, x.d) for u, x in W.terms]
+
+
+_SIGNATURES_4_TO_6 = [(p, n - p) for n in (4, 5, 6) for p in range(n, (n - 1) // 2, -1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", _SIGNATURES_4_TO_6)
+def test_random_weyl_matches_the_scalar_sum(pq, d):
+    """Summed on integer numerators, the tensor is the Scalar sum's, term
+    for term and slot for slot."""
+    for seed in range(50):
+        got, want = random_weyl(*pq, seed, d), reference_random_weyl(*pq, seed, d)
+        assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+        assert _slots(got) == _slots(want)
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (3, 2)])
+def test_random_weyl_sums_a_rational_basis_over_one_denominator(monkeypatch, pq):
+    """The solved bases have entries +-1, so their common denominator is 1;
+    basis tensors scaled by -1/2, 2/3, -3/4, ... pin the sum over a larger
+    one."""
+    basis = weyl_space_basis(*pq)
+    scaled = tuple(W.scale(Scalar((-1) ** k * k, 0, k + 1)) for k, W in enumerate(basis.elements, 1))
+    fake = weyl_module.WeylBasis(*pq, scaled)
+    monkeypatch.setattr(weyl_module, "weyl_space_basis", lambda p, q, d=2: fake)
+    for seed in range(20):
+        got, want = random_weyl(*pq, seed), reference_random_weyl(*pq, seed)
+        assert _slots(got) == _slots(want)
+        assert any(x.q > 1 for _, x in got.terms)
+
+
+def test_random_weyl_refuses_an_irrational_basis(monkeypatch):
+    """The integer sum assumes a basis solved over Q.  Seed 0 draws 3 for
+    the first basis tensor, the one given an irrational value here."""
+    basis = weyl_space_basis(4, 0)
+    first = basis.elements[0]
+    (u, x), *rest = first.terms
+    bent = WeylTensor._from_terms(4, 0, [(u, x + Scalar.sqrt_d(2))] + rest, 2)
+    fake = weyl_module.WeylBasis(4, 0, (bent,) + basis.elements[1:])
+    monkeypatch.setattr(weyl_module, "weyl_space_basis", lambda p, q, d=2: fake)
+    with pytest.raises(ArithmeticError, match="irrational"):
+        random_weyl(4, 0, 0)
 
 
 def test_co_basis_spans_co(space22):
