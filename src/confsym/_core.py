@@ -8,10 +8,11 @@ gcd(a, b, q) = 1, and pivot rows are kept monic; entries of reduced rows are
 then ratios of minors of the input, so coefficient growth stays polynomial.
 The output is the (unique) reduced row echelon form, entries as flat triples.
 
-Given `ncols`, the number of columns, `rref_sparse` stops as soon as its
-pivots fill every column.  That stop is a certificate, not a guess: the rank
-cannot exceed `ncols`, so the reduced form is then the identity whatever the
-remaining rows hold.  It reads no further rows and skips back-substitution.
+Every call gives `ncols`, the number of columns, and every column index is
+below it.  `rref_sparse` stops as soon as its pivots fill every column.  That
+stop is a certificate, not a guess: the rank cannot exceed `ncols`, so the
+reduced form is then the identity whatever the remaining rows hold.  It reads
+no further rows and skips back-substitution.
 
 Entries stay Python ints throughout: a machine-word fast path would risk
 silent overflow, and exactness is the whole point.
@@ -99,7 +100,7 @@ def _make_monic(cols, vals, d):
     return cols, out
 
 
-def rref_sparse(rows, d, ncols=None):
+def rref_sparse(rows, d, ncols):
     """Reduced row echelon form of the sparse system.
 
     rows: iterable of (cols, vals) over Z[sqrt d] as described above.
@@ -107,9 +108,9 @@ def rref_sparse(rows, d, ncols=None):
     pivot_rows[i] the fully reduced monic row for pivot_cols[i] as
     (cols, triples) with triples flat [a, b, q, ...].
 
-    ncols: when given, every column index is below it, and the identity
-    form is returned once the pivots fill all `ncols` columns, without
-    reading the rows after the one that filled them."""
+    ncols: the number of columns; every column index is below it.  The
+    identity form is returned once the pivots fill all `ncols` columns,
+    without reading the rows after the one that filled them."""
     piv = {}
     for in_cols, vals in rows:
         cols = []

@@ -294,7 +294,7 @@ def kernel_sparse(rows, ncols: int, d: int) -> list[list[tuple[int, Scalar]]]:
     free columns only, all larger than the pivot, so one pass over the rows
     in pivot order appends each entry to the terms of its free column in
     column order, and the unit at the free column comes last."""
-    pivots, reduced = _core.rref_sparse(rows, d)
+    pivots, reduced = _core.rref_sparse(rows, d, ncols)
     pivot_set = set(pivots)
     basis = {f: [] for f in range(ncols) if f not in pivot_set}
     for (cols, triples), pc in zip(reduced, pivots):
@@ -310,7 +310,7 @@ def kernel_sparse(rows, ncols: int, d: int) -> list[list[tuple[int, Scalar]]]:
 def rank(M: Matrix) -> int:
     """Exact rank."""
     d = one_field(e.d for r in M.rows for e in r)
-    pivots, _ = _core.rref_sparse(sparse_rows_from_scalars(M.rows, d), d)
+    pivots, _ = _core.rref_sparse(sparse_rows_from_scalars(M.rows, d), d, M.ncols)
     return len(pivots)
 
 
@@ -458,7 +458,7 @@ def canonical_span(vectors: Sequence[Vector]) -> list[Vector]:
         return []
     n = len(vectors[0])
     d = one_field(e.d for v in vectors for e in v)
-    _, reduced = _core.rref_sparse(sparse_rows_from_scalars(vectors, d), d)
+    _, reduced = _core.rref_sparse(sparse_rows_from_scalars(vectors, d), d, n)
     out = []
     for cols, triples in reduced:
         entries = [ZERO] * n

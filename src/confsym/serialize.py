@@ -13,7 +13,7 @@ from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel
 from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
-from .scalars import ZERO, parse_scalar
+from .scalars import ZERO, check_field_parameter, parse_scalar
 from .symmetry import SymmetryReport
 from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
 
@@ -107,9 +107,10 @@ def report_to_dict(space: MobiusSpace, report: SymmetryReport) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
-    """Rejects p, q and d that are not JSON integers."""
-    space = MobiusSpace(*(_json_int(data[key], key) for key in ("p", "q", "d")))
-    d = space.d
+    """Rejects p, q and d that are not JSON integers, and a d that is not a
+    field parameter (`check_field_parameter`)."""
+    p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
+    space = MobiusSpace(p, q, check_field_parameter(d))
     report = SymmetryReport(
         base_point=NullLine(space.form, vector_from_literals(data["base_point"], d)),
         witness=matrix_from_literals(data["witness"], d),
@@ -142,8 +143,10 @@ def weyl_to_dict(W: WeylTensor) -> dict:
 def weyl_from_dict(data: dict) -> WeylTensor:
     """Inverse of `weyl_to_dict`: each value is the value of its key's orbit.
     Rejects a key that `weyl_to_dict` would not write, p, q and d that are
-    not JSON integers, and a tensor that fails `WeylTensor.validate`."""
+    not JSON integers, a d that is not a field parameter, and a tensor that
+    fails `WeylTensor.validate`."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
+    check_field_parameter(d)
     system = _ConstraintSystem(p, q)
     slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
     values = [ZERO] * len(system.orbits)
@@ -240,9 +243,11 @@ def extension_signature(data: dict) -> tuple[int, int, int]:
 
 
 def extension_from_dict(data: dict) -> Extension:
-    """Rejects non-integer p, q, d and dim, an m of other than p + q
-    indices, and h or m indices that are not integers 0 <= i < dim."""
-    space = MobiusSpace(*extension_signature(data))
+    """Rejects non-integer p, q, d and dim, a d that is not a field
+    parameter, an m of other than p + q indices, and h or m indices that are
+    not integers 0 <= i < dim."""
+    p, q, d = extension_signature(data)
+    space = MobiusSpace(p, q, check_field_parameter(d))
     # The lists of the file bound dim before anything of size dim is built.
     dim = _json_int(data["algebra"]["dim"], "dim")
     if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):

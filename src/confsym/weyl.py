@@ -22,9 +22,8 @@ symmetries, so `co_action` evaluates only the canonical member of each
 orbit.  The first prolongation collects the covectors Y whose
 induced endomorphisms annihilate the tensor for every direction xi.
 `prolongation` builds that system lazily, one xi-block of one row per orbit
-at a time; it drops rows that repeat up to a rational factor and stops as soon
-as the rank reaches n: a trivial kernel is then certified without the other
-blocks.
+at a time, and takes the kernel of the rows so far after each block: once it
+is trivial, that is certified without the other blocks.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, lcm
 
-from . import _core
 from .flatmodel import MobiusSpace
 from .liealg import CoElement, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
@@ -300,12 +298,10 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
     return tuple(orbits), tuple(slot)
 
 
-def _constraint_rows(p: int, q: int, ends: list | None = None):
+def _constraint_rows(p: int, q: int):
     """Sparse integer rows on the flat components: the first Bianchi rows
     W_ijkl + W_iklj + W_iljk for i < j < k < l, one per 4-set, and then the
     J-trace rows sum_i J_ii W_ijil for j <= l; C(n, 4) + n (n + 1) / 2 rows.
-    When `ends` is a list, the row count after each of the two families is
-    appended to it.
 
     These are the distinct rows of the full families (a Bianchi row for every
     i and j < k < l, in that order, and a trace row for every (j, l)) on
@@ -320,12 +316,10 @@ def _constraint_rows(p: int, q: int, ends: list | None = None):
     So the row space, the canonical kernel and the first failing row that
     `WeylTensor.validate` names are those of the full families."""
     n = p + q
-    ends = [] if ends is None else ends
     rows = []
     for i, j, k, l in combinations(range(n), 4):
         cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
         rows.append((cols, [1, 0, 1, 0, 1, 0]))
-    ends.append(len(rows))
     # Every trace row sums W_ijil with the coefficients J_ii.
     vals = []
     for i in range(n):
@@ -333,7 +327,6 @@ def _constraint_rows(p: int, q: int, ends: list | None = None):
     for j in range(n):
         for l in range(j, n):
             rows.append(([_flat(n, i, j, i, l) for i in range(n)], vals))
-    ends.append(len(rows))
     return rows
 
 
@@ -343,14 +336,13 @@ class _ConstraintSystem:
     integer coefficient) of the rows on one unknown per orbit, where each
     member's column becomes its orbit's, times its sign."""
 
-    __slots__ = ("p", "q", "orbits", "rows", "ends", "index")
+    __slots__ = ("p", "q", "orbits", "rows", "index")
 
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
         self.orbits, slot = _orbits(p + q)
-        self.ends = []
-        self.rows = _constraint_rows(p, q, self.ends)
+        self.rows = _constraint_rows(p, q)
         self.index = [[] for _ in self.orbits]
         for r, (cols, vals) in enumerate(self.rows):
             acc = {}
@@ -363,9 +355,11 @@ class _ConstraintSystem:
                     self.index[u].append((r, coef))
 
     def describe(self, r: int) -> str:
-        """Failure message for row r: its family and its first component."""
-        i, j, k, l = _unflat(self.p + self.q, self.rows[r][0][0])
-        if r < self.ends[0]:
+        """Failure message for row r: its family and its first component.
+        The C(n, 4) Bianchi rows come first."""
+        n = self.p + self.q
+        i, j, k, l = _unflat(n, self.rows[r][0][0])
+        if r < comb(n, 4):
             return f"first Bianchi fails at {(i, j, k, l)}"
         return f"trace-free condition fails at (j, l) = {(j, l)}"
 
@@ -387,27 +381,6 @@ def _basis_cached(p: int, q: int) -> tuple:
             rows[r][0].append(u)
             rows[r][1].extend((coef, 0))
     return tuple(kernel_sparse(rows, len(system.orbits), 0)), system, {}
-
-
-def _distinct_rows(rows, seen: set) -> list:
-    """The nonempty sparse Z[sqrt d] `rows`, in order, each divided by the
-    gcd of its entries and given a positive leading entry, without those
-    that repeat an earlier row or a row of `seen` up to a rational factor.
-    The rows returned, as tuples (cols, vals), are added to `seen`.  The
-    row space is kept, so the RREF, which is unique, and the kernel are
-    unchanged."""
-    out = []
-    for cols, vals in rows:
-        if not cols:
-            continue
-        g = gcd(*vals)
-        if next(v for v in vals if v) < 0:
-            g = -g
-        key = (tuple(cols), tuple([v // g for v in vals]))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
 
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:
@@ -532,27 +505,23 @@ def prolongation(W: WeylTensor) -> list[Vector]:
     The system has a row per (xi_i, orbit) and a column per Y = e_j: every
     co_action(upsilon, W) is stored by orbit, and the other components'
     rows are +-copies of their orbit's row or zero.  It is built lazily, one
-    xi-block at a time.  Rows that repeat one already seen up to a rational
-    factor are dropped (`_distinct_rows`); the row space stays exact.  After
-    each block the distinct rows so far are reduced, and once the rank is n
-    the kernel is trivial: that certifies [] without building the remaining
-    blocks.  The engine is told the n columns, so it stops reducing as soon
-    as its pivots fill them; the rank cannot exceed n, so the stop changes
-    no answer.  Otherwise the result is the canonical kernel of all distinct
-    rows, which by the uniqueness of the RREF equals that of the whole
-    stacked system."""
+    xi-block at a time, and after each block the canonical kernel of all
+    rows so far is taken.  An empty kernel certifies [] without building the
+    remaining blocks; after the last block the kernel is the answer.  The
+    engine is told the n columns, so it stops reducing as soon as its pivots
+    fill them: the rank cannot exceed n, so the rows it leaves unread change
+    no answer."""
     space = MobiusSpace(W.p, W.q, W.d)
     n = W.n
     units = [Vector.unit(n, j) for j in range(n)]
-    seen = set()
     rows = []
     for i in range(n):
         block = [co_action(upsilon_action(space, Y, units[i]), W).values for Y in units]
-        new = _distinct_rows(sparse_rows_from_scalars(list(zip(*block)), W.d), seen)
-        rows += new
-        if i < n - 1 and new and len(_core.rref_sparse(rows, W.d, ncols=n)[0]) == n:
+        rows += sparse_rows_from_scalars(list(zip(*block)), W.d)
+        kernel_terms = kernel_sparse(rows, n, W.d)
+        if not kernel_terms:
             return []
-    return [Vector.from_terms(terms, n) for terms in kernel_sparse(rows, n, W.d)]
+    return [Vector.from_terms(terms, n) for terms in kernel_terms]
 
 
 def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:

@@ -27,14 +27,14 @@ def random_system(seed, nrows=40, ncols=25, density=0.3, span=9, d=2):
 
 def test_rref_is_input_order_independent():
     rows = random_system(99, nrows=20, ncols=12)
-    ordered = _core.rref_sparse([(list(c), list(v)) for c, v in rows], 2)
+    ordered = _core.rref_sparse([(list(c), list(v)) for c, v in rows], 2, 12)
     shuffled = list(rows)
     random.Random(1).shuffle(shuffled)
-    assert _core.rref_sparse([(list(c), list(v)) for c, v in shuffled], 2) == ordered
+    assert _core.rref_sparse([(list(c), list(v)) for c, v in shuffled], 2, 12) == ordered
 
 
 def test_rref_normalizes_leading_entries():
-    pivots, rows = _core.rref_sparse([([0, 1], [2, 2, 4, 0]), ([1], [0, 3])], 2)
+    pivots, rows = _core.rref_sparse([([0, 1], [2, 2, 4, 0]), ([1], [0, 3])], 2, 2)
     assert pivots == [0, 1]
     for cols, triples in rows:
         assert triples[0:3] == [1, 0, 1]
@@ -100,7 +100,7 @@ def _assert_matches(got, ref):
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_dense_fraction_reference(system, keep_zeros):
     d, ncols, rows = system
-    _assert_matches(_core.rref_sparse(_sparse(rows, keep_zeros), d), _reference(rows, ncols, d))
+    _assert_matches(_core.rref_sparse(_sparse(rows, keep_zeros), d, ncols), _reference(rows, ncols, d))
 
 
 # -- the stop at full column rank ----------------------------------------------
@@ -113,21 +113,21 @@ def _reader(rows, read):
         yield row
 
 
-@given(zsqrtd_systems(), st.booleans(), st.booleans())
+@given(zsqrtd_systems(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_early_stop_matches_dense_fraction_reference(system, keep_zeros, stop):
-    """With ncols given the result is still the reference RREF, and the
-    engine reads exactly the rows up to the first prefix of full rank.
-    Without it (ncols=None, the former call) it reads every row."""
+def test_early_stop_matches_dense_fraction_reference(system, keep_zeros):
+    """The result is the reference RREF, and the engine reads exactly the
+    rows up to the first prefix of full rank, or every row when there is
+    none."""
     d, ncols, rows = system
     read = [0]
-    got = _core.rref_sparse(_reader(_sparse(rows, keep_zeros), read), d, ncols if stop else None)
+    got = _core.rref_sparse(_reader(_sparse(rows, keep_zeros), read), d, ncols)
     _assert_matches(got, _reference(rows, ncols, d))
     full = next(
         (k for k in range(1, len(rows) + 1) if len(_reference(rows[:k], ncols, d)[0]) == ncols),
-        None,
+        len(rows),
     )
-    assert read[0] == (full if stop and full else len(rows))
+    assert read[0] == full
 
 
 def test_rows_after_the_stop_are_never_read():

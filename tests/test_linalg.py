@@ -84,7 +84,7 @@ def kernel_by_column_scan(rows, ncols: int, d: int) -> list[Vector]:
     column.  Reference for the output order and form."""
     from confsym import _core
 
-    pivots, reduced = _core.rref_sparse(rows, d)
+    pivots, reduced = _core.rref_sparse(rows, d, ncols)
     basis = []
     for f in range(ncols):
         if f in pivots:

@@ -112,6 +112,42 @@ def test_report_from_dict_rejects_non_integer_signature_and_field(space21, key, 
         report_from_dict({**data, key: value})
 
 
+_NOT_A_FIELD = "field parameter must be a square-free integer"
+
+
+@pytest.mark.parametrize("d", [4, 1])
+def test_weyl_from_dict_refuses_a_field_parameter_that_is_not_square_free(d):
+    data = {**weyl_to_dict(random_weyl(4, 0, seed=13)), "d": d}
+    with pytest.raises(ValueError, match=_NOT_A_FIELD):
+        weyl_from_dict(data)
+
+
+@pytest.mark.parametrize("d", [4, 1])
+def test_report_from_dict_refuses_a_field_parameter_that_is_not_square_free(space21, d):
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    data = report_to_dict(space21, find_symmetries(space21, u, v, space21.origin))
+    with pytest.raises(ValueError, match=_NOT_A_FIELD):
+        report_from_dict({**data, "d": d})
+
+
+def test_extension_from_dict_refuses_a_field_parameter_that_is_not_square_free(space21):
+    """Under d = 4 the literal 2-r is 2 - sqrt 4 = 0.  Written into the
+    X-block of an m row of a flat-model file, it used to pass the quotient
+    condition with rank 3, where the same entry written as 0 gives rank 2.
+    The reader now refuses the file instead."""
+    data = extension_to_dict(flat_model_extension(space21))
+    row = data["alpha"][data["m"][0]]
+    j = next(j for j in range(1, space21.n + 1) if row[j] != "0")
+    row[j] = "0"
+    zeroed = validate_extension(extension_from_dict(data)).quotient_condition
+    assert not zeroed.passed and zeroed.witnesses == [2]
+    row[j] = "2-r"
+    for d in (4, 1):
+        with pytest.raises(ValueError, match=_NOT_A_FIELD):
+            extension_from_dict({**data, "d": d})
+
+
 def test_structure_algebra_round_trip():
     alg, _, _ = sl2_pair()
     data = structure_algebra_to_dict(alg)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsym import _core
+from confsym.cli import MAX_DIMENSION
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import CoElement, upsilon_action
 from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
@@ -386,9 +388,11 @@ def test_cold_basis_reduces_pairwise_distinct_rows(monkeypatch, cold_basis, pq, 
     """A cold basis sends no empty row and no two rows equal up to a scalar
     factor to the engine: exactly as many rows as pivots."""
     calls = []
-    rref = weyl_module._core.rref_sparse
+    rref = _core.rref_sparse
     monkeypatch.setattr(
-        weyl_module._core, "rref_sparse", lambda rows, d: calls.append(list(rows)) or rref(rows, d)
+        _core,
+        "rref_sparse",
+        lambda rows, d, ncols: calls.append(list(rows)) or rref(rows, d, ncols),
     )
     basis = weyl_space_basis(*pq)
     assert len(calls) == 1
@@ -584,12 +588,16 @@ def test_validate_names_each_family():
             WeylTensor(4, 0, comps, validate=False)
 
 
-def test_constraint_rows_report_their_family_ends():
-    ends = []
-    rows = _constraint_rows(3, 2, ends)
-    assert len(ends) == 2  # first Bianchi, trace-free condition
-    assert ends == sorted(ends) and ends[-1] == len(rows)
-    assert _constraint_rows(3, 2) == rows
+def test_describe_names_the_family_on_both_sides_of_the_bianchi_rows():
+    """The C(n, 4) Bianchi rows come first: the last of them and the first
+    trace row are named by their own families."""
+    for pq in [(4, 0), (3, 2), (6, 6)]:
+        n = sum(pq)
+        system = weyl_module._ConstraintSystem(*pq)
+        assert len(_constraint_rows(*pq)) == len(system.rows) == comb(n, 4) + n * (n + 1) // 2
+        last = comb(n, 4) - 1
+        assert system.describe(last) == f"first Bianchi fails at {(n - 4, n - 3, n - 2, n - 1)}"
+        assert system.describe(last + 1) == "trace-free condition fails at (j, l) = (0, 0)"
 
 
 def _orbit_rows(system):
@@ -622,7 +630,7 @@ def test_constraint_rows_are_the_distinct_rows_of_the_full_families(pq):
     kept = weyl_module._ConstraintSystem(p, q)
     full = ReferenceConstraintSystem(p, q)
     rows = _orbit_rows(kept)
-    assert kept.ends == [comb(n, 4), comb(n, 4) + n * (n + 1) // 2] and len(rows) == kept.ends[-1]
+    assert len(rows) == comb(n, 4) + n * (n + 1) // 2
     assert all(rows) and len({_up_to_factor(row) for row in rows}) == len(rows)
     earlier = set()
     k = 0
@@ -948,17 +956,17 @@ def test_lone_orbits_stop_after_the_measured_number_of_blocks(monkeypatch, pq, b
 @pytest.mark.parametrize("pq", [(6, 0), (4, 2), (3, 3)])
 @pytest.mark.parametrize("orbit, blocks", [(None, 1), (0, 2), (20, 3)])
 def test_prolongation_stops_the_engine_at_full_column_rank(monkeypatch, pq, orbit, blocks):
-    """Each full-rank check tells the engine the n columns.  A random tensor
-    fills them within its first block's rows and the rest are never read;
-    the lone orbits 0 and 20 fall short on the first block, so the stop fires
-    on a later call.  The answer is the reference's either way."""
+    """Each block's kernel call tells the engine the n columns.  A random
+    tensor fills them within its first block's rows and the rest are never
+    read; the lone orbits 0 and 20 fall short on the first block, so the stop
+    fires on a later call.  The answer is the reference's either way."""
     p, q = pq
     n = p + q
     W = random_weyl(p, q, seed=11) if orbit is None else _lone_orbit(p, q, orbit)
     calls = []
-    rref = weyl_module._core.rref_sparse
+    rref = _core.rref_sparse
 
-    def counted(rows, d, ncols=None):
+    def counted(rows, d, ncols):
         read = [0]
 
         def reader():
@@ -970,7 +978,7 @@ def test_prolongation_stops_the_engine_at_full_column_rank(monkeypatch, pq, orbi
         calls.append((ncols, len(out[0]), read[0], len(rows)))
         return out
 
-    monkeypatch.setattr(weyl_module._core, "rref_sparse", counted)
+    monkeypatch.setattr(_core, "rref_sparse", counted)
     assert prolongation(W) == []
     monkeypatch.undo()
     assert reference_prolongation(W) == []
@@ -995,3 +1003,43 @@ def test_prolongation_bridges_one_row_per_orbit(monkeypatch, pq):
     W = random_weyl(p, q, seed=5)
     assert prolongation(W) == []
     assert sizes and set(sizes) == {len(_orbits(n)[0])}
+
+
+@pytest.mark.parametrize("pq", [(MAX_DIMENSION, 0), (MAX_DIMENSION // 2, MAX_DIMENSION // 2)])
+def test_prolongation_at_the_largest_dimension(pq):
+    """At the largest n the CLI accepts, the lone orbits 0 and 20 have a
+    trivial prolongation, and that of W = 0 is the n unit covectors."""
+    n = sum(pq)
+    for u in (0, 20):
+        assert prolongation(_lone_orbit(*pq, u)) == []
+    zero = WeylTensor(*pq, [Scalar(0)] * n**4, validate=False)
+    assert prolongation(zero) == [Vector.unit(n, j) for j in range(n)]
+
+
+def _sparse_up_to_factor(row):
+    """A sparse Z[sqrt d] row divided by its first nonzero numerator."""
+    cols, vals = row
+    lead = Fraction(next(v for v in vals if v))
+    return tuple(cols), tuple(v / lead for v in vals)
+
+
+@pytest.mark.parametrize(
+    "pq, u, v",
+    [((5, 0), 0, 5), ((5, 0), 0, 12), ((5, 0), 0, 15), ((3, 3), 0, 5), ((3, 3), 0, 15),
+     ((3, 3), 20, 41), ((3, 3), 20, 44), ((3, 3), 20, 53)],
+)
+def test_prolongation_of_two_lone_orbits_matches_the_reference(monkeypatch, pq, u, v):
+    """The sum of two lone orbits needs more than one xi-block, and a later
+    block repeats a row of an earlier one up to a factor: every row goes to
+    the engine as the bridge gives it, and the answer is the reference's."""
+    p, q = pq
+    W = _lone_orbit(p, q, u) + _lone_orbit(p, q, v)
+    blocks = []
+    bridge = weyl_module.sparse_rows_from_scalars
+    monkeypatch.setattr(
+        weyl_module, "sparse_rows_from_scalars", lambda rows, d: blocks.append(bridge(rows, d)) or blocks[-1]
+    )
+    assert prolongation(W) == reference_prolongation(W)
+    assert len(blocks) >= 2
+    earlier = {_sparse_up_to_factor(row) for row in blocks[0]}
+    assert any(_sparse_up_to_factor(row) in earlier for row in blocks[1])
