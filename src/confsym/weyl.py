@@ -19,8 +19,12 @@ rows on those nonzero values only.  co(p, q) acts on a tensor viewed as a
 `co_action` computes it on integer Z[sqrt d] numerators over one common
 denominator.  so(p, q) and the scaling commute with the component
 symmetries, so `co_action` evaluates only the canonical member of each
-orbit.  The first prolongation collects the covectors Y whose
-induced endomorphisms annihilate the tensor for every direction xi.
+orbit.  Those members are indexed once per n by the index they hold at each
+of the four positions (`_positions`): an entry (r, m) of A visits only the
+members whose first index is r or whose second, third or fourth index is
+m, and the scaling is one pass of -2a.  The first prolongation collects the
+covectors Y whose induced endomorphisms annihilate the tensor for every
+direction xi.
 `prolongation` builds that system lazily, one xi-block of one row per orbit
 at a time, and takes the kernel of the rows so far after each block: once it
 is trivial, that is certified without the other blocks.
@@ -196,7 +200,10 @@ class WeylTensor:
         return self._ints
 
     def scale(self, c) -> WeylTensor:
+        """c W, tagged Q(sqrt d) like W; raises FieldMismatchError when c is
+        irrational in another field."""
         c = c if isinstance(c, Scalar) else Scalar(c)
+        one_field((self.d, c.d))
         terms = [(u, c * x) for u, x in self.terms] if c else ()
         return WeylTensor._from_terms(self.p, self.q, terms, self.d)
 
@@ -403,70 +410,89 @@ def co_action(c: CoElement, W: WeylTensor) -> WeylTensor:
     (F.W)^i_jkl = F^i_m W^m_jkl - W^i_mkl F^m_j - W^i_jml F^m_k - W^i_jkm F^m_l
     for F = a id + A.  Pure scaling acts as -2a W in this convention.
 
-    The so(p, q) check (`so_block_condition`) and the nonzero entries of F
-    are read off the rows of A; A has a zero diagonal, so F's is a.
-    Computed on integer numerators: with F = (Fa + Fb sqrt d) / qF and
-    W = (Wa + Wb sqrt d) / qW, F.W = ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa)
-    sqrt d) / (qF qW), each product a `_gather` evaluated at the canonical
-    member of each orbit only: so(p, q) and the scaling commute with the
-    component symmetries, so F.W has them too.  Raises ValueError when A is
-    not in so(p, q) (the image would not be a Weyl tensor), and
-    FieldMismatchError when F and W have irrational entries from different
-    fields."""
+    The so(p, q) check (`so_block_condition`) and the nonzero entries of A
+    are read off the rows of A; A has a zero diagonal, so F's is a, which
+    acts as one pass of -2a.  Computed on integer numerators: with
+    F = (Fa + Fb sqrt d) / qF and W = (Wa + Wb sqrt d) / qW, F.W =
+    ((Fa.Wa + d Fb.Wb) + (Fa.Wb + Fb.Wa) sqrt d) / (qF qW), each product a
+    `_gather` evaluated at the canonical member of each orbit only: so(p, q)
+    and the scaling commute with the component symmetries, so F.W has them
+    too.  Raises ValueError when A is not in so(p, q) (the image would not
+    be a Weyl tensor), and FieldMismatchError when a, A, W's values and W's
+    field Q(sqrt W.d) do not share one field."""
     n = W.n
     if c.A.shape != (n, n):
         raise ValueError("endomorphism size does not match the tensor")
     if not so_block_condition(MobiusSpace(W.p, W.q, W.d), c.A):
         raise ValueError("the endomorphism is not in so(p, q)")
     d, qw, wa, wb = W._integer_form()
-    f_entries = [(r, r, c.a) for r in range(n)] if c.a else []
-    for r, row in enumerate(c.A.rows):
-        f_entries += [(r, m, f) for m, f in enumerate(row) if f]
-    d = one_field((d, *(f.d for _, _, f in f_entries)))
-    qf = lcm(*(f.q for _, _, f in f_entries))
+    a = c.a
+    f_entries = [(r, m, f) for r, row in enumerate(c.A.rows) for m, f in enumerate(row) if f]
+    d = one_field((W.d, d, a.d, *(f.d for _, _, f in f_entries)))
+    qf = lcm(a.q, *(f.q for _, _, f in f_entries))
+    aa, ab = a.a * (qf // a.q), a.b * (qf // a.q)
     fa = [(r, m, f.a * (qf // f.q)) for r, m, f in f_entries if f.a]
     fb = [(r, m, f.b * (qf // f.q)) for r, m, f in f_entries if f.b]
-    targets = [members[0][0] for members in _orbits(n)[0]]
+    at = _positions(n)
     p = W.p
-    out_a = [0] * len(targets)
-    out_b = [0] * len(targets)
-    _gather(p, n, fa, wa, targets, out_a)
+    out_a = [0] * len(at[0])
+    out_b = [0] * len(at[0])
+    _gather(p, at, aa, fa, wa, out_a)
     if wb is not None:
-        _gather(p, n, [(r, m, d * f) for r, m, f in fb], wb, targets, out_a)
-        _gather(p, n, fa, wb, targets, out_b)
-    _gather(p, n, fb, wa, targets, out_b)
+        _gather(p, at, d * ab, [(r, m, d * f) for r, m, f in fb], wb, out_a)
+        _gather(p, at, aa, fa, wb, out_b)
+    _gather(p, at, ab, fb, wa, out_b)
     q = qf * qw
-    terms = [(u, Scalar(a, b, q, d)) for u, (a, b) in enumerate(zip(out_a, out_b)) if a or b]
+    terms = [(u, Scalar(x, y, q, d)) for u, (x, y) in enumerate(zip(out_a, out_b)) if x or y]
     return WeylTensor._from_terms(W.p, W.q, terms, W.d)
 
 
-def _gather(p: int, n: int, f: list, w: list, targets, out: list):
-    """Add the action of `co_action` for an integer matrix F, given as its
-    nonzero entries (r, m, F[r, m]), on integer flat components w into
-    out[k] for the k-th flat index of `targets`:
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple:
+    """The canonical flat indices of `_orbits(n)`, indexed by position:
+    (targets, first, second, third, fourth), where targets[k] is the
+    canonical member of orbit k and first[x] lists (k, targets[k]) for every
+    target whose first index is x (likewise for the other three positions).
+    Built once per n; every part is a tuple."""
+    targets = tuple(members[0][0] for members in _orbits(n)[0])
+    out = [targets]
+    for stride in (n**3, n * n, n, 1):
+        lists = [[] for _ in range(n)]
+        for k, t in enumerate(targets):
+            lists[t // stride % n].append((k, t))
+        out.append(tuple(map(tuple, lists)))
+    return tuple(out)
 
-        (F.W)_ijkl = sum over m of J_i J_m F[i, m] W_mjkl - F[m, j] W_imkl
-                                   - F[m, k] W_ijml - F[m, l] W_ijkm,
 
-    the first index raised and re-lowered with J, hence the signs."""
-    if not f:
-        return
+def _gather(p: int, at: tuple, a: int, f: list, w: list, out: list):
+    """Add the action of `co_action` for the integer matrix F = a id + A,
+    with A given as its nonzero off-diagonal entries (r, m, A[r, m]), on
+    integer flat components w into out[k] for the k-th canonical target of
+    `at = _positions(n)`:
+
+        (F.W)_ijkl = -2a W_ijkl + sum over m of J_i J_m A[i, m] W_mjkl
+                     - A[m, j] W_imkl - A[m, k] W_ijml - A[m, l] W_ijkm,
+
+    the first index raised and re-lowered with J, hence the signs.  The
+    scaling is one pass over the targets.  An entry (r, m, v) of A visits
+    only the targets whose first index is r (the J_r J_m term) and those
+    whose second, third or fourth index is m (the -v terms), read from the
+    position index `at`."""
+    targets, first, second, third, fourth = at
+    if a:
+        a2 = -2 * a
+        out[:] = [x + a2 * w[t] for x, t in zip(out, targets)]
+    n = len(first)
     n2 = n * n
-    n3 = n2 * n
-    sign = lambda i: 1 if i < p else -1
-    first = [[] for _ in range(n)]
-    later = [[] for _ in range(n)]
     for r, m, v in f:
-        first[r].append(((m - r) * n3, sign(r) * sign(m) * v))
-        later[m].append((r - m, v))
-    for k, t in enumerate(targets):
-        v = 0
-        for shift, x in first[t // n3]:
-            v += x * w[t + shift]
-        for stride in (n2, n, 1):
-            for step, x in later[t // stride % n]:
-                v -= x * w[t + step * stride]
-        out[k] += v
+        x = v if (r < p) == (m < p) else -v
+        step = (m - r) * n2 * n
+        for k, t in first[r]:
+            out[k] += x * w[t + step]
+        for stride, at_m in ((n2, second[m]), (n, third[m]), (1, fourth[m])):
+            step = (r - m) * stride
+            for k, t in at_m:
+                out[k] -= v * w[t + step]
 
 
 def co_basis(space: MobiusSpace) -> list[CoElement]:

@@ -341,6 +341,27 @@ def test_weyl_prolongation_seed_defaults_to_0(capsys):
     assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
 
 
+def _subprocess_env() -> dict:
+    """This environment, with the tested package first on PYTHONPATH."""
+    src = str(Path(confsym.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_m_confsym_prints_what_main_prints(capsys):
+    """`python -m confsym` runs the console script's `main`: the same exit
+    status and the same bytes."""
+    code, out = run(capsys, "--machine", "reproduce-paper")
+    proc = subprocess.run(
+        [sys.executable, "-m", "confsym", "--machine", "reproduce-paper"],
+        capture_output=True,
+        env=_subprocess_env(),
+        timeout=120,
+    )
+    assert code == proc.returncode == 0
+    assert proc.stdout == out.encode()
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize(
     "argv, read, unbuffered",
     [
@@ -358,8 +379,7 @@ def test_closed_pipe_exits_quietly(argv, read, unbuffered):
     The command ends with EXIT_CLOSED_PIPE and an empty stderr, where it used
     to show a BrokenPipeError traceback.  With buffered output the short
     texts reach the pipe only when the command flushes."""
-    src = str(Path(confsym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -904,6 +904,50 @@ def test_co_action_refuses_endomorphisms_outside_so(W, data):
         co_action(CoElement(c.a, Matrix(rows)), W)
 
 
+@pytest.mark.parametrize("pq", [(3, 0), (2, 1), (1, 3), (0, 4), (3, 3), (6, 0)])
+def test_co_action_matches_the_reference_on_the_prolongation_elements(pq):
+    """Every upsilon_action(e_j, e_i) that `prolongation` hands to
+    co_action, the pure scaling at i = j included, on signatures that
+    `_SIGNATURES` never draws (n = 3, q > p, n = 6).  The Weyl space is
+    trivial at n = 3, so there the tensor is orbital with seeded values."""
+    p, q = pq
+    n = p + q
+    if n > 3:
+        W = random_weyl(p, q, seed=n)
+    else:
+        rng = random.Random(n)
+        W = _orbital(p, q, [Scalar(rng.randint(-3, 3)) for _ in _orbits(n)[0]])
+    space = MobiusSpace(p, q)
+    units = [Vector.unit(n, j) for j in range(n)]
+    for T in (W, W.scale(Scalar(1, 1))):
+        for i in range(n):
+            for j in range(n):
+                c = upsilon_action(space, units[j], units[i])
+                assert c.A.is_zero() == (i == j)
+                got = co_action(c, T)
+                assert got.d == T.d
+                assert_same_scalars(got.components, reference_co_action(c, T).components)
+
+
+def test_co_action_refuses_a_scaling_from_another_field():
+    """A scaling by sqrt 3 on a rational tensor tagged Q(sqrt 2) has no
+    value in Q(sqrt 2): co_action refuses it instead of tagging 6 sqrt 3 as
+    Q(sqrt 2)."""
+    W = random_weyl(4, 0, 1)
+    with pytest.raises(FieldMismatchError):
+        co_action(CoElement(Scalar.sqrt_d(3), Matrix.zero(4, 4)), W)
+    assert co_action(CoElement(Scalar.sqrt_d(2), Matrix.zero(4, 4)), W) == W.scale(Scalar(0, -2))
+
+
+def test_scale_refuses_a_scalar_from_another_field():
+    W = random_weyl(4, 0, 1)
+    with pytest.raises(FieldMismatchError):
+        W.scale(Scalar.sqrt_d(3))
+    with pytest.raises(FieldMismatchError):
+        random_weyl(4, 0, 1, d=3).scale(Scalar(1, 1))
+    assert W.scale(Scalar.sqrt_d(2)).terms == tuple((u, Scalar(0, 1) * x) for u, x in W.terms)
+
+
 def _lone_orbit(p, q, u):
     """The tensor whose only nonzero orbit value is a 1 on orbit u."""
     return _orbital(p, q, [Scalar(int(v == u)) for v in range(len(_orbits(p + q)[0]))])
