@@ -29,7 +29,7 @@ from .extension import (
     symmetry_criterion_search,
     validate_extension,
 )
-from .flatmodel import MobiusSpace, NullLine, classify_orbit
+from .flatmodel import MAX_DIMENSION, MobiusSpace, NullLine, Signature, classify_orbit
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
 from .scalars import check_field_parameter, parse_scalar
 from .serialize import (
@@ -51,13 +51,6 @@ from .weyl import prolongation, random_weyl, weyl_space_basis
 # status a shell reports for a process that SIGPIPE ends (128 + 13).
 EXIT_CLOSED_PIPE = 141
 
-# Largest p + q accepted from the command line or an input file.  The cost
-# grows steeply with n, so hostile input must stop here.  At n = 12,
-# make-flat writes 1.6 MB in 0.07 s (first call in process, 0.19 s as a
-# whole process; 2-vCPU Xeon, CPython 3.11) at (12, 0) and at (6, 6); the
-# Weyl basis at n = 16 was once measured at about 2.7 GB.
-MAX_DIMENSION = 12
-
 
 @dataclass
 class SessionConfig:
@@ -67,12 +60,9 @@ class SessionConfig:
     machine: bool = False
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"need p >= 0 and q >= 0, got ({self.p}, {self.q})")
-        if self.p + self.q < 3:
-            raise ValueError("need p + q >= 3")
-        if self.p + self.q > MAX_DIMENSION:
-            raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {self.p + self.q}")
+        n = Signature(self.p, self.q).n
+        if n > MAX_DIMENSION:
+            raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
         check_field_parameter(self.d)
 
     def space(self) -> MobiusSpace:

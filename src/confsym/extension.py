@@ -58,11 +58,7 @@ class HomogeneousPair:
         if not self._closed(self.h, self.h, self.h):
             raise ValueError("h is not a subalgebra: [h, h] leaves h")
 
-    # The bases as unit vectors, built on each read.
-    @property
-    def h_basis(self) -> list:
-        return [Vector.unit(self.alg.dim, i) for i in self.h]
-
+    # The basis of m as unit vectors, built on each read.
     @property
     def m_basis(self) -> list:
         return [Vector.unit(self.alg.dim, i) for i in self.m]
@@ -256,16 +252,6 @@ def curvature(ext: Extension, x: Vector, y: Vector) -> Vector:
     return bracket(ext.space, ext.coords(x), ext.coords(y)) - ext.coords(
         ext.pair.alg.bracket(x, y)
     )
-
-
-def is_flat(ext: Extension) -> bool:
-    """Curvature vanishes on all m-basis pairs iff alpha restricted to the
-    pair is a homomorphism in the appropriate sense."""
-    for i, x in enumerate(ext.pair.m_basis):
-        for y in ext.pair.m_basis[i + 1 :]:
-            if not curvature(ext, x, y).is_zero():
-                return False
-    return True
 
 
 def symmetry_criterion(ext: Extension, Y: Vector) -> bool:

@@ -332,8 +332,7 @@ def _check_jacobi(d: int, rows) -> None:
     with sign -1, (y, x, z) if y < x < z (x = y or x = z: of none).  Triples
     no double bracket reaches sum to zero, so the least failing triple is
     the first in lexicographic order.  The sums are keyed on the one integer
-    ((i dim + j) dim + k) dim + l, which orders as (i, j, k, l) does; with
-    d = 0 every b is zero and only the rational parts are summed."""
+    ((i dim + j) dim + k) dim + l, which orders as (i, j, k, l) does."""
     dim = len(rows)
     acc_a = {}
     acc_b = {}
@@ -352,16 +351,11 @@ def _check_jacobi(d: int, rows) -> None:
                     else:
                         continue
                     sa, sb = s * a1, s * b1
-                    if d:
-                        for l, a2, b2 in outer:
-                            kl = key + l
-                            acc_a[kl] = acc_a.get(kl, 0) + sa * a2 + d * sb * b2
-                            if sb or b2:
-                                acc_b[kl] = acc_b.get(kl, 0) + sa * b2 + sb * a2
-                    else:
-                        for l, a2, _ in outer:
-                            kl = key + l
-                            acc_a[kl] = acc_a.get(kl, 0) + sa * a2
+                    for l, a2, b2 in outer:
+                        kl = key + l
+                        acc_a[kl] = acc_a.get(kl, 0) + sa * a2 + d * sb * b2
+                        if sb or b2:
+                            acc_b[kl] = acc_b.get(kl, 0) + sa * b2 + sb * a2
     failed = [kl for acc in (acc_a, acc_b) for kl, v in acc.items() if v]
     if failed:
         i, jk = divmod(min(failed) // dim, dim * dim)

@@ -210,9 +210,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not e for r in self.rows for e in r)
 
-    def flatten(self) -> Vector:
-        return Vector._of_scalars(e for r in self.rows for e in r)
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
@@ -231,10 +228,6 @@ class Matrix:
     @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> Matrix:
         return cls._of_scalars(zip(*[c.entries for c in cols]))
-
-    @classmethod
-    def outer(cls, u: Vector, v: Vector) -> Matrix:
-        return cls._of_scalars(tuple(x * y for y in v.entries) for x in u.entries)
 
 
 def _same_len(u: Vector, v: Vector):

@@ -99,11 +99,6 @@ class Scalar:
 
     # -- structure ---------------------------------------------------------
 
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.q)
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 

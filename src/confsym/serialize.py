@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .extension import Extension, HomogeneousPair, SymmetricPair
-from .flatmodel import MobiusSpace, NullLine, OrbitLabel
+from .flatmodel import MAX_DIMENSION, MobiusSpace, NullLine, OrbitLabel
 from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, check_field_parameter, parse_scalar
@@ -143,12 +143,16 @@ def weyl_to_dict(W: WeylTensor) -> dict:
 def weyl_from_dict(data: dict) -> WeylTensor:
     """Inverse of `weyl_to_dict`: each value is the value of its key's orbit.
     Rejects a key that `weyl_to_dict` would not write, p, q and d that are
-    not JSON integers, a d that is not a field parameter, and a tensor that
-    fails `WeylTensor.validate`."""
+    not JSON integers, a signature that `Signature` refuses or with p + q
+    above MAX_DIMENSION, a d that is not a field parameter, and a tensor
+    that fails `WeylTensor.validate`.  The signature is checked before
+    anything of its size is built."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
-    check_field_parameter(d)
+    n = MobiusSpace(p, q, check_field_parameter(d)).n
+    if n > MAX_DIMENSION:
+        raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
     system = _ConstraintSystem(p, q)
-    slots = {key: u for u, key in enumerate(_weyl_keys(p + q, system.orbits))}
+    slots = {key: u for u, key in enumerate(_weyl_keys(n, system.orbits))}
     values = [ZERO] * len(system.orbits)
     for key, lit in data["components"].items():
         if key not in slots:

@@ -39,10 +39,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
-from .flatmodel import MobiusSpace
+from .flatmodel import MobiusSpace, Signature
 from .liealg import CoElement, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
-from .scalars import ZERO, Scalar, one_field
+from .scalars import ZERO, Scalar, check_field_parameter, one_field
 
 
 class WeylTensor:
@@ -53,12 +53,13 @@ class WeylTensor:
     Built from the n^4 flat components W[i][j][k][l] (row-major, 0-based),
     which must agree, with the signs, along every orbit and vanish where
     i = j or k = l; otherwise ValueError names the failing symmetry, even
-    with validate=False.  `validate` checks the rest (see there)."""
+    with validate=False.  `validate` checks the rest (see there).  The
+    signature must pass `Signature`."""
 
     __slots__ = ("p", "q", "d", "terms", "_ints")
 
     def __init__(self, p: int, q: int, components, d: int = 2, validate: bool = True):
-        n = p + q
+        n = Signature(p, q).n
         components = tuple(components)
         if len(components) != n**4:
             raise ValueError(f"expected {n ** 4} components, got {len(components)}")
@@ -392,12 +393,14 @@ def _basis_cached(p: int, q: int) -> tuple:
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:
     """Canonical basis of the solution space of all four constraint families;
-    dimension 0 in total dimension 3."""
-    if p + q < 3:
-        raise ValueError("need p + q >= 3")
+    dimension 0 in total dimension 3.  The signature must pass `Signature`,
+    and d must be a field parameter (`check_field_parameter`, read when the
+    tensors over Q(sqrt d) are first made)."""
+    Signature(p, q)
     solved, system, tagged = _basis_cached(p, q)
     elements = tagged.get(d)
     if elements is None:
+        check_field_parameter(d)
         elements = tuple(WeylTensor._from_terms(p, q, terms, d) for terms in solved)
         for W in elements:
             W.validate(system)

@@ -46,7 +46,7 @@ def rand_so_matrix(space: MobiusSpace, rng: random.Random, span: int = 5) -> Mat
 
 def reference_so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
     """The matrix form of so(p, q) membership: A^T J + J A = 0."""
-    J = space.signature.j_matrix()
+    J = Matrix(r[1:-1] for r in space.form.matrix.rows[1:-1])
     return (A.transpose() @ J + J @ A).is_zero()
 
 
@@ -222,14 +222,14 @@ def structure_constants_from_matrices(basis: list[Matrix]) -> StructureAlgebra:
     """Bracket table of a matrix Lie algebra given by a basis: commutators are
     re-expressed in the basis by exact solving (raises if not closed)."""
     dim = len(basis)
-    flat_cols = [b.flatten() for b in basis]
+    flat_cols = [Vector(sum(b.rows, ())) for b in basis]
     span = Matrix.from_columns(flat_cols)
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         table[i][i] = Vector.zero(dim)
         for j in range(i + 1, dim):
             comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            sol = solve_affine(span, comm.flatten())
+            sol = solve_affine(span, Vector(sum(comm.rows, ())))
             if sol.is_empty:
                 raise ValueError(f"commutator of basis elements {i}, {j} leaves the span")
             table[i][j] = sol.base
@@ -331,12 +331,13 @@ def reference_validate_extension(ext: Extension) -> ExtensionReport:
     space = ext.space
     pair = ext.pair
     n = space.n
-    bad_h = [idx for idx, h in enumerate(pair.h_basis) if any(ext.coords(h).entries[1 : n + 1])]
+    h_basis = [Vector.unit(pair.alg.dim, i) for i in pair.h]
+    bad_h = [idx for idx, h in enumerate(h_basis) if any(ext.coords(h).entries[1 : n + 1])]
     x_rows = [ext.coords(m).entries[1 : n + 1] for m in pair.m_basis]
     r = rank(Matrix(x_rows)) if x_rows else 0
     bad_pairs = []
     k_basis = [Vector.unit(pair.alg.dim, i) for i in range(pair.alg.dim)]
-    for hi, h in enumerate(pair.h_basis):
+    for hi, h in enumerate(h_basis):
         ah = ext.coords(h)
         for yi, y in enumerate(k_basis):
             lhs = reference_realize(space, ext.coords(pair.alg.bracket(h, y)))
@@ -368,8 +369,8 @@ def reference_symmetry_criterion(ext: Extension, Y: Vector) -> bool:
     g = exp_nilpotent(space, Y)
     g_inv = exp_nilpotent(space, -Y)
     moved = [g @ reference_realize(space, Vector(row)) @ g_inv for row in ext.alpha.rows]
-    rows = [mat.flatten().entries for mat in moved]
-    flipped = [reference_ad_s0(space, mat).flatten().entries for mat in moved]
+    rows = [sum(mat.rows, ()) for mat in moved]
+    flipped = [sum(reference_ad_s0(space, mat).rows, ()) for mat in moved]
     return rank(Matrix(rows + flipped)) == rank(Matrix(rows))
 
 

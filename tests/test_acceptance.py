@@ -6,14 +6,15 @@ to see the per-criterion lines.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from confsym.cli import fixture_cases, run_fixture_case
 from confsym.extension import (
     Extension,
+    curvature,
     flat_model_extension,
-    is_flat,
     metrizability_check,
     symmetry_criterion,
     validate_extension,
@@ -142,7 +143,7 @@ def test_criterion_5_one_form_action_coherence():
             stacked = []
             for i in range(n):
                 co = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i))
-                stacked.extend(co.endomorphism().flatten().entries)
+                stacked.extend(sum(co.endomorphism().rows, ()))
             cols.append(Vector(stacked))
         assert rank(Matrix.from_columns(cols)) == n
     assert len(constants) == 1
@@ -157,7 +158,7 @@ def test_criterion_6_extension_suite():
     ext = flat_model_extension(space)
     report = validate_extension(ext)
     assert report.passed
-    assert is_flat(ext)
+    assert all(curvature(ext, x, y).is_zero() for x, y in combinations(ext.pair.m_basis, 2))
     assert symmetry_criterion(ext, Vector.zero(3))
 
     n = 3

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from confsym.extension import (
     SymmetricPair,
     curvature,
     flat_model_extension,
-    is_flat,
     metrizability_check,
     symmetry_criterion,
     symmetry_criterion_search,
@@ -68,7 +68,7 @@ def test_flat_model_extension_carries_the_field_of_its_space():
     entries = [x for row in ext.alpha.rows for x in row]
     assert len(entries) == 225
     assert {x.d for x in entries} == {0}
-    for x in ext.pair.h_basis + ext.pair.m_basis:
+    for x in [Vector.unit(ext.pair.alg.dim, i) for i in ext.pair.h] + ext.pair.m_basis:
         padding = [c for c in ext.coords(x).entries if not c]
         assert padding and {c.d for c in padding} == {0}
     data = extension_to_dict(ext)
@@ -103,7 +103,7 @@ def test_flat_model_extension_validates(space21):
 
 def test_flat_model_curvature_vanishes(space21):
     ext = flat_model_extension(space21)
-    assert is_flat(ext)
+    assert all(curvature(ext, x, y).is_zero() for x, y in combinations(ext.pair.m_basis, 2))
     for x in ext.pair.m_basis:
         for y in ext.pair.m_basis:
             assert curvature(ext, x, y).is_zero()
@@ -160,7 +160,8 @@ def test_curvature_is_bilinear_and_antisymmetric(space21, rng):
     ]
     ext = Extension(space21, pair, graded_alpha_rows(images))
     assert validate_extension(ext).passed
-    assert not is_flat(ext)  # mixed blocks bracket into g0
+    # mixed blocks bracket into g0
+    assert not all(curvature(ext, x, y).is_zero() for x, y in combinations(ext.pair.m_basis, 2))
     x, y = pair.m_basis[0], pair.m_basis[1]
     assert curvature(ext, x, x).is_zero()
     kxy = curvature(ext, x, y)
@@ -177,7 +178,7 @@ def test_curvature_is_bilinear_and_antisymmetric(space21, rng):
 def test_curvature_requires_m_arguments(space21):
     ext = flat_model_extension(space21)
     with pytest.raises(ValueError, match="span"):
-        curvature(ext, ext.pair.h_basis[0], ext.pair.m_basis[0])
+        curvature(ext, Vector.unit(ext.pair.alg.dim, ext.pair.h[0]), ext.pair.m_basis[0])
 
 
 def test_symmetry_criterion_flat_model(space21, rng):

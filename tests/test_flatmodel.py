@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from confsym.flatmodel import (
@@ -20,9 +22,9 @@ def test_signature_validation():
     Signature(2, 1)
     Signature(0, 3)
     Signature(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need p \+ q >= 3$"):
         Signature(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need p >= 0 and q >= 0, got (-1, 5)")):
         Signature(-1, 5)
 
 
@@ -37,6 +39,9 @@ def test_form_matrix_blocks(space21):
         expected = Scalar(1) if i <= 2 else Scalar(-1)
         assert space21.pairing(ei, ei) == expected
     assert m.transpose() == m
+    assert m == Matrix(
+        [[0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0]]
+    )
 
 
 def test_worked_null_vectors_are_null(space21):
@@ -170,7 +175,8 @@ def test_witness_at_origin_is_identity(space21):
 def test_witness_at_opposite_corner_swaps(space21):
     w = space21.line(["0", "0", "0", "0", "1"])
     g = transitive_witness(space21, w)
-    assert space21.form.is_isometry(g)
+    m = space21.form.matrix
+    assert g.transpose() @ m @ g == m
     assert g.matvec(space21.basis_vector(0)) == space21.basis_vector(4)
     # this reflection fixes the middle block pointwise
     for i in (1, 2, 3):
@@ -180,7 +186,8 @@ def test_witness_at_opposite_corner_swaps(space21):
 def test_witness_for_isotropic_middle_point(space21):
     w = space21.line(["0", "1", "0", "1", "0"])
     g = transitive_witness(space21, w)
-    assert space21.form.is_isometry(g)
+    m = space21.form.matrix
+    assert g.transpose() @ m @ g == m
     image = g.matvec(space21.basis_vector(0))
     assert NullLine(space21.form, image) == w
 
@@ -188,10 +195,11 @@ def test_witness_for_isotropic_middle_point(space21):
 @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (3, 0), (0, 3), (3, 2)])
 def test_witness_on_random_lines(pq, rng):
     space = MobiusSpace(*pq)
+    m = space.form.matrix
     for _ in range(8):
         w = NullLine(space.form, rand_null_vector(space, rng))
         g = transitive_witness(space, w)
-        assert space.form.is_isometry(g)
+        assert g.transpose() @ m @ g == m
         assert NullLine(space.form, g.matvec(space.basis_vector(0))) == w
         gi = isometry_inverse(space, g)
         assert g @ gi == Matrix.identity(space.ambient)
@@ -247,6 +255,27 @@ def test_isometry_inverse_is_the_former_product(pq, d, rng):
             got, want = isometry_inverse(space, g), m @ g.transpose() @ m
             assert got == want
             assert [repr(e) for r in got.rows for e in r] == [repr(e) for r in want.rows for e in r]
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (0, 3)])
+def test_form_operations_match_their_dense_definitions(pq, rng):
+    """pairing, reflection and isometry_inverse read m as a signed
+    permutation; over Q(sqrt 2) they equal their definitions through the
+    dense form.matrix: x . (m y), x - 2 m(x, v) / m(v, v) v on random x and
+    on every basis vector, and m g^T m."""
+    space = MobiusSpace(*pq)
+    m = space.form.matrix
+    basis = [space.basis_vector(i) for i in range(space.ambient)]
+    for _ in range(6):
+        x, y = (Vector(_entry(space, rng) for _ in range(space.ambient)) for _ in range(2))
+        assert space.pairing(x, y) == x.dot(m.matvec(y))
+        v = _non_null(space, rng)
+        tau = reflection(space, v)
+        qv = v.dot(m.matvec(v))
+        for z in [x, *basis]:
+            assert tau.matvec(z) == z - v.scale(Scalar(2) * z.dot(m.matvec(v)) / qv)
+        g = tau @ reflection(space, _non_null(space, rng))
+        assert isometry_inverse(space, g) == m @ g.transpose() @ m
 
 
 def test_isometry_inverse_keeps_the_field_on_irrational_entries_only():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsym.cli import MAX_DIMENSION
 from confsym.extension import flat_model_extension, validate_extension
 from confsym.flatmodel import MobiusSpace
 from confsym.liealg import StructureAlgebra, graded_dim
@@ -100,6 +101,22 @@ def test_weyl_from_dict_rejects_invalid_tensors():
 def test_weyl_from_dict_rejects_non_integer_signature_and_field(key, value):
     data = {"p": 4, "q": 0, "d": 2, "components": {}, key: value}
     with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+        weyl_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (-1, 5, "need p >= 0 and q >= 0, got (-1, 5)"),
+        (2, 0, "need p + q >= 3"),
+        (MAX_DIMENSION, 1, f"need p + q <= {MAX_DIMENSION}, got {MAX_DIMENSION + 1}"),
+        # 43 bytes that used to build a 30^4-entry table.
+        (30, 0, f"need p + q <= {MAX_DIMENSION}, got 30"),
+    ],
+)
+def test_weyl_from_dict_refuses_a_signature_out_of_range(p, q, message):
+    data = {"p": p, "q": q, "d": 2, "components": {}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         weyl_from_dict(data)
 
 

@@ -181,7 +181,7 @@ def test_annihilator_of_a_block_invariant_tensor():
     # the block rotations stabilize the averaged tensor and appear in the span
     space = MobiusSpace(p, q)
     coords = Matrix.from_columns(
-        [Vector([c.a] + list(c.A.flatten().entries)) for c in ann]
+        [Vector([c.a, *sum(c.A.rows, ())]) for c in ann]
     )
     for (i, j) in [(0, 1), (2, 3)]:
         rows = [[Scalar(0)] * n for _ in range(n)]
@@ -189,7 +189,7 @@ def test_annihilator_of_a_block_invariant_tensor():
         rows[j][i] = Scalar(-space.signature.j_sign(i))
         rot = CoElement(Scalar(0), Matrix(rows))
         assert co_action(rot, avg).is_zero()
-        target = Vector([rot.a] + list(rot.A.flatten().entries))
+        target = Vector([rot.a, *sum(rot.A.rows, ())])
         assert not solve_affine(coords, target).is_empty
 
 
@@ -197,13 +197,13 @@ def test_annihilator_is_a_subalgebra():
     _, avg = _block_invariant_tensor(2, 2)
     ann = annihilator(avg)
     assert len(ann) >= 2
-    coords = Matrix.from_columns([Vector([c.a] + list(c.A.flatten().entries)) for c in ann])
+    coords = Matrix.from_columns([Vector([c.a, *sum(c.A.rows, ())]) for c in ann])
     for x in ann:
         for y in ann:
             fx, fy = x.endomorphism(), y.endomorphism()
             comm = fx @ fy - fy @ fx
             a = comm.trace() * Scalar(1, 0, 4)
-            elt = Vector([a] + list((comm - Matrix.identity(4).scale(a)).flatten().entries))
+            elt = Vector([a, *sum((comm - Matrix.identity(4).scale(a)).rows, ())])
             assert not solve_affine(coords, elt).is_empty
 
 
@@ -251,6 +251,41 @@ def test_random_weyl_is_deterministic_and_valid():
 def test_random_weyl_rejects_trivial_space():
     with pytest.raises(ValueError):
         random_weyl(3, 0, seed=0)
+
+
+_BELOW_ZERO = re.escape("need p >= 0 and q >= 0, got (-1, 5)")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: weyl_space_basis(-1, 5),
+        lambda: random_weyl(-1, 5, 3),
+        lambda: WeylTensor(-1, 5, [Scalar(0)] * 4**4),
+    ],
+    ids=["weyl_space_basis", "random_weyl", "WeylTensor"],
+)
+def test_weyl_layer_refuses_a_negative_signature(make):
+    """(-1, 5) used to give the (0, 4) basis labelled (-1, 5)."""
+    with pytest.raises(ValueError, match=f"^{_BELOW_ZERO}$"):
+        make()
+
+
+def test_flat_weyl_tensor_refuses_a_signature_below_three():
+    with pytest.raises(ValueError, match=r"^need p \+ q >= 3$"):
+        WeylTensor(2, 0, [Scalar(0)] * 2**4)
+
+
+@pytest.mark.parametrize("d", [4, 1])
+def test_weyl_space_basis_refuses_a_field_parameter_that_is_not_square_free(d):
+    """The tensors were tagged Q(sqrt 4), where the irrational-looking
+    value 1*r is the rational 2.  The check runs when the tensors over
+    Q(sqrt d) are first made, so a warm signature refuses d = 4 too."""
+    weyl_space_basis(4, 0)
+    with pytest.raises(ValueError, match="field parameter must be a square-free integer"):
+        weyl_space_basis(4, 0, d=d)
+    with pytest.raises(ValueError, match="field parameter must be a square-free integer"):
+        random_weyl(4, 0, 7, d=d)
 
 
 def reference_random_weyl(p, q, seed, d=2):
@@ -882,7 +917,7 @@ def test_prolongation_matches_the_reference(W):
 def test_co_action_rejects_mixed_fields(pq, seed, data):
     W = random_weyl(*pq, seed).scale(Scalar(1, 1))
     c = data.draw(_co_elements(*pq, d=3))
-    if not any(x.b for x in [c.a] + list(c.A.flatten().entries)):
+    if not any(x.b for x in [c.a, *sum(c.A.rows, ())]):
         c = CoElement(c.a + Scalar.sqrt_d(3), c.A)
     with pytest.raises(FieldMismatchError):
         reference_co_action(c, W)
