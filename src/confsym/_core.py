@@ -119,8 +119,9 @@ def rref_sparse(rows, d, ncols):
             a = vals[2 * k]
             b = vals[2 * k + 1]
             if a or b:
+                # An entry of Z[sqrt d] is canonical as it stands: q = 1.
                 cols.append(c)
-                triples.extend(_norm3(a, b, 1))
+                triples += (a, b, 1)
         while cols:
             lead = cols[0]
             hit = piv.get(lead)

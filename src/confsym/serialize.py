@@ -15,7 +15,7 @@ from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, check_field_parameter, parse_scalar
 from .symmetry import SymmetryReport
-from .weyl import WeylTensor, _ConstraintSystem, _orbits, _unflat
+from .weyl import WeylTensor, _orbits, _unflat
 
 
 def dump_canonical(obj) -> str:
@@ -126,40 +126,48 @@ def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
 # -- Weyl tensors ------------------------------------------------------------
 
 
-def _weyl_keys(n: int, orbits) -> list[str]:
-    """The 1-based "i,j,k,l" key of each orbit's canonical component."""
-    return [",".join(str(x + 1) for x in _unflat(n, members[0][0])) for members in orbits]
+def _weyl_key(n: int, members) -> str:
+    """The 1-based "i,j,k,l" key of an orbit's canonical component."""
+    return ",".join(str(x + 1) for x in _unflat(n, members[0][0]))
 
 
 def weyl_to_dict(W: WeylTensor) -> dict:
     """Lists the value of each orbit of `weyl._orbits` when it is nonzero,
     keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
-    members of its orbit are that value times their signs."""
-    keys = _weyl_keys(W.n, _orbits(W.n)[0])
-    comps = {keys[u]: str(x) for u, x in W.terms}
+    members of its orbit are that value times their signs.  Only the keys
+    of `W.terms` are formatted."""
+    orbits = _orbits(W.n)[0]
+    comps = {_weyl_key(W.n, orbits[u]): str(x) for u, x in W.terms}
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 
 
 def weyl_from_dict(data: dict) -> WeylTensor:
     """Inverse of `weyl_to_dict`: each value is the value of its key's orbit.
-    Rejects a key that `weyl_to_dict` would not write, p, q and d that are
-    not JSON integers, a signature that `Signature` refuses or with p + q
-    above MAX_DIMENSION, a d that is not a field parameter, and a tensor
-    that fails `WeylTensor.validate`.  The signature is checked before
-    anything of its size is built."""
+    Rejects a key that `weyl_to_dict` would not write, `components` that is
+    not a JSON object and a value in it that is not a string literal, p, q
+    and d that are not JSON integers, a signature that `Signature` refuses
+    or with p + q above MAX_DIMENSION, a d that is not a field parameter,
+    and a tensor that fails `WeylTensor.validate`.  The signature is checked
+    before anything of its size is built."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     n = MobiusSpace(p, q, check_field_parameter(d)).n
     if n > MAX_DIMENSION:
         raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
-    system = _ConstraintSystem(p, q)
-    slots = {key: u for u, key in enumerate(_weyl_keys(n, system.orbits))}
-    values = [ZERO] * len(system.orbits)
-    for key, lit in data["components"].items():
+    components = data["components"]
+    if not isinstance(components, dict):
+        kind = type(components).__name__
+        raise ValueError(f"'components' must be a JSON object of scalar literals, got {kind}")
+    orbits = _orbits(n)[0]
+    slots = {_weyl_key(n, members): u for u, members in enumerate(orbits)}
+    values = [ZERO] * len(orbits)
+    for key, lit in components.items():
         if key not in slots:
             raise ValueError(f"non-canonical component key {key!r}")
+        if type(lit) is not str:
+            raise ValueError(f"component {key!r} must be a string literal, got {lit!r}")
         values[slots[key]] = parse_scalar(lit, d)
     W = WeylTensor._from_values(p, q, values, d)
-    W.validate(system)
+    W.validate()
     return W
 
 

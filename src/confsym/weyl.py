@@ -3,16 +3,20 @@
 A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The first three generate an 8-way symmetry of the
-components, stated only by one table of orbits per n (`_orbits`), and a
-`WeylTensor` stores its nonzero orbit values; its n^4 flat components are
-derived through the table, which is walked on the two pair codes
-(i n + j, k n + l) of a component.  First Bianchi and the trace are sparse
-integer rows (`_constraint_rows`): one Bianchi row per 4-set i < j < k < l
-and one trace row per j <= l, C(n, 4) + n (n + 1) / 2 rows in all.  Every
-other row of the two families is empty on the orbit values or a multiple of
-one of these (the proof is in `_constraint_rows`), so these are the distinct
-rows, and the space of all Weyl tensors is their exact kernel on the orbit
-values.  `kernel_sparse` gives each basis tensor as its nonzero terms, and
+components: one orbit per canonical component (i<j, k<l, (i,j) <= (k,l)).
+The orbit index is closed-form (`_orbit_of`): with a >= b the colex ranks
+j (j - 1) / 2 + i and l (l - 1) / 2 + k of the two pairs, the orbit is
+a (a + 1) / 2 + b.  A `WeylTensor` stores its nonzero orbit values; its n^4
+flat components are derived through the table of orbit members (`_orbits`),
+which is walked on the two pair codes (i n + j, k n + l) of a component and
+built only where flat components are read or written.  First Bianchi and
+the trace are sparse integer rows on orbit columns (`_constraint_rows`):
+one Bianchi row per 4-set i < j < k < l and one trace row per j <= l,
+C(n, 4) + n (n + 1) / 2 rows in all.  Every other row of the two families
+is empty on the orbit values or a multiple of one of these (the proof is in
+`_constraint_rows`), so these are the distinct rows, and the space of all
+Weyl tensors is their exact kernel; a cold basis builds no orbit table.
+`kernel_sparse` gives each basis tensor as its nonzero terms, and
 `WeylTensor.validate`, which checks every basis tensor, evaluates the same
 rows on those nonzero values only.  co(p, q) acts on a tensor viewed as a
 (1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
@@ -36,7 +40,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
 
 from .flatmodel import MobiusSpace, Signature
@@ -166,7 +170,7 @@ class WeylTensor:
         for u, x in terms:
             if x.b and x.d != self.d:
                 raise ValueError(
-                    f"component {_unflat(self.n, system.orbits[u][0][0])} lies in "
+                    f"component {_unflat(self.n, _orbits(self.n)[0][u][0][0])} lies in "
                     f"Q(sqrt {x.d}), not in the tensor's field Q(sqrt {self.d})"
                 )
         denom = lcm(*(x.q for _, x in terms))
@@ -275,30 +279,40 @@ def _walk_on_pairs() -> list[tuple[int, int, int]]:
     return out
 
 
+def _orbit_of(i: int, j: int, k: int, l: int) -> int:
+    """The index in `_orbits` of the orbit of component (i, j, k, l), for
+    i < j and k < l: with a >= b the colex ranks j (j - 1) / 2 + i and
+    l (l - 1) / 2 + k of its two pairs, a (a + 1) / 2 + b."""
+    a = j * (j - 1) // 2 + i
+    b = l * (l - 1) // 2 + k
+    if a < b:
+        a, b = b, a
+    return a * (a + 1) // 2 + b
+
+
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> tuple[tuple, tuple]:
     """The component orbits of `_SYMMETRIES` in dimension n: (orbits, slot).
 
-    One orbit per canonical component (i<j, k<l, (i,j) <= (k,l)), ordered by
-    its largest flat index.  An orbit lists its members as (flat index, sign
-    relative to the canonical component) along `_WALK` from the canonical
-    one; when (i,j) = (k,l) the first three steps reach all four members.
-    The largest member always has sign +1.  `slot[t]` is (orbit, sign) of
-    flat index t, or None when i = j or k = l forces the component to zero.
-    The walk runs on the two pair codes of a component (see
-    `_walk_on_pairs`); flat index t is (i n + j) n^2 + (k n + l).  Built once
-    per n; both parts are tuples."""
+    One orbit per canonical component (i<j, k<l, (i,j) <= (k,l)), placed at
+    `_orbit_of(i, j, k, l)`; that order is also the order of the largest
+    flat index of each orbit.  An orbit lists its members as (flat index,
+    sign relative to the canonical component) along `_WALK` from the
+    canonical one; when (i,j) = (k,l) the first three steps reach all four
+    members.  The largest member always has sign +1.  `slot[t]` is (orbit,
+    sign) of flat index t, or None when i = j or k = l forces the component
+    to zero.  The walk runs on the two pair codes of a component (see
+    `_walk_on_pairs`); flat index t is (i n + j) n^2 + (k n + l).  Built
+    once per n; both parts are tuples."""
     n2 = n * n
     walk = _walk_on_pairs()
-    codes = [i * n + j for i, j in combinations(range(n), 2)]
-    orbits = []
-    for a, A in enumerate(codes):
-        sA = A % n * n + A // n
-        for B in codes[a:]:
-            c = (A, B, sA, B % n * n + B // n)
-            members = walk[: 4 if A == B else 8]
-            orbits.append(tuple([(c[x] * n2 + c[y], s) for x, y, s in members]))
-    orbits.sort(key=lambda members: max(members)[0])
+    pairs = list(combinations(range(n), 2))
+    orbits = [None] * (len(pairs) * (len(pairs) + 1) // 2)
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a:]:
+            c = (i * n + j, k * n + l, j * n + i, l * n + k)
+            members = walk[: 4 if (i, j) == (k, l) else 8]
+            orbits[_orbit_of(i, j, k, l)] = tuple([(c[x] * n2 + c[y], s) for x, y, s in members])
     slot = [None] * n2 * n2
     for u, members in enumerate(orbits):
         for t, s in members:
@@ -307,9 +321,18 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
 
 
 def _constraint_rows(p: int, q: int):
-    """Sparse integer rows on the flat components: the first Bianchi rows
-    W_ijkl + W_iklj + W_iljk for i < j < k < l, one per 4-set, and then the
-    J-trace rows sum_i J_ii W_ijil for j <= l; C(n, 4) + n (n + 1) / 2 rows.
+    """Sparse integer rows on the orbit columns of `_orbit_of`: the first
+    Bianchi rows W_ijkl + W_iklj + W_iljk for i < j < k < l, one per 4-set,
+    and then the J-trace rows sum_i J_ii W_ijil for j <= l;
+    C(n, 4) + n (n + 1) / 2 rows, each with sorted, distinct columns.
+
+    A flat component is its orbit's value times its sign, so W_iklj is minus
+    the value of the orbit of (i, k, j, l), and W_ijil (i not j, l) is J_ii
+    times the value of the orbit of the pairs {i, j} and {i, l}, negated
+    when exactly one of i > j and i > l holds (one pair is written swapped).
+    The larger pair rank of each orbit is that of (i, l), (j, l), (k, l) in
+    turn in a Bianchi row and grows with i in a trace row, so the columns
+    come out sorted as written.
 
     These are the distinct rows of the full families (a Bianchi row for every
     i and j < k < l, in that order, and a trace row for every (j, l)) on
@@ -324,52 +347,62 @@ def _constraint_rows(p: int, q: int):
     So the row space, the canonical kernel and the first failing row that
     `WeylTensor.validate` names are those of the full families."""
     n = p + q
+    # rank[x][y]: the colex rank of the pair {x, y}; tri[a] = a (a + 1) / 2,
+    # so the orbit of two pairs of ranks a >= b is tri[a] + b (`_orbit_of`).
+    rank = [[max(x, y) * (max(x, y) - 1) // 2 + min(x, y) for y in range(n)] for x in range(n)]
+    tri = [a * (a + 1) // 2 for a in range(comb(n, 2))]
     rows = []
     for i, j, k, l in combinations(range(n), 4):
-        cols = [_flat(n, i, j, k, l), _flat(n, i, k, l, j), _flat(n, i, l, j, k)]
-        rows.append((cols, [1, 0, 1, 0, 1, 0]))
-    # Every trace row sums W_ijil with the coefficients J_ii.
-    vals = []
-    for i in range(n):
-        vals += [1 if i < p else -1, 0]
+        # The orbits of (i, l, j, k), (i, k, j, l) and (i, j, k, l).
+        ri = rank[i]
+        cols = [tri[ri[l]] + rank[j][k], tri[rank[j][l]] + ri[k], tri[rank[k][l]] + ri[j]]
+        rows.append((cols, [1, 0, -1, 0, 1, 0]))
     for j in range(n):
+        rj = rank[j]
         for l in range(j, n):
-            rows.append(([_flat(n, i, j, i, l) for i in range(n)], vals))
+            rl = rank[l]
+            cols = []
+            vals = []
+            for i in range(n):
+                if i != j and i != l:
+                    a, b = rj[i], rl[i]
+                    cols.append(tri[a] + b if a >= b else tri[b] + a)
+                    vals += [1 if (i < p) == ((i > j) == (i > l)) else -1, 0]
+            rows.append((cols, vals))
     return rows
 
 
 class _ConstraintSystem:
-    """What `WeylTensor.validate` checks for one signature: the orbits of
-    `_orbits` and the rows of `_constraint_rows`.  `index[u]` lists (row,
-    integer coefficient) of the rows on one unknown per orbit, where each
-    member's column becomes its orbit's, times its sign."""
+    """What `WeylTensor.validate` checks for one signature: the rows of
+    `_constraint_rows`, and their transpose `index`, where `index[u]` lists
+    (row, integer coefficient) of the rows on orbit u, one entry per orbit
+    of `_orbits`."""
 
-    __slots__ = ("p", "q", "orbits", "rows", "index")
+    __slots__ = ("p", "q", "rows", "index")
 
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self.orbits, slot = _orbits(p + q)
         self.rows = _constraint_rows(p, q)
-        self.index = [[] for _ in self.orbits]
+        pairs = comb(p + q, 2)
+        self.index = [[] for _ in range(pairs * (pairs + 1) // 2)]
         for r, (cols, vals) in enumerate(self.rows):
-            acc = {}
-            for t, v in zip(cols, vals[::2]):
-                if slot[t]:
-                    u, s = slot[t]
-                    acc[u] = acc.get(u, 0) + s * v
-            for u, coef in acc.items():
-                if coef:
-                    self.index[u].append((r, coef))
+            for u, coef in zip(cols, vals[::2]):
+                self.index[u].append((r, coef))
 
     def describe(self, r: int) -> str:
-        """Failure message for row r: its family and its first component.
-        The C(n, 4) Bianchi rows come first."""
+        """Failure message for row r: its family and its first component,
+        the 4-set of a Bianchi row or the (j, l) of a trace row.  The
+        C(n, 4) Bianchi rows come first."""
         n = self.p + self.q
-        i, j, k, l = _unflat(n, self.rows[r][0][0])
         if r < comb(n, 4):
-            return f"first Bianchi fails at {(i, j, k, l)}"
-        return f"trace-free condition fails at (j, l) = {(j, l)}"
+            return f"first Bianchi fails at {next(islice(combinations(range(n), 4), r, None))}"
+        r -= comb(n, 4)
+        j = 0
+        while r >= n - j:
+            r -= n - j
+            j += 1
+        return f"trace-free condition fails at (j, l) = {(j, j + r)}"
 
 
 @lru_cache(maxsize=None)
@@ -383,12 +416,7 @@ def _basis_cached(p: int, q: int) -> tuple:
     `weyl_space_basis` makes and validates the tensors over the field of
     its call and keeps them in `tagged`, d -> tensors."""
     system = _ConstraintSystem(p, q)
-    rows = [([], []) for _ in system.rows]
-    for u, entries in enumerate(system.index):
-        for r, coef in entries:
-            rows[r][0].append(u)
-            rows[r][1].extend((coef, 0))
-    return tuple(kernel_sparse(rows, len(system.orbits), 0)), system, {}
+    return tuple(kernel_sparse(system.rows, len(system.index), 0)), system, {}
 
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:

@@ -27,7 +27,7 @@ from confsym.serialize import (
     weyl_to_dict,
 )
 from confsym.symmetry import find_symmetries
-from confsym.weyl import random_weyl
+from confsym.weyl import _orbits, _unflat, random_weyl, weyl_space_basis
 
 from conftest import (
     dense_table,
@@ -87,6 +87,35 @@ def test_weyl_from_dict_rejects_non_canonical_keys():
     i, j, k, l = key.split(",")
     data["components"][f"{j},{i},{k},{l}"] = value
     with pytest.raises(ValueError, match="canonical"):
+        weyl_from_dict(data)
+
+
+@pytest.mark.parametrize("p, q", [(4, 0), (2, 2), (3, 3), (7, 1)])
+def test_weyl_to_dict_matches_the_full_key_form(p, q):
+    """The keys of the nonzero values only, formatted as the full list of
+    orbit keys gives them, in the same order and to the same text."""
+    n = p + q
+    keys = [",".join(str(x + 1) for x in _unflat(n, m[0][0])) for m in _orbits(n)[0]]
+    tensors = [random_weyl(p, q, seed=5), *weyl_space_basis(p, q).elements[:20]]
+    for W in tensors:
+        want = {"p": p, "q": q, "d": 2, "components": {keys[u]: str(x) for u, x in W.terms}}
+        got = weyl_to_dict(W)
+        assert list(got["components"].items()) == list(want["components"].items())
+        assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("literal", [5, True])
+def test_weyl_from_dict_refuses_a_literal_that_is_not_a_string(literal):
+    data = {"p": 4, "q": 0, "d": 2, "components": {"1,2,1,2": literal}}
+    message = f"component '1,2,1,2' must be a string literal, got {literal!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        weyl_from_dict(data)
+
+
+def test_weyl_from_dict_refuses_components_that_are_not_an_object():
+    data = {"p": 4, "q": 0, "d": 2, "components": []}
+    message = "'components' must be a JSON object of scalar literals, got list"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         weyl_from_dict(data)
 
 

@@ -19,6 +19,7 @@ import confsym.weyl as weyl_module
 from confsym.weyl import (
     WeylTensor,
     _constraint_rows,
+    _orbit_of,
     _orbits,
     annihilator,
     co_action,
@@ -368,13 +369,15 @@ def _unflat(n, t):
     return t // n**3, t // n**2 % n, t // n % n, t % n
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_orbit_table(n):
     """Every flat index lies in exactly one orbit or is forced to zero, there
     is one orbit per unordered pair of planes, and the member signs satisfy
     W_jikl = -W_ijkl, W_ijlk = -W_ijkl and W_klij = W_ijkl.  Consecutive
     members are related by the generators of `_WALK`, permutation and sign:
-    the flat constructor names the failing symmetry by that order."""
+    the flat constructor names the failing symmetry by that order.  Each
+    orbit sits at the `_orbit_of` index of its canonical component, either
+    pair first, and the largest member grows with that index."""
     orbits, slot = _orbits(n)
     planes = n * (n - 1) // 2
     assert len(orbits) == planes * (planes + 1) // 2
@@ -389,9 +392,10 @@ def test_orbit_table(n):
             u, s = slot[t]
             assert (t, s) in orbits[u]
     assert [max(orbit) for orbit in orbits] == sorted(max(orbit) for orbit in orbits)
-    for orbit in orbits:
+    for u, orbit in enumerate(orbits):
         i, j, k, l = _unflat(n, orbit[0][0])
         assert orbit[0][1] == 1 and i < j and k < l and (i, j) <= (k, l)
+        assert _orbit_of(i, j, k, l) == _orbit_of(k, l, i, j) == u
         assert len(orbit) == (4 if (i, j) == (k, l) else 8)
         assert max(orbit)[1] == 1
         sign = dict(orbit)
@@ -407,12 +411,32 @@ def test_orbit_table(n):
             assert s2 == s * step_sign
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_constraint_rows_have_strictly_increasing_orbit_columns(n):
+    """The engine's row form: every row of `_constraint_rows` lists its
+    orbit columns strictly increasing, each below the number of orbits."""
+    count = len(_orbits(n)[0])
+    for p in (n, n // 2):
+        for cols, vals in _constraint_rows(p, n - p):
+            assert all(x < y for x, y in zip(cols, cols[1:])) and cols[-1] < count
+            assert len(vals) == 2 * len(cols) and not any(vals[1::2])
+
+
 @pytest.fixture
 def cold_basis():
     """An empty basis cache before and after the test."""
     weyl_module._basis_cached.cache_clear()
     yield
     weyl_module._basis_cached.cache_clear()
+
+
+@pytest.mark.parametrize("pq", [(4, 0), (3, 3), (7, 1), (6, 6)])
+def test_cold_basis_builds_no_orbit_table(cold_basis, pq):
+    """A cold basis writes its rows on orbit columns through `_orbit_of`
+    and neither builds nor reads the orbit table."""
+    before = _orbits.cache_info()
+    weyl_space_basis(*pq)
+    assert _orbits.cache_info() == before
 
 
 @pytest.mark.parametrize(
