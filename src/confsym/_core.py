@@ -14,6 +14,13 @@ stop is a certificate, not a guess: the rank cannot exceed `ncols`, so the
 reduced form is then the identity whatever the remaining rows hold.  It reads
 no further rows and skips back-substitution.
 
+Both the forward pass and back-substitution eliminate through one sparse
+merge, `_combine`, which computes row1 - f row2 for the entry f of row1 at
+the lead column of a monic pivot row2.  That entry cancels by construction,
+so it is a certificate too: it is neither computed nor tested.  Products and
+canonical forms are written inline, and gcd is taken only when q != 1, since
+(a, b, 1) is already canonical.
+
 Entries stay Python ints throughout: a machine-word fast path would risk
 silent overflow, and exactness is the whole point.
 """
@@ -23,80 +30,69 @@ from math import gcd
 BACKEND_NAME = "pure"
 
 
-def _norm3(a, b, q):
-    """Canonical form of (a + b r)/q: q > 0, gcd(a, b, q) = 1."""
-    if q < 0:
-        a, b, q = -a, -b, -q
-    g = gcd(gcd(a, b), q)
-    if g > 1:
-        return a // g, b // g, q // g
-    return a, b, q
-
-
-def _sub_mul(e, f, p, d):
-    """e - f*p for rational triples over Q(sqrt d); returns a triple."""
-    ea, eb, eq = e
-    fa, fb, fq = f
-    pa, pb, pq = p
-    # f*p
-    ma = fa * pa + d * fb * pb
-    mb = fa * pb + fb * pa
-    mq = fq * pq
-    return _norm3(ea * mq - ma * eq, eb * mq - mb * eq, eq * mq)
-
-
-def _combine(cols1, vals1, cols2, vals2, f, d):
-    """row1 - f*row2 with triple entries, sparse merge; row2 is monic."""
-    out_c = []
-    out_v = []
-    i = j = 0
+def _combine(cols1, vals1, i, cols2, vals2, d):
+    """row1 - f row2 for f the entry of row1 at position i, by one sparse
+    merge of triple entries; row2 is monic with its lead at cols1[i].  The
+    entries of row1 before i are copied, and entry i, which cancels against
+    that lead, is dropped unread."""
+    fa, fb, fq = vals1[3 * i : 3 * i + 3]
+    fbd = d * fb
+    out_c = cols1[:i]
+    out_v = vals1[: 3 * i]
     n1 = len(cols1)
-    n2 = len(cols2)
-    fa, fb, fq = f
-    zero = (0, 0, 1)
-    while i < n1 or j < n2:
-        c1 = cols1[i] if i < n1 else -1
-        c2 = cols2[j] if j < n2 else -1
-        if j >= n2 or (i < n1 and c1 < c2):
-            out_c.append(c1)
-            out_v.append(vals1[3 * i])
-            out_v.append(vals1[3 * i + 1])
-            out_v.append(vals1[3 * i + 2])
+    i += 1
+    for j in range(1, len(cols2)):
+        c2 = cols2[j]
+        while i < n1 and cols1[i] < c2:
+            out_c.append(cols1[i])
+            out_v += vals1[3 * i : 3 * i + 3]
             i += 1
-        elif i >= n1 or c2 < c1:
-            e = _sub_mul(zero, f, (vals2[3 * j], vals2[3 * j + 1], vals2[3 * j + 2]), d)
-            if e[0] or e[1]:
-                out_c.append(c2)
-                out_v.extend(e)
-            j += 1
+        # (ma + mb r) / q = f * (entry j of row2)
+        pa = vals2[3 * j]
+        pb = vals2[3 * j + 1]
+        ma = fa * pa + fbd * pb
+        mb = fa * pb + fb * pa
+        q = fq * vals2[3 * j + 2]
+        if i < n1 and cols1[i] == c2:
+            ea = vals1[3 * i]
+            eb = vals1[3 * i + 1]
+            eq = vals1[3 * i + 2]
+            i += 1
+            if q == 1 and eq == 1:
+                a, b = ea - ma, eb - mb
+            else:
+                a, b, q = ea * q - ma * eq, eb * q - mb * eq, q * eq
         else:
-            e = _sub_mul(
-                (vals1[3 * i], vals1[3 * i + 1], vals1[3 * i + 2]),
-                f,
-                (vals2[3 * j], vals2[3 * j + 1], vals2[3 * j + 2]),
-                d,
-            )
-            if e[0] or e[1]:
-                out_c.append(c1)
-                out_v.extend(e)
-            i += 1
-            j += 1
+            a, b = -ma, -mb
+        if a or b:
+            if q != 1:
+                g = gcd(a, b, q)
+                a, b, q = a // g, b // g, q // g
+            out_c.append(c2)
+            out_v += (a, b, q)
+    out_c += cols1[i:]
+    out_v += vals1[3 * i :]
     return out_c, out_v
 
 
 def _make_monic(cols, vals, d):
-    """Divide the row by its leading entry."""
-    la, lb, lq = vals[0], vals[1], vals[2]
-    norm = la * la - d * lb * lb
-    # 1/lead = lq (la - lb r) / norm
-    ia, ib, iq = _norm3(lq * la, -lq * lb, norm)
-    out = [0] * len(vals)
-    out[0], out[1], out[2] = 1, 0, 1
-    for k in range(1, len(cols)):
-        a, b, q = vals[3 * k], vals[3 * k + 1], vals[3 * k + 2]
-        out[3 * k], out[3 * k + 1], out[3 * k + 2] = _norm3(
-            a * ia + d * b * ib, a * ib + b * ia, q * iq
-        )
+    """Divide the row by its leading entry; a row whose lead is already 1
+    comes back as it is."""
+    la, lb, lq = vals[:3]
+    if la == 1 and lb == 0 and lq == 1:
+        return cols, vals
+    # 1/lead = lq (la - lb r) / norm, made canonical with iq > 0
+    ia, ib, iq = lq * la, -lq * lb, la * la - d * lb * lb
+    g = gcd(ia, ib, iq) if iq > 0 else -gcd(ia, ib, iq)
+    ia, ib, iq = ia // g, ib // g, iq // g
+    out = [1, 0, 1]
+    for k in range(3, len(vals), 3):
+        a, b = vals[k], vals[k + 1]
+        a, b, q = a * ia + d * b * ib, a * ib + b * ia, vals[k + 2] * iq
+        if q != 1:
+            g = gcd(a, b, q)
+            a, b, q = a // g, b // g, q // g
+        out += (a, b, q)
     return cols, out
 
 
@@ -123,17 +119,13 @@ def rref_sparse(rows, d, ncols):
                 cols.append(c)
                 triples += (a, b, 1)
         while cols:
-            lead = cols[0]
-            hit = piv.get(lead)
+            hit = piv.get(cols[0])
             if hit is None:
-                piv[lead] = _make_monic(cols, triples, d)
+                piv[cols[0]] = _make_monic(cols, triples, d)
                 if len(piv) == ncols:
                     return list(range(ncols)), [([c], [1, 0, 1]) for c in range(ncols)]
                 break
-            pc, pv = hit
-            cols, triples = _combine(
-                cols, triples, pc, pv, (triples[0], triples[1], triples[2]), d
-            )
+            cols, triples = _combine(cols, triples, 0, hit[0], hit[1], d)
 
     pivot_cols = sorted(piv)
     # Back-substitute highest pivots first: afterwards every pivot row has
@@ -146,10 +138,7 @@ def rref_sparse(rows, d, ncols):
             if hit is None:
                 k += 1
                 continue
-            pc, pv = hit
-            cols, vals = _combine(
-                cols, vals, pc, pv, (vals[3 * k], vals[3 * k + 1], vals[3 * k + 2]), d
-            )
+            cols, vals = _combine(cols, vals, k, hit[0], hit[1], d)
         piv[c] = (cols, vals)
 
     return pivot_cols, [piv[c] for c in pivot_cols]

@@ -163,8 +163,10 @@ class MobiusSpace:
     def line(self, entries) -> NullLine:
         return NullLine(self.form, self.vector(entries) if not isinstance(entries, Vector) else entries)
 
-    @property
+    @cached_property
     def origin(self) -> NullLine:
+        """The line <e_0>, built once per space: a NullLine is immutable, so
+        every caller can share it."""
         return self.line(self.basis_vector(0))
 
     def pairing(self, x: Vector, y: Vector) -> Scalar:

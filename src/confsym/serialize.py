@@ -15,7 +15,7 @@ from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, check_field_parameter, parse_scalar
 from .symmetry import SymmetryReport
-from .weyl import WeylTensor, _orbits, _unflat
+from .weyl import WeylTensor, _orbit_of, _orbits, _unflat
 
 
 def dump_canonical(obj) -> str:
@@ -131,6 +131,23 @@ def _weyl_key(n: int, members) -> str:
     return ",".join(str(x + 1) for x in _unflat(n, members[0][0]))
 
 
+def _weyl_key_orbit(key, index: dict) -> int:
+    """The orbit of a key as `weyl_to_dict` writes it, found without the
+    orbit table.  `index` maps the texts "1" .. str(n) to 0 .. n - 1, so only
+    four such texts joined by commas pass: no sign, space, leading zero,
+    non-ASCII digit or index out of range.  They must also have i < j, k < l
+    and (i, j) <= (k, l); any other key is a ValueError."""
+    parts = key.split(",") if isinstance(key, str) else ()
+    try:
+        i, j, k, l = [index[x] for x in parts]
+    except (KeyError, ValueError):
+        pass
+    else:
+        if i < j and k < l and (i, j) <= (k, l):
+            return _orbit_of(i, j, k, l)
+    raise ValueError(f"non-canonical component key {key!r}")
+
+
 def weyl_to_dict(W: WeylTensor) -> dict:
     """Lists the value of each orbit of `weyl._orbits` when it is nonzero,
     keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
@@ -157,16 +174,16 @@ def weyl_from_dict(data: dict) -> WeylTensor:
     if not isinstance(components, dict):
         kind = type(components).__name__
         raise ValueError(f"'components' must be a JSON object of scalar literals, got {kind}")
-    orbits = _orbits(n)[0]
-    slots = {_weyl_key(n, members): u for u, members in enumerate(orbits)}
-    values = [ZERO] * len(orbits)
+    index = {str(x + 1): x for x in range(n)}
+    terms = []
     for key, lit in components.items():
-        if key not in slots:
-            raise ValueError(f"non-canonical component key {key!r}")
+        u = _weyl_key_orbit(key, index)
         if type(lit) is not str:
             raise ValueError(f"component {key!r} must be a string literal, got {lit!r}")
-        values[slots[key]] = parse_scalar(lit, d)
-    W = WeylTensor._from_values(p, q, values, d)
+        x = parse_scalar(lit, d)
+        if x:
+            terms.append((u, x))
+    W = WeylTensor._from_terms(p, q, sorted(terms), d)
     W.validate()
     return W
 

@@ -94,11 +94,11 @@ class WeylTensor:
         return W
 
     def _init(self, p, q, d, terms):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_ints", None)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_d(self, d)
+        _set_terms(self, tuple(terms))
+        _set_ints(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylTensor is immutable")
@@ -201,7 +201,7 @@ class WeylTensor:
                     a[t] = s * f * x.a
                     if b is not None:
                         b[t] = s * f * x.b
-            object.__setattr__(self, "_ints", (d, q, a, b))
+            _set_ints(self, (d, q, a, b))
         return self._ints
 
     def scale(self, c) -> WeylTensor:
@@ -218,6 +218,13 @@ class WeylTensor:
         return WeylTensor._from_values(
             self.p, self.q, (x + y for x, y in zip(self.values, other.values)), self.d
         )
+
+
+_set_p = WeylTensor.p.__set__
+_set_q = WeylTensor.q.__set__
+_set_d = WeylTensor.d.__set__
+_set_terms = WeylTensor.terms.__set__
+_set_ints = WeylTensor._ints.__set__
 
 
 def _nonzero(values) -> list:

@@ -1,13 +1,15 @@
 """The exact row-reduction engine, checked against a naive dense RREF."""
 
+import copy
 import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsym import _core
+from confsym import _core, weyl
 
 from conftest import reference_rref
 
@@ -49,12 +51,13 @@ def _triple(e):
 
 @st.composite
 def zsqrtd_systems(draw):
-    """(d, ncols, rows) with rows as dense lists of integer pairs (a, b)."""
-    d = draw(st.sampled_from([2, 3, 5]))
+    """(d, ncols, rows) with rows as dense lists of integer pairs (a, b).
+    d = 0 is the rational engine call of `weyl._basis_cached`, with b = 0."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
     ncols = draw(st.integers(1, 6))
     entry = st.one_of(
         st.just((0, 0)),
-        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4) if d else st.just(0)),
     )
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
     for _ in range(draw(st.integers(0, 4))):
@@ -66,7 +69,7 @@ def zsqrtd_systems(draw):
         if kind == "repeat":
             rows.append(list(src))
         else:
-            m, n = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+            m, n = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3) if d else st.just(0)).filter(any))
             rows.append([(a * m + d * b * n, a * n + b * m) for a, b in src])
     return d, ncols, draw(st.permutations(rows))
 
@@ -101,6 +104,37 @@ def _assert_matches(got, ref):
 def test_rref_matches_dense_fraction_reference(system, keep_zeros):
     d, ncols, rows = system
     _assert_matches(_core.rref_sparse(_sparse(rows, keep_zeros), d, ncols), _reference(rows, ncols, d))
+
+
+@pytest.mark.parametrize("p, q", [(4, 0), (2, 2), (3, 2), (3, 3)])
+def test_weyl_constraint_rows_match_dense_fraction_reference(p, q):
+    """The rational systems of a cold Weyl basis, reduced at d = 0 as
+    `_basis_cached` reduces them."""
+    system = weyl._ConstraintSystem(p, q)
+    ncols = len(system.index)
+    dense = []
+    for cols, vals in system.rows:
+        row = [(0, 0)] * ncols
+        for k, c in enumerate(cols):
+            row[c] = (vals[2 * k], vals[2 * k + 1])
+        dense.append(row)
+    _assert_matches(_core.rref_sparse(system.rows, 0, ncols), _reference(dense, ncols, 0))
+
+
+def test_rref_leaves_the_callers_rows_unchanged():
+    """The engine reads its input rows and writes only rows of its own: the
+    same rows reduced twice give equal results and are still equal to a
+    copy taken before."""
+    system = weyl._ConstraintSystem(4, 1)
+    for rows, d, ncols in (
+        (system.rows, 0, len(system.index)),
+        (random_system(7, nrows=30, ncols=20), 3, 20),
+    ):
+        before = copy.deepcopy(rows)
+        first = _core.rref_sparse(rows, d, ncols)
+        assert rows == before
+        assert _core.rref_sparse(rows, d, ncols) == first
+        assert rows == before
 
 
 # -- the stop at full column rank ----------------------------------------------

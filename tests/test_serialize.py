@@ -68,7 +68,7 @@ def test_report_round_trip_is_identity(space21):
     assert dump_canonical(report_to_dict(space2, report2)) == text
 
 
-@pytest.mark.parametrize("p, q", [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2)])
+@pytest.mark.parametrize("p, q", [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2), (12, 0), (6, 6)])
 @pytest.mark.parametrize("d", [2, 3])
 def test_weyl_round_trip(p, q, d):
     W = random_weyl(p, q, seed=13, d=d)
@@ -87,6 +87,19 @@ def test_weyl_from_dict_rejects_non_canonical_keys():
     i, j, k, l = key.split(",")
     data["components"][f"{j},{i},{k},{l}"] = value
     with pytest.raises(ValueError, match="canonical"):
+        weyl_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["01,2,1,2", "1, 2,1,2", "1,2,1,2 ", "١,2,1,2", "0,2,1,2", "1,2,1,5", "2,1,1,2", "3,4,1,2", "1,2,1,2,1"],
+)
+def test_weyl_from_dict_refuses_a_key_that_weyl_to_dict_would_not_write(key):
+    """A leading zero, a space, a non-ASCII digit, index 0 or n + 1, i > j,
+    (i, j) > (k, l) and five fields: each key alone is refused by name."""
+    data = {"p": 4, "q": 0, "d": 2, "components": {key: "1"}}
+    message = f"non-canonical component key {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         weyl_from_dict(data)
 
 
