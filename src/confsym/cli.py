@@ -38,6 +38,7 @@ from .serialize import (
     extension_from_dict,
     extension_signature,
     extension_to_dict,
+    orbit_to_dict,
     report_to_dict,
     subspace_to_dict,
     vector_to_literals,
@@ -170,7 +171,7 @@ def cmd_classify(config: SessionConfig, args) -> int:
     _emit(
         config,
         {
-            "orbit": {"iso_u": label.iso_u, "iso_v": label.iso_v, "in_span": label.in_span},
+            "orbit": orbit_to_dict(label),
             "pairing_u": str(pair_u),
             "pairing_v": str(pair_v),
         },

@@ -362,9 +362,9 @@ def _check_jacobi(d: int, rows) -> None:
         raise ValueError("Jacobi identity fails at ({}, {}, {})".format(i, *divmod(jk, dim)))
 
 
-def _nonzero(v: Vector) -> list:
-    """The nonzero entries of v as (index, value) pairs, in index order."""
-    return [(k, c) for k, c in enumerate(v.entries) if c]
+def _nonzero(values) -> list:
+    """The nonzero entries of `values`, any iterable, as (index, value)."""
+    return [(k, c) for k, c in enumerate(values) if c]
 
 
 def _sparse_bracket(row_of, x: Vector, y: Vector) -> Vector:

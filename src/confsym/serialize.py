@@ -128,7 +128,7 @@ def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
 
 def _weyl_key(n: int, members) -> str:
     """The 1-based "i,j,k,l" key of an orbit's canonical component."""
-    return ",".join(str(x + 1) for x in _unflat(n, members[0][0]))
+    return ",".join(str(x + 1) for x in _unflat(n, members[0]))
 
 
 def _weyl_key_orbit(key, index: dict) -> int:
@@ -151,9 +151,9 @@ def _weyl_key_orbit(key, index: dict) -> int:
 def weyl_to_dict(W: WeylTensor) -> dict:
     """Lists the value of each orbit of `weyl._orbits` when it is nonzero,
     keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
-    members of its orbit are that value times their signs.  Only the keys
+    members of its orbit are that value times their signs (`weyl._SIGNS`).  Only the keys
     of `W.terms` are formatted."""
-    orbits = _orbits(W.n)[0]
+    orbits = _orbits(W.n)
     comps = {_weyl_key(W.n, orbits[u]): str(x) for u, x in W.terms}
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 

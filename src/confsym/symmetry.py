@@ -131,7 +131,7 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
         mu = -uinf / vinf
         z = _pinned_z(space, (U - V.scale(mu)).scale(uinf.inverse()))
         jz = _pinned_z(space, z)
-        quad = Scalar(1, 0, 2) * z.dot(jz)
+        quad = _HALF * z.dot(jz)
         if -u0 - z.dot(U) + quad * uinf == mu * v0:
             return AffineSubspace.point(z)
         return AffineSubspace.empty(n)
@@ -195,14 +195,14 @@ def find_symmetries(
     keep_v = solve_preserve(space, v_local)
     preserving = keep_u.intersect(keep_v)
     swapping = solve_swap(space, u_local, v_local)
-    for z in preserving.points():
-        s = make_symmetry(space, z)
-        if apply_to_line(space, s, u_local) != u_local or apply_to_line(space, s, v_local) != v_local:
-            raise AssertionError("solver reported a non-preserving covector")
-    for z in swapping.points():
-        s = make_symmetry(space, z)
-        if apply_to_line(space, s, u_local) != v_local or apply_to_line(space, s, v_local) != u_local:
-            raise AssertionError("solver reported a non-swapping covector")
+    for points, images, kind in (
+        (preserving, (u_local, v_local), "preserving"),
+        (swapping, (v_local, u_local), "swapping"),
+    ):
+        for z in points.points():
+            s = make_symmetry(space, z)
+            if (apply_to_line(space, s, u_local), apply_to_line(space, s, v_local)) != images:
+                raise AssertionError(f"solver reported a non-{kind} covector")
     return SymmetryReport(
         base_point=w,
         witness=g,

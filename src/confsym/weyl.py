@@ -4,12 +4,12 @@ A Weyl-type tensor is a fully lowered rank-4 tensor with the curvature
 symmetries (antisymmetry in both pairs, pair interchange, first Bianchi) and
 vanishing J-trace.  The first three generate an 8-way symmetry of the
 components: one orbit per canonical component (i<j, k<l, (i,j) <= (k,l)).
-The orbit index is closed-form (`_orbit_of`): with a >= b the colex ranks
-j (j - 1) / 2 + i and l (l - 1) / 2 + k of the two pairs, the orbit is
-a (a + 1) / 2 + b.  A `WeylTensor` stores its nonzero orbit values; its n^4
-flat components are derived through the table of orbit members (`_orbits`),
-which is walked on the two pair codes (i n + j, k n + l) of a component and
-built only where flat components are read or written.  First Bianchi and
+`_orbit_of` is the one map from a component to its orbit, in closed form,
+and `W[i, j, k, l]` reads through it.  A `WeylTensor` stores its nonzero
+orbit values.  `_orbits` holds the member lists: at most 8 flat indices per
+orbit, whose signs `_SIGNS` all orbits share, walked on the two pair codes
+(i n + j, k n + l) of a component and built only where whole orbits of flat
+components are read or written.  First Bianchi and
 the trace are sparse integer rows on orbit columns (`_constraint_rows`):
 one Bianchi row per 4-set i < j < k < l and one trace row per j <= l,
 C(n, 4) + n (n + 1) / 2 rows in all.  Every other row of the two families
@@ -44,9 +44,9 @@ from itertools import combinations, islice
 from math import comb, lcm
 
 from .flatmodel import MobiusSpace, Signature
-from .liealg import CoElement, so_block_condition, upsilon_action
+from .liealg import CoElement, _nonzero, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
-from .scalars import ZERO, Scalar, check_field_parameter, one_field
+from .scalars import ONE, ZERO, Scalar, check_field_parameter, one_field
 
 
 class WeylTensor:
@@ -67,23 +67,23 @@ class WeylTensor:
         components = tuple(components)
         if len(components) != n**4:
             raise ValueError(f"expected {n ** 4} components, got {len(components)}")
-        orbits, slot = _orbits(n)
-        for t, s in enumerate(slot):
-            if s is None and components[t]:
-                i, j, k, l = _unflat(n, t)
-                raise ValueError(f"{_SYMMETRIES[0 if i == j else 1][0]} fails at {(i, j, k, l)}")
+        # The components forced to zero, in flat order: the whole (k, l) block
+        # of an (i, j) with i = j, and the k = l diagonal of every other one.
+        n2 = n * n
+        for t0 in range(0, n2 * n2, n2):
+            for t in range(t0, t0 + n2, 1 if t0 // n2 % (n + 1) == 0 else n + 1):
+                if components[t]:
+                    i, j, k, l = _unflat(n, t)
+                    raise ValueError(f"{_SYMMETRIES[0 if i == j else 1][0]} fails at {(i, j, k, l)}")
+        orbits = _orbits(n)
         for members in orbits:
-            for g, (t, s), (t2, s2) in zip(_WALK, members, members[1:]):
-                if components[t2] != (components[t] if s == s2 else -components[t]):
-                    raise ValueError(f"{_SYMMETRIES[g][0]} fails at {_unflat(n, t)}")
-        self._init(p, q, d, _nonzero(components[members[0][0]] for members in orbits))
+            for g, t, t2 in zip(_WALK, members, members[1:]):
+                name, _, sign = _SYMMETRIES[g]
+                if components[t2] != (components[t] if sign > 0 else -components[t]):
+                    raise ValueError(f"{name} fails at {_unflat(n, t)}")
+        self._init(p, q, d, _nonzero(components[members[0]] for members in orbits))
         if validate:
             self.validate()
-
-    @classmethod
-    def _from_values(cls, p: int, q: int, values, d: int) -> WeylTensor:
-        """The tensor with one value per orbit of `_orbits(p + q)`, unchecked."""
-        return cls._from_terms(p, q, _nonzero(values), d)
 
     @classmethod
     def _from_terms(cls, p: int, q: int, terms, d: int) -> WeylTensor:
@@ -111,7 +111,7 @@ class WeylTensor:
     def values(self) -> tuple[Scalar, ...]:
         """One value per orbit of `_orbits(n)`, zero where `terms` has
         none."""
-        out = [ZERO] * len(_orbits(self.n)[0])
+        out = [ZERO] * len(_orbits(self.n))
         for u, x in self.terms:
             out[u] = x
         return tuple(out)
@@ -121,20 +121,27 @@ class WeylTensor:
         """The n^4 flat components: each orbit member gets its orbit's value
         times its sign, every other component zero."""
         comps = [ZERO] * self.n**4
-        orbits = _orbits(self.n)[0]
+        orbits = _orbits(self.n)
         for u, x in self.terms:
             neg = -x
-            for t, s in orbits[u]:
+            for t, s in zip(orbits[u], _SIGNS):
                 comps[t] = x if s > 0 else neg
         return tuple(comps)
 
     def __getitem__(self, ijkl) -> Scalar:
-        slot = _orbits(self.n)[1][_flat(self.n, *ijkl)]
-        if slot:
-            k = bisect_left(self.terms, (slot[0],))
-            if k < len(self.terms) and self.terms[k][0] == slot[0]:
-                x = self.terms[k][1]
-                return x if slot[1] > 0 else -x
+        """W[i, j, k, l]: the value of its orbit (`_orbit_of`), negated once
+        per pair in decreasing order; zero where i = j or k = l.  Raises
+        IndexError for an index outside range(n)."""
+        i, j, k, l = ijkl
+        if min(ijkl) < 0 or max(ijkl) >= self.n:
+            raise IndexError(f"component {ijkl} out of range for n = {self.n}")
+        if i == j or k == l:
+            return ZERO
+        u = _orbit_of(min(i, j), max(i, j), min(k, l), max(k, l))
+        m = bisect_left(self.terms, (u,))
+        if m < len(self.terms) and self.terms[m][0] == u:
+            x = self.terms[m][1]
+            return -x if (i > j) != (k > l) else x
         return ZERO
 
     def __eq__(self, other):
@@ -159,18 +166,18 @@ class WeylTensor:
         one must lie in Q(sqrt d).  The rows that a nonzero value touches are
         evaluated on the numerators over one common denominator; every other
         row is zero.  The message names the first failing row of
-        `_constraint_rows`.  Pass a prebuilt `system` for the same signature
-        to skip building it."""
+        `_constraint_rows`.  Without a `system`, the one cached for the
+        signature (`_constraint_system`) is read."""
         p, q = self.p, self.q
         if system is None:
-            system = _ConstraintSystem(p, q)
+            system = _constraint_system(p, q)
         elif (system.p, system.q) != (p, q):
             raise ValueError("constraint system of another signature")
         terms = self.terms
         for u, x in terms:
             if x.b and x.d != self.d:
                 raise ValueError(
-                    f"component {_unflat(self.n, _orbits(self.n)[0][u][0][0])} lies in "
+                    f"component {_unflat(self.n, _orbits(self.n)[u][0])} lies in "
                     f"Q(sqrt {x.d}), not in the tensor's field Q(sqrt {self.d})"
                 )
         denom = lcm(*(x.q for _, x in terms))
@@ -194,10 +201,10 @@ class WeylTensor:
             q = lcm(*(x.q for _, x in self.terms))
             a = [0] * self.n**4
             b = [0] * self.n**4 if d else None
-            orbits = _orbits(self.n)[0]
+            orbits = _orbits(self.n)
             for u, x in self.terms:
                 f = q // x.q
-                for t, s in orbits[u]:
+                for t, s in zip(orbits[u], _SIGNS):
                     a[t] = s * f * x.a
                     if b is not None:
                         b[t] = s * f * x.b
@@ -215,9 +222,8 @@ class WeylTensor:
     def __add__(self, other: WeylTensor) -> WeylTensor:
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("signature mismatch")
-        return WeylTensor._from_values(
-            self.p, self.q, (x + y for x, y in zip(self.values, other.values)), self.d
-        )
+        sums = (x + y for x, y in zip(self.values, other.values))
+        return WeylTensor._from_terms(self.p, self.q, _nonzero(sums), self.d)
 
 
 _set_p = WeylTensor.p.__set__
@@ -225,11 +231,6 @@ _set_q = WeylTensor.q.__set__
 _set_d = WeylTensor.d.__set__
 _set_terms = WeylTensor.terms.__set__
 _set_ints = WeylTensor._ints.__set__
-
-
-def _nonzero(values) -> list:
-    """The (index, value) pairs of the nonzero `values`."""
-    return [(u, x) for u, x in enumerate(values) if x]
 
 
 @dataclass(frozen=True)
@@ -243,10 +244,6 @@ class WeylBasis:
     @property
     def dimension(self) -> int:
         return len(self.elements)
-
-
-def _flat(n: int, i: int, j: int, k: int, l: int) -> int:
-    return ((i * n + j) * n + k) * n + l
 
 
 def _unflat(n: int, t: int) -> tuple[int, int, int, int]:
@@ -286,10 +283,15 @@ def _walk_on_pairs() -> list[tuple[int, int, int]]:
     return out
 
 
+# The sign of each member of an orbit relative to its canonical member, in
+# the order of `_orbits`: the same for every orbit.
+_SIGNS = tuple(s for _, _, s in _walk_on_pairs())
+
+
 def _orbit_of(i: int, j: int, k: int, l: int) -> int:
-    """The index in `_orbits` of the orbit of component (i, j, k, l), for
-    i < j and k < l: with a >= b the colex ranks j (j - 1) / 2 + i and
-    l (l - 1) / 2 + k of its two pairs, a (a + 1) / 2 + b."""
+    """The one map from a component (i, j, k, l), i < j and k < l, to its
+    orbit, the index in `_orbits`: with a >= b the colex ranks j (j - 1) / 2
+    + i and l (l - 1) / 2 + k of its two pairs, a (a + 1) / 2 + b."""
     a = j * (j - 1) // 2 + i
     b = l * (l - 1) // 2 + k
     if a < b:
@@ -298,19 +300,16 @@ def _orbit_of(i: int, j: int, k: int, l: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _orbits(n: int) -> tuple[tuple, tuple]:
-    """The component orbits of `_SYMMETRIES` in dimension n: (orbits, slot).
-
-    One orbit per canonical component (i<j, k<l, (i,j) <= (k,l)), placed at
-    `_orbit_of(i, j, k, l)`; that order is also the order of the largest
-    flat index of each orbit.  An orbit lists its members as (flat index,
-    sign relative to the canonical component) along `_WALK` from the
-    canonical one; when (i,j) = (k,l) the first three steps reach all four
-    members.  The largest member always has sign +1.  `slot[t]` is (orbit,
-    sign) of flat index t, or None when i = j or k = l forces the component
-    to zero.  The walk runs on the two pair codes of a component (see
-    `_walk_on_pairs`); flat index t is (i n + j) n^2 + (k n + l).  Built
-    once per n; both parts are tuples."""
+def _orbits(n: int) -> tuple:
+    """The member lists of the component orbits of `_SYMMETRIES` in
+    dimension n, one per canonical component (i<j, k<l, (i,j) <= (k,l)) and
+    placed at `_orbit_of(i, j, k, l)`; that order is also the order of the
+    largest flat index of each orbit.  An orbit lists the flat indices of its
+    members along `_WALK` from the canonical one, whose signs relative to it
+    are `_SIGNS`; when (i,j) = (k,l) the first three steps reach all four
+    members.  The largest member always has sign +1.  The walk runs on the
+    two pair codes of a component (see `_walk_on_pairs`); flat index t is
+    (i n + j) n^2 + (k n + l).  Built once per n, as tuples."""
     n2 = n * n
     walk = _walk_on_pairs()
     pairs = list(combinations(range(n), 2))
@@ -319,12 +318,8 @@ def _orbits(n: int) -> tuple[tuple, tuple]:
         for k, l in pairs[a:]:
             c = (i * n + j, k * n + l, j * n + i, l * n + k)
             members = walk[: 4 if (i, j) == (k, l) else 8]
-            orbits[_orbit_of(i, j, k, l)] = tuple([(c[x] * n2 + c[y], s) for x, y, s in members])
-    slot = [None] * n2 * n2
-    for u, members in enumerate(orbits):
-        for t, s in members:
-            slot[t] = (u, s)
-    return tuple(orbits), tuple(slot)
+            orbits[_orbit_of(i, j, k, l)] = tuple([c[x] * n2 + c[y] for x, y, _ in members])
+    return tuple(orbits)
 
 
 def _constraint_rows(p: int, q: int):
@@ -383,7 +378,7 @@ class _ConstraintSystem:
     """What `WeylTensor.validate` checks for one signature: the rows of
     `_constraint_rows`, and their transpose `index`, where `index[u]` lists
     (row, integer coefficient) of the rows on orbit u, one entry per orbit
-    of `_orbits`."""
+    of `_orbits`.  Read through `_constraint_system`."""
 
     __slots__ = ("p", "q", "rows", "index")
 
@@ -412,6 +407,10 @@ class _ConstraintSystem:
         return f"trace-free condition fails at (j, l) = {(j, j + r)}"
 
 
+# The constraint system of a signature, built once.
+_constraint_system = lru_cache(maxsize=None)(_ConstraintSystem)
+
+
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int) -> tuple:
     """(solved, system, tagged): the canonical kernel of the rows of
@@ -422,7 +421,7 @@ def _basis_cached(p: int, q: int) -> tuple:
     is too, and one solve per signature serves every field:
     `weyl_space_basis` makes and validates the tensors over the field of
     its call and keeps them in `tagged`, d -> tensors."""
-    system = _ConstraintSystem(p, q)
+    system = _constraint_system(p, q)
     return tuple(kernel_sparse(system.rows, len(system.index), 0)), system, {}
 
 
@@ -492,7 +491,7 @@ def _positions(n: int) -> tuple:
     canonical member of orbit k and first[x] lists (k, targets[k]) for every
     target whose first index is x (likewise for the other three positions).
     Built once per n; every part is a tuple."""
-    targets = tuple(members[0][0] for members in _orbits(n)[0])
+    targets = tuple(members[0] for members in _orbits(n))
     out = [targets]
     for stride in (n**3, n * n, n, 1):
         lists = [[] for _ in range(n)]
@@ -533,33 +532,30 @@ def _gather(p: int, at: tuple, a: int, f: list, w: list, out: list):
                 out[k] -= v * w[t + step]
 
 
+def _co_element(space: MobiusSpace, coords) -> CoElement:
+    """The element of co(p, q) whose coordinates in `co_basis` order are
+    `coords`: the scaling, then for each i < j the coordinate c of
+    (E_ij - E_ji) J, which puts c J_j at (i, j) and -c J_i at (j, i)."""
+    n = space.n
+    a, *rest = coords
+    rows = [[ZERO] * n for _ in range(n)]
+    for (i, j), c in zip(combinations(range(n), 2), rest):
+        rows[i][j] = c if space.signature.j_sign(j) > 0 else -c
+        rows[j][i] = -c if space.signature.j_sign(i) > 0 else c
+    return CoElement(a, Matrix._of_scalars(rows))
+
+
 def co_basis(space: MobiusSpace) -> list[CoElement]:
     """Basis of co(p, q): the pure scaling followed by (E_ij - E_ji) J."""
-    n = space.n
-    out = [CoElement(Scalar(1), Matrix.zero(n, n))]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = [[Scalar(0)] * n for _ in range(n)]
-            rows[i][j] = Scalar(space.signature.j_sign(j))
-            rows[j][i] = -Scalar(space.signature.j_sign(i))
-            out.append(CoElement(Scalar(0), Matrix(rows)))
-    return out
+    size = 1 + comb(space.n, 2)
+    return [_co_element(space, [ONE if k == m else ZERO for k in range(size)]) for m in range(size)]
 
 
 def annihilator(W: WeylTensor) -> list[CoElement]:
     """Exact basis of {c in co(p, q) : co_action(c, W) = 0}."""
     space = MobiusSpace(W.p, W.q, W.d)
-    basis = co_basis(space)
-    columns = [Vector._of_scalars(co_action(c, W).values) for c in basis]
-    coeff_vectors = kernel(Matrix.from_columns(columns))
-    out = []
-    for v in coeff_vectors:
-        elt = CoElement(Scalar(0), Matrix.zero(W.n, W.n))
-        for coef, b in zip(v, basis):
-            if coef:
-                elt = elt + b.scale(coef)
-        out.append(elt)
-    return out
+    columns = [Vector._of_scalars(co_action(c, W).values) for c in co_basis(space)]
+    return [_co_element(space, v) for v in kernel(Matrix.from_columns(columns))]
 
 
 def prolongation(W: WeylTensor) -> list[Vector]:
@@ -606,7 +602,7 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
             break
     used = [(coef, elt.terms) for coef, elt in zip(coeffs, basis.elements) if coef]
     den = lcm(*(x.q for _, terms in used for _, x in terms))
-    acc = [0] * len(_orbits(p + q)[0])
+    acc = [0] * len(_orbits(p + q))
     for coef, terms in used:
         for u, x in terms:
             if x.b:

@@ -16,7 +16,7 @@ from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim, so_table
 from confsym.linalg import AffineSubspace, Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
 from confsym.symmetry import _hyperplane, _pinned_z, _split, make_symmetry
-from confsym.weyl import _flat, _orbits, _unflat
+from confsym.weyl import _SIGNS, _orbits, _unflat
 
 
 def rand_scalar(rng: random.Random, span: int = 9) -> Scalar:
@@ -512,6 +512,11 @@ def reference_weyl_rows(p: int, q: int, ends: list | None = None):
     return rows
 
 
+def _flat(n: int, i: int, j: int, k: int, l: int) -> int:
+    """The row-major flat index of component (i, j, k, l)."""
+    return ((i * n + j) * n + k) * n + l
+
+
 class ReferenceConstraintSystem:
     """The former `weyl._ConstraintSystem`, on `reference_weyl_rows`:
     `index[u]` lists (row, integer coefficient) of the rows on one unknown
@@ -521,14 +526,18 @@ class ReferenceConstraintSystem:
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self.orbits, slot = _orbits(p + q)
+        self.orbits = _orbits(p + q)
+        # The member lists inverted here, independently of weyl._orbit_of.
+        slot = {
+            t: (u, s) for u, members in enumerate(self.orbits) for t, s in zip(members, _SIGNS)
+        }
         self.ends = []
         self.rows = reference_weyl_rows(p, q, self.ends)
         self.index = [[] for _ in self.orbits]
         for r, (cols, vals) in enumerate(self.rows):
             acc = {}
             for t, v in zip(cols, vals[::2]):
-                if slot[t]:
+                if t in slot:
                     u, s = slot[t]
                     acc[u] = acc.get(u, 0) + s * v
             for u, coef in acc.items():

@@ -108,7 +108,7 @@ def test_weyl_to_dict_matches_the_full_key_form(p, q):
     """The keys of the nonzero values only, formatted as the full list of
     orbit keys gives them, in the same order and to the same text."""
     n = p + q
-    keys = [",".join(str(x + 1) for x in _unflat(n, m[0][0])) for m in _orbits(n)[0]]
+    keys = [",".join(str(x + 1) for x in _unflat(n, m[0])) for m in _orbits(n)]
     tensors = [random_weyl(p, q, seed=5), *weyl_space_basis(p, q).elements[:20]]
     for W in tensors:
         want = {"p": p, "q": q, "d": 2, "components": {keys[u]: str(x) for u, x in W.terms}}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from confsym import _core
 from confsym.cli import MAX_DIMENSION
 from confsym.flatmodel import MobiusSpace
-from confsym.liealg import CoElement, upsilon_action
+from confsym.liealg import CoElement, _nonzero, upsilon_action
 from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
 from confsym.scalars import FieldMismatchError, Scalar
 from confsym.serialize import weyl_from_dict, weyl_to_dict
@@ -119,6 +119,51 @@ def test_scaling_never_annihilates_nonzero_tensors():
         # no annihilator element has a pure-scaling component alone
         if c.A.is_zero():
             assert not c.a
+
+
+def reference_annihilator(W):
+    """The former annihilator: the kernel vectors summed as dense
+    CoElements over the former co_basis, one scaled basis element at a
+    time."""
+    n = W.n
+    space = MobiusSpace(W.p, W.q, W.d)
+    basis = [CoElement(Scalar(1), Matrix.zero(n, n))]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [[Scalar(0)] * n for _ in range(n)]
+            rows[i][j] = Scalar(space.signature.j_sign(j))
+            rows[j][i] = -Scalar(space.signature.j_sign(i))
+            basis.append(CoElement(Scalar(0), Matrix(rows)))
+    columns = [Vector(co_action(c, W).values) for c in basis]
+    out = []
+    for v in kernel(Matrix.from_columns(columns)):
+        elt = CoElement(Scalar(0), Matrix.zero(n, n))
+        for coef, b in zip(v, basis):
+            if coef:
+                elt = elt + b.scale(coef)
+        out.append(elt)
+    return out
+
+
+def test_annihilator_matches_the_dense_sum():
+    """Each kernel vector mapped to its element in one pass gives the former
+    dense sum's elements, entry for entry and to the `repr`, on zero,
+    one-orbit and two-orbit tensors (the last also times sqrt 2), and on a
+    three-orbit tensor whose annihilator has irrational entries."""
+    r = Scalar(0, 1)
+    cases = [WeylTensor._from_terms(4, 0, [(2, Scalar(1)), (4, -r), (20, Scalar(-1))], 2)]
+    for p, q in [(4, 0), (3, 1), (2, 2), (5, 0), (3, 2)]:
+        mid = len(_orbits(p + q)) // 2
+        two = _lone_orbit(p, q, 1) + _lone_orbit(p, q, mid)
+        cases += [_lone_orbit(p, q, None), _lone_orbit(p, q, mid), two, two.scale(r)]
+    nontrivial = 0
+    for W in cases:
+        got, want = annihilator(W), reference_annihilator(W)
+        assert got == want
+        assert [repr((c.a, c.A.rows)) for c in got] == [repr((c.a, c.A.rows)) for c in want]
+        nontrivial += bool(got)
+    assert nontrivial == 16
+    assert any(x.b for c in annihilator(cases[0]) for row in c.A.rows for x in row)
 
 
 def _signed_block_group(p, q):
@@ -298,13 +343,13 @@ def reference_random_weyl(p, q, seed, d=2):
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):
             break
-    values = [Scalar(0)] * len(_orbits(p + q)[0])
+    values = [Scalar(0)] * len(_orbits(p + q))
     for coef, elt in zip(coeffs, basis.elements):
         if coef:
             c = Scalar(coef)
             for u, v in elt.terms:
                 values[u] = values[u] + c * v
-    return WeylTensor._from_values(p, q, values, d)
+    return WeylTensor._from_terms(p, q, _nonzero(values), d)
 
 
 def _slots(W):
@@ -377,20 +422,26 @@ def test_orbit_table(n):
     members are related by the generators of `_WALK`, permutation and sign:
     the flat constructor names the failing symmetry by that order.  Each
     orbit sits at the `_orbit_of` index of its canonical component, either
-    pair first, and the largest member grows with that index."""
-    orbits, slot = _orbits(n)
+    pair first, and the largest member grows with that index.  The reader
+    W[i, j, k, l], which finds the orbit through `_orbit_of`, agrees with
+    the member lists at every flat index of a tensor with value u + 1 on
+    orbit u.  The member lists hold flat indices, whose signs are the
+    `_SIGNS` shared by every orbit."""
+    orbits = [tuple(zip(members, weyl_module._SIGNS)) for members in _orbits(n)]
     planes = n * (n - 1) // 2
     assert len(orbits) == planes * (planes + 1) // 2
     members = [t for orbit in orbits for t, _ in orbit]
     assert len(members) == len(set(members))
+    slot = {t: (u, s) for u, orbit in enumerate(orbits) for t, s in orbit}
+    W = WeylTensor._from_terms(n, 0, [(u, Scalar(u + 1)) for u in range(len(orbits))], 2)
     flat = lambda i, j, k, l: ((i * n + j) * n + k) * n + l
     for t in range(n**4):
         i, j, k, l = _unflat(n, t)
         if i == j or k == l:
-            assert slot[t] is None
+            assert t not in slot and W[i, j, k, l] == 0
         else:
             u, s = slot[t]
-            assert (t, s) in orbits[u]
+            assert W[i, j, k, l] == Scalar(s * (u + 1))
     assert [max(orbit) for orbit in orbits] == sorted(max(orbit) for orbit in orbits)
     for u, orbit in enumerate(orbits):
         i, j, k, l = _unflat(n, orbit[0][0])
@@ -411,11 +462,26 @@ def test_orbit_table(n):
             assert s2 == s * step_sign
 
 
+@pytest.mark.parametrize("pq", [(4, 0), (6, 6)])
+def test_reader_refuses_an_index_out_of_range(pq):
+    """W[i, j, k, l] with n or -1 at any one position raises IndexError
+    instead of reading another component."""
+    W = random_weyl(*pq, 1)
+    n = W.n
+    assert W[0, 1, 0, 1] == -W[1, 0, 0, 1] and W[0, 1, 0, 1]
+    for bad in (n, -1):
+        for position in range(4):
+            ijkl = [0, 1, 0, 1]
+            ijkl[position] = bad
+            with pytest.raises(IndexError):
+                W[tuple(ijkl)]
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_constraint_rows_have_strictly_increasing_orbit_columns(n):
     """The engine's row form: every row of `_constraint_rows` lists its
     orbit columns strictly increasing, each below the number of orbits."""
-    count = len(_orbits(n)[0])
+    count = len(_orbits(n))
     for p in (n, n // 2):
         for cols, vals in _constraint_rows(p, n - p):
             assert all(x < y for x, y in zip(cols, cols[1:])) and cols[-1] < count
@@ -462,7 +528,7 @@ def test_cold_basis_reduces_pairwise_distinct_rows(monkeypatch, cold_basis, pq, 
         lead = Fraction(vals[0])
         normalised.add((tuple(cols), tuple(Fraction(v) / lead for v in vals[::2])))
     assert len(rows) == len(normalised) == distinct
-    assert len(_orbits(sum(pq))[0]) - basis.dimension == distinct
+    assert len(_orbits(sum(pq))) - basis.dimension == distinct
 
 
 def reference_constraint_rows(p, q):
@@ -537,6 +603,17 @@ def test_one_solve_serves_every_field(monkeypatch, cold_basis):
     assert {W.d for W in over2.elements} == {2} and {W.d for W in over3.elements} == {3}
     assert [W.terms for W in over2.elements] == [W.terms for W in over3.elements]
     assert weyl_space_basis(4, 0, 2).elements is over2.elements
+
+
+def test_reads_of_one_signature_build_one_constraint_system():
+    """`validate` without a system, as the Weyl file reader calls it, reads
+    the one system cached per signature."""
+    data = weyl_to_dict(random_weyl(5, 0, 1))
+    weyl_module._constraint_system.cache_clear()
+    first, second = weyl_from_dict(data), weyl_from_dict(data)
+    assert first == second
+    info = weyl_module._constraint_system.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # -- validate against the former hand-written checks --------------------------
@@ -618,6 +695,26 @@ def test_validate_agrees_with_the_reference_validator(pq, seed, kind, data):
         assert any(str(exc).startswith(family + " fails") for family in want), (exc, want)
     else:
         assert not want, f"accepted a tensor violating {want}"
+
+
+@pytest.mark.parametrize(
+    "spots, message",
+    [
+        ([(0, 0, 1, 2), (0, 1, 2, 2)], "antisymmetry (12) fails at (0, 0, 1, 2)"),
+        ([(1, 1, 0, 1), (0, 1, 2, 2)], "antisymmetry (34) fails at (0, 1, 2, 2)"),
+        ([(1, 2, 3, 3), (2, 2, 0, 1)], "antisymmetry (34) fails at (1, 2, 3, 3)"),
+        ([(3, 3, 1, 1), (3, 2, 0, 0)], "antisymmetry (34) fails at (3, 2, 0, 0)"),
+    ],
+)
+def test_flat_constructor_names_the_first_forced_zero_in_flat_order(spots, message):
+    """One nonzero where i = j and one where k = l: the flat constructor
+    names the one that comes first in flat order."""
+    n = 4
+    comps = [Scalar(0)] * n**4
+    for i, j, k, l in spots:
+        comps[((i * n + j) * n + k) * n + l] = Scalar(1)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        WeylTensor(4, 0, comps, validate=False)
 
 
 def test_validate_names_each_family():
@@ -714,10 +811,10 @@ def test_validate_names_the_first_failing_row_of_the_full_families(pq, c):
     p, q = pq
     basis = weyl_space_basis(p, q).elements
     families = set()
-    for u in range(len(_orbits(p + q)[0])):
+    for u in range(len(_orbits(p + q))):
         values = list(basis[u % len(basis)].values)
         values[u] = values[u] + c
-        W = WeylTensor._from_values(p, q, values, 2)
+        W = WeylTensor._from_terms(p, q, _nonzero(values), 2)
         want = reference_weyl_failure(W)
         for check in (W.validate, lambda: weyl_from_dict(weyl_to_dict(W))):
             with pytest.raises(ValueError) as exc:
@@ -753,7 +850,7 @@ def test_basis_check_catches_a_corrupted_kernel_entry(monkeypatch, cold_basis, p
     p, q = pq
     clean = weyl_space_basis(p, q).elements
     inserted = 0
-    for u in range(len(_orbits(p + q)[0])):
+    for u in range(len(_orbits(p + q))):
         k = u % len(clean)
         values = list(clean[k].values)
         inserted += not values[u]
@@ -766,7 +863,7 @@ def test_basis_check_catches_a_corrupted_kernel_entry(monkeypatch, cold_basis, p
         want = reference_violations(p, q, _orbital(p, q, values).components)
         assert want <= {"first Bianchi", "trace-free condition"}
         assert any(str(exc.value).startswith(family + " fails at ") for family in want), exc.value
-    assert 0 < inserted < len(_orbits(p + q)[0])
+    assert 0 < inserted < len(_orbits(p + q))
 
 
 @pytest.mark.parametrize("pq", [(4, 0), (3, 1), (5, 0)])
@@ -775,11 +872,11 @@ def test_basis_check_catches_a_kernel_entry_from_another_field(monkeypatch, cold
     basis check names the first of them."""
     p, q = pq
     n = p + q
-    orbits = _orbits(n)[0]
+    orbits = _orbits(n)
     first, second = 2, len(orbits) - 1
     odd = Scalar(0, 1, 1, 3)
     _corrupt_kernel(monkeypatch, 0, lambda v: v | {first: odd, second: odd})
-    component = _unflat(n, orbits[first][0][0])
+    component = _unflat(n, orbits[first][0])
     message = f"component {component} lies in Q(sqrt 3), not in the tensor's field Q(sqrt 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
         weyl_space_basis(p, q)
@@ -874,8 +971,8 @@ def _orbital(p, q, values):
     through the flat entry point."""
     n = p + q
     comps = [Scalar(0)] * n**4
-    for members, x in zip(_orbits(n)[0], values):
-        for t, s in members:
+    for members, x in zip(_orbits(n), values):
+        for t, s in zip(members, weyl_module._SIGNS):
             comps[t] = x * Scalar(s)
     return WeylTensor(p, q, comps, validate=False)
 
@@ -891,7 +988,7 @@ def _tensors(draw):
     if kind == "zero":
         return WeylTensor(p, q, [Scalar(0)] * n**4, validate=False)
     if kind == "sparse":
-        values = [Scalar(0)] * len(_orbits(n)[0])
+        values = [Scalar(0)] * len(_orbits(n))
         for _ in range(draw(st.integers(1, 3))):
             values[draw(st.integers(0, len(values) - 1))] = draw(_PERTURBATIONS)
         return _orbital(p, q, values)
@@ -975,7 +1072,7 @@ def test_co_action_matches_the_reference_on_the_prolongation_elements(pq):
         W = random_weyl(p, q, seed=n)
     else:
         rng = random.Random(n)
-        W = _orbital(p, q, [Scalar(rng.randint(-3, 3)) for _ in _orbits(n)[0]])
+        W = _orbital(p, q, [Scalar(rng.randint(-3, 3)) for _ in _orbits(n)])
     space = MobiusSpace(p, q)
     units = [Vector.unit(n, j) for j in range(n)]
     for T in (W, W.scale(Scalar(1, 1))):
@@ -1008,8 +1105,9 @@ def test_scale_refuses_a_scalar_from_another_field():
 
 
 def _lone_orbit(p, q, u):
-    """The tensor whose only nonzero orbit value is a 1 on orbit u."""
-    return _orbital(p, q, [Scalar(int(v == u)) for v in range(len(_orbits(p + q)[0]))])
+    """The tensor whose only nonzero orbit value is a 1 on orbit u (zero
+    when u is None)."""
+    return _orbital(p, q, [Scalar(int(v == u)) for v in range(len(_orbits(p + q)))])
 
 
 def _blocks_built(monkeypatch, W):
@@ -1032,12 +1130,10 @@ def test_prolongation_stops_at_the_first_full_rank_block(monkeypatch, pq, compon
     orbit of W_2323 at (5, 0) needs three blocks, that of W_0101 at (3, 1)
     two: the remaining blocks are never built."""
     p, q = pq
-    n = p + q
     if component is None:
         W = random_weyl(p, q, seed=3)
     else:
-        t = ((component[0] * n + component[1]) * n + component[2]) * n + component[3]
-        W = _lone_orbit(p, q, _orbits(n)[1][t][0])
+        W = _lone_orbit(p, q, _orbit_of(*component))
     assert _blocks_built(monkeypatch, W) == ([], blocks)
     assert reference_prolongation(W) == []
 
@@ -1049,7 +1145,7 @@ def test_lone_orbits_stop_after_the_measured_number_of_blocks(monkeypatch, pq, b
     """Every lone-orbit tensor has a trivial prolongation; the count of those
     that stop after one, two and three xi-blocks is pinned."""
     counts = {}
-    for u in range(len(_orbits(sum(pq))[0])):
+    for u in range(len(_orbits(sum(pq)))):
         pro, built = _blocks_built(monkeypatch, _lone_orbit(*pq, u))
         assert pro == []
         counts[built] = counts.get(built, 0) + 1
@@ -1105,7 +1201,7 @@ def test_prolongation_bridges_one_row_per_orbit(monkeypatch, pq):
     )
     W = random_weyl(p, q, seed=5)
     assert prolongation(W) == []
-    assert sizes and set(sizes) == {len(_orbits(n)[0])}
+    assert sizes and set(sizes) == {len(_orbits(n))}
 
 
 @pytest.mark.parametrize("pq", [(MAX_DIMENSION, 0), (MAX_DIMENSION // 2, MAX_DIMENSION // 2)])
