@@ -29,14 +29,13 @@ from .extension import (
     symmetry_criterion_search,
     validate_extension,
 )
-from .flatmodel import MAX_DIMENSION, MobiusSpace, NullLine, Signature, classify_orbit
+from .flatmodel import MobiusSpace, NullLine, checked_space, classify_orbit
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
-from .scalars import check_field_parameter, parse_scalar
+from .scalars import parse_scalar
 from .serialize import (
     _json_int,
     dump_canonical,
     extension_from_dict,
-    extension_signature,
     extension_to_dict,
     orbit_to_dict,
     report_to_dict,
@@ -61,10 +60,7 @@ class SessionConfig:
     machine: bool = False
 
     def __post_init__(self):
-        n = Signature(self.p, self.q).n
-        if n > MAX_DIMENSION:
-            raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
-        check_field_parameter(self.d)
+        checked_space(self.p, self.q, self.d)
 
     def space(self) -> MobiusSpace:
         return MobiusSpace(self.p, self.q, self.d)
@@ -274,9 +270,6 @@ def cmd_extension(config: SessionConfig, args) -> int:
         raise InputError(f"extension {args.ext_command} needs --file")
     data = _read_json(args.file, "cannot load extension from")
     try:
-        # The file's signature and field pass the checks of the flags before
-        # anything is built from them.
-        SessionConfig(*extension_signature(data))
         ext = extension_from_dict(data)
     except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load extension from {args.file}: {exc}") from None

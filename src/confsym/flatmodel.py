@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix, Vector, rank
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, check_field_parameter
 
 # Largest p + q accepted from the command line or an input file.  The cost
 # grows steeply with n, so hostile input must stop here.  At n = 12,
@@ -96,7 +96,7 @@ class NullLine:
     """Projective class of a nonzero null vector; the stored representative is
     scaled so that its first nonzero coordinate is 1."""
 
-    __slots__ = ("representative", "_sig")
+    __slots__ = ("representative",)
 
     def __init__(self, form: MinkowskiForm, rep: Vector):
         if len(rep) != form.signature.ambient:
@@ -107,7 +107,6 @@ class NullLine:
             raise ValueError(f"representative {rep} is not null")
         lead = next(e for e in rep if e)
         object.__setattr__(self, "representative", rep.scale(lead.inverse()))
-        object.__setattr__(self, "_sig", form.signature)
 
     def __setattr__(self, name, value):
         raise AttributeError("NullLine is immutable")
@@ -171,6 +170,16 @@ class MobiusSpace:
 
     def pairing(self, x: Vector, y: Vector) -> Scalar:
         return self.form.pairing(x, y)
+
+
+def checked_space(p: int, q: int, d: int) -> MobiusSpace:
+    """The space of a signature and field read from input, checked before
+    anything of its size is built: `Signature`, then p + q <= MAX_DIMENSION,
+    then `check_field_parameter`, each raising ValueError."""
+    n = Signature(p, q).n
+    if n > MAX_DIMENSION:
+        raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
+    return MobiusSpace(p, q, check_field_parameter(d))
 
 
 def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) -> OrbitLabel:

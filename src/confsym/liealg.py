@@ -20,11 +20,13 @@ brackets as integer structure constants, one mapping j -> terms per row,
 built once per signature), `bracket`, `realize` and `degrade` all read it.
 
 Matrices appear only at the group-element boundary: `realize` and `degrade`
-convert to and from (n+2)x(n+2) matrices for `exp_nilpotent`, the involution
-criterion, `symmetry.tangent_is_minus_id` and the independent matrix side of
+convert to and from (n+2)x(n+2) matrices for the involution criterion,
+`symmetry.tangent_is_minus_id` and the independent matrix side of
 `upsilon_bracket_constant`.  The criterion reads each conjugated matrix
 back into coordinates off the positions of `_graded_basis`, as `degrade`
 does, and applies Ad_{s_0} there as the sign flip of the X and Z coordinates.
+`exp_nilpotent` writes exp(Z) of a g_1 element in closed form, and the
+symmetry at the origin is s_Z = s_0 exp(Z) with s_0 = diag(-1, E, -1).
 `StructureAlgebra` takes the i < j half of a bracket table, the half a file
 states, and mirrors it in integers, so its table is antisymmetric by
 construction.  It keeps Z[sqrt d] numerators of its nonzero brackets, each
@@ -36,8 +38,8 @@ The module also carries the one-form-to-endomorphism map
 
     Y |-> (eta -> Y(xi) eta + Y(eta) xi - J(xi, eta) J^{-1} Y^T)
 
-used by the Weyl-tensor prolongation, nilpotent exponentials of the g_1
-block, and Killing forms of structure-constant algebras.
+used by the Weyl-tensor prolongation, and the Killing form of a
+structure-constant algebra.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from math import lcm
 
 from .flatmodel import MobiusSpace
 from .linalg import Matrix, Vector
-from .scalars import ZERO, Scalar, one_field
+from .scalars import ONE, ZERO, Scalar, one_field
+
+_HALF = Scalar(1, 0, 2)
 
 
 def so_block_condition(space: MobiusSpace, A: Matrix) -> bool:
@@ -105,13 +109,12 @@ def realize(space: MobiusSpace, coords: Vector) -> Matrix:
     if len(coords) != len(basis):
         raise ValueError(f"expected {len(basis)} coordinates")
     size = space.n + 2
-    zero = Scalar(0)
-    rows = [[zero] * size for _ in range(size)]
+    rows = [[ZERO] * size for _ in range(size)]
     for c, entries in zip(coords, basis):
         if c:
             for (r, col), v in entries:
                 rows[r][col] = c if v > 0 else -c
-    return Matrix(rows)
+    return Matrix._of_scalars(rows)
 
 
 def degrade(space: MobiusSpace, M: Matrix) -> Vector:
@@ -219,14 +222,25 @@ def _coelement_ratio(lhs: CoElement, rhs: CoElement) -> Scalar:
 
 
 def exp_nilpotent(space: MobiusSpace, Y: Vector) -> Matrix:
-    """exp of the pure upper-block element: exactly I + N + N^2/2 since
-    N^3 = 0 in this representation (guarded by assertion)."""
-    coords = [Scalar(0)] * (graded_dim(space) - space.n) + list(Y.entries)
-    N = realize(space, Vector._of_scalars(coords))
-    n2 = N @ N
-    if not (n2 @ N).is_zero():
-        raise AssertionError("upper-block element was not 3-step nilpotent")
-    return Matrix.identity(space.ambient) + N + n2.scale(Scalar(1, 0, 2))
+    """exp(N) for the g_1 element N of the covector Y, in closed form:
+
+        [ 1  Y  -Y J Y^T / 2 ]
+        [ 0  E  -J Y^T       ]
+        [ 0  0   1           ]
+
+    N holds Y in its first row and -J Y^T in its last column (Z_i of
+    `_graded_basis`), so N^2 = Y (-J Y^T) E_0,n+1 = -(Y J Y^T) E_0,n+1, and
+    N^3 = 0 since the last row of N is zero: exp(N) = I + N + N^2 / 2."""
+    n = space.n
+    if len(Y) != n:
+        raise ValueError(f"covector must have length {n}")
+    p = space.signature.p
+    jy = [y if i < p else -y for i, y in enumerate(Y)]
+    quad = sum((y * z for y, z in zip(Y, jy) if y), ZERO)
+    rows = [[ONE, *Y, -_HALF * quad]]
+    rows += [[ZERO] * (1 + i) + [ONE] + [ZERO] * (n - 1 - i) + [-z] for i, z in enumerate(jy)]
+    rows.append([ZERO] * (n + 1) + [ONE])
+    return Matrix._of_scalars(rows)
 
 
 # -- abstract algebras from structure constants ------------------------------

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 
 from .extension import Extension, HomogeneousPair, SymmetricPair
-from .flatmodel import MAX_DIMENSION, MobiusSpace, NullLine, OrbitLabel
+from .flatmodel import MobiusSpace, NullLine, OrbitLabel, checked_space
 from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
-from .scalars import ZERO, check_field_parameter, parse_scalar
+from .scalars import ZERO, parse_scalar
 from .symmetry import SymmetryReport
 from .weyl import WeylTensor, _orbit_of, _orbits, _unflat
 
@@ -107,10 +107,10 @@ def report_to_dict(space: MobiusSpace, report: SymmetryReport) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
-    """Rejects p, q and d that are not JSON integers, and a d that is not a
-    field parameter (`check_field_parameter`)."""
+    """Rejects p, q and d that are not JSON integers, and a signature or
+    field that `checked_space` refuses."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
-    space = MobiusSpace(p, q, check_field_parameter(d))
+    space = checked_space(p, q, d)
     report = SymmetryReport(
         base_point=NullLine(space.form, vector_from_literals(data["base_point"], d)),
         witness=matrix_from_literals(data["witness"], d),
@@ -162,14 +162,10 @@ def weyl_from_dict(data: dict) -> WeylTensor:
     """Inverse of `weyl_to_dict`: each value is the value of its key's orbit.
     Rejects a key that `weyl_to_dict` would not write, `components` that is
     not a JSON object and a value in it that is not a string literal, p, q
-    and d that are not JSON integers, a signature that `Signature` refuses
-    or with p + q above MAX_DIMENSION, a d that is not a field parameter,
-    and a tensor that fails `WeylTensor.validate`.  The signature is checked
-    before anything of its size is built."""
+    and d that are not JSON integers, a signature or field that
+    `checked_space` refuses, and a tensor that fails `WeylTensor.validate`."""
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
-    n = MobiusSpace(p, q, check_field_parameter(d)).n
-    if n > MAX_DIMENSION:
-        raise ValueError(f"need p + q <= {MAX_DIMENSION}, got {n}")
+    n = checked_space(p, q, d).n
     components = data["components"]
     if not isinstance(components, dict):
         kind = type(components).__name__
@@ -263,20 +259,13 @@ def extension_to_dict(ext: Extension) -> dict:
     }
 
 
-def extension_signature(data: dict) -> tuple[int, int, int]:
-    """(p, q, d) of an extension file, d defaulting to 2; each must be a JSON
-    integer."""
+def extension_from_dict(data: dict) -> Extension:
+    """Rejects non-integer p, q, d (2 when absent) and dim, a signature or
+    field that `checked_space` refuses, an m of other than p + q indices,
+    and h or m indices that are not integers 0 <= i < dim."""
     p = _json_int(data["p"], "p")
     q = _json_int(data["q"], "q")
-    return p, q, _json_int(data.get("d", 2), "d")
-
-
-def extension_from_dict(data: dict) -> Extension:
-    """Rejects non-integer p, q, d and dim, a d that is not a field
-    parameter, an m of other than p + q indices, and h or m indices that are
-    not integers 0 <= i < dim."""
-    p, q, d = extension_signature(data)
-    space = MobiusSpace(p, q, check_field_parameter(d))
+    space = checked_space(p, q, _json_int(data.get("d", 2), "d"))
     # The lists of the file bound dim before anything of size dim is built.
     dim = _json_int(data["algebra"]["dim"], "dim")
     if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):

@@ -1,16 +1,13 @@
 """Conformal symmetries of the flat model.
 
-Every symmetry at the origin <e_0> is the involution
-
-    s_Z = [ -1  -Z   ZJZ^T/2 ]
-          [  0   E  -JZ^T    ]
-          [  0   0  -1       ]
-
-for an arbitrary covector Z of length n = p+q; symmetries at other points are
-the conjugates g s_Z g^{-1} by group elements g moving the origin there.  The
-solver below computes, exactly, the set of all Z whose symmetry preserves a
-given null line or maps it onto another, and packages the answer for a pair
-of removed lines as a SymmetryReport.
+Every symmetry at the origin <e_0> is the involution s_Z = s_0 exp(Z), the
+origin symmetry s_0 = diag(-1, E, -1) composed with the exponential of the
+g_1 element of an arbitrary covector Z of length n = p+q
+(`liealg.exp_nilpotent`); symmetries at other points are the conjugates
+g s_Z g^{-1} by group elements g moving the origin there.  The solver below
+computes, exactly, the set of all Z whose symmetry preserves a given null
+line or maps it onto another, and packages the answer for a pair of removed
+lines as a SymmetryReport.
 
 `solve_swap` is the one case tree.  It writes s_Z u = mu v on representatives
 u of L1 and v of L2, and reads the factor mu off u_inf, or else off the first
@@ -32,29 +29,17 @@ from .flatmodel import (
     isometry_inverse,
     transitive_witness,
 )
-from .liealg import degrade, graded_dim, realize
+from .liealg import _HALF, degrade, exp_nilpotent, graded_dim, realize
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
-from .scalars import ONE, ZERO, Scalar
-
-_HALF = Scalar(1, 0, 2)
-_MINUS_ONE = Scalar(-1)
+from .scalars import Scalar
 
 
 def make_symmetry(space: MobiusSpace, Z: Vector) -> Matrix:
-    """The involution s_Z; an exact isometry of the form for every Z."""
-    n = space.n
-    if len(Z) != n:
-        raise ValueError(f"covector must have length {n}")
-    jz = [z if space.signature.j_sign(i) > 0 else -z for i, z in enumerate(Z)]
-    corner = _HALF * sum((Z[i] * jz[i] for i in range(n)), ZERO)
-    rows = [[_MINUS_ONE] + [-z for z in Z] + [corner]]
-    for i in range(n):
-        row = [ZERO] * (n + 2)
-        row[1 + i] = ONE
-        row[n + 1] = -jz[i]
-        rows.append(row)
-    rows.append([ZERO] * (n + 1) + [_MINUS_ONE])
-    return Matrix._of_scalars(rows)
+    """The involution s_Z = s_0 exp(Z): the rows of `exp_nilpotent(space, Z)`,
+    the first and the last negated.  An exact isometry of the form for
+    every Z."""
+    rows = exp_nilpotent(space, Z).rows
+    return Matrix._of_scalars([[-x for x in rows[0]], *rows[1:-1], [-x for x in rows[-1]]])
 
 
 def is_involutive(space: MobiusSpace, Z: Vector) -> bool:
@@ -96,10 +81,9 @@ def _split(space: MobiusSpace, line: NullLine):
 
 
 def _pinned_z(space: MobiusSpace, middle: Vector) -> Vector:
-    """Solve J Z^T = middle for Z (J is its own inverse)."""
-    return Vector(
-        Scalar(space.signature.j_sign(i)) * middle[i] for i in range(space.n)
-    )
+    """Solve J Z^T = middle for Z (J is its own inverse), J applied by sign."""
+    p = space.signature.p
+    return Vector._of_scalars(x if i < p else -x for i, x in enumerate(middle))
 
 
 def solve_preserve(space: MobiusSpace, L: NullLine) -> AffineSubspace:

@@ -111,7 +111,7 @@ class WeylTensor:
     def values(self) -> tuple[Scalar, ...]:
         """One value per orbit of `_orbits(n)`, zero where `terms` has
         none."""
-        out = [ZERO] * len(_orbits(self.n))
+        out = [ZERO] * _orbit_count(self.n)
         for u, x in self.terms:
             out[u] = x
         return tuple(out)
@@ -220,8 +220,11 @@ class WeylTensor:
         return WeylTensor._from_terms(self.p, self.q, terms, self.d)
 
     def __add__(self, other: WeylTensor) -> WeylTensor:
+        """W + V, tagged Q(sqrt d) like W; raises FieldMismatchError when a
+        value of either is irrational in another field."""
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("signature mismatch")
+        one_field((self.d, *(x.d for _, x in self.terms + other.terms)))
         sums = (x + y for x, y in zip(self.values, other.values))
         return WeylTensor._from_terms(self.p, self.q, _nonzero(sums), self.d)
 
@@ -299,6 +302,11 @@ def _orbit_of(i: int, j: int, k: int, l: int) -> int:
     return a * (a + 1) // 2 + b
 
 
+def _orbit_count(n: int) -> int:
+    """The number of orbits, one per two index pairs (i<j) <= (k<l)."""
+    return comb(comb(n, 2) + 1, 2)
+
+
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> tuple:
     """The member lists of the component orbits of `_SYMMETRIES` in
@@ -313,7 +321,7 @@ def _orbits(n: int) -> tuple:
     n2 = n * n
     walk = _walk_on_pairs()
     pairs = list(combinations(range(n), 2))
-    orbits = [None] * (len(pairs) * (len(pairs) + 1) // 2)
+    orbits = [None] * _orbit_count(n)
     for a, (i, j) in enumerate(pairs):
         for k, l in pairs[a:]:
             c = (i * n + j, k * n + l, j * n + i, l * n + k)
@@ -386,8 +394,7 @@ class _ConstraintSystem:
         self.p = p
         self.q = q
         self.rows = _constraint_rows(p, q)
-        pairs = comb(p + q, 2)
-        self.index = [[] for _ in range(pairs * (pairs + 1) // 2)]
+        self.index = [[] for _ in range(_orbit_count(p + q))]
         for r, (cols, vals) in enumerate(self.rows):
             for u, coef in zip(cols, vals[::2]):
                 self.index[u].append((r, coef))
@@ -602,7 +609,7 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
             break
     used = [(coef, elt.terms) for coef, elt in zip(coeffs, basis.elements) if coef]
     den = lcm(*(x.q for _, terms in used for _, x in terms))
-    acc = [0] * len(_orbits(p + q))
+    acc = [0] * _orbit_count(p + q)
     for coef, terms in used:
         for u, x in terms:
             if x.b:

@@ -19,17 +19,17 @@ from confsym.symmetry import _hyperplane, _pinned_z, _split, make_symmetry
 from confsym.weyl import _SIGNS, _orbits, _unflat
 
 
-def rand_scalar(rng: random.Random, span: int = 9) -> Scalar:
-    """Random element of Q(sqrt 2) with small integer data."""
-    return Scalar(rng.randint(-span, span), rng.randint(-span, span), rng.randint(1, 4))
+def rand_scalar(rng: random.Random, span: int = 9, d: int = 2) -> Scalar:
+    """Random element of Q(sqrt d) with small integer data."""
+    return Scalar(rng.randint(-span, span), rng.randint(-span, span), rng.randint(1, 4), d)
 
 
-def rand_vector(rng: random.Random, n: int, span: int = 9) -> Vector:
-    return Vector(rand_scalar(rng, span) for _ in range(n))
+def rand_vector(rng: random.Random, n: int, span: int = 9, d: int = 2) -> Vector:
+    return Vector(rand_scalar(rng, span, d) for _ in range(n))
 
 
-def rand_covector(rng: random.Random, n: int, span: int = 9) -> Vector:
-    return rand_vector(rng, n, span)
+def rand_covector(rng: random.Random, n: int, span: int = 9, d: int = 2) -> Vector:
+    return rand_vector(rng, n, span, d)
 
 
 def rand_so_matrix(space: MobiusSpace, rng: random.Random, span: int = 5) -> Matrix:
@@ -423,6 +423,26 @@ def heisenberg_pair():
         [z, z, z],
     ]
     return StructureAlgebra(3, sparse_brackets(table)), [2], [0, 1]
+
+
+def reference_make_symmetry(space: MobiusSpace, Z: Vector) -> Matrix:
+    """The involution s_Z written out entrywise:
+
+        [ -1  -Z   Z J Z^T / 2 ]
+        [  0   E  -J Z^T       ]
+        [  0   0  -1           ]
+    """
+    n = space.n
+    jz = [z if space.signature.j_sign(i) > 0 else -z for i, z in enumerate(Z)]
+    corner = Scalar(1, 0, 2) * sum((Z[i] * jz[i] for i in range(n)), Scalar(0))
+    rows = [[Scalar(-1)] + [-z for z in Z] + [corner]]
+    for i in range(n):
+        row = [Scalar(0)] * (n + 2)
+        row[1 + i] = Scalar(1)
+        row[n + 1] = -jz[i]
+        rows.append(row)
+    rows.append([Scalar(0)] * (n + 1) + [Scalar(-1)])
+    return Matrix(rows)
 
 
 def stabilizer_element(space: MobiusSpace, Y: Vector, extra_flip: bool = False) -> Matrix:

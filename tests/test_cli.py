@@ -9,7 +9,8 @@ import pytest
 
 import confsym
 from confsym import extension, liealg
-from confsym.cli import EXIT_CLOSED_PIPE, MAX_DIMENSION, main, fixture_cases, run_fixture_case
+from confsym.cli import EXIT_CLOSED_PIPE, main, fixture_cases, run_fixture_case
+from confsym.flatmodel import MAX_DIMENSION
 from confsym.linalg import Vector
 from confsym.scalars import Scalar
 from confsym.serialize import dump_canonical

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsym.cli import MAX_DIMENSION
-from confsym.flatmodel import MobiusSpace
+from confsym.flatmodel import MAX_DIMENSION, MobiusSpace
 from confsym.liealg import (
     CoElement,
     StructureAlgebra,
@@ -264,6 +263,42 @@ def test_exp_nilpotent(space21, rng):
         E = exp_nilpotent(space21, Y)
         assert E.transpose() @ m @ E == m
         assert E @ exp_nilpotent(space21, -Y) == Matrix.identity(5)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2), (4, 0), (6, 6), (12, 0)])
+def test_exp_nilpotent_is_the_dense_series(pq, d, rng):
+    """The closed form equals I + N + N^2 / 2 for N realized densely by the
+    reference, where N^3 = 0."""
+    space = MobiusSpace(*pq, d)
+    size = space.ambient
+    for Y in [Vector.zero(space.n)] + [rand_covector(rng, space.n, d=d) for _ in range(3)]:
+        N = reference_realize(space, pure_z(space, Y))
+        N2 = N @ N
+        assert (N2 @ N).is_zero()
+        assert exp_nilpotent(space, Y) == Matrix.identity(size) + N + N2.scale(Scalar(1, 0, 2))
+
+
+def test_exp_nilpotent_multiplies_no_matrices(monkeypatch, rng):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    space = MobiusSpace(3, 1)
+    exp_nilpotent(space, rand_covector(rng, space.n))
+    assert calls == []
+    Matrix.identity(2) @ Matrix.identity(2)
+    assert calls == [((2, 2), (2, 2))]
+
+
+@pytest.mark.parametrize("length", [0, 3, 5])
+def test_exp_nilpotent_refuses_a_covector_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="^covector must have length 4$"):
+        exp_nilpotent(MobiusSpace(3, 1), Vector.zero(length))
 
 
 def test_ad_s0_blockwise(space21, rng):

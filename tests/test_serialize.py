@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsym.cli import MAX_DIMENSION
+from confsym.cli import SessionConfig
 from confsym.extension import flat_model_extension, validate_extension
-from confsym.flatmodel import MobiusSpace
+from confsym.flatmodel import MAX_DIMENSION, MobiusSpace
 from confsym.liealg import StructureAlgebra, graded_dim
 from confsym.linalg import AffineSubspace, Vector
 from confsym.scalars import Scalar, parse_scalar
@@ -205,6 +205,44 @@ def test_extension_from_dict_refuses_a_field_parameter_that_is_not_square_free(s
     for d in (4, 1):
         with pytest.raises(ValueError, match=_NOT_A_FIELD):
             extension_from_dict({**data, "d": d})
+
+
+def _reader_files(space21) -> dict:
+    """A valid file for each of the three readers."""
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    return {
+        "weyl": (weyl_from_dict, weyl_to_dict(random_weyl(4, 0, seed=13))),
+        "report": (
+            lambda data: report_from_dict(data)[1],
+            report_to_dict(space21, find_symmetries(space21, u, v, space21.origin)),
+        ),
+        "extension": (extension_from_dict, extension_to_dict(flat_model_extension(space21))),
+    }
+
+
+@pytest.mark.parametrize("reader", ["weyl", "report", "extension"])
+@pytest.mark.parametrize(
+    "p, q, d",
+    [
+        (MAX_DIMENSION, 1, 2),
+        (MAX_DIMENSION // 2, MAX_DIMENSION // 2 + 1, 2),
+        # A bad signature or p + q is named before a bad field.
+        (MAX_DIMENSION, 1, 4),
+        (-1, 5, 4),
+        (2, 0, 4),
+        (2, 1, 4),
+    ],
+)
+def test_every_reader_gates_a_file_as_the_global_flags_do(space21, reader, p, q, d):
+    """Each reader refuses a (p, q, d) that the global flags refuse, with
+    the same message, before anything of its size is built."""
+    read, data = _reader_files(space21)[reader]
+    with pytest.raises(ValueError) as flags:
+        SessionConfig(p, q, d)
+    with pytest.raises(ValueError) as file:
+        read({**data, "p": p, "q": q, "d": d})
+    assert str(file.value) == str(flags.value)
 
 
 def test_structure_algebra_round_trip():

@@ -17,6 +17,7 @@ from confsym.symmetry import (
 from conftest import (
     rand_covector,
     rand_null_vector,
+    reference_make_symmetry,
     reference_solve_preserve,
     stabilizer_element,
 )
@@ -43,6 +44,15 @@ def test_corner_entry_vanishes_for_balanced_covector(space21):
     # Z J Z^T / 2 = (z1^2 - z3^2) / 2 = (2 - 2) / 2 = 0
     s = make_symmetry(space21, ORBIT_A_Z)
     assert s[0, 4] == Scalar(0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2), (4, 0), (6, 6), (12, 0)])
+def test_make_symmetry_is_the_entrywise_closed_form(pq, d, rng):
+    """s_0 exp(Z) equals s_Z written out entrywise."""
+    space = MobiusSpace(*pq, d)
+    for Z in [Vector.zero(space.n)] + [rand_covector(rng, space.n, d=d) for _ in range(5)]:
+        assert make_symmetry(space, Z) == reference_make_symmetry(space, Z)
 
 
 def test_symmetries_lie_in_the_group(space21, rng):

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsym import _core
-from confsym.cli import MAX_DIMENSION
-from confsym.flatmodel import MobiusSpace
+from confsym.flatmodel import MAX_DIMENSION, MobiusSpace
 from confsym.liealg import CoElement, _nonzero, upsilon_action
 from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
 from confsym.scalars import FieldMismatchError, Scalar
@@ -19,6 +18,7 @@ import confsym.weyl as weyl_module
 from confsym.weyl import (
     WeylTensor,
     _constraint_rows,
+    _orbit_count,
     _orbit_of,
     _orbits,
     annihilator,
@@ -502,6 +502,23 @@ def test_cold_basis_builds_no_orbit_table(cold_basis, pq):
     and neither builds nor reads the orbit table."""
     before = _orbits.cache_info()
     weyl_space_basis(*pq)
+    assert _orbits.cache_info() == before
+
+
+@pytest.mark.parametrize("n", range(3, MAX_DIMENSION + 1))
+def test_orbit_count_is_the_length_of_the_orbit_table(n):
+    assert _orbit_count(n) == len(_orbits(n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_weyl_and_values_build_no_orbit_table(seed):
+    """With a warm basis, a random tensor and its values are sized by
+    `_orbit_count`, not by the orbit table."""
+    weyl_space_basis(MAX_DIMENSION, 0)
+    _orbits.cache_clear()
+    before = _orbits.cache_info()
+    W = random_weyl(MAX_DIMENSION, 0, seed)
+    assert len(W.values) == _orbit_count(MAX_DIMENSION)
     assert _orbits.cache_info() == before
 
 
@@ -1102,6 +1119,17 @@ def test_scale_refuses_a_scalar_from_another_field():
     with pytest.raises(FieldMismatchError):
         random_weyl(4, 0, 1, d=3).scale(Scalar(1, 1))
     assert W.scale(Scalar.sqrt_d(2)).terms == tuple((u, Scalar(0, 1) * x) for u, x in W.terms)
+
+
+def test_add_refuses_a_value_from_another_field():
+    """A value in Q(sqrt 3) added to a tensor tagged Q(sqrt 2) would be kept
+    under the wrong tag; the sum refuses it, as `scale` does."""
+    W = random_weyl(4, 0, 1, 2)
+    with pytest.raises(FieldMismatchError):
+        W + random_weyl(4, 0, 1, 3).scale(Scalar.sqrt_d(3))
+    # Rational values carry no field, so tensors of either tag add.
+    assert W + random_weyl(4, 0, 1, 3) == W.scale(2)
+    assert (W + W.scale(Scalar.sqrt_d(2))).terms == W.scale(Scalar(1, 1)).terms
 
 
 def _lone_orbit(p, q, u):
