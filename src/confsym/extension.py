@@ -259,9 +259,24 @@ def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
     symmetry: rank([V; Ad_{s_0} V]) equals rank(V) for the moved image V.
     Each g alpha(e_i) g^{-1}, g = exp(Y), lies in the algebra and is read
     back into graded coordinates; there Ad_{s_0} (s_0 = diag(-1, E, -1)) is
-    -1 on the X and Z coordinates and +1 on (a, A)."""
+    -1 on the X and Z coordinates and +1 on (a, A).
+
+    Ad_g keeps the rank of alpha(k), so that rank is taken on the integer
+    rows of alpha.  When it is dim, V is the whole algebra, which every
+    automorphism keeps: the answer is True, and no matrix is formed.  A Y of
+    the wrong length (ValueError) and alpha and Y irrational over two fields
+    (FieldMismatchError) are refused before that answer."""
     space = ext.space
     n = space.n
+    if len(Y) != n:
+        raise ValueError(f"covector must have length {n}")
+    alpha_fields, _, alpha_rows = ext._integer
+    d = one_field((*alpha_fields, *(c.d for c in Y)))
+    dim = graded_dim(space)
+    image = [([j for j, _, _ in x], [v for _, a, b in x for v in (a, b)]) for x in alpha_rows if x]
+    base_rank = len(_core.rref_sparse(image, d, dim)[0])
+    if base_rank == dim:
+        return True
     g = exp_nilpotent(space, Y)
     g_inv = exp_nilpotent(space, -Y)
     # alpha(e_i) is row i of alpha.
@@ -269,9 +284,8 @@ def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
         _coordinates(space, g @ realize(space, Vector._of_scalars(row)) @ g_inv)
         for row in ext.alpha.rows
     ]
-    z0 = graded_dim(space) - n
+    z0 = dim - n
     flipped = [[-x if 0 < k <= n or k >= z0 else x for k, x in enumerate(row)] for row in rows]
-    base_rank = rank(Matrix._of_scalars(rows))
     return rank(Matrix._of_scalars(rows + flipped)) == base_rank
 
 

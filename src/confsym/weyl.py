@@ -58,12 +58,13 @@ class WeylTensor:
     which must agree, with the signs, along every orbit and vanish where
     i = j or k = l; otherwise ValueError names the failing symmetry, even
     with validate=False.  `validate` checks the rest (see there).  The
-    signature must pass `Signature`."""
+    signature must pass `Signature` and d `check_field_parameter`."""
 
     __slots__ = ("p", "q", "d", "terms", "_ints")
 
     def __init__(self, p: int, q: int, components, d: int = 2, validate: bool = True):
         n = Signature(p, q).n
+        check_field_parameter(d)
         components = tuple(components)
         if len(components) != n**4:
             raise ValueError(f"expected {n ** 4} components, got {len(components)}")

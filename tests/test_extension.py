@@ -27,7 +27,7 @@ from confsym.liealg import (
     realize,
     so_table,
 )
-from confsym.linalg import Matrix, Vector
+from confsym.linalg import Matrix, Vector, rank
 from confsym.scalars import FieldMismatchError, Scalar
 from confsym.serialize import extension_from_dict, extension_to_dict
 
@@ -507,6 +507,117 @@ def test_symmetry_criterion_matches_the_matrix_formula(pq, d):
         assert got == reference_symmetry_criterion(ext, Y)
         verdicts.append(got)
     assert verdicts[3::4] == [True] * 3 and False in verdicts
+
+
+def _criterion_cases(pq, d):
+    """(ext, Y) on the four kinds of image of the matrix-formula test, in
+    turn: the flat model, a perturbed alpha, an alpha of a few random rows
+    and an image that is stable at Y by construction, for Y over Q(sqrt d)."""
+    rng = random.Random(sum(pq) * 10 + d + 1)
+    flat = _flat(pq, d)
+    dim = flat.pair.alg.dim
+    n = flat.space.n
+    values = [Scalar(0, 0, 1, d)] * 2 + [
+        Scalar(2, 0, 1, d), Scalar(-1, 0, 3, d), Scalar(0, 1, 1, d), Scalar(1, 1, 2, d)
+    ]
+    for trial in range(16):
+        Y = Vector(rng.choice(values) for _ in range(n))
+        if trial % 4 == 0:
+            rows = flat.alpha.rows
+        elif trial % 4 == 1:
+            rows = [list(r) for r in flat.alpha.rows]
+            for _ in range(3):
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                rows[i][j] = rows[i][j] + rng.choice(values[2:])
+        elif trial % 4 == 2:
+            kept = rng.sample(range(dim), rng.randint(1, 4))
+            rows = [
+                [rng.choice(values) for _ in range(dim)] if i in kept else [values[0]] * dim
+                for i in range(dim)
+            ]
+        else:
+            rows = _stable_rows(flat.space, rng, values, Y)
+        yield _with_rows(flat, rows), Y
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
+def test_symmetry_criterion_holds_on_the_parabolic_image(pq):
+    """V = g_0 + g_1, the flat model with its X rows zeroed, has rank
+    dim - n, so no certificate answers, and it is s_0-stable after every
+    Ad_{exp Y}: True for Y over Q(sqrt 2) and over Q(sqrt 3)."""
+    flat = _flat(pq)
+    n = flat.space.n
+    rows = [[Scalar(0)] * len(r) if 0 < i <= n else r for i, r in enumerate(flat.alpha.rows)]
+    ext = _with_rows(flat, rows)
+    assert rank(ext.alpha) == graded_dim(ext.space) - n
+    rng = random.Random(sum(pq))
+    for d in (2, 3):
+        for _ in range(3):
+            Y = Vector(Scalar(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(1, 3), d) for _ in range(n))
+            assert symmetry_criterion(ext, Y)
+            assert reference_symmetry_criterion(ext, Y)
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1)])
+def test_symmetry_criterion_below_full_rank_by_one(pq):
+    """The flat model less its scaling row has rank dim - 1: no
+    certificate, and the verdict is the reference's, True at Y = 0 and
+    False at Y = e_i."""
+    flat = _flat(pq)
+    n = flat.space.n
+    rows = [[Scalar(0)] * len(r) if i == 0 else r for i, r in enumerate(flat.alpha.rows)]
+    ext = _with_rows(flat, rows)
+    verdicts = []
+    for Y in [Vector.zero(n)] + [Vector.unit(n, i) for i in range(n)]:
+        verdicts.append(symmetry_criterion(ext, Y))
+        assert verdicts[-1] == reference_symmetry_criterion(ext, Y)
+    assert verdicts == [True] + [False] * n
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1)])
+def test_symmetry_criterion_search_returns_the_first_passing_candidate(pq):
+    for ext, Y in _criterion_cases(pq, 2):
+        n = ext.space.n
+        candidates = [Vector.unit(n, i) for i in range(n)] + [Y, Vector.zero(n)]
+        passing = [Z for Z in candidates if reference_symmetry_criterion(ext, Z)]
+        assert symmetry_criterion_search(ext, candidates) == (passing[0] if passing else None)
+        failing = [Z for Z in candidates if Z not in passing]
+        assert symmetry_criterion_search(ext, failing) is None
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_symmetry_criterion_refuses_a_covector_of_the_wrong_length(space21, length):
+    """The message of `exp_nilpotent`, raised before the full-rank answer,
+    on a full-rank image and on a rank-deficient one."""
+    flat = flat_model_extension(space21)
+    stabilizer = _with_rows(flat, [row[:1] + (Scalar(0),) * 3 + row[4:] for row in flat.alpha.rows])
+    Y = Vector.zero(length)
+    message = "^covector must have length 3$"
+    with pytest.raises(ValueError, match=message):
+        exp_nilpotent(space21, Y)
+    for ext in (flat, stabilizer):
+        with pytest.raises(ValueError, match=message):
+            symmetry_criterion(ext, Y)
+        with pytest.raises(ValueError, match=message):
+            symmetry_criterion_search(ext, [Y.entries])
+
+
+def test_symmetry_criterion_refuses_alpha_and_y_over_two_fields(space21):
+    """Irrational alpha over Q(sqrt 2) and Y over Q(sqrt 3) are refused even
+    where the full rank of alpha answers; a rational alpha takes Y over
+    Q(sqrt 3), although the space is over Q(sqrt 2)."""
+    flat = flat_model_extension(space21)
+    rows = [list(r) for r in flat.alpha.rows]
+    rows[0][0] = Scalar(0, 1, 1, 2)
+    Y = Vector([Scalar(0, 1, 1, 3), Scalar(1), Scalar(0)])
+    for ext in (_with_rows(flat, rows), _with_rows(flat, rows[:1] + [[Scalar(0)] * 10] * 9)):
+        with pytest.raises(FieldMismatchError):
+            reference_symmetry_criterion(ext, Y)
+        with pytest.raises(FieldMismatchError):
+            symmetry_criterion(ext, Y)
+    stabilizer = _with_rows(flat, [row[:1] + (Scalar(0),) * 3 + row[4:] for row in flat.alpha.rows])
+    for ext in (flat, stabilizer):
+        assert symmetry_criterion(ext, Y) and reference_symmetry_criterion(ext, Y)
 
 
 def test_validate_refuses_irrational_entries_of_two_fields(space21):

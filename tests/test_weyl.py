@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -332,6 +332,16 @@ def test_weyl_space_basis_refuses_a_field_parameter_that_is_not_square_free(d):
         weyl_space_basis(4, 0, d=d)
     with pytest.raises(ValueError, match="field parameter must be a square-free integer"):
         random_weyl(4, 0, 7, d=d)
+
+
+def test_flat_weyl_tensor_refuses_a_field_parameter_that_is_not_square_free():
+    """Over d = 4 every component (2 - 1*r) x is (2 - 2) x = 0, yet the
+    tensor was built as nonzero, with a prolongation of dimension 0 where
+    the zero tensor's has dimension 4."""
+    x = Scalar(2, -1, 1, 4)
+    comps = [x * c for c in weyl_space_basis(4, 0).elements[0].components]
+    with pytest.raises(ValueError, match="^field parameter must be a square-free integer >= 2, got 4$"):
+        WeylTensor(4, 0, comps, d=4)
 
 
 def reference_random_weyl(p, q, seed, d=2):
@@ -1048,6 +1058,26 @@ def test_prolongation_matches_the_reference(W):
         assert_same_scalars(y.entries, z.entries)
     if W.is_zero():
         assert len(got) == W.n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_upsilon_of_unit_vectors_is_one_signed_co_basis_element(n):
+    """upsilon_action(e_j, e_i) is the pure scaling when i = j, and
+    otherwise J_j, or -J_j when i > j, times the `co_basis` element of
+    {i, j}: so each column of the prolongation system is +- the action of
+    one `co_basis` element on W."""
+    pairs = {pair: 1 + k for k, pair in enumerate(combinations(range(n), 2))}
+    for p in range(n + 1):
+        space = MobiusSpace(p, n - p)
+        basis = co_basis(space)
+        for i in range(n):
+            for j in range(n):
+                got = upsilon_action(space, Vector.unit(n, j), Vector.unit(n, i))
+                if i == j:
+                    assert got == CoElement(Scalar(1), Matrix.zero(n, n))
+                else:
+                    sign = space.signature.j_sign(j) * (1 if i < j else -1)
+                    assert got == basis[pairs[min(i, j), max(i, j)]].scale(sign)
 
 
 @given(pq=_SIGNATURES, seed=st.integers(0, 10**6), data=st.data())
