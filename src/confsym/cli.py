@@ -139,10 +139,12 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
 
 
 def _emit(config: SessionConfig, machine_obj, human_lines):
+    """Print the canonical JSON of `machine_obj` under --machine, else the
+    lines returned by `human_lines()`, which only the human mode calls."""
     if config.machine:
         print(dump_canonical(machine_obj))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -171,7 +173,7 @@ def cmd_classify(config: SessionConfig, args) -> int:
             "pairing_u": str(pair_u),
             "pairing_v": str(pair_v),
         },
-        [
+        lambda: [
             f"m(w, u) = {pair_u}   m(w, v) = {pair_v}",
             f"orbit label: iso_u={label.iso_u} iso_v={label.iso_v} in_span={label.in_span}",
         ],
@@ -188,7 +190,7 @@ def cmd_solve(config: SessionConfig, args) -> int:
     _emit(
         config,
         report_to_dict(space, report),
-        [
+        lambda: [
             f"base point: {report.base_point}",
             f"orbit: iso_u={report.orbit.iso_u} iso_v={report.orbit.iso_v} in_span={report.orbit.in_span}",
             f"preserving both lines: {_describe_subspace(report.preserving)}",
@@ -208,7 +210,7 @@ def cmd_weyl(config: SessionConfig, args) -> int:
         _emit(
             config,
             {"p": config.p, "q": config.q, "dimension": basis.dimension},
-            [f"dim of the algebraic Weyl space for ({config.p}, {config.q}): {basis.dimension}"],
+            lambda: [f"dim of the algebraic Weyl space for ({config.p}, {config.q}): {basis.dimension}"],
         )
         return 0
     # prolongation
@@ -228,7 +230,7 @@ def cmd_weyl(config: SessionConfig, args) -> int:
             "prolongation_basis": [vector_to_literals(y) for y in pro],
             "tensor": weyl_to_dict(W),
         },
-        [
+        lambda: [
             f"random nonzero Weyl-type tensor (seed {seed}) on ({config.p}, {config.q})",
             f"prolongation dimension: {len(pro)}",
         ]
@@ -287,7 +289,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
                 name: {"passed": c.passed, "detail": c.detail, "witnesses": c.witnesses}
                 for name, c in conditions
             },
-            [
+            lambda: [
                 f"condition {name}: {'pass' if c.passed else 'FAIL'} ({c.detail})"
                 + (f" witnesses: {c.witnesses}" if not c.passed else "")
                 for name, c in conditions
@@ -318,7 +320,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
         _emit(
             config,
             {"curvature": values, "flat": not nonzero},
-            [
+            lambda: [
                 "curvature on m-basis pairs: "
                 + ("identically zero (flat)" if not nonzero else "NOT identically zero")
             ]
@@ -347,7 +349,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
         _emit(
             config,
             {"found": found, "Y": vector_to_literals(hit) if found else None},
-            [f"first passing Y: {hit}" if found else "no candidate passed"],
+            lambda: [f"first passing Y: {hit}" if found else "no candidate passed"],
         )
         return 0 if found else 1
     Y = covector(args.y) if args.y is not None else Vector.zero(n)
@@ -355,7 +357,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
     _emit(
         config,
         {"Y": vector_to_literals(Y), "preserved": ok},
-        [f"Ad_exp(Y) alpha(k) is s_0-stable for Y = {Y}: {ok}"],
+        lambda: [f"Ad_exp(Y) alpha(k) is s_0-stable for Y = {Y}: {ok}"],
     )
     return 0 if ok else 1
 

@@ -337,7 +337,7 @@ class AffineSubspace:
         if any(len(v) != ambient for v in directions):
             raise ValueError("direction has wrong length")
         if directions:
-            if rank(Matrix([v.entries for v in directions])) != len(directions):
+            if rank(Matrix._of_scalars([v.entries for v in directions])) != len(directions):
                 raise ValueError("directions are linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "base", base)
@@ -420,11 +420,11 @@ class AffineSubspace:
         sol = solve_affine(Matrix.from_columns(cols), other.base - self.base)
         if sol.is_empty:
             return AffineSubspace.empty(self.ambient)
-        s0 = Vector(sol.base.entries[:k1])
+        s0 = Vector._of_scalars(sol.base.entries[:k1])
         base = self.base + _lincomb(self.directions, s0, self.ambient)
         dirs = []
         for w in sol.directions:
-            dirs.append(_lincomb(self.directions, Vector(w.entries[:k1]), self.ambient))
+            dirs.append(_lincomb(self.directions, Vector._of_scalars(w.entries[:k1]), self.ambient))
         return AffineSubspace(self.ambient, base, canonical_span(dirs))
 
     def __str__(self):

@@ -77,7 +77,7 @@ def conjugate_symmetry(space: MobiusSpace, h: Matrix, Z: Vector) -> Matrix:
 def _split(space: MobiusSpace, line: NullLine):
     """Representative split (u_0, U, u_inf) into corner / middle / corner."""
     rep = line.representative
-    return rep[0], Vector(rep.entries[1 : space.n + 1]), rep[space.n + 1]
+    return rep[0], Vector._of_scalars(rep.entries[1 : space.n + 1]), rep[space.n + 1]
 
 
 def _pinned_z(space: MobiusSpace, middle: Vector) -> Vector:
@@ -139,7 +139,7 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
 
 
 def _hyperplane(normal: Vector, rhs: Scalar) -> AffineSubspace:
-    return solve_affine(Matrix([normal.entries]), Vector([rhs]))
+    return solve_affine(Matrix._of_scalars([normal.entries]), Vector._of_scalars([rhs]))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import confsym
+import confsym.cli as cli_module
 from confsym import extension, liealg
 from confsym.cli import EXIT_CLOSED_PIPE, main, fixture_cases, run_fixture_case
 from confsym.flatmodel import MAX_DIMENSION
@@ -105,6 +106,19 @@ def test_solve_machine_round_trip(capsys):
     code, out = run(capsys, "--machine", "solve", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1")
     assert code == 0
     assert dump_canonical(json.loads(out)) == out.strip()
+
+
+@pytest.mark.parametrize("machine, described", [([], 4), (["--machine"], 0)])
+def test_solve_describes_subspaces_only_for_the_human_output(monkeypatch, capsys, machine, described):
+    """The human lines are formatted only when they are printed: the four
+    subspaces of a report are described once each, and never under
+    --machine."""
+    calls = []
+    describe = cli_module._describe_subspace
+    monkeypatch.setattr(cli_module, "_describe_subspace", lambda s: calls.append(s) or describe(s))
+    code, _ = run(capsys, *machine, "solve", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1")
+    assert code == 0
+    assert len(calls) == described
 
 
 @pytest.mark.parametrize("machine", [[], ["--machine"]])

@@ -632,6 +632,38 @@ def test_one_solve_serves_every_field(monkeypatch, cold_basis):
     assert weyl_space_basis(4, 0, 2).elements is over2.elements
 
 
+def test_cold_basis_is_checked_in_one_call_per_field(monkeypatch, cold_basis):
+    """The solved kernel is checked by one `_ConstraintSystem.check` call
+    per field, and no basis tensor through `WeylTensor.validate`."""
+    calls = []
+    for cls, name in ((WeylTensor, "validate"), (weyl_module._ConstraintSystem, "check")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, n=name, f=method: calls.append(n) or f(*args))
+    for d in (2, 3, 2):
+        assert weyl_space_basis(6, 0, d).dimension == 84
+    assert calls == ["check", "check"]
+
+
+@pytest.mark.parametrize("pq, combines", [((6, 0), 7), ((12, 0), 13)])
+def test_cold_basis_reduction_takes_its_pinned_combine_steps(monkeypatch, cold_basis, pq, combines):
+    """The rows go to the engine last first, trace rows ahead of Bianchi
+    rows: a cold basis then eliminates with 7 `_combine` steps at n = 6
+    and 13 at n = 12 (13 and 31 in the order `_constraint_rows` emits)."""
+    calls = []
+    combine = _core._combine
+    monkeypatch.setattr(_core, "_combine", lambda *args: calls.append(1) or combine(*args))
+    weyl_space_basis(*pq)
+    assert len(calls) == combines
+
+
+@pytest.mark.parametrize("pq", [(p, n - p) for n in range(3, 9) for p in range(n + 1)])
+def test_last_first_kernel_equals_the_kernel_of_the_rows_as_emitted(cold_basis, pq):
+    """The reduced form is unique, so the kernel solved from the reversed
+    rows is, term by term, the kernel of the rows in emitted order."""
+    solved, system, _ = weyl_module._basis_cached(*pq)
+    assert list(solved) == kernel_sparse(system.rows, len(system.index), 0)
+
+
 def test_reads_of_one_signature_build_one_constraint_system():
     """`validate` without a system, as the Weyl file reader calls it, reads
     the one system cached per signature."""
