@@ -72,7 +72,7 @@ class InputError(Exception):
 
 def _parse_vector_arg(text: str, d: int) -> Vector:
     try:
-        return Vector(parse_scalar(part.strip(), d) for part in text.split(","))
+        return Vector._of_scalars(parse_scalar(part.strip(), d) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad vector {text!r}: {exc}") from None
 
@@ -387,12 +387,12 @@ class CaseResult:
 
 
 def _point(entries) -> AffineSubspace:
-    return AffineSubspace.point(Vector(parse_scalar(x) for x in entries))
+    return AffineSubspace.point(Vector._of_scalars(parse_scalar(x) for x in entries))
 
 
 def _conditions(rows, rhs) -> AffineSubspace:
-    M = Matrix([[parse_scalar(x) for x in row] for row in rows])
-    return solve_affine(M, Vector(parse_scalar(x) for x in rhs))
+    M = Matrix._of_scalars([parse_scalar(x) for x in row] for row in rows)
+    return solve_affine(M, Vector._of_scalars(parse_scalar(x) for x in rhs))
 
 
 def fixture_cases() -> list[CaseFixture]:

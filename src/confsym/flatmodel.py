@@ -196,7 +196,7 @@ def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) ->
     wr, ur, vr = w.representative, u.representative, v.representative
     iso_u = not space.pairing(wr, ur)
     iso_v = not space.pairing(wr, vr)
-    in_span = rank(Matrix([ur.entries, vr.entries, wr.entries])) == 2
+    in_span = rank(Matrix._of_scalars([ur.entries, vr.entries, wr.entries])) == 2
     return OrbitLabel(iso_u=iso_u, iso_v=iso_v, in_span=in_span)
 
 
@@ -267,7 +267,7 @@ def _null_bridge(space: MobiusSpace, rep: Vector) -> Vector:
                 entries[i] = entries[i] + s
                 entries[j] = entries[j] + t
                 entries[-1] = entries[-1] + corner
-                z = Vector(entries)
+                z = Vector._of_scalars(entries)
                 if space.pairing(e0, z) and space.pairing(rep, z):
                     return z
         bound += 1

@@ -317,3 +317,4 @@ def as_scalar(x, d: int = 2) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)

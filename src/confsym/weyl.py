@@ -16,20 +16,21 @@ C(n, 4) + n (n + 1) / 2 rows in all.  Every other row of the two families
 is empty on the orbit values or a multiple of one of these (the proof is in
 `_constraint_rows`), so these are the distinct rows, and the space of all
 Weyl tensors is their exact kernel; a cold basis builds no orbit table.
-`kernel_sparse` gives each basis tensor as its nonzero terms, and
-`_ConstraintSystem.check`, the one evaluator of those rows, checks the whole
-solved kernel in one call, on the nonzero values only; `WeylTensor.validate`
-checks one tensor through it.  co(p, q) acts on a tensor viewed as a
-(1,3)-tensor (one index raised with J), so the pure scaling a acts as -2a;
-`co_action` computes it on integer Z[sqrt d] numerators over one common
-denominator.  so(p, q) and the scaling commute with the component
-symmetries, so `co_action` evaluates only the canonical member of each
-orbit.  Those members are indexed once per n by the index they hold at each
-of the four positions (`_positions`): an entry (r, m) of A visits only the
-members whose first index is r or whose second, third or fourth index is
-m, and the scaling is one pass of -2a.  The first prolongation collects the
-covectors Y whose induced endomorphisms annihilate the tensor for every
-direction xi.
+The rows fall into blocks that share no column, so that kernel has a closed
+form, `_kernel_terms`, whose values are all +-1: a cold basis reduces no row
+and builds no Scalar.  `_ConstraintSystem.check`, the one evaluator of those
+rows, checks the whole kernel in one call, on the nonzero values only;
+`WeylTensor.validate` checks one tensor through it.  co(p, q) acts on a
+tensor viewed as a (1,3)-tensor (one index raised with J), so the pure
+scaling a acts as -2a; `co_action` computes it on integer Z[sqrt d]
+numerators over one common denominator.  so(p, q) and the scaling commute
+with the component symmetries, so `co_action` evaluates only the canonical
+member of each orbit.  Those members are indexed once per n by the index
+they hold at each of the four positions (`_positions`): an entry (r, m) of
+A visits only the members whose first index is r or whose second, third or
+fourth index is m, and the scaling is one pass of -2a.  The first
+prolongation collects the covectors Y whose induced endomorphisms
+annihilate the tensor for every direction xi.
 `prolongation` builds that system lazily, one xi-block of one row per orbit
 at a time, and takes the kernel of the rows so far after each block: once it
 is trivial, that is certified without the other blocks.
@@ -47,7 +48,7 @@ from math import comb, lcm
 from .flatmodel import MobiusSpace, Signature
 from .liealg import CoElement, _nonzero, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
-from .scalars import ONE, ZERO, Scalar, check_field_parameter, one_field
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, check_field_parameter, one_field
 
 
 class WeylTensor:
@@ -331,7 +332,13 @@ def _constraint_rows(p: int, q: int):
       +- the row of i = min, which comes earlier in the full order;
     - the trace row (l, j) equals the row (j, l) by pair symmetry.
     So the row space, the canonical kernel and the first failing row that
-    `_ConstraintSystem.check` names are those of the full families."""
+    `_ConstraintSystem.check` names are those of the full families.
+
+    Only the n trace rows (j, j) share columns, the sectional orbits
+    {a, b}{a, b}.  A Bianchi row reads the orbits of its 4-set, whose
+    members have four distinct indices, and a trace row (j, l), j < l, the
+    orbits {i, j}{i, l}, which fix i and {j, l}: no other row reads them
+    (`_kernel_terms` solves on that)."""
     n = p + q
     # rank[x][y]: the colex rank of the pair {x, y}; tri[a] = a (a + 1) / 2,
     # so the orbit of two pairs of ranks a >= b is tri[a] + b (`_orbit_of`).
@@ -424,20 +431,73 @@ class _ConstraintSystem:
 _constraint_system = lru_cache(maxsize=None)(_ConstraintSystem)
 
 
+def _kernel_terms(p: int, q: int) -> list:
+    """The canonical kernel of the rows of `_constraint_rows(p, q)` on the
+    orbit values, in closed form and term by term as `kernel_sparse` gives
+    it: one vector per free column, in free-column order, each the list of
+    its nonzero (orbit, value) terms in column order with the unit at its
+    own free column last and no term at another free column.  Every value
+    is the shared ONE or MINUS_ONE.
+
+    The rows split into blocks that share no column (`_constraint_rows`),
+    and the unique reduced form of a block-diagonal system is the union of
+    its blocks' reduced forms:
+    - each Bianchi row and each trace row (j, l), j < l, is a one-row block.
+      With columns c_0 < c_1 < ... and values v, v_0 = +-1, the pivot is
+      c_0, and each later column c_m is free with the vector
+      {c_0: -v_m v_0, c_m: 1};
+    - the n rows (j, j) read only the sectional orbits, with the value J_a
+      at x_ab, the orbit of {a, b}{a, b}.  With y_ab = J_a J_b x_ab, row j
+      is J_j times the sum of y over the edges of K_n at the vertex j.  The
+      sectional columns run in colex order of their pairs.  The columns
+      (0, 1), (0, 2), (1, 2) have the minor [[1, 1, 0], [1, 0, 1],
+      [0, 1, 1]] of determinant -2 on the vertices 0, 1, 2 (times +-1 in x),
+      and each (0, k), k >= 3, is the first column to reach the vertex k.
+      The vector of each other pair (a, b), 1 <= a < b and b >= 3, is
+      y_ab = 1, y_12 = -1, y_01 = 1 - [a = 1], y_02 = 1 - [a = 2],
+      y_0a = -1 when a >= 3 and y_0b = -1, then x_e = J_a J_b J_e1 J_e2 y_e:
+      every vertex sum vanishes, so it writes column (a, b) through earlier
+      pivot columns only.  So these n columns are the pivots, the block has
+      rank n, and each vector is 0 at every other free column.
+    So the rank is len(rows), and there are n^2 (n^2 - 1) / 12 -
+    n (n + 1) / 2 vectors."""
+    n = p + q
+    rows = _constraint_system(p, q).rows
+    # The rows (j, j): each follows the Bianchi rows and the n - j' trace
+    # rows (j', l) of every j' < j.
+    diagonal = {comb(n, 4) + j * n - j * (j - 1) // 2 for j in range(n)}
+    vectors = {}
+    for r, (cols, vals) in enumerate(rows):
+        if r not in diagonal:
+            c0, v0 = cols[0], vals[0]
+            for m in range(1, len(cols)):
+                vectors[cols[m]] = [(c0, MINUS_ONE if vals[2 * m] == v0 else ONE), (cols[m], ONE)]
+    J = [1 if x < p else -1 for x in range(n)]
+    for b in range(3, n):
+        for a in range(1, b):
+            ys = [(0, 1, 1 - (a == 1)), (0, 2, 1 - (a == 2)), (1, 2, -1)]
+            if a >= 3:
+                ys.append((0, a, -1))
+            ys += [(0, b, -1), (a, b, 1)]
+            s = J[a] * J[b]
+            vectors[_orbit_of(a, b, a, b)] = [
+                (_orbit_of(e, f, e, f), ONE if s * J[e] * J[f] * y > 0 else MINUS_ONE)
+                for e, f, y in ys
+                if y
+            ]
+    return [vectors[f] for f in sorted(vectors)]
+
+
 @lru_cache(maxsize=None)
 def _basis_cached(p: int, q: int) -> tuple:
     """(solved, system, tagged): the canonical kernel of the rows of
-    `_constraint_rows` on the orbit values, as the nonzero (orbit, value)
-    terms of each basis tensor, with the constraint system that checks
-    them.  Those rows are nonempty and pairwise distinct up to a factor, so
-    they go to the engine as they are, last first: the reduced form is
-    unique, and that order takes 7 `_combine` steps instead of 13 at n = 6.
-    The rows are rational, so the solve is too, and one solve per signature
-    serves every field: `weyl_space_basis` checks the kernel over the field
-    of its call in one `_ConstraintSystem.check` and keeps the tensors in
-    `tagged`, d -> tensors."""
-    system = _constraint_system(p, q)
-    return tuple(kernel_sparse(system.rows[::-1], len(system.index), 0)), system, {}
+    `_constraint_rows` on the orbit values (`_kernel_terms`), as the nonzero
+    (orbit, value) terms of each basis tensor, with the constraint system
+    that checks them.  The values are rational, so one kernel per signature
+    serves every field: `weyl_space_basis` checks it over the field of its
+    call in one `_ConstraintSystem.check` and keeps the tensors in `tagged`,
+    d -> tensors."""
+    return tuple(_kernel_terms(p, q)), _constraint_system(p, q), {}
 
 
 def weyl_space_basis(p: int, q: int, d: int = 2) -> WeylBasis:

@@ -12,7 +12,7 @@ from confsym import _core
 from confsym.flatmodel import MAX_DIMENSION, MobiusSpace
 from confsym.liealg import CoElement, _nonzero, upsilon_action
 from confsym.linalg import Matrix, Vector, kernel, kernel_sparse, solve_affine
-from confsym.scalars import FieldMismatchError, Scalar
+from confsym.scalars import MINUS_ONE, ONE, FieldMismatchError, Scalar
 from confsym.serialize import weyl_from_dict, weyl_to_dict
 import confsym.weyl as weyl_module
 from confsym.weyl import (
@@ -536,26 +536,21 @@ def test_random_weyl_and_values_build_no_orbit_table(seed):
     "pq, distinct",
     [((4, 0), 11), ((2, 2), 11), ((5, 0), 20), ((3, 2), 20), ((6, 0), 36), ((3, 3), 36)],
 )
-def test_cold_basis_reduces_pairwise_distinct_rows(monkeypatch, cold_basis, pq, distinct):
-    """A cold basis sends no empty row and no two rows equal up to a scalar
-    factor to the engine: exactly as many rows as pivots."""
-    calls = []
-    rref = _core.rref_sparse
-    monkeypatch.setattr(
-        _core,
-        "rref_sparse",
-        lambda rows, d, ncols: calls.append(list(rows)) or rref(rows, d, ncols),
-    )
-    basis = weyl_space_basis(*pq)
-    assert len(calls) == 1
-    rows = calls[0]
+def test_cold_basis_reduces_pairwise_distinct_rows(cold_basis, pq, distinct):
+    """The rows whose kernel a cold basis is (`_constraint_rows`) hold no
+    empty row and no two rows equal up to a scalar factor, and they are
+    independent: the engine finds exactly as many pivots as rows."""
+    rows = _constraint_rows(*pq)
     normalised = set()
     for cols, vals in rows:
         assert cols and not any(vals[1::2])
         lead = Fraction(vals[0])
         normalised.add((tuple(cols), tuple(Fraction(v) / lead for v in vals[::2])))
     assert len(rows) == len(normalised) == distinct
-    assert len(_orbits(sum(pq))) - basis.dimension == distinct
+    count = len(_orbits(sum(pq)))
+    pivots, _ = _core.rref_sparse(rows, 0, count)
+    assert len(pivots) == len(rows)
+    assert count - weyl_space_basis(*pq).dimension == distinct
 
 
 def reference_constraint_rows(p, q):
@@ -617,11 +612,11 @@ def test_basis_components_carry_the_field():
 
 def test_one_solve_serves_every_field(monkeypatch, cold_basis):
     """The basis values are rational, so the second field reuses the first
-    field's solve and only the tensors' d differs."""
+    field's kernel and only the tensors' d differs."""
     solves = []
-    kernel = weyl_module.kernel_sparse
+    kernel_terms = weyl_module._kernel_terms
     monkeypatch.setattr(
-        weyl_module, "kernel_sparse", lambda *args: solves.append(args) or kernel(*args)
+        weyl_module, "_kernel_terms", lambda *args: solves.append(args) or kernel_terms(*args)
     )
     over2 = weyl_space_basis(4, 0, 2)
     over3 = weyl_space_basis(4, 0, 3)
@@ -644,24 +639,58 @@ def test_cold_basis_is_checked_in_one_call_per_field(monkeypatch, cold_basis):
     assert calls == ["check", "check"]
 
 
-@pytest.mark.parametrize("pq, combines", [((6, 0), 7), ((12, 0), 13)])
-def test_cold_basis_reduction_takes_its_pinned_combine_steps(monkeypatch, cold_basis, pq, combines):
-    """The rows go to the engine last first, trace rows ahead of Bianchi
-    rows: a cold basis then eliminates with 7 `_combine` steps at n = 6
-    and 13 at n = 12 (13 and 31 in the order `_constraint_rows` emits)."""
+@pytest.mark.parametrize("pq", [(6, 0), (12, 0)])
+def test_cold_basis_reduction_takes_its_pinned_combine_steps(monkeypatch, cold_basis, pq):
+    """A cold basis is written in closed form (`_kernel_terms`): it calls
+    the engine 0 times and takes 0 `_combine` steps."""
     calls = []
-    combine = _core._combine
-    monkeypatch.setattr(_core, "_combine", lambda *args: calls.append(1) or combine(*args))
-    weyl_space_basis(*pq)
-    assert len(calls) == combines
+    for name in ("_combine", "rref_sparse"):
+        f = getattr(_core, name)
+        monkeypatch.setattr(_core, name, lambda *args, n=name, f=f: calls.append(n) or f(*args))
+    assert weyl_space_basis(*pq).dimension == weyl_dim_oracle(sum(pq))
+    assert calls == []
 
 
-@pytest.mark.parametrize("pq", [(p, n - p) for n in range(3, 9) for p in range(n + 1)])
+@pytest.mark.parametrize("pq", [(p, n - p) for n in range(3, 13) for p in range(n + 1)])
 def test_last_first_kernel_equals_the_kernel_of_the_rows_as_emitted(cold_basis, pq):
-    """The reduced form is unique, so the kernel solved from the reversed
-    rows is, term by term, the kernel of the rows in emitted order."""
+    """The reduced form is unique, so the kernel the engine solves from the
+    reversed rows is, term by term, the kernel of the rows in emitted
+    order, and both are the closed form that a cold basis holds."""
     solved, system, _ = weyl_module._basis_cached(*pq)
-    assert list(solved) == kernel_sparse(system.rows, len(system.index), 0)
+    ncols = len(system.index)
+    assert list(solved) == kernel_sparse(system.rows, ncols, 0)
+    assert list(solved) == kernel_sparse(system.rows[::-1], ncols, 0)
+
+
+@pytest.mark.parametrize("pq", [(p, n - p) for n in range(3, 13) for p in range(n + 1)])
+def test_closed_form_kernel_is_a_canonical_basis_of_plus_minus_ones(pq):
+    """Each vector of `_kernel_terms` holds only the shared ONE and
+    MINUS_ONE, in column order, with its unit last at its own free column
+    and no term at another vector's free column; there are as many
+    vectors as the dimension formula says."""
+    vectors = weyl_module._kernel_terms(*pq)
+    assert len(vectors) == weyl_dim_oracle(sum(pq))
+    free = [terms[-1][0] for terms in vectors]
+    assert free == sorted(set(free))
+    free_set = set(free)
+    for terms in vectors:
+        cols = [u for u, _ in terms]
+        assert cols == sorted(set(cols))
+        assert all(x is ONE or x is MINUS_ONE for _, x in terms)
+        assert terms[-1][1] is ONE
+        assert free_set.isdisjoint(cols[:-1])
+
+
+@pytest.mark.parametrize("pq", [(6, 0), (3, 3), (12, 0)])
+def test_cold_basis_constructs_no_scalar(monkeypatch, cold_basis, pq):
+    """A cold basis, over two fields, holds only shared +-1 values: it
+    builds no `Scalar`."""
+    built = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+    for d in (2, 3):
+        assert weyl_space_basis(*pq, d).dimension == weyl_dim_oracle(sum(pq))
+    assert built == []
 
 
 def test_reads_of_one_signature_build_one_constraint_system():
@@ -884,18 +913,18 @@ def test_validate_names_the_first_failing_row_of_the_full_families(pq, c):
 
 
 def _corrupt_kernel(monkeypatch, k, change):
-    """Make weyl.kernel_sparse give its k-th vector the terms of
+    """Make weyl._kernel_terms give its k-th vector the terms of
     change(values), where values maps each column of the vector's terms to
     its value: a new column becomes a term in column order, and a column
     mapped to zero loses its term."""
-    kernel_sparse = weyl_module.kernel_sparse
+    kernel_terms = weyl_module._kernel_terms
 
-    def corrupted(rows, ncols, d):
-        out = kernel_sparse(rows, ncols, d)
+    def corrupted(p, q):
+        out = kernel_terms(p, q)
         out[k] = sorted((u, x) for u, x in change(dict(out[k])).items() if x)
         return out
 
-    monkeypatch.setattr(weyl_module, "kernel_sparse", corrupted)
+    monkeypatch.setattr(weyl_module, "_kernel_terms", corrupted)
 
 
 @pytest.mark.parametrize("pq", [(4, 0), (2, 2), (5, 0), (3, 2)])
