@@ -12,6 +12,11 @@ Exit status is 0 exactly when every check made by the invoked command passed,
 1 when one failed, 2 on bad input (one `error:` line on stderr, also for a
 flag that the subcommand does not read) and EXIT_CLOSED_PIPE when standard
 output closes before everything is written.
+
+Each command imports the layers that it runs when it runs, so a process
+loads only those: `weyl` reads neither the symmetry solver nor the
+extensions, `solve`, `classify` and `reproduce-paper` neither the Weyl layer
+nor the extensions, and `extension` neither the solver nor the Weyl layer.
 """
 
 from __future__ import annotations
@@ -20,31 +25,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .extension import (
-    curvature,
-    flat_model_extension,
-    symmetry_criterion,
-    symmetry_criterion_search,
-    validate_extension,
-)
+# The flat model, and with it the linear algebra and scalars, is all that
+# parsing and `SessionConfig` need; every other layer is imported by the
+# command that runs it.
 from .flatmodel import MobiusSpace, NullLine, checked_space, classify_orbit
 from .linalg import AffineSubspace, Matrix, Vector, solve_affine
 from .scalars import parse_scalar
-from .serialize import (
-    _json_int,
-    dump_canonical,
-    extension_from_dict,
-    extension_to_dict,
-    orbit_to_dict,
-    report_to_dict,
-    subspace_to_dict,
-    vector_to_literals,
-    weyl_to_dict,
-)
-from .symmetry import SymmetryReport, find_symmetries
-from .weyl import prolongation, random_weyl, weyl_space_basis
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .symmetry import SymmetryReport
 
 
 # Exit status when standard output closes before everything is written, the
@@ -52,15 +43,15 @@ from .weyl import prolongation, random_weyl, weyl_space_basis
 EXIT_CLOSED_PIPE = 141
 
 
-@dataclass
 class SessionConfig:
-    p: int
-    q: int
-    d: int = 2
-    machine: bool = False
+    __slots__ = ("p", "q", "d", "machine")
 
-    def __post_init__(self):
-        checked_space(self.p, self.q, self.d)
+    def __init__(self, p: int, q: int, d: int = 2, machine: bool = False):
+        checked_space(p, q, d)
+        self.p = p
+        self.q = q
+        self.d = d
+        self.machine = machine
 
     def space(self) -> MobiusSpace:
         return MobiusSpace(self.p, self.q, self.d)
@@ -78,6 +69,8 @@ def _parse_vector_arg(text: str, d: int) -> Vector:
 
 
 def _int_field(data: dict, key: str, default=None) -> int:
+    from .serialize import _json_int
+
     value = data.get(key, default)
     if value is None:
         raise InputError(f"input file has no {key!r}")
@@ -142,6 +135,8 @@ def _emit(config: SessionConfig, machine_obj, human_lines):
     """Print the canonical JSON of `machine_obj` under --machine, else the
     lines returned by `human_lines()`, which only the human mode calls."""
     if config.machine:
+        from .serialize import dump_canonical
+
         print(dump_canonical(machine_obj))
     else:
         for line in human_lines():
@@ -159,6 +154,8 @@ def _describe_subspace(s: AffineSubspace) -> str:
 
 
 def cmd_classify(config: SessionConfig, args) -> int:
+    from .serialize import orbit_to_dict
+
     space, u, v, w = _load_lines(config, args)
     try:
         label = classify_orbit(space, w, u, v)
@@ -182,6 +179,9 @@ def cmd_classify(config: SessionConfig, args) -> int:
 
 
 def cmd_solve(config: SessionConfig, args) -> int:
+    from .serialize import report_to_dict
+    from .symmetry import find_symmetries
+
     space, u, v, w = _load_lines(config, args)
     try:
         report = find_symmetries(space, u, v, w)
@@ -203,6 +203,8 @@ def cmd_solve(config: SessionConfig, args) -> int:
 
 
 def cmd_weyl(config: SessionConfig, args) -> int:
+    from .weyl import prolongation, random_weyl, weyl_space_basis
+
     if args.weyl_command == "basis-dim":
         if args.seed is not None:
             raise InputError("weyl basis-dim takes no --seed")
@@ -213,7 +215,9 @@ def cmd_weyl(config: SessionConfig, args) -> int:
             lambda: [f"dim of the algebraic Weyl space for ({config.p}, {config.q}): {basis.dimension}"],
         )
         return 0
-    # prolongation
+    # prolongation; both modes build the machine object
+    from .serialize import vector_to_literals, weyl_to_dict
+
     seed = 0 if args.seed is None else args.seed
     try:
         W = random_weyl(config.p, config.q, seed, config.d)
@@ -250,6 +254,15 @@ _EXTENSION_FLAGS = (
 
 
 def cmd_extension(config: SessionConfig, args) -> int:
+    from .extension import (
+        curvature,
+        flat_model_extension,
+        symmetry_criterion,
+        symmetry_criterion_search,
+        validate_extension,
+    )
+    from .serialize import dump_canonical, extension_from_dict, extension_to_dict, vector_to_literals
+
     for attr, flag, readers in _EXTENSION_FLAGS:
         if getattr(args, attr) is not None and args.ext_command not in readers:
             raise InputError(f"extension {args.ext_command} takes no {flag}")
@@ -272,7 +285,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
         raise InputError(f"extension {args.ext_command} needs --file")
     data = _read_json(args.file, "cannot load extension from")
     try:
-        ext = extension_from_dict(data)
+        ext = extension_from_dict(data, config.d)
     except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load extension from {args.file}: {exc}") from None
 
@@ -365,25 +378,38 @@ def cmd_extension(config: SessionConfig, args) -> int:
 # -- the six fixed desk cases ------------------------------------------------
 
 
-@dataclass
 class CaseFixture:
     """A desk case: two removed lines of (p, q) and, for each SymmetryReport
     field that the case checks, its exact expected set."""
 
-    case_id: str
-    p: int
-    q: int
-    u: list[str]
-    v: list[str]
-    expected_desc: str
-    expected: dict[str, AffineSubspace]
+    __slots__ = ("case_id", "p", "q", "u", "v", "expected_desc", "expected")
+
+    def __init__(
+        self,
+        case_id: str,
+        p: int,
+        q: int,
+        u: list[str],
+        v: list[str],
+        expected_desc: str,
+        expected: dict[str, AffineSubspace],
+    ):
+        self.case_id = case_id
+        self.p = p
+        self.q = q
+        self.u = u
+        self.v = v
+        self.expected_desc = expected_desc
+        self.expected = expected
 
 
-@dataclass
 class CaseResult:
-    case: CaseFixture
-    report: SymmetryReport
-    match: bool
+    __slots__ = ("case", "report", "match")
+
+    def __init__(self, case: CaseFixture, report: SymmetryReport, match: bool):
+        self.case = case
+        self.report = report
+        self.match = match
 
 
 def _point(entries) -> AffineSubspace:
@@ -446,6 +472,8 @@ def fixture_cases() -> list[CaseFixture]:
 
 
 def run_fixture_case(case: CaseFixture) -> CaseResult:
+    from .symmetry import find_symmetries
+
     space = MobiusSpace(case.p, case.q)
     u = space.line([parse_scalar(x) for x in case.u])
     v = space.line([parse_scalar(x) for x in case.v])
@@ -459,6 +487,8 @@ def cmd_reproduce(config: SessionConfig, args) -> int:
         raise InputError(f"reproduce-paper runs over Q(sqrt 2) only, got --d {config.d}")
     results = [run_fixture_case(case) for case in fixture_cases()]
     if config.machine:
+        from .serialize import dump_canonical, subspace_to_dict
+
         payload = [
             {
                 "case_id": r.case.case_id,

@@ -14,9 +14,8 @@ puts the isotropy inside the orthogonal group for genuinely symmetric pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _core
+from ._record import Record
 from .flatmodel import MobiusSpace
 from .liealg import (
     StructureAlgebra,
@@ -131,18 +130,27 @@ class Extension:
         return Vector._of_scalars(acc.get(j, ZERO) for j in range(self.alpha.ncols))
 
 
-@dataclass
-class ConditionReport:
-    passed: bool
-    detail: str
-    witnesses: list = field(default_factory=list)
+class ConditionReport(Record):
+    __slots__ = ("passed", "detail", "witnesses")
+
+    def __init__(self, passed: bool, detail: str, witnesses: list | None = None):
+        self.passed = passed
+        self.detail = detail
+        self.witnesses = [] if witnesses is None else witnesses
 
 
-@dataclass
-class ExtensionReport:
-    stabilizer_condition: ConditionReport
-    quotient_condition: ConditionReport
-    equivariance_condition: ConditionReport
+class ExtensionReport(Record):
+    __slots__ = ("stabilizer_condition", "quotient_condition", "equivariance_condition")
+
+    def __init__(
+        self,
+        stabilizer_condition: ConditionReport,
+        quotient_condition: ConditionReport,
+        equivariance_condition: ConditionReport,
+    ):
+        self.stabilizer_condition = stabilizer_condition
+        self.quotient_condition = quotient_condition
+        self.equivariance_condition = equivariance_condition
 
     @property
     def passed(self) -> bool:
@@ -299,11 +307,13 @@ def symmetry_criterion_search(ext: Extension, candidates) -> Vector | None:
     return None
 
 
-@dataclass
-class MetrizabilityReport:
-    passed: bool
-    checked_pairs: list
-    failures: list
+class MetrizabilityReport(Record):
+    __slots__ = ("passed", "checked_pairs", "failures")
+
+    def __init__(self, passed: bool, checked_pairs: list, failures: list):
+        self.passed = passed
+        self.checked_pairs = checked_pairs
+        self.failures = failures
 
 
 def metrizability_check(pair: SymmetricPair) -> MetrizabilityReport:

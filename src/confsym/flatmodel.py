@@ -12,9 +12,9 @@ moving the distinguished origin <e_0> to any point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import FrozenRecord
 from .linalg import Matrix, Vector, rank
 from .scalars import ONE, ZERO, Scalar, as_scalar, check_field_parameter
 
@@ -26,19 +26,19 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, check_field_parameter
 MAX_DIMENSION = 12
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenRecord):
     """Metric signature (p, q) of the conformal structure; ambient vectors
     live in dimension p + q + 2.  The one range check of a signature."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"need p >= 0 and q >= 0, got ({self.p}, {self.q})")
-        if self.p + self.q < 3:
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0:
+            raise ValueError(f"need p >= 0 and q >= 0, got ({p}, {q})")
+        if p + q < 3:
             raise ValueError("need p + q >= 3")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -123,14 +123,16 @@ class NullLine:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(FrozenRecord):
     """Position of a point w relative to the removed lines <u>, <v>:
     isotropy of w with each and membership of w in the plane <u, v>."""
 
-    iso_u: bool
-    iso_v: bool
-    in_span: bool
+    __slots__ = ("iso_u", "iso_v", "in_span")
+
+    def __init__(self, iso_u: bool, iso_v: bool, in_span: bool):
+        object.__setattr__(self, "iso_u", iso_u)
+        object.__setattr__(self, "iso_v", iso_v)
+        object.__setattr__(self, "in_span", in_span)
 
 
 class MobiusSpace:

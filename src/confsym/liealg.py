@@ -44,10 +44,10 @@ structure-constant algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
+from ._record import FrozenRecord
 from .flatmodel import MobiusSpace
 from .linalg import Matrix, Vector
 from .scalars import ONE, ZERO, Scalar, one_field
@@ -80,12 +80,14 @@ def algebra_condition(space: MobiusSpace, M: Matrix) -> bool:
     return (M.transpose() @ m + m @ M).is_zero()
 
 
-@dataclass(frozen=True)
-class CoElement:
+class CoElement(FrozenRecord):
     """Element of co(p, q) acting on R^n as a*id + A with A in so(p, q)."""
 
-    a: Scalar
-    A: Matrix
+    __slots__ = ("a", "A")
+
+    def __init__(self, a: Scalar, A: Matrix):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "A", A)
 
     def endomorphism(self) -> Matrix:
         n = self.A.nrows

@@ -13,7 +13,7 @@ unique RREF, so equal subspaces produce identical bases.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _core
 from .scalars import ONE, ZERO, Scalar, as_scalar, one_field

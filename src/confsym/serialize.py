@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import json
 
-from .extension import Extension, HomogeneousPair, SymmetricPair
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel, checked_space
-from .liealg import StructureAlgebra
 from .linalg import AffineSubspace, Matrix, Vector
 from .scalars import ZERO, parse_scalar
-from .symmetry import SymmetryReport
-from .weyl import WeylTensor, _orbit_of, _orbits, _unflat
+
+# The readers and writers of symmetry reports, Weyl tensors and extensions
+# import their layer when called, so that writing one kind of value loads
+# none of the others.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .extension import Extension
+    from .liealg import StructureAlgebra
+    from .symmetry import SymmetryReport
+    from .weyl import WeylTensor
 
 
 def dump_canonical(obj) -> str:
@@ -109,6 +115,8 @@ def report_to_dict(space: MobiusSpace, report: SymmetryReport) -> dict:
 def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
     """Rejects p, q and d that are not JSON integers, and a signature or
     field that `checked_space` refuses."""
+    from .symmetry import SymmetryReport
+
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     space = checked_space(p, q, d)
     report = SymmetryReport(
@@ -126,15 +134,10 @@ def report_from_dict(data: dict) -> tuple[MobiusSpace, SymmetryReport]:
 # -- Weyl tensors ------------------------------------------------------------
 
 
-def _weyl_key(n: int, members) -> str:
-    """The 1-based "i,j,k,l" key of an orbit's canonical component."""
-    return ",".join(str(x + 1) for x in _unflat(n, members[0]))
-
-
-def _weyl_key_orbit(key, index: dict) -> int:
-    """The orbit of a key as `weyl_to_dict` writes it, found without the
-    orbit table.  `index` maps the texts "1" .. str(n) to 0 .. n - 1, so only
-    four such texts joined by commas pass: no sign, space, leading zero,
+def _weyl_key_indices(key, index: dict) -> tuple[int, int, int, int]:
+    """The canonical component (i, j, k, l) of a key as `weyl_to_dict` writes
+    it.  `index` maps the texts "1" .. str(n) to 0 .. n - 1, so only four
+    such texts joined by commas pass: no sign, space, leading zero,
     non-ASCII digit or index out of range.  They must also have i < j, k < l
     and (i, j) <= (k, l); any other key is a ValueError."""
     parts = key.split(",") if isinstance(key, str) else ()
@@ -144,17 +147,20 @@ def _weyl_key_orbit(key, index: dict) -> int:
         pass
     else:
         if i < j and k < l and (i, j) <= (k, l):
-            return _orbit_of(i, j, k, l)
+            return i, j, k, l
     raise ValueError(f"non-canonical component key {key!r}")
 
 
 def weyl_to_dict(W: WeylTensor) -> dict:
     """Lists the value of each orbit of `weyl._orbits` when it is nonzero,
-    keyed by its canonical component (i<j, k<l, (i,j) <= (k,l)); the other
-    members of its orbit are that value times their signs (`weyl._SIGNS`).  Only the keys
-    of `W.terms` are formatted."""
-    orbits = _orbits(W.n)
-    comps = {_weyl_key(W.n, orbits[u]): str(x) for u, x in W.terms}
+    keyed by the 1-based "i,j,k,l" of its canonical component (i<j, k<l,
+    (i,j) <= (k,l)); the other members of its orbit are that value times
+    their signs (`weyl._SIGNS`).  Only the keys of `W.terms` are formatted."""
+    from .weyl import _orbits, _unflat
+
+    n = W.n
+    orbits = _orbits(n)
+    comps = {",".join(str(x + 1) for x in _unflat(n, orbits[u][0])): str(x) for u, x in W.terms}
     return {"p": W.p, "q": W.q, "d": W.d, "components": comps}
 
 
@@ -164,6 +170,8 @@ def weyl_from_dict(data: dict) -> WeylTensor:
     not a JSON object and a value in it that is not a string literal, p, q
     and d that are not JSON integers, a signature or field that
     `checked_space` refuses, and a tensor that fails `WeylTensor.validate`."""
+    from .weyl import WeylTensor, _orbit_of
+
     p, q, d = (_json_int(data[key], key) for key in ("p", "q", "d"))
     n = checked_space(p, q, d).n
     components = data["components"]
@@ -173,7 +181,8 @@ def weyl_from_dict(data: dict) -> WeylTensor:
     index = {str(x + 1): x for x in range(n)}
     terms = []
     for key, lit in components.items():
-        u = _weyl_key_orbit(key, index)
+        # The orbit is found without the orbit table.
+        u = _orbit_of(*_weyl_key_indices(key, index))
         if type(lit) is not str:
             raise ValueError(f"component {key!r} must be a string literal, got {lit!r}")
         x = parse_scalar(lit, d)
@@ -225,6 +234,8 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
     literal "0" is skipped as it stands, and every other literal goes through
     the grammar once.  The file states only the i < j half, each pair once,
     which is what `StructureAlgebra` takes and mirrors."""
+    from .liealg import StructureAlgebra
+
     dim = _json_int(data["dim"], "dim")
     brackets = {}
     for i, j, coeffs in data["brackets"]:
@@ -247,6 +258,8 @@ def structure_algebra_from_dict(data: dict, d: int) -> StructureAlgebra:
 
 
 def extension_to_dict(ext: Extension) -> dict:
+    from .extension import SymmetricPair
+
     return {
         "p": ext.space.signature.p,
         "q": ext.space.signature.q,
@@ -259,13 +272,15 @@ def extension_to_dict(ext: Extension) -> dict:
     }
 
 
-def extension_from_dict(data: dict) -> Extension:
-    """Rejects non-integer p, q, d (2 when absent) and dim, a signature or
-    field that `checked_space` refuses, an m of other than p + q indices,
-    and h or m indices that are not integers 0 <= i < dim."""
+def extension_from_dict(data: dict, d: int = 2) -> Extension:
+    """Rejects non-integer p, q, d (the argument `d` when absent) and dim, a
+    signature or field that `checked_space` refuses, an m of other than
+    p + q indices, and h or m indices that are not integers 0 <= i < dim."""
+    from .extension import Extension, HomogeneousPair, SymmetricPair
+
     p = _json_int(data["p"], "p")
     q = _json_int(data["q"], "q")
-    space = checked_space(p, q, _json_int(data.get("d", 2), "d"))
+    space = checked_space(p, q, _json_int(data.get("d", d), "d"))
     # The lists of the file bound dim before anything of size dim is built.
     dim = _json_int(data["algebra"]["dim"], "dim")
     if dim != len(data["alpha"]) or dim != len(data["h"]) + len(data["m"]):

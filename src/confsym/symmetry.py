@@ -19,8 +19,7 @@ Z), and mu = -1 at the origin, since s_Z e_0 = -e_0 for every Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .flatmodel import (
     MobiusSpace,
     NullLine,
@@ -142,18 +141,37 @@ def _hyperplane(normal: Vector, rhs: Scalar) -> AffineSubspace:
     return solve_affine(Matrix._of_scalars([normal.entries]), Vector._of_scalars([rhs]))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(FrozenRecord):
     """Exact solution sets for symmetries at base_point relative to two
     removed lines, parameterized by Z at the origin through the witness."""
 
-    base_point: NullLine
-    witness: Matrix
-    orbit: OrbitLabel
-    preserving: AffineSubspace
-    swapping: AffineSubspace
-    preserve_first: AffineSubspace
-    preserve_second: AffineSubspace
+    __slots__ = (
+        "base_point",
+        "witness",
+        "orbit",
+        "preserving",
+        "swapping",
+        "preserve_first",
+        "preserve_second",
+    )
+
+    def __init__(
+        self,
+        base_point: NullLine,
+        witness: Matrix,
+        orbit: OrbitLabel,
+        preserving: AffineSubspace,
+        swapping: AffineSubspace,
+        preserve_first: AffineSubspace,
+        preserve_second: AffineSubspace,
+    ):
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "preserving", preserving)
+        object.__setattr__(self, "swapping", swapping)
+        object.__setattr__(self, "preserve_first", preserve_first)
+        object.__setattr__(self, "preserve_second", preserve_second)
 
 
 def find_symmetries(
@@ -169,10 +187,15 @@ def find_symmetries(
     g s_Z g^{-1} preserves (swaps) the lines iff s_Z preserves (swaps) their
     g^{-1}-images.  The preserving set is the exact intersection of the two
     single-line sets.  Any valid witness yields the same realized symmetries.
+    A given witness must be an isometry whose first column spans w
+    (ValueError otherwise).
     """
     orbit = classify_orbit(space, w, u, v)
     g = transitive_witness(space, w) if witness is None else witness
     g_inv = isometry_inverse(space, g)
+    # An isometry's first column is null and nonzero, so it spans a line.
+    if witness is not None and NullLine(space.form, Vector._of_scalars(row[0] for row in g.rows)) != w:
+        raise ValueError("witness does not move the origin to w")
     u_local = apply_to_line(space, g_inv, u)
     v_local = apply_to_line(space, g_inv, v)
     keep_u = solve_preserve(space, u_local)

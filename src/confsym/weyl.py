@@ -38,13 +38,12 @@ is trivial, that is certified without the other blocks.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, lcm
 
+from ._record import FrozenRecord
 from .flatmodel import MobiusSpace, Signature
 from .liealg import CoElement, _nonzero, so_block_condition, upsilon_action
 from .linalg import Matrix, Vector, kernel, kernel_sparse, sparse_rows_from_scalars
@@ -213,13 +212,15 @@ _set_terms = WeylTensor.terms.__set__
 _set_ints = WeylTensor._ints.__set__
 
 
-@dataclass(frozen=True)
-class WeylBasis:
+class WeylBasis(FrozenRecord):
     """Ordered canonical basis of the full space of Weyl-type tensors."""
 
-    p: int
-    q: int
-    elements: tuple[WeylTensor, ...]
+    __slots__ = ("p", "q", "elements")
+
+    def __init__(self, p: int, q: int, elements: tuple[WeylTensor, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dimension(self) -> int:
@@ -666,10 +667,12 @@ def random_weyl(p: int, q: int, seed: int, d: int = 2) -> WeylTensor:
     The basis is solved over Q, so the combination is summed on integer
     numerators over one common denominator, with one Scalar per nonzero
     orbit; an irrational basis value raises ArithmeticError."""
+    from random import Random
+
     basis = weyl_space_basis(p, q, d)
     if basis.dimension == 0:
         raise ValueError(f"the Weyl space is trivial for signature ({p}, {q})")
-    rng = random.Random(seed)
+    rng = Random(seed)
     while True:
         coeffs = [rng.randint(-9, 9) for _ in range(basis.dimension)]
         if any(coeffs):

@@ -500,6 +500,30 @@ def _extension_file(tmp_path, capsys, p, q, d, kind):
     return path
 
 
+def test_extension_file_without_d_is_read_over_the_d_flag(tmp_path, capsys):
+    """`--d` is the field of an extension file that states none, as it is of
+    a solve input file.  The bent file's curvature depends on the field (a
+    value -2 - r/2 over Q(sqrt 2) is -3 - r/2 over Q(sqrt 3)); once its "d"
+    is removed, it used to be read over Q(sqrt 2) whatever `--d` said."""
+    commands = (["curvature"], ["criterion", "--y=1,-1/2,r,0"])
+    outputs = {}
+    for d in (2, 3):
+        stamped = _extension_file(tmp_path, capsys, 2, 2, d, "bent")
+        data = json.loads(stamped.read_text())
+        del data["d"]
+        bare = tmp_path / f"bare{d}.json"
+        bare.write_text(json.dumps(data))
+        for path, flags in ((stamped, []), (bare, ["--d", str(d)])):
+            outputs[d, path.name] = [
+                run(capsys, *flags, "--machine", "extension", *command, "--file", str(path)) for command in commands
+            ]
+        assert outputs[d, bare.name] == outputs[d, stamped.name]
+    assert outputs[2, "bent.json"][0] != outputs[3, "bent.json"][0]
+    # Without --d, a file that states no field is read over the default, 2.
+    bare3 = str(tmp_path / "bare3.json")
+    assert run(capsys, "--machine", "extension", "curvature", "--file", bare3) == outputs[2, "bent.json"][0]
+
+
 @pytest.mark.parametrize("p, q, d, kind", sorted(EXTENSION_SHA256))
 def test_extension_outputs_are_pinned(tmp_path, capsys, p, q, d, kind):
     path = str(_extension_file(tmp_path, capsys, p, q, d, kind))

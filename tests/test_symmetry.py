@@ -244,6 +244,22 @@ def test_find_symmetries_away_from_origin(space21, rng):
         assert apply_to_line(space21, s, w) == w
 
 
+def test_find_symmetries_refuses_a_witness_that_misses_w(space21):
+    """A given witness must move the origin to w.  One that moves it to
+    <(1, 1, 0, 1, 0)> gave the swap point (3 - r/2, 4, 5 + r/2) of that point,
+    labelled w; any isometry whose first column spans w gives w's answer."""
+    u = space21.line(["1", "1*r", "0", "0", "-1"])
+    v = space21.line(["1", "0", "0", "-1*r", "1"])
+    w = space21.line(["0", "1", "0", "1", "0"])
+    elsewhere = transitive_witness(space21, space21.line(["1", "1", "0", "1", "0"]))
+    with pytest.raises(ValueError, match="does not move the origin to w"):
+        find_symmetries(space21, u, v, w, witness=elsewhere)
+    want = AffineSubspace.point(space21.vector(["-1*r", "2", "4+1*r"]))
+    assert find_symmetries(space21, u, v, w).swapping == want
+    flipped = transitive_witness(space21, w).scale(-1)
+    assert find_symmetries(space21, u, v, w, witness=flipped).swapping == want
+
+
 def test_conjugate_symmetry_examples(space21, rng):
     z = rand_covector(rng, 3)
     assert conjugate_symmetry(space21, Matrix.identity(5), z) == make_symmetry(space21, z)
