@@ -17,6 +17,14 @@ Each command imports the layers that it runs when it runs, so a process
 loads only those: `weyl` reads neither the symmetry solver nor the
 extensions, `solve`, `classify` and `reproduce-paper` neither the Weyl layer
 nor the extensions, and `extension` neither the solver nor the Weyl layer.
+The human mode builds no machine object, so it does not load the serializer
+unless the command reads a file.
+
+Parsing builds two parsers on every call: `build_parser` reads the global
+flags and the command name, and then `build_command_parser` builds only that
+command's parser for the tokens after it.  Help, usage and error texts are
+those of one parser with a subparser per command, except the layout of the
+global --help, which lists the commands in its epilog.
 """
 
 from __future__ import annotations
@@ -132,12 +140,12 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
 
 
 def _emit(config: SessionConfig, machine_obj, human_lines):
-    """Print the canonical JSON of `machine_obj` under --machine, else the
-    lines returned by `human_lines()`, which only the human mode calls."""
+    """Print the canonical JSON of `machine_obj()` under --machine, else the
+    lines returned by `human_lines()`: each mode builds only its own output."""
     if config.machine:
         from .serialize import dump_canonical
 
-        print(dump_canonical(machine_obj))
+        print(dump_canonical(machine_obj()))
     else:
         for line in human_lines():
             print(line)
@@ -154,8 +162,6 @@ def _describe_subspace(s: AffineSubspace) -> str:
 
 
 def cmd_classify(config: SessionConfig, args) -> int:
-    from .serialize import orbit_to_dict
-
     space, u, v, w = _load_lines(config, args)
     try:
         label = classify_orbit(space, w, u, v)
@@ -163,13 +169,15 @@ def cmd_classify(config: SessionConfig, args) -> int:
         raise InputError(str(exc)) from None
     pair_u = space.pairing(w.representative, u.representative)
     pair_v = space.pairing(w.representative, v.representative)
+
+    def machine_obj():
+        from .serialize import orbit_to_dict
+
+        return {"orbit": orbit_to_dict(label), "pairing_u": str(pair_u), "pairing_v": str(pair_v)}
+
     _emit(
         config,
-        {
-            "orbit": orbit_to_dict(label),
-            "pairing_u": str(pair_u),
-            "pairing_v": str(pair_v),
-        },
+        machine_obj,
         lambda: [
             f"m(w, u) = {pair_u}   m(w, v) = {pair_v}",
             f"orbit label: iso_u={label.iso_u} iso_v={label.iso_v} in_span={label.in_span}",
@@ -179,7 +187,6 @@ def cmd_classify(config: SessionConfig, args) -> int:
 
 
 def cmd_solve(config: SessionConfig, args) -> int:
-    from .serialize import report_to_dict
     from .symmetry import find_symmetries
 
     space, u, v, w = _load_lines(config, args)
@@ -187,9 +194,15 @@ def cmd_solve(config: SessionConfig, args) -> int:
         report = find_symmetries(space, u, v, w)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+    def machine_obj():
+        from .serialize import report_to_dict
+
+        return report_to_dict(space, report)
+
     _emit(
         config,
-        report_to_dict(space, report),
+        machine_obj,
         lambda: [
             f"base point: {report.base_point}",
             f"orbit: iso_u={report.orbit.iso_u} iso_v={report.orbit.iso_v} in_span={report.orbit.in_span}",
@@ -211,29 +224,32 @@ def cmd_weyl(config: SessionConfig, args) -> int:
         basis = weyl_space_basis(config.p, config.q, config.d)
         _emit(
             config,
-            {"p": config.p, "q": config.q, "dimension": basis.dimension},
+            lambda: {"p": config.p, "q": config.q, "dimension": basis.dimension},
             lambda: [f"dim of the algebraic Weyl space for ({config.p}, {config.q}): {basis.dimension}"],
         )
         return 0
-    # prolongation; both modes build the machine object
-    from .serialize import vector_to_literals, weyl_to_dict
-
     seed = 0 if args.seed is None else args.seed
     try:
         W = random_weyl(config.p, config.q, seed, config.d)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     pro = prolongation(W)
-    _emit(
-        config,
-        {
+
+    def machine_obj():
+        from .serialize import vector_to_literals, weyl_to_dict
+
+        return {
             "p": config.p,
             "q": config.q,
             "seed": seed,
             "prolongation_dimension": len(pro),
             "prolongation_basis": [vector_to_literals(y) for y in pro],
             "tensor": weyl_to_dict(W),
-        },
+        }
+
+    _emit(
+        config,
+        machine_obj,
         lambda: [
             f"random nonzero Weyl-type tensor (seed {seed}) on ({config.p}, {config.q})",
             f"prolongation dimension: {len(pro)}",
@@ -298,7 +314,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
         ]
         _emit(
             config,
-            {
+            lambda: {
                 name: {"passed": c.passed, "detail": c.detail, "witnesses": c.witnesses}
                 for name, c in conditions
             },
@@ -332,7 +348,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
                 )
         _emit(
             config,
-            {"curvature": values, "flat": not nonzero},
+            lambda: {"curvature": values, "flat": not nonzero},
             lambda: [
                 "curvature on m-basis pairs: "
                 + ("identically zero (flat)" if not nonzero else "NOT identically zero")
@@ -361,7 +377,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
         found = hit is not None
         _emit(
             config,
-            {"found": found, "Y": vector_to_literals(hit) if found else None},
+            lambda: {"found": found, "Y": vector_to_literals(hit) if found else None},
             lambda: [f"first passing Y: {hit}" if found else "no candidate passed"],
         )
         return 0 if found else 1
@@ -369,7 +385,7 @@ def cmd_extension(config: SessionConfig, args) -> int:
     ok = symmetry_criterion(ext, Y)
     _emit(
         config,
-        {"Y": vector_to_literals(Y), "preserved": ok},
+        lambda: {"Y": vector_to_literals(Y), "preserved": ok},
         lambda: [f"Ad_exp(Y) alpha(k) is s_0-stable for Y = {Y}: {ok}"],
     )
     return 0 if ok else 1
@@ -518,8 +534,8 @@ def cmd_reproduce(config: SessionConfig, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse drops any OSError from writing help or usage; this parser
-    lets a closed pipe through to the guard in `main`.  Subparsers share the
-    class."""
+    lets a closed pipe through to the guard in `main`.  The global parser and
+    each command's parser are of this class."""
 
     def _print_message(self, message, file=None):
         if message:
@@ -531,39 +547,58 @@ class _Parser(argparse.ArgumentParser):
                 pass
 
 
+# The commands with their one-line help, in the order the global help lists them.
+_COMMANDS = (
+    ("classify", "orbit label of w relative to the removed lines u, v"),
+    ("solve", "all symmetries at w preserving or swapping u, v"),
+    ("weyl", "algebraic Weyl space computations"),
+    ("extension", "validate and analyze extensions"),
+    ("reproduce-paper", "run the six fixed desk cases and compare"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The global flags and the command.  The command and every token after
+    it are left unparsed in `args.command`, as a subparsers action takes them
+    (so a missing or unknown command, or a "--" before it, reads as it did
+    for one parser with subparsers)."""
     parser = _Parser(
         prog="confsym",
         description="Exact conformal-symmetry toolkit for the Mobius space",
+        epilog="commands:\n" + "\n".join(f"  {name:<17} {text}" for name, text in _COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--p", type=int, default=2, help="positive part of the signature")
     parser.add_argument("--q", type=int, default=1, help="negative part of the signature")
     parser.add_argument("--d", type=int, default=2, help="square-free field parameter, at most 10^12 (r = sqrt d)")
     parser.add_argument("--machine", action="store_true", help="emit canonical JSON")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument(
+        "command",
+        nargs=argparse.PARSER,
+        choices=[name for name, _ in _COMMANDS],
+        help="the command and its arguments",
+    )
+    return parser
 
-    for name, help_text in (
-        ("classify", "orbit label of w relative to the removed lines u, v"),
-        ("solve", "all symmetries at w preserving or swapping u, v"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--file", help="JSON input file with p, q, d, u, v, w")
-        sp.add_argument("--u", help="comma-separated scalar literals")
-        sp.add_argument("--v", help="comma-separated scalar literals")
-        sp.add_argument("--w", help="comma-separated scalar literals (default e_0)")
 
-    wp = sub.add_parser("weyl", help="algebraic Weyl space computations")
-    wp.add_argument("weyl_command", choices=["basis-dim", "prolongation"])
-    wp.add_argument("--seed", type=int, help="seed for the random tensor of prolongation (default 0)")
-
-    ep = sub.add_parser("extension", help="validate and analyze extensions")
-    ep.add_argument("ext_command", choices=["validate", "curvature", "criterion", "make-flat"])
-    ep.add_argument("--file", help="JSON extension file")
-    ep.add_argument("--y", help="covector for the criterion (comma-separated literals)")
-    ep.add_argument("--candidates", help="semicolon-separated candidate covectors")
-    ep.add_argument("-o", "--output", help="output path for make-flat")
-
-    sub.add_parser("reproduce-paper", help="run the six fixed desk cases and compare")
+def build_command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, with the prog the subparser of a single
+    parser would have."""
+    parser = _Parser(prog=f"confsym {name}")
+    if name in ("classify", "solve"):
+        parser.add_argument("--file", help="JSON input file with p, q, d, u, v, w")
+        parser.add_argument("--u", help="comma-separated scalar literals")
+        parser.add_argument("--v", help="comma-separated scalar literals")
+        parser.add_argument("--w", help="comma-separated scalar literals (default e_0)")
+    elif name == "weyl":
+        parser.add_argument("weyl_command", choices=["basis-dim", "prolongation"])
+        parser.add_argument("--seed", type=int, help="seed for the random tensor of prolongation (default 0)")
+    elif name == "extension":
+        parser.add_argument("ext_command", choices=["validate", "curvature", "criterion", "make-flat"])
+        parser.add_argument("--file", help="JSON extension file")
+        parser.add_argument("--y", help="covector for the criterion (comma-separated literals)")
+        parser.add_argument("--candidates", help="semicolon-separated candidate covectors")
+        parser.add_argument("-o", "--output", help="output path for make-flat")
     return parser
 
 
@@ -611,7 +646,12 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_list_values(argv))
+    args, extras = parser.parse_known_args(_attach_list_values(argv))
+    args.command, *command_argv = args.command
+    args, command_extras = build_command_parser(args.command).parse_known_args(command_argv, args)
+    # Reported by the global parser, as one parser with subparsers reports them.
+    if extras or command_extras:
+        parser.error("unrecognized arguments: " + " ".join(extras + command_extras))
     try:
         config = SessionConfig(p=args.p, q=args.q, d=args.d, machine=args.machine)
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -584,6 +585,40 @@ def reference_weyl_failure(W) -> str | None:
         if total:
             return system.describe(r)
     return None
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line as one parser with a subparser per command, built
+    whole on every call: the help and the errors that `cli.main` must keep."""
+    parser = argparse.ArgumentParser(
+        prog="confsym",
+        description="Exact conformal-symmetry toolkit for the Mobius space",
+    )
+    parser.add_argument("--p", type=int, default=2, help="positive part of the signature")
+    parser.add_argument("--q", type=int, default=1, help="negative part of the signature")
+    parser.add_argument("--d", type=int, default=2, help="square-free field parameter, at most 10^12 (r = sqrt d)")
+    parser.add_argument("--machine", action="store_true", help="emit canonical JSON")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+        ("classify", "orbit label of w relative to the removed lines u, v"),
+        ("solve", "all symmetries at w preserving or swapping u, v"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--file", help="JSON input file with p, q, d, u, v, w")
+        sp.add_argument("--u", help="comma-separated scalar literals")
+        sp.add_argument("--v", help="comma-separated scalar literals")
+        sp.add_argument("--w", help="comma-separated scalar literals (default e_0)")
+    wp = sub.add_parser("weyl", help="algebraic Weyl space computations")
+    wp.add_argument("weyl_command", choices=["basis-dim", "prolongation"])
+    wp.add_argument("--seed", type=int, help="seed for the random tensor of prolongation (default 0)")
+    ep = sub.add_parser("extension", help="validate and analyze extensions")
+    ep.add_argument("ext_command", choices=["validate", "curvature", "criterion", "make-flat"])
+    ep.add_argument("--file", help="JSON extension file")
+    ep.add_argument("--y", help="covector for the criterion (comma-separated literals)")
+    ep.add_argument("--candidates", help="semicolon-separated candidate covectors")
+    ep.add_argument("-o", "--output", help="output path for make-flat")
+    sub.add_parser("reproduce-paper", help="run the six fixed desk cases and compare")
+    return parser
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 
 import confsym
 import confsym.cli as cli_module
+from conftest import reference_parser
 from confsym import extension, liealg
 from confsym.cli import EXIT_CLOSED_PIPE, main, fixture_cases, run_fixture_case
 from confsym.flatmodel import MAX_DIMENSION
@@ -164,6 +165,126 @@ def test_list_flag_without_a_value_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# -- parsing: the global flags and the command, then the command's parser ----
+
+COMMAND_NAMES = ["classify", "solve", "weyl", "extension", "reproduce-paper"]
+
+
+def _usage_exit(capsys, argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_help_names_the_command(capsys, command):
+    code, out, err = _usage_exit(capsys, [command, "--help"])
+    assert code == 0
+    assert out.startswith(f"usage: confsym {command} ")
+    assert err == ""
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    code, out, err = _usage_exit(capsys, ["bogus"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--machine"], ["--p", "3", "--q", "0"]])
+def test_missing_command_is_a_usage_error(capsys, argv):
+    code, out, err = _usage_exit(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: command" in err
+
+
+def test_global_flag_after_the_command_is_refused(capsys):
+    code, out, err = _usage_exit(capsys, ["solve", "--p", "3", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("confsym: error: unrecognized arguments: --p 3\n")
+
+
+def test_abbreviated_global_flag_selects_machine_mode(capsys):
+    lines = ["solve", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"]
+    code, out = run(capsys, "--mach", *lines)
+    assert code == 0
+    assert (code, out) == run(capsys, "--machine", *lines)
+    json.loads(out)
+
+
+# Each fails inside the parser, or prints a help text other than the global one.
+_PARSE_EXITS = [
+    *([name, "--help"] for name in COMMAND_NAMES),
+    ["solve", "-h", "--u", "1"],
+    [],
+    ["--machine"],
+    ["bogus"],
+    ["--p", "x", "solve"],
+    ["solve", "--mach"],
+    ["--", "solve"],
+    ["solve", "--p", "3"],
+    ["--bogus", "solve", "--bad", "1"],
+    ["solve", "--", "--u", "1"],
+    ["solve", "extra"],
+    ["solve", "--u"],
+    ["weyl"],
+    ["weyl", "bogus"],
+    ["weyl", "basis-dim", "--seed", "x"],
+    ["extension"],
+    ["extension", "make-flat", "-o"],
+    ["extension", "validate", "validate"],
+    ["reproduce-paper", "x"],
+    ["reproduce-paper", "--machine"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_EXITS, ids=[" ".join(a) or "-" for a in _PARSE_EXITS])
+def test_parse_exits_match_one_parser_with_subparsers(capsys, monkeypatch, argv):
+    """Status, stdout and stderr equal those of the command line built as
+    one parser with subparsers, for every help except the global one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        reference_parser().parse_args(argv)
+    want = (exc.value.code, *capsys.readouterr())
+    assert _usage_exit(capsys, argv) == want
+
+
+def test_global_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _usage_exit(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    reference_parser().print_usage()
+    assert out.startswith(capsys.readouterr().out)
+    for name, text in cli_module._COMMANDS:
+        assert f"\n  {name:<17} {text}\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["solve", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"], "solve"),
+        (["--p", "4", "--q", "0", "weyl", "basis-dim"], "weyl"),
+        (["extension", "validate", "--file", "missing.json"], "extension"),
+    ],
+)
+def test_a_call_builds_two_parsers(capsys, monkeypatch, argv, command):
+    """The global parser and the command's: no other command's parser is
+    built, and none is kept for the next call."""
+    built = []
+    init = cli_module._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module._Parser, "__init__", counting_init)
+    for _ in range(2):
+        main(argv)
+        capsys.readouterr()
+        assert built == ["confsym", f"confsym {command}"]
+        built.clear()
 
 
 def test_solve_reads_input_file(tmp_path, capsys):
@@ -386,6 +507,7 @@ def test_python_m_confsym_prints_what_main_prints(capsys):
         (["--p", "4", "--q", "0", "weyl", "basis-dim"], 0, True),
         (["--help"], 0, False),
         (["--help"], 0, True),
+        (["solve", "--help"], 0, True),
     ],
 )
 def test_closed_pipe_exits_quietly(argv, read, unbuffered):
