@@ -327,33 +327,32 @@ def cmd_extension(config: SessionConfig, args) -> int:
         return 0 if report.passed else 1
 
     if args.ext_command == "curvature":
-        values = []
-        nonzero = False
         mb = ext.pair.m_basis
         n = ext.space.n
-        for i in range(len(mb)):
-            for j in range(i + 1, len(mb)):
-                # graded coordinates: a; X_1..X_n; A_(i<j); Z_1..Z_n
-                k = curvature(ext, mb[i], mb[j])
-                flat = k.is_zero()
-                nonzero = nonzero or not flat
-                values.append(
+        pairs = [[i, j] for i in range(len(mb)) for j in range(i + 1, len(mb))]
+        # graded coordinates: a; X_1..X_n; A_(i<j); Z_1..Z_n
+        kappas = [curvature(ext, mb[i], mb[j]) for i, j in pairs]
+        zero = [k.is_zero() for k in kappas]
+        _emit(
+            config,
+            lambda: {
+                "curvature": [
                     {
-                        "pair": [i, j],
-                        "zero": flat,
+                        "pair": pair,
+                        "zero": z,
                         "a": str(k[0]),
                         "X": vector_to_literals(k[1 : n + 1]),
                         "Z": vector_to_literals(k[-n:]),
                     }
-                )
-        _emit(
-            config,
-            lambda: {"curvature": values, "flat": not nonzero},
+                    for pair, k, z in zip(pairs, kappas, zero)
+                ],
+                "flat": all(zero),
+            },
             lambda: [
                 "curvature on m-basis pairs: "
-                + ("identically zero (flat)" if not nonzero else "NOT identically zero")
+                + ("identically zero (flat)" if all(zero) else "NOT identically zero")
             ]
-            + [f"  pair {v['pair']}: {'0' if v['zero'] else 'nonzero'}" for v in values],
+            + [f"  pair {pair}: {'0' if z else 'nonzero'}" for pair, z in zip(pairs, zero)],
         )
         return 0
 

@@ -17,18 +17,8 @@ from __future__ import annotations
 from . import _core
 from ._record import Record
 from .flatmodel import MobiusSpace
-from .liealg import (
-    StructureAlgebra,
-    _coordinates,
-    _nonzero,
-    _numerators,
-    bracket,
-    exp_nilpotent,
-    graded_dim,
-    realize,
-    so_table,
-)
-from .linalg import Matrix, Vector, rank
+from .liealg import StructureAlgebra, _nonzero, _numerators, bracket, graded_dim, so_table
+from .linalg import Matrix, Vector, sparse_rows_from_scalars
 from .scalars import ONE, ZERO, one_field
 
 
@@ -263,17 +253,26 @@ def curvature(ext: Extension, x: Vector, y: Vector) -> Vector:
 
 
 def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
-    """Whether Ad_{exp Y} alpha(k) is stable under conjugation by the origin
-    symmetry: rank([V; Ad_{s_0} V]) equals rank(V) for the moved image V.
-    Each g alpha(e_i) g^{-1}, g = exp(Y), lies in the algebra and is read
-    back into graded coordinates; there Ad_{s_0} (s_0 = diag(-1, E, -1)) is
-    -1 on the X and Z coordinates and +1 on (a, A).
+    """Whether Ad_{exp Y} alpha(k) is stable under Ad_{s_0}, for the g_1
+    element Y (the covector is its Z coordinates) and s_0 = diag(-1, E, -1).
+    On graded coordinates Ad_{s_0} is -1 on the X and Z coordinates and +1
+    on (a, A).
 
-    Ad_g keeps the rank of alpha(k), so that rank is taken on the integer
-    rows of alpha.  When it is dim, V is the whole algebra, which every
-    automorphism keeps: the answer is True, and no matrix is formed.  A Y of
-    the wrong length (ValueError) and alpha and Y irrational over two fields
-    (FieldMismatchError) are refused before that answer."""
+    Proof of the form computed.  Write V = alpha(k), theta = Ad_{s_0} and
+    g = exp(Y).  theta Y = -Y, so s_0 g s_0^{-1} = g^{-1}, that is
+    g^{-1} s_0 g = s_0 exp(2Y), and theta(Ad_g V) = Ad_g V holds exactly
+    when Ad_{g^{-1} s_0 g} V = theta(Ad_{exp 2Y} V) = V.  theta Ad_{exp 2Y}
+    is invertible, so that is the inclusion in V.  The grading g_{-1} + g_0 + g_1 gives
+    ad_Y^3 = 0, so Ad_{exp 2Y} x = x + 2[Y, x] + 2[Y, [Y, x]].  The verdict
+    is rank([V; theta Ad_{exp 2Y} V]) = rank(V), with V the rows of alpha,
+    unmoved, and both brackets through `so_table`: no group element is
+    formed.
+
+    The rank of V is taken on the integer rows of alpha.  When it is dim, V
+    is the whole algebra, which every automorphism keeps: the answer is
+    True, and no bracket is taken.  A Y of the wrong length (ValueError) and
+    alpha and Y irrational over two fields (FieldMismatchError) are refused
+    before that answer."""
     space = ext.space
     n = space.n
     if len(Y) != n:
@@ -285,16 +284,18 @@ def symmetry_criterion(ext: Extension, Y: Vector) -> bool:
     base_rank = len(_core.rref_sparse(image, d, dim)[0])
     if base_rank == dim:
         return True
-    g = exp_nilpotent(space, Y)
-    g_inv = exp_nilpotent(space, -Y)
-    # alpha(e_i) is row i of alpha.
-    rows = [
-        _coordinates(space, g @ realize(space, Vector._of_scalars(row)) @ g_inv)
-        for row in ext.alpha.rows
-    ]
     z0 = dim - n
-    flipped = [[-x if 0 < k <= n or k >= z0 else x for k, x in enumerate(row)] for row in rows]
-    return rank(Matrix._of_scalars(rows + flipped)) == base_rank
+    y = Vector._of_scalars((ZERO,) * z0 + Y.entries)
+    moved = []
+    # alpha(e_i) is row i of alpha.
+    for row, x in zip(ext.alpha.rows, alpha_rows):
+        if x:
+            once = bracket(space, y, Vector._of_scalars(row))
+            twice = bracket(space, y, once)
+            ad = (a + 2 * (b + c) if b or c else a for a, b, c in zip(row, once, twice))
+            moved.append([-e if 0 < k <= n or k >= z0 else e for k, e in enumerate(ad)])
+    rows = image + sparse_rows_from_scalars(moved, d)
+    return len(_core.rref_sparse(rows, d, dim)[0]) == base_rank
 
 
 def symmetry_criterion_search(ext: Extension, candidates) -> Vector | None:

@@ -20,13 +20,14 @@ brackets as integer structure constants, one mapping j -> terms per row,
 built once per signature), `bracket`, `realize` and `degrade` all read it.
 
 Matrices appear only at the group-element boundary: `realize` and `degrade`
-convert to and from (n+2)x(n+2) matrices for the involution criterion,
-`symmetry.tangent_is_minus_id` and the independent matrix side of
-`upsilon_bracket_constant`.  The criterion reads each conjugated matrix
-back into coordinates off the positions of `_graded_basis`, as `degrade`
-does, and applies Ad_{s_0} there as the sign flip of the X and Z coordinates.
+convert to and from (n+2)x(n+2) matrices for `symmetry.tangent_is_minus_id`
+and the independent matrix side of `upsilon_bracket_constant`; `degrade`
+reads each coordinate off its position in `_graded_basis`.
 `exp_nilpotent` writes exp(Z) of a g_1 element in closed form, and the
 symmetry at the origin is s_Z = s_0 exp(Z) with s_0 = diag(-1, E, -1).
+The involution criterion forms no group element: it brackets in graded
+coordinates and applies Ad_{s_0} there as the sign flip of the X and Z
+coordinates.
 `StructureAlgebra` takes the i < j half of a bracket table, the half a file
 states, and mirrors it in integers, so its table is antisymmetric by
 construction.  It keeps Z[sqrt d] numerators of its nonzero brackets, each
@@ -127,14 +128,9 @@ def degrade(space: MobiusSpace, M: Matrix) -> Vector:
         raise ValueError(f"expected a {(n + 2)}x{(n + 2)} matrix")
     if not algebra_condition(space, M):
         raise ValueError("matrix does not satisfy M^T m + m M = 0")
-    return Vector._of_scalars(_coordinates(space, M))
-
-
-def _coordinates(space: MobiusSpace, M: Matrix) -> list:
-    """The graded coordinates of a matrix of the algebra, off their positions."""
     rows = M.rows
     basis = _graded_basis(space.signature.p, space.signature.q)
-    return [rows[r][c] if v > 0 else -rows[r][c] for ((r, c), v), _ in basis]
+    return Vector._of_scalars(rows[r][c] if v > 0 else -rows[r][c] for ((r, c), v), _ in basis)
 
 
 def upsilon_action(space: MobiusSpace, Y: Vector, xi: Vector) -> CoElement:

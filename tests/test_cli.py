@@ -10,7 +10,7 @@ import pytest
 import confsym
 import confsym.cli as cli_module
 from conftest import reference_parser
-from confsym import extension, liealg
+from confsym import extension, liealg, serialize
 from confsym.cli import EXIT_CLOSED_PIPE, main, fixture_cases, run_fixture_case
 from confsym.flatmodel import MAX_DIMENSION
 from confsym.linalg import Vector
@@ -549,6 +549,22 @@ def test_extension_flow(tmp_path, capsys):
     code, out = run(capsys, "extension", "criterion", "--file", str(path), "--candidates", "0,0,0;1,0,0")
     assert code == 0
     assert "first passing Y" in out
+
+
+@pytest.mark.parametrize("machine, formatted", [([], 0), (["--machine"], 6)])
+def test_extension_curvature_formats_literals_only_for_the_machine_output(
+    tmp_path, monkeypatch, capsys, machine, formatted
+):
+    """The X and Z literals of each of the three (2,1) m-basis pairs are
+    formatted only under --machine, where they are printed."""
+    path = tmp_path / "flat.json"
+    run(capsys, "extension", "make-flat", "-o", str(path))
+    calls = []
+    literals = serialize.vector_to_literals
+    monkeypatch.setattr(serialize, "vector_to_literals", lambda v: calls.append(v) or literals(v))
+    code, _ = run(capsys, *machine, "extension", "curvature", "--file", str(path))
+    assert code == 0
+    assert len(calls) == formatted
 
 
 def test_extension_validate_machine(tmp_path, capsys):

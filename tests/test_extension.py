@@ -472,8 +472,8 @@ def _stable_rows(space, rng, values, Y):
     return rows + [[zero] * dim] * (dim - len(rows))
 
 
-@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2)])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2), (3, 0)])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_symmetry_criterion_matches_the_matrix_formula(pq, d):
     """The criterion on graded coordinates, with Ad_{s_0} as a sign flip,
     against the ranks of the flattened matrices and their matrix flips: on
@@ -572,6 +572,29 @@ def test_symmetry_criterion_below_full_rank_by_one(pq):
         verdicts.append(symmetry_criterion(ext, Y))
         assert verdicts[-1] == reference_symmetry_criterion(ext, Y)
     assert verdicts == [True] + [False] * n
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1)])
+def test_symmetry_criterion_below_full_rank_forms_no_matrix_product(monkeypatch, pq):
+    """On the flat model less its scaling row and on the parabolic image,
+    the criterion gives the matrix reference's verdicts with
+    `Matrix.__matmul__` raising: it forms no group element."""
+    flat = _flat(pq)
+    n = flat.space.n
+    covectors = [Vector.zero(n)] + [Vector.unit(n, i) for i in range(n)]
+    covectors.append(Vector([Scalar(1, -1, 2)] + [Scalar(0)] * (n - 2) + [Scalar(3)]))
+    cases = []
+    for zeroed in ({0}, set(range(1, n + 1))):
+        rows = [[Scalar(0)] * len(r) if i in zeroed else r for i, r in enumerate(flat.alpha.rows)]
+        ext = _with_rows(flat, rows)
+        cases += [(ext, Y, reference_symmetry_criterion(ext, Y)) for Y in covectors]
+
+    def refuse(self, other):
+        raise AssertionError("the criterion formed a matrix product")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert [symmetry_criterion(ext, Y) for ext, Y, _ in cases] == [v for _, _, v in cases]
+    assert {v for _, _, v in cases} == {True, False}
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 1)])
