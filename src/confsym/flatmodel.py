@@ -8,6 +8,12 @@ once as one: its matrix, the pairing, reflections and the inverse of an
 isometry all read those signs and that permutation.  The module classifies
 points relative to two removed null lines and produces exact group elements
 moving the distinguished origin <e_0> to any point.
+
+Such an element is a product of at most two hyperplane reflections, which
+`_mirrors` states once.  Lines move by them one vector at a time, O(n) per
+reflection (`reflect`, `_unmirror`); `transitive_witness` forms the matrix
+(`reflection`) only for a caller that prints or keeps it, and
+`isometry_inverse` inverts only a matrix that a caller passes in.
 """
 
 from __future__ import annotations
@@ -106,7 +112,9 @@ class NullLine:
         if not form.is_null(rep):
             raise ValueError(f"representative {rep} is not null")
         lead = next(e for e in rep if e)
-        object.__setattr__(self, "representative", rep.scale(lead.inverse()))
+        if lead != ONE:
+            rep = rep.scale(lead.inverse())
+        object.__setattr__(self, "representative", rep)
 
     def __setattr__(self, name, value):
         raise AttributeError("NullLine is immutable")
@@ -190,7 +198,12 @@ def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) ->
     Exact pairing tests decide isotropy, and w lies in the plane of u and v
     exactly when rank [u; v; w] is 2.  That is rank [u; v] itself: the lines
     are distinct, so their normalized representatives are not proportional.
-    Rescaling any representative cannot change the answer."""
+    Rescaling any representative cannot change the answer.
+
+    The rank is taken only when w is isotropic to both u and v.  Otherwise w
+    is not in the plane: w != u, v and w in <u, v> give w = a u + b v with
+    a, b != 0, so m(w, w) = 2ab m(u, v) = 0 forces m(u, v) = 0, and then
+    m(w, u) = m(w, v) = 0."""
     if u == v:
         raise ValueError("removed lines must be distinct")
     if w == u or w == v:
@@ -198,8 +211,53 @@ def classify_orbit(space: MobiusSpace, w: NullLine, u: NullLine, v: NullLine) ->
     wr, ur, vr = w.representative, u.representative, v.representative
     iso_u = not space.pairing(wr, ur)
     iso_v = not space.pairing(wr, vr)
-    in_span = rank(Matrix._of_scalars([ur.entries, vr.entries, wr.entries])) == 2
+    in_span = (
+        iso_u and iso_v and rank(Matrix._of_scalars([ur.entries, vr.entries, wr.entries])) == 2
+    )
     return OrbitLabel(iso_u=iso_u, iso_v=iso_v, in_span=in_span)
+
+
+def _mirrors(space: MobiusSpace, w: NullLine) -> tuple:
+    """The hyperplane reflections whose product moves <e_0> to w, in the
+    order they apply: none at the origin, tau_{e_0 - w} when m(e_0, w) != 0,
+    and otherwise tau_{e_0 - z} then tau_{z - w}, with z a null vector
+    non-orthogonal to both found on the two-parameter null family
+    z(s, t) = e_0 + s e_i + t e_j - (s^2 J_i + t^2 J_j)/2 e_last.
+
+    Each mirror is (a - b, 1 / m(a, b)) for null a, b with m(a, b) != 0:
+    m(a - b, a - b) = -2 m(a, b), so a - b is not null and the factor
+    -2 / m(v, v) of tau_v is 1 / m(a, b)."""
+    if w == space.origin:
+        return ()
+    rep = w.representative
+    e0 = space.basis_vector(0)
+    t = space.pairing(e0, rep)
+    if t:
+        return ((e0 - rep, t.inverse()),)
+    z = _null_bridge(space, rep)
+    return (
+        (e0 - z, space.pairing(e0, z).inverse()),
+        (z - rep, space.pairing(z, rep).inverse()),
+    )
+
+
+def reflect(space: MobiusSpace, mirror, x: Vector) -> Vector:
+    """tau_v(x) = x - 2 m(x, v) / m(v, v) v for the mirror (v, -2 / m(v, v))
+    of `_mirrors`, an exact isometry and its own inverse, in O(n)."""
+    v, factor = mirror
+    c = factor * space.pairing(x, v)
+    if not c:
+        return x
+    return Vector._of_scalars(a + c * b if b else a for a, b in zip(x.entries, v.entries))
+
+
+def _unmirror(space: MobiusSpace, mirrors, x: Vector) -> Vector:
+    """g^{-1} x for the product g = tau_k ... tau_1 of the `mirrors`, in the
+    order they apply: each reflection is its own inverse, so
+    g^{-1} = tau_1 ... tau_k and the last mirror applies first."""
+    for mirror in reversed(mirrors):
+        x = reflect(space, mirror, x)
+    return x
 
 
 def reflection(space: MobiusSpace, v: Vector) -> Matrix:
@@ -219,24 +277,16 @@ def reflection(space: MobiusSpace, v: Vector) -> Matrix:
 
 
 def transitive_witness(space: MobiusSpace, w: NullLine) -> Matrix:
-    """An exact group element g (g^T m g = m) with g<e_0> = w.
-
-    At most two hyperplane reflections: when m(e_0, w) != 0 a single
-    reflection in e_0 - w works; otherwise a null vector z non-orthogonal to
-    both is found on the two-parameter null family
-    z(s, t) = e_0 + s e_i + t e_j - (s^2 J_i + t^2 J_j)/2 e_last
-    and the composition tau_{z-w} tau_{e_0-z} is returned."""
-    rep = w.representative
-    e0 = space.basis_vector(0)
-    if w == space.origin:
+    """An exact group element g (g^T m g = m) with g<e_0> = w: the product
+    tau_k ... tau_1 of the reflections `_mirrors(space, w)`, the identity
+    at the origin."""
+    mirrors = _mirrors(space, w)
+    if not mirrors:
         return Matrix.identity(space.ambient)
-    t = space.pairing(e0, rep)
-    if t:
-        return reflection(space, e0 - rep)
-    z = _null_bridge(space, rep)
-    first = reflection(space, e0 - z)
-    second = reflection(space, z - rep)
-    return second @ first
+    g = reflection(space, mirrors[0][0])
+    for v, _ in mirrors[1:]:
+        g = reflection(space, v) @ g
+    return g
 
 
 def _null_bridge(space: MobiusSpace, rep: Vector) -> Vector:

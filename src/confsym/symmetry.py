@@ -15,6 +15,12 @@ nonzero entry of U.  Preserving a line is swapping it with itself, so
 `solve_preserve(L)` is `solve_swap(L, L)`.  Its three cases give mu = -1 when
 u_inf != 0 (one point Z), mu = 1 when u_inf = 0 and U != 0 (a hyperplane of
 Z), and mu = -1 at the origin, since s_Z e_0 = -e_0 for every Z.
+
+`find_symmetries` forms no group element as a matrix on its default path
+but the witness it reports: u and v move to the origin through the
+witness's mirrors.  g^{-1} is formed, and the lines move by it, only for a
+witness the caller passes in.  On either path each solution is checked by applying s_Z to vectors in
+closed form; the matrix s_Z (`make_symmetry`) is for the other callers.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .flatmodel import (
     MobiusSpace,
     NullLine,
     OrbitLabel,
+    _mirrors,
+    _unmirror,
     classify_orbit,
     isometry_inverse,
     transitive_witness,
@@ -183,21 +191,36 @@ def find_symmetries(
 ) -> SymmetryReport:
     """Solve for all symmetries at w preserving or swapping <u> and <v>.
 
-    The problem is conjugated to the origin by g = transitive_witness(w):
+    The problem is conjugated to the origin by a g with g<e_0> = w:
     g s_Z g^{-1} preserves (swaps) the lines iff s_Z preserves (swaps) their
     g^{-1}-images.  The preserving set is the exact intersection of the two
     single-line sets.  Any valid witness yields the same realized symmetries.
-    A given witness must be an isometry whose first column spans w
-    (ValueError otherwise).
+
+    By default g = transitive_witness(w) = tau_k ... tau_1, a product of at
+    most two reflections, each its own inverse, so u and v move to the
+    origin through the mirrors in reverse order, O(n) each; g itself is
+    formed only for the report.  A given witness must be an isometry whose
+    first column spans w (ValueError otherwise); only then is g^{-1} formed,
+    and the lines move by it.  Every reported solution is checked by
+    applying s_Z to both moved lines in closed form.
     """
     orbit = classify_orbit(space, w, u, v)
-    g = transitive_witness(space, w) if witness is None else witness
-    g_inv = isometry_inverse(space, g)
-    # An isometry's first column is null and nonzero, so it spans a line.
-    if witness is not None and NullLine(space.form, Vector._of_scalars(row[0] for row in g.rows)) != w:
-        raise ValueError("witness does not move the origin to w")
-    u_local = apply_to_line(space, g_inv, u)
-    v_local = apply_to_line(space, g_inv, v)
+    if witness is None:
+        g = transitive_witness(space, w)
+        # The mirrors whose product is g, stated again: O(n) unless w needs
+        # the null bridge of a second mirror.
+        mirrors = _mirrors(space, w)
+        u_local, v_local = (
+            NullLine(space.form, _unmirror(space, mirrors, line.representative)) for line in (u, v)
+        )
+    else:
+        g = witness
+        g_inv = isometry_inverse(space, g)
+        # An isometry's first column is null and nonzero, so it spans a line.
+        if NullLine(space.form, Vector._of_scalars(row[0] for row in g.rows)) != w:
+            raise ValueError("witness does not move the origin to w")
+        u_local = apply_to_line(space, g_inv, u)
+        v_local = apply_to_line(space, g_inv, v)
     keep_u = solve_preserve(space, u_local)
     keep_v = solve_preserve(space, v_local)
     preserving = keep_u.intersect(keep_v)
@@ -207,8 +230,9 @@ def find_symmetries(
         (swapping, (v_local, u_local), "swapping"),
     ):
         for z in points.points():
-            s = make_symmetry(space, z)
-            if (apply_to_line(space, s, u_local), apply_to_line(space, s, v_local)) != images:
+            act = _symmetry_action(space, z)
+            moved = tuple(NullLine(space.form, act(L.representative)) for L in (u_local, v_local))
+            if moved != images:
                 raise AssertionError(f"solver reported a non-{kind} covector")
     return SymmetryReport(
         base_point=w,
@@ -219,3 +243,20 @@ def find_symmetries(
         preserve_first=keep_u,
         preserve_second=keep_v,
     )
+
+
+def _symmetry_action(space: MobiusSpace, z: Vector):
+    """x -> s_Z x, with s_Z = s_0 exp(Z) applied in closed form, O(n): the
+    rows of `make_symmetry` read off one vector (x_0, X, x_last) as
+    (-x_0 - Z.X + (Z.JZ / 2) x_last, X - JZ x_last, -x_last).  JZ and
+    Z.JZ / 2 are computed once per Z."""
+    jz = _pinned_z(space, z)
+    quad = _HALF * z.dot(jz)
+
+    def act(x: Vector) -> Vector:
+        x0, xl = x[0], x[-1]
+        X = Vector._of_scalars(x.entries[1:-1])
+        mid = X - jz.scale(xl) if xl else X
+        return Vector._of_scalars((quad * xl - x0 - z.dot(X), *mid.entries, -xl))
+
+    return act

@@ -12,7 +12,7 @@ from confsym.extension import (
     HomogeneousPair,
     SymmetricPair,
 )
-from confsym.flatmodel import MobiusSpace, NullLine, OrbitLabel
+from confsym.flatmodel import MobiusSpace, NullLine, OrbitLabel, _null_bridge, reflection
 from confsym.liealg import StructureAlgebra, exp_nilpotent, graded_dim, so_table
 from confsym.linalg import AffineSubspace, Matrix, Vector, rank, solve_affine
 from confsym.scalars import Scalar
@@ -71,6 +71,20 @@ def rand_null_vector(space: MobiusSpace, rng: random.Random) -> Vector:
                 s = s + Scalar(space.signature.j_sign(i)) * x * x
             if not s:
                 return Vector([x0] + middle + [Scalar(rng.randint(-3, 3))])
+
+
+def reference_witness(space: MobiusSpace, w: NullLine) -> Matrix:
+    """The transitive witness as a product of dense reflections: the
+    identity at the origin, tau_{e_0 - w} when m(e_0, w) != 0, and
+    tau_{z - w} @ tau_{e_0 - z} through the null bridge z otherwise."""
+    rep = w.representative
+    e0 = space.basis_vector(0)
+    if w == space.origin:
+        return Matrix.identity(space.ambient)
+    if space.pairing(e0, rep):
+        return reflection(space, e0 - rep)
+    z = _null_bridge(space, rep)
+    return reflection(space, z - rep) @ reflection(space, e0 - z)
 
 
 def reference_solve_preserve(space: MobiusSpace, L: NullLine) -> AffineSubspace:

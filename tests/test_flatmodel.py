@@ -2,12 +2,16 @@ import re
 
 import pytest
 
+from confsym import flatmodel
 from confsym.flatmodel import (
     MobiusSpace,
     NullLine,
     Signature,
+    _mirrors,
+    _unmirror,
     classify_orbit,
     isometry_inverse,
+    reflect,
     reflection,
     transitive_witness,
 )
@@ -15,7 +19,7 @@ from confsym.linalg import Matrix, Vector
 from confsym.scalars import Scalar
 from confsym.symmetry import make_symmetry
 
-from conftest import rand_covector, rand_null_vector, reference_classify_orbit
+from conftest import rand_covector, rand_null_vector, reference_classify_orbit, reference_witness
 
 
 def test_signature_validation():
@@ -122,9 +126,19 @@ def test_classify_orbit_scale_invariant(space21):
 
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (1, 3)])
-def test_classify_orbit_matches_the_two_rank_form(pq, rng):
+def test_classify_orbit_matches_the_two_rank_form(pq, rng, monkeypatch):
     space = MobiusSpace(*pq)
     n = space.n
+    rank = flatmodel.rank
+
+    def rank_of_an_isotropic_triple(M):
+        # The certificate: a w that is not isotropic to both u and v is not
+        # in their plane, so classify_orbit takes no rank for it.
+        u_vec, v_vec, w_vec = (Vector(r) for r in M.rows)
+        assert not space.pairing(w_vec, u_vec) and not space.pairing(w_vec, v_vec)
+        return rank(M)
+
+    monkeypatch.setattr(flatmodel, "rank", rank_of_an_isotropic_triple)
     triples = []
     for _ in range(30):
         u, v, w = (space.line(rand_null_vector(space, rng)) for _ in range(3))
@@ -217,16 +231,19 @@ def _nonzero_entry(space, rng):
 
 
 def _null_over_field(space, rng) -> Vector:
-    """A null vector over Q(sqrt d): e_last, an isotropic middle with x_0 = 0
-    (two-reflection witnesses), or a generic one with the last entry solved."""
+    """A null vector over Q(sqrt d): e_last, an isotropic middle with
+    x_0 = 0, an isotropic middle with x_last = 0 (two-reflection witnesses,
+    since m(e_0, x) = x_last), or a generic one with the last entry solved."""
     sig, zero = space.signature, Scalar(0, 0, 1, space.d)
     kind = rng.random()
     if kind < 0.15:
         return Vector([zero] * (sig.n + 1) + [_nonzero_entry(space, rng)])
-    if kind < 0.4 and sig.p and sig.q:
+    if kind < 0.55 and sig.p and sig.q:
         mid = [zero] * sig.n
         mid[rng.randrange(sig.p)] = mid[sig.p + rng.randrange(sig.q)] = _nonzero_entry(space, rng)
-        return Vector([zero] + mid + [_entry(space, rng)])
+        if kind < 0.4:
+            return Vector([zero] + mid + [_entry(space, rng)])
+        return Vector([_entry(space, rng)] + mid + [zero])
     x0 = _nonzero_entry(space, rng)
     mid = [_entry(space, rng) for _ in range(sig.n)]
     s = sum((x * x if sig.j_sign(i) > 0 else -(x * x) for i, x in enumerate(mid)), zero)
@@ -259,7 +276,7 @@ def test_isometry_inverse_is_the_former_product(pq, d, rng):
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (0, 3)])
 def test_form_operations_match_their_dense_definitions(pq, rng):
-    """pairing, reflection and isometry_inverse read m as a signed
+    """pairing, reflection, reflect and isometry_inverse read m as a signed
     permutation; over Q(sqrt 2) they equal their definitions through the
     dense form.matrix: x . (m y), x - 2 m(x, v) / m(v, v) v on random x and
     on every basis vector, and m g^T m."""
@@ -274,8 +291,32 @@ def test_form_operations_match_their_dense_definitions(pq, rng):
         qv = v.dot(m.matvec(v))
         for z in [x, *basis]:
             assert tau.matvec(z) == z - v.scale(Scalar(2) * z.dot(m.matvec(v)) / qv)
+            assert reflect(space, (v, Scalar(-2) / qv), z) == tau.matvec(z)
         g = tau @ reflection(space, _non_null(space, rng))
         assert isometry_inverse(space, g) == m @ g.transpose() @ m
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (3, 1), (6, 6)])
+def test_mirrors_state_the_witness_and_its_inverse(pq, d, rng):
+    """On the origin and on random points of one- and two-mirror kind,
+    transitive_witness, built from `_mirrors`, is the former case tree of
+    dense reflections, down to the repr of every entry, and moving x through its mirrors in reverse
+    order is g^-1 x.  Two mirrors are needed only where a null w is
+    orthogonal to e_0 without spanning it, which definite signature lacks."""
+    space = MobiusSpace(*pq, d=d)
+    kinds = set()
+    for w in [space.origin] + [NullLine(space.form, _null_over_field(space, rng)) for _ in range(20)]:
+        mirrors = _mirrors(space, w)
+        kinds.add(len(mirrors))
+        g, want = transitive_witness(space, w), reference_witness(space, w)
+        assert g == want
+        assert [repr(e) for r in g.rows for e in r] == [repr(e) for r in want.rows for e in r]
+        g_inv = isometry_inverse(space, g)
+        for x in [Vector(_entry(space, rng) for _ in range(space.ambient)) for _ in range(3)]:
+            assert _unmirror(space, mirrors, x) == g_inv.matvec(x)
+        assert NullLine(space.form, _unmirror(space, mirrors, w.representative)) == space.origin
+    assert kinds == ({0, 1, 2} if space.signature.q and space.signature.p else {0, 1})
 
 
 def test_isometry_inverse_keeps_the_field_on_irrational_entries_only():

@@ -1,9 +1,12 @@
 import pytest
 
-from confsym.flatmodel import MobiusSpace, NullLine, transitive_witness
+from confsym import flatmodel, symmetry
+from confsym.cli import fixture_cases
+from confsym.flatmodel import MobiusSpace, NullLine, _mirrors, transitive_witness
 from confsym.linalg import AffineSubspace, Matrix, Vector
 from confsym.scalars import Scalar
 from confsym.symmetry import (
+    _symmetry_action,
     apply_to_line,
     conjugate_symmetry,
     find_symmetries,
@@ -17,6 +20,7 @@ from confsym.symmetry import (
 from conftest import (
     rand_covector,
     rand_null_vector,
+    rand_vector,
     reference_make_symmetry,
     reference_solve_preserve,
     stabilizer_element,
@@ -53,6 +57,19 @@ def test_make_symmetry_is_the_entrywise_closed_form(pq, d, rng):
     space = MobiusSpace(*pq, d)
     for Z in [Vector.zero(space.n)] + [rand_covector(rng, space.n, d=d) for _ in range(5)]:
         assert make_symmetry(space, Z) == reference_make_symmetry(space, Z)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (3, 1), (6, 6)])
+def test_closed_form_action_is_the_matrix_action(pq, d, rng):
+    """The solver's self-check applies s_Z to a vector in closed form; that
+    is make_symmetry(Z).matvec(x), on random x and on the corner vectors."""
+    space = MobiusSpace(*pq, d)
+    corners = [space.basis_vector(0), space.basis_vector(space.ambient - 1)]
+    for Z in [Vector.zero(space.n)] + [rand_covector(rng, space.n, d=d) for _ in range(4)]:
+        act, s = _symmetry_action(space, Z), make_symmetry(space, Z)
+        for x in corners + [rand_vector(rng, space.ambient, d=d) for _ in range(3)]:
+            assert act(x) == s.matvec(x)
 
 
 def test_symmetries_lie_in_the_group(space21, rng):
@@ -245,9 +262,10 @@ def test_find_symmetries_away_from_origin(space21, rng):
 
 
 def test_find_symmetries_refuses_a_witness_that_misses_w(space21):
-    """A given witness must move the origin to w.  One that moves it to
-    <(1, 1, 0, 1, 0)> gave the swap point (3 - r/2, 4, 5 + r/2) of that point,
-    labelled w; any isometry whose first column spans w gives w's answer."""
+    """A given witness must be an isometry and move the origin to w.  One
+    that moves it to <(1, 1, 0, 1, 0)> gave the swap point
+    (3 - r/2, 4, 5 + r/2) of that point, labelled w; any isometry whose first
+    column spans w gives w's answer."""
     u = space21.line(["1", "1*r", "0", "0", "-1"])
     v = space21.line(["1", "0", "0", "-1*r", "1"])
     w = space21.line(["0", "1", "0", "1", "0"])
@@ -258,6 +276,71 @@ def test_find_symmetries_refuses_a_witness_that_misses_w(space21):
     assert find_symmetries(space21, u, v, w).swapping == want
     flipped = transitive_witness(space21, w).scale(-1)
     assert find_symmetries(space21, u, v, w, witness=flipped).swapping == want
+    # 2 I fixes every line, the origin included, but scales the form.
+    with pytest.raises(ValueError, match="not an isometry"):
+        find_symmetries(space21, u, v, space21.origin, witness=Matrix.identity(5).scale(2))
+
+
+def _forbid(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called on the default solve path")
+
+    return call
+
+
+def test_default_solve_path_forms_no_matrix_but_the_witness(monkeypatch, rng):
+    """With its own witness, find_symmetries moves u and v by reflections and
+    checks every solution by s_Z in closed form: no matvec, no inverse and
+    no s_Z matrix, and no matrix product but the one that forms a
+    two-mirror witness for the report.  It runs on the six desk cases, on
+    each desk pair moved to random base points by an isometry (which keeps
+    whether each set is empty) and on random triples, over every witness
+    kind and both verdicts of each set."""
+    runs = []
+    for case in fixture_cases():
+        space = MobiusSpace(case.p, case.q)
+        u, v = space.line(case.u), space.line(case.v)
+        runs.append((space, u, v, space.origin, case))
+        for _ in range(3):
+            w = space.line(rand_null_vector(space, rng))
+            # g s_Z moves the origin to w, whatever Z is.
+            h = transitive_witness(space, w) @ make_symmetry(space, rand_covector(rng, space.n))
+            moved = (space.line(h.matvec(x.representative)) for x in (u, v))
+            runs.append((space, *moved, w, case))
+    for pq in ((2, 1), (3, 0), (2, 2), (3, 1)):
+        space = MobiusSpace(*pq)
+        for _ in range(20):
+            u, v, w = (space.line(rand_null_vector(space, rng)) for _ in range(3))
+            if u != v and w not in (u, v):
+                runs.append((space, u, v, w, None))
+    matmul, products = Matrix.__matmul__, []
+
+    def counted_matmul(a, b):
+        products.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Matrix, "matvec", _forbid("Matrix.matvec"))
+    for module in (flatmodel, symmetry):
+        monkeypatch.setattr(module, "isometry_inverse", _forbid("isometry_inverse"))
+    monkeypatch.setattr(symmetry, "make_symmetry", _forbid("make_symmetry"))
+    kinds = set()
+    verdicts = {"preserving": set(), "swapping": set()}
+    for space, u, v, w, case in runs:
+        mirrors = len(_mirrors(space, w))
+        kinds.add(mirrors)
+        products.clear()
+        report = find_symmetries(space, u, v, w)
+        assert len(products) == max(mirrors - 1, 0)
+        if case is not None and w == space.origin:
+            assert all(getattr(report, field) == want for field, want in case.expected.items())
+        for field, seen in verdicts.items():
+            empty = getattr(report, field).is_empty
+            if case is not None:
+                assert empty == case.expected[field].is_empty
+            seen.add(empty)
+    assert kinds == {0, 1, 2}
+    assert verdicts == {"preserving": {True, False}, "swapping": {True, False}}
 
 
 def test_conjugate_symmetry_examples(space21, rng):
