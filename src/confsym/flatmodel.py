@@ -290,39 +290,36 @@ def transitive_witness(space: MobiusSpace, w: NullLine) -> Matrix:
 
 
 def _null_bridge(space: MobiusSpace, rep: Vector) -> Vector:
-    """Deterministic null vector z with m(e_0, z) != 0 and m(rep, z) != 0.
+    """Deterministic null vector z with m(e_0, z) != 0 and m(rep, z) != 0:
+    the first such z(s, t) = e_0 + s e_i + t e_j - (s^2 J_i + t^2 J_j)/2 e_last
+    on the grid s, t in {-1, 0, 1}, s outer, with i the first middle
+    coordinate where rep is nonzero.
 
-    Only reached when rep is orthogonal to e_0 and not proportional to it, so
-    rep has a nonzero middle coordinate and the search polynomial in (s, t)
-    is not identically zero; the grid walk therefore terminates."""
+    Only reached when rep is orthogonal to e_0 and not proportional to it,
+    so rep_last = m(e_0, rep) = 0 and rep_i != 0.  The grid always holds a
+    bridge: at t = 0 and s = +-1, m(e_0, z) = -J_i / 2 and
+    m(rep, z) = J_i (s rep_i - rep_0 / 2), which is nonzero for at least
+    one of the two signs."""
     sig = space.signature
     e0 = space.basis_vector(0)
-    i = next(
-        (k for k in range(1, sig.ambient - 1) if rep[k]),
-        None,
-    )
-    if i is None:
-        raise AssertionError("unreachable: rep must have a middle coordinate here")
+    i = next(k for k in range(1, sig.ambient - 1) if rep[k])
     j = 1 if i != 1 else 2
     ji = Scalar(sig.j_sign(i - 1))
     jj = Scalar(sig.j_sign(j - 1))
     half = Scalar(1, 0, 2)
-    bound = 1
-    while True:
-        for s_int in range(-bound, bound + 1):
-            for t_int in range(-bound, bound + 1):
-                s = Scalar(s_int)
-                t = Scalar(t_int)
-                corner = -half * (s * s * ji + t * t * jj)
-                entries = [Scalar(0)] * sig.ambient
-                entries[0] = Scalar(1)
-                entries[i] = entries[i] + s
-                entries[j] = entries[j] + t
-                entries[-1] = entries[-1] + corner
-                z = Vector._of_scalars(entries)
-                if space.pairing(e0, z) and space.pairing(rep, z):
-                    return z
-        bound += 1
+    for s_int in (-1, 0, 1):
+        for t_int in (-1, 0, 1):
+            s = Scalar(s_int)
+            t = Scalar(t_int)
+            entries = [ZERO] * sig.ambient
+            entries[0] = ONE
+            entries[i] = s
+            entries[j] = t
+            entries[-1] = -half * (s * s * ji + t * t * jj)
+            z = Vector._of_scalars(entries)
+            if space.pairing(e0, z) and space.pairing(rep, z):
+                return z
+    raise AssertionError("unreachable: the grid holds (s, t) = (+-1, 0)")
 
 
 def isometry_inverse(space: MobiusSpace, g: Matrix) -> Matrix:

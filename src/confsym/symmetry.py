@@ -16,14 +16,17 @@ nonzero entry of U.  Preserving a line is swapping it with itself, so
 u_inf != 0 (one point Z), mu = 1 when u_inf = 0 and U != 0 (a hyperplane of
 Z), and mu = -1 at the origin, since s_Z e_0 = -e_0 for every Z.
 
-`find_symmetries` forms no group element as a matrix on its default path
-but the witness it reports: u and v move to the origin through the
-witness's mirrors.  g^{-1} is formed, and the lines move by it, only for a
-witness the caller passes in.  On either path each solution is checked by applying s_Z to vectors in
-closed form; the matrix s_Z (`make_symmetry`) is for the other callers.
+`find_symmetries` moves u and v to the origin in one statement, through one
+map `unmove` = g^{-1}: on its default path the witness's mirrors in reverse
+order, so no group element is formed as a matrix but the witness it
+reports; for a witness the caller passes in, the matrix g^{-1}.  Each
+solution is checked by applying s_Z to vectors in closed form; the matrix
+s_Z (`make_symmetry`) is for the other callers.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ._record import FrozenRecord
 from .flatmodel import (
@@ -106,11 +109,15 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
     Case tree on the representatives (u_0, U, u_inf) of L1 and (v_0, V, v_inf)
     of L2, with s_Z u = mu v:
       - u_inf != 0: the last row forces mu = -u_inf / v_inf (EMPTY when
-        v_inf = 0), and the middle block pins Z = J (U - mu V)^T / u_inf; the
-        corner equation is a consistency check, so the answer is that point
-        or EMPTY.
-      - u_inf = 0, U != 0: v_inf = 0 and U = mu V are needed, and then the
-        corner gives the single affine condition Z.U = -u_0 - mu v_0.
+        v_inf = 0), and the middle block pins Z = J (U - mu V)^T / u_inf.
+        That point always solves the corner row too.  Proof: s_Z is an
+        isometry, so s_Z u is null, and so is mu v.  The pinning makes their
+        middle blocks agree, and their last entries are both
+        mu v_inf != 0.  A null x has 2 x_0 x_last = -sum_i J_i X_i^2, so
+        the first entries agree as well.
+      - u_inf = 0, U != 0: v_inf = 0 and U = mu V are needed, read at U's
+        first nonzero entry i (EMPTY when V_i = 0), and then the corner
+        gives the single affine condition Z.U = -u_0 - mu v_0.
       - u_inf = 0, U = 0: L1 = <e_0>, which every symmetry fixes.
     """
     n = space.n
@@ -120,22 +127,12 @@ def solve_swap(space: MobiusSpace, L1: NullLine, L2: NullLine) -> AffineSubspace
         if not vinf:
             return AffineSubspace.empty(n)
         mu = -uinf / vinf
-        z = _pinned_z(space, (U - V.scale(mu)).scale(uinf.inverse()))
-        jz = _pinned_z(space, z)
-        quad = _HALF * z.dot(jz)
-        if -u0 - z.dot(U) + quad * uinf == mu * v0:
-            return AffineSubspace.point(z)
-        return AffineSubspace.empty(n)
+        return AffineSubspace.point(_pinned_z(space, (U - V.scale(mu)).scale(uinf.inverse())))
     if not U.is_zero():
-        if vinf:
+        i = next(k for k, x in enumerate(U.entries) if x)
+        if vinf or not V[i]:
             return AffineSubspace.empty(n)
-        # U != 0, so the loop stops at some entry.
-        for i in range(n):
-            if U[i] or V[i]:
-                if not V[i]:
-                    return AffineSubspace.empty(n)
-                mu = U[i] / V[i]
-                break
+        mu = U[i] / V[i]
         if V.scale(mu) != U:
             return AffineSubspace.empty(n)
         return _hyperplane(U, -u0 - mu * v0)
@@ -197,30 +194,26 @@ def find_symmetries(
     single-line sets.  Any valid witness yields the same realized symmetries.
 
     By default g = transitive_witness(w) = tau_k ... tau_1, a product of at
-    most two reflections, each its own inverse, so u and v move to the
-    origin through the mirrors in reverse order, O(n) each; g itself is
-    formed only for the report.  A given witness must be an isometry whose
-    first column spans w (ValueError otherwise); only then is g^{-1} formed,
-    and the lines move by it.  Every reported solution is checked by
-    applying s_Z to both moved lines in closed form.
+    most two reflections, each its own inverse, so `unmove` applies the
+    mirrors in reverse order, O(n) per line; g itself is formed only for the
+    report.  A given witness must be an isometry whose first column spans w
+    (ValueError otherwise); then `unmove` is the matrix g^{-1}.  u and v
+    move by `unmove` in one statement, and every reported solution is
+    checked by applying s_Z to both moved lines in closed form.
     """
     orbit = classify_orbit(space, w, u, v)
     if witness is None:
         g = transitive_witness(space, w)
         # The mirrors whose product is g, stated again: O(n) unless w needs
         # the null bridge of a second mirror.
-        mirrors = _mirrors(space, w)
-        u_local, v_local = (
-            NullLine(space.form, _unmirror(space, mirrors, line.representative)) for line in (u, v)
-        )
+        unmove = partial(_unmirror, space, _mirrors(space, w))
     else:
         g = witness
-        g_inv = isometry_inverse(space, g)
+        unmove = isometry_inverse(space, g).matvec
         # An isometry's first column is null and nonzero, so it spans a line.
         if NullLine(space.form, Vector._of_scalars(row[0] for row in g.rows)) != w:
             raise ValueError("witness does not move the origin to w")
-        u_local = apply_to_line(space, g_inv, u)
-        v_local = apply_to_line(space, g_inv, v)
+    u_local, v_local = (NullLine(space.form, unmove(line.representative)) for line in (u, v))
     keep_u = solve_preserve(space, u_local)
     keep_v = solve_preserve(space, v_local)
     preserving = keep_u.intersect(keep_v)

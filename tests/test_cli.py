@@ -96,6 +96,26 @@ def test_classify_rejects_zero_denominator(capsys):
     assert "bad scalar literal '1/0'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--u", "1,1*r,0,0,-1"], "provide --file or both --u and --v"),
+        (["classify", "--u", "1,0,0,0,1", "--v", "0,0,0,0,1"], "is not null"),
+        (["solve", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1", "--w", "0,1,0,1,0"], "removed point"),
+        (["extension", "validate"], "extension validate needs --file"),
+    ],
+)
+def test_incomplete_or_invalid_lines_are_one_error_line(capsys, argv, message):
+    assert message in _bad_input(capsys, *argv)
+
+
+def test_solve_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    err = _bad_input(capsys, "solve", "--file", str(path))
+    assert "input file must hold a JSON object" in err
+
+
 def test_solve_human_output(capsys):
     code, out = run(capsys, "solve", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1")
     assert code == 0

@@ -8,6 +8,7 @@ from confsym.flatmodel import (
     NullLine,
     Signature,
     _mirrors,
+    _null_bridge,
     _unmirror,
     classify_orbit,
     isometry_inverse,
@@ -317,6 +318,70 @@ def test_mirrors_state_the_witness_and_its_inverse(pq, d, rng):
             assert _unmirror(space, mirrors, x) == g_inv.matvec(x)
         assert NullLine(space.form, _unmirror(space, mirrors, w.representative)) == space.origin
     assert kinds == ({0, 1, 2} if space.signature.q and space.signature.p else {0, 1})
+
+
+def _reference_bridge(space, rep):
+    """The first (s, t) of the walk s, t in {-1, 0, 1}, s outer, whose
+    z(s, t) = e_0 + s e_i + t e_j - (s^2 J_i + t^2 J_j)/2 e_last pairs
+    nonzero with e_0 and with rep; i is rep's first nonzero middle
+    coordinate and j is 1, or 2 when i = 1.  Returns ((s, t), z)."""
+    sig = space.signature
+    i = next(k for k in range(1, sig.ambient - 1) if rep[k])
+    j = 2 if i == 1 else 1
+    for s in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            z = [Scalar(0)] * sig.ambient
+            z[0], z[i], z[j] = Scalar(1), Scalar(s), Scalar(t)
+            z[-1] = Scalar(-(s * s * sig.j_sign(i - 1) + t * t * sig.j_sign(j - 1)), 0, 2)
+            z = Vector(z)
+            assert space.form.is_null(z)
+            if space.pairing(space.basis_vector(0), z) and space.pairing(rep, z):
+                return (s, t), z
+    raise AssertionError(f"no bridge on the 3x3 grid for {rep}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pq", [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3)])
+def test_null_bridge_is_found_on_the_three_by_three_grid(pq, d, rng):
+    """For a two-mirror point w (w_last = 0, w != e_0), with w_0 zero or
+    not, the bridge is the first one of the 3x3 walk: the walk never needs
+    to widen."""
+    space = MobiusSpace(*pq, d=d)
+    sig, zero = space.signature, Scalar(0, 0, 1, space.d)
+    first_entries = set()
+    for _ in range(24):
+        mid = [zero] * sig.n
+        a, b = rng.randrange(sig.p), sig.p + rng.randrange(sig.q)
+        mid[a] = _nonzero_entry(space, rng)
+        mid[b] = mid[a] if rng.random() < 0.5 else -mid[a]
+        x0 = zero if rng.random() < 0.5 else _nonzero_entry(space, rng)
+        rep = Vector([x0, *mid, zero])
+        assert space.form.is_null(rep) and len(_mirrors(space, NullLine(space.form, rep))) == 2
+        first_entries.add(bool(x0))
+        for x in (rep, NullLine(space.form, rep).representative):
+            _, z = _reference_bridge(space, x)
+            got = _null_bridge(space, x)
+            assert got == z
+            assert [repr(e) for e in got.entries] == [repr(e) for e in z.entries]
+    assert first_entries == {False, True}
+
+
+@pytest.mark.parametrize(
+    "pq, entries, step",
+    [
+        # m(w, z(-1, -1)) = 0, so the walk goes on to its second point.
+        ((2, 1), ["-1", "1", "0", "1", "0"], (-1, 0)),
+        # m(e_0, z(-1, -1)) = -(J_1 + J_2) / 2 = 0 where J_1 = -J_2.
+        ((1, 2), ["0", "1", "1", "0", "0"], (-1, 0)),
+        ((2, 1), ["0", "1", "0", "1", "0"], (-1, -1)),
+    ],
+)
+def test_null_bridge_walk_skips_grid_points_that_pair_to_zero(pq, entries, step):
+    space = MobiusSpace(*pq)
+    rep = space.line(entries).representative
+    want_step, z = _reference_bridge(space, rep)
+    assert want_step == step
+    assert _null_bridge(space, rep) == z
 
 
 def test_isometry_inverse_keeps_the_field_on_irrational_entries_only():

@@ -20,6 +20,7 @@ from confsym.symmetry import (
 from conftest import (
     rand_covector,
     rand_null_vector,
+    rand_scalar,
     rand_vector,
     reference_make_symmetry,
     reference_solve_preserve,
@@ -190,6 +191,52 @@ def test_solve_swap_empty_when_isotropy_differs(space21):
     u = space21.line(["0", "1", "0", "1", "0"])
     v = space21.line(["0", "0", "0", "0", "1"])
     assert solve_swap(space21, u, v).is_empty
+
+
+@pytest.mark.parametrize(
+    "pq, u, v",
+    [
+        # u_inf = v_inf = 0 with U, V isotropic but not proportional.
+        ((2, 2), ["0", "1", "0", "1", "0", "0"], ["0", "1", "0", "-1", "0", "0"]),
+        # Every s_Z fixes <e_0>, so none maps it onto another line.
+        ((2, 1), ["1", "0", "0", "0", "0"], ["0", "0", "0", "0", "1"]),
+    ],
+)
+def test_solve_swap_empty_on_the_middle_and_origin_branches(pq, u, v):
+    space = MobiusSpace(*pq)
+    assert solve_swap(space, space.line(u), space.line(v)).is_empty
+
+
+def _null_with_last(space, rng, d) -> Vector:
+    """A null vector over Q(sqrt d) with a nonzero last entry, the first
+    entry solved from 2 x_0 x_last = -sum_i J_i X_i^2."""
+    while True:
+        last = rand_scalar(rng, 3, d)
+        if last:
+            break
+    mid = rand_vector(rng, space.n, 3, d).entries
+    s = sum((Scalar(space.signature.j_sign(i)) * x * x for i, x in enumerate(mid)), Scalar(0))
+    return Vector([-s / (Scalar(2) * last), *mid, last])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("pq", [(2, 1), (3, 0), (2, 2), (3, 1), (4, 1), (3, 3)])
+def test_lines_off_the_corner_always_have_one_swap_and_one_fix(pq, d, rng):
+    """For null u, v with u_inf, v_inf != 0 the corner row never rules the
+    pinned point out: the swap is a point P with s_P u in <v>, and the fix
+    of u is the reference tree's point 2 J U^T / u_inf."""
+    space = MobiusSpace(*pq, d)
+    J = [Scalar(space.signature.j_sign(i)) for i in range(space.n)]
+    for _ in range(6):
+        u, v = (NullLine(space.form, _null_with_last(space, rng, d)) for _ in range(2))
+        swap = solve_swap(space, u, v)
+        assert not swap.is_empty and swap.dim == 0
+        assert NullLine(space.form, _symmetry_action(space, swap.base)(u.representative)) == v
+        keep = solve_preserve(space, u)
+        assert str(keep) == str(reference_solve_preserve(space, u))
+        rep = u.representative
+        fix = Vector(Scalar(2) * j * x / rep[-1] for j, x in zip(J, rep.entries[1:-1]))
+        assert keep == AffineSubspace.point(fix)
 
 
 def test_swap_members_swap_back(space21, rng):

@@ -70,6 +70,17 @@ def test_basis_elements_are_independent():
         assert own  # a coordinate only this element touches with a 1
 
 
+def test_equal_weyl_tensors_hash_alike():
+    """Equality reads the signature and the orbit values, not the field tag
+    or the route a tensor was built by, and the hash reads the same."""
+    W = random_weyl(4, 0, 3)
+    others = [WeylTensor(4, 0, W.components, 3), weyl_from_dict(weyl_to_dict(W))]
+    for other in others:
+        assert other is not W and other == W
+        assert hash(other) == hash(W)
+    assert len({W, *others}) == 1
+
+
 def test_co_action_zero_element(space22):
     W = random_weyl(2, 2, seed=1)
     zero = CoElement(Scalar(0), Matrix.zero(4, 4))
