@@ -20,11 +20,15 @@ nor the extensions, and `extension` neither the solver nor the Weyl layer.
 The human mode builds no machine object, so it does not load the serializer
 unless the command reads a file.
 
-Parsing builds two parsers on every call: `build_parser` reads the global
-flags and the command name, and then `build_command_parser` builds only that
-command's parser for the tokens after it.  Help, usage and error texts are
-those of one parser with a subparser per command, except the layout of the
-global --help, which lists the commands in its epilog.
+The flags are stated once, in `_GLOBAL_FLAGS` and `_COMMAND_ARGS`.  A
+well-formed command line is read from these tables with no parser built
+(`_read_argv`).  Any other form (a short flag, an abbreviation, "--", a
+help request or an error) goes to two parsers built from the same tables
+and kept for no other call: `build_parser` reads the global flags and the
+command name, and then `build_command_parser` builds only that command's
+parser for the tokens after it.  Help, usage and error texts are those of
+one parser with a subparser per command, except the layout of the global
+--help, which lists the commands in its epilog.
 """
 
 from __future__ import annotations
@@ -112,6 +116,9 @@ def _read_json(path: str, prefix: str):
 
 
 def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, NullLine, NullLine]:
+    for flag, value in (("--file", args.file), ("--u", args.u), ("--v", args.v), ("--w", args.w)):
+        if value is not None and not value.strip():
+            raise InputError(f"{flag} needs a value")
     if args.file:
         data = _read_json(args.file, "cannot read")
         if not isinstance(data, dict):
@@ -555,6 +562,49 @@ _COMMANDS = (
     ("reproduce-paper", "run the six fixed desk cases and compare"),
 )
 
+# The flags of the command line, stated once for the parsers and for
+# `_read_argv`: each is (names, type, default, help), its dest the long name
+# without its dashes and its type int, str or bool (a store-true flag).
+_GLOBAL_FLAGS = (
+    (("--p",), int, 2, "positive part of the signature"),
+    (("--q",), int, 1, "negative part of the signature"),
+    (("--d",), int, 2, "square-free field parameter, at most 10^12 (r = sqrt d)"),
+    (("--machine",), bool, False, "emit canonical JSON"),
+)
+_LINE_FLAGS = (
+    (("--file",), str, None, "JSON input file with p, q, d, u, v, w"),
+    (("--u",), str, None, "comma-separated scalar literals"),
+    (("--v",), str, None, "comma-separated scalar literals"),
+    (("--w",), str, None, "comma-separated scalar literals (default e_0)"),
+)
+# Each command's one positional, as (dest, choices) or None, and its flags.
+_COMMAND_ARGS = {
+    "classify": (None, _LINE_FLAGS),
+    "solve": (None, _LINE_FLAGS),
+    "weyl": (
+        ("weyl_command", ("basis-dim", "prolongation")),
+        ((("--seed",), int, None, "seed for the random tensor of prolongation (default 0)"),),
+    ),
+    "extension": (
+        ("ext_command", ("validate", "curvature", "criterion", "make-flat")),
+        (
+            (("--file",), str, None, "JSON extension file"),
+            (("--y",), str, None, "covector for the criterion (comma-separated literals)"),
+            (("--candidates",), str, None, "semicolon-separated candidate covectors"),
+            (("-o", "--output"), str, None, "output path for make-flat"),
+        ),
+    ),
+    "reproduce-paper": (None, ()),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for names, kind, default, text in flags:
+        if kind is bool:
+            parser.add_argument(*names, action="store_true", help=text)
+        else:
+            parser.add_argument(*names, type=kind, default=default, help=text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The global flags and the command.  The command and every token after
@@ -567,14 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="commands:\n" + "\n".join(f"  {name:<17} {text}" for name, text in _COMMANDS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--p", type=int, default=2, help="positive part of the signature")
-    parser.add_argument("--q", type=int, default=1, help="negative part of the signature")
-    parser.add_argument("--d", type=int, default=2, help="square-free field parameter, at most 10^12 (r = sqrt d)")
-    parser.add_argument("--machine", action="store_true", help="emit canonical JSON")
+    _add_flags(parser, _GLOBAL_FLAGS)
     parser.add_argument(
         "command",
         nargs=argparse.PARSER,
-        choices=[name for name, _ in _COMMANDS],
+        choices=list(_COMMAND_ARGS),
         help="the command and its arguments",
     )
     return parser
@@ -584,20 +631,11 @@ def build_command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, with the prog the subparser of a single
     parser would have."""
     parser = _Parser(prog=f"confsym {name}")
-    if name in ("classify", "solve"):
-        parser.add_argument("--file", help="JSON input file with p, q, d, u, v, w")
-        parser.add_argument("--u", help="comma-separated scalar literals")
-        parser.add_argument("--v", help="comma-separated scalar literals")
-        parser.add_argument("--w", help="comma-separated scalar literals (default e_0)")
-    elif name == "weyl":
-        parser.add_argument("weyl_command", choices=["basis-dim", "prolongation"])
-        parser.add_argument("--seed", type=int, help="seed for the random tensor of prolongation (default 0)")
-    elif name == "extension":
-        parser.add_argument("ext_command", choices=["validate", "curvature", "criterion", "make-flat"])
-        parser.add_argument("--file", help="JSON extension file")
-        parser.add_argument("--y", help="covector for the criterion (comma-separated literals)")
-        parser.add_argument("--candidates", help="semicolon-separated candidate covectors")
-        parser.add_argument("-o", "--output", help="output path for make-flat")
+    positional, flags = _COMMAND_ARGS[name]
+    if positional:
+        dest, choices = positional
+        parser.add_argument(dest, choices=list(choices))
+    _add_flags(parser, flags)
     return parser
 
 
@@ -627,6 +665,86 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """Any command line through the two parsers: the namespace, or the help,
+    usage or error text and SystemExit."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(_attach_list_values(argv))
+    args.command, *command_argv = args.command
+    args, command_extras = build_command_parser(args.command).parse_known_args(command_argv, args)
+    # Reported by the global parser, as one parser with subparsers reports them.
+    if extras or command_extras:
+        parser.error("unrecognized arguments: " + " ".join(extras + command_extras))
+    return args
+
+
+def _reading(positional, flags):
+    """What `_read_argv` reads of one part of the command line: its long
+    flags by name, as (dest, type), their defaults by dest, and its
+    positional."""
+    return (
+        {names[-1]: (names[-1][2:], kind) for names, kind, _, _ in flags},
+        {names[-1][2:]: default for names, _, default, _ in flags},
+        positional,
+    )
+
+
+_GLOBAL_READING = _reading(("command", _COMMAND_ARGS), _GLOBAL_FLAGS)
+_COMMAND_READINGS = {name: _reading(*args) for name, args in _COMMAND_ARGS.items()}
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that `_parse_argv` gives a well-formed command line,
+    read from the flag tables with no parser built; None for any other
+    command line, which `_parse_argv` then reads, helps with or refuses.
+
+    Well-formed is: the exact long flags of the part being read, the global
+    ones before the command and the command's own after it; "--flag=value",
+    or "--flag value" with a value that does not start with "-" unless it
+    is a literal list after a list flag (as `_attach_list_values` joins
+    them); an int flag's value read by int(); a store-true flag without
+    "="; and one command with its one positional, each among its choices.
+    Short flags, abbreviations, "--" and --help are declined."""
+    flags, defaults, positional = _GLOBAL_READING
+    values = dict(defaults)
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if positional is None or token not in positional[1]:
+                return None
+            values[positional[0]] = token
+            if positional[0] == "command":
+                flags, defaults, positional = _COMMAND_READINGS[token]
+                values.update(defaults)
+            else:
+                positional = None
+            continue
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            return None
+        dest, kind = flags[name]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i == len(argv):
+                return None
+            value = argv[i]
+            i += 1
+            if value.startswith("-") and not (name in _LIST_FLAGS and value.startswith(_MINUS_LIST_HEADS)):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    return None if positional else argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -643,14 +761,10 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = parser.parse_known_args(_attach_list_values(argv))
-    args.command, *command_argv = args.command
-    args, command_extras = build_command_parser(args.command).parse_known_args(command_argv, args)
-    # Reported by the global parser, as one parser with subparsers reports them.
-    if extras or command_extras:
-        parser.error("unrecognized arguments: " + " ".join(extras + command_extras))
+    args = _read_argv(argv)
+    if args is None:
+        args = _parse_argv(argv)
     try:
         config = SessionConfig(p=args.p, q=args.q, d=args.d, machine=args.machine)
     except ValueError as exc:

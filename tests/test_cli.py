@@ -103,6 +103,10 @@ def test_classify_rejects_zero_denominator(capsys):
         (["classify", "--u", "1,0,0,0,1", "--v", "0,0,0,0,1"], "is not null"),
         (["solve", "--u", "0,1,0,1,0", "--v", "0,0,0,0,1", "--w", "0,1,0,1,0"], "removed point"),
         (["extension", "validate"], "extension validate needs --file"),
+        (["--machine", "solve", "--u=1,1*r,0,0,-1", "--v=1,0,0,-1*r,1", "--w="], "--w needs a value"),
+        (["solve", "--file=", "--u=1,1*r,0,0,-1", "--v=1,0,0,-1*r,1"], "--file needs a value"),
+        (["classify", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1", "--w", " "], "--w needs a value"),
+        (["classify", "--file", "", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"], "--file needs a value"),
     ],
 )
 def test_incomplete_or_invalid_lines_are_one_error_line(capsys, argv, message):
@@ -257,6 +261,13 @@ _PARSE_EXITS = [
     ["extension", "validate", "validate"],
     ["reproduce-paper", "x"],
     ["reproduce-paper", "--machine"],
+    ["--machine=1", "solve"],
+    ["--p=", "solve"],
+    ["--p", "-x", "solve"],
+    ["weyl", "basis-dim", "--seed="],
+    ["solve", "--u", "--v", "1"],
+    ["extension", "validate", "--fi"],
+    ["extension", "make-flat", "-o=", "--output"],
 ]
 
 
@@ -281,30 +292,108 @@ def test_global_help_lists_every_command(capsys, monkeypatch):
         assert f"\n  {name:<17} {text}\n" in out
 
 
+_SOLVE_LINES = ["solve", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"]
+
+
 @pytest.mark.parametrize(
-    "argv, command",
+    "argv, built",
     [
-        (["solve", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"], "solve"),
-        (["--p", "4", "--q", "0", "weyl", "basis-dim"], "weyl"),
-        (["extension", "validate", "--file", "missing.json"], "extension"),
+        (["--machine", *_SOLVE_LINES], []),
+        (["--p", "4", "--q", "0", "weyl", "basis-dim"], []),
+        (["extension", "validate", "--file", "missing.json"], []),
+        (["--mach", *_SOLVE_LINES], ["confsym", "confsym solve"]),
     ],
+    ids=["solve", "weyl", "extension", "declined"],
 )
-def test_a_call_builds_two_parsers(capsys, monkeypatch, argv, command):
-    """The global parser and the command's: no other command's parser is
-    built, and none is kept for the next call."""
-    built = []
+def test_parsers_built_by_a_call(capsys, monkeypatch, argv, built):
+    """A well-formed command line is read with no parser built; one that
+    `_read_argv` declines builds the global parser and its command's, and
+    no other.  None is kept for the next call."""
+    made = []
     init = cli_module._Parser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(kwargs["prog"])
+        made.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli_module._Parser, "__init__", counting_init)
     for _ in range(2):
         main(argv)
         capsys.readouterr()
-        assert built == ["confsym", f"confsym {command}"]
-        built.clear()
+        assert made == built
+        made.clear()
+
+
+def _parsers_reading(argv):
+    try:
+        return vars(cli_module._parse_argv(argv))
+    except SystemExit:
+        pytest.fail(f"{argv} is read without a parser, but the parsers refuse it")
+
+
+# The command lines that perfbench and CI send, each read with no parser built.
+_WELL_FORMED = [
+    ["--machine", "--p=2", "--q=1", "solve", "--u=1,1*r,0,0,-1", "--v=1,0,0,-1*r,1"],
+    ["--machine", "--p=2", "--q=1", "solve", "--u=1,1*r,0,0,-1", "--v=1,0,0,-1*r,1", "--w=-1,1,0,1,0"],
+    ["--p", "3", "--q", "0", "--machine", "solve", "--u", "-1,0,0,1*r,1", "--v", "1,0,0,1*r,-1"],
+    ["classify", "--u", "1,1*r,0,0,-1", "--v", "1,0,0,-1*r,1"],
+    ["--machine", "extension", "validate", "--file", "flat.json"],
+    ["--machine", "extension", "curvature", "--file", "flat.json"],
+    ["--machine", "extension", "criterion", "--file", "flat.json", "--y=-1,1*r,0,1/2"],
+    ["--machine", "extension", "criterion", "--file", "flat.json", "--y", "-1,0,0,0"],
+    ["--machine", "extension", "criterion", "--file", "flat.json", "--candidates", "1,0,0,0;0,1*r,0,0"],
+    ["--p", "3", "--q", "1", "--d", "3", "extension", "make-flat", "--output=b.json"],
+    ["--p", "4", "--q", "0", "weyl", "basis-dim"],
+    ["--p", "4", "--q", "0", "--machine", "weyl", "prolongation", "--seed", "7"],
+    ["--machine", "reproduce-paper"],
+]
+
+
+@pytest.mark.parametrize("argv", _WELL_FORMED, ids=" ".join)
+def test_well_formed_command_lines_are_read_without_a_parser(argv):
+    args = cli_module._read_argv(argv)
+    assert args is not None
+    assert vars(args) == _parsers_reading(argv)
+
+
+_GLOBAL_TOKENS = ["--p", "--p=3", "--q=0", "--d", "--machine", "--mach", "--machine=1", "--p="]
+_COMMAND_TOKENS = [
+    "--u", "--v=1,0", "--w", "--w=", "--file", "--fi", "--seed", "--seed=2",
+    "--y", "--y=-1,0", "--candidates", "--output", "--output=f", "-o", "--p",
+]
+_VALUES = ["3", "", "x", "-3", "1,0", "-1,0", "-r,1", "--", "-h", "-o"]
+_NAMES = [*COMMAND_NAMES, "bogus", "basis-dim", "prolongation", "validate", "criterion", "make-flat"]
+
+
+def _draw_flags(rng, flags, k):
+    """k flags, each followed by a value half the time."""
+    part = []
+    for _ in range(k):
+        part.append(rng.choice(flags))
+        if rng.random() < 0.5:
+            part.append(rng.choice(_VALUES))
+    return part
+
+
+def test_a_command_line_read_without_a_parser_is_read_so_by_the_parsers(rng):
+    """Whenever `_read_argv` accepts a command line, drawn from flags exact,
+    abbreviated and with "=", values and names valid and not, the two
+    parsers accept it too, without an exit, and give the same namespace."""
+    accepted = 0
+    for _ in range(20000):
+        tail = _draw_flags(rng, _COMMAND_TOKENS, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 2)):
+            tail.insert(rng.randint(0, len(tail)), rng.choice(_NAMES))
+        argv = [
+            *_draw_flags(rng, _GLOBAL_TOKENS, rng.randint(0, 2)),
+            *rng.choices(_NAMES, k=1 if rng.random() < 0.9 else 0),
+            *tail,
+        ]
+        args = cli_module._read_argv(argv)
+        if args is not None:
+            accepted += 1
+            assert vars(args) == _parsers_reading(argv), argv
+    assert accepted >= 200
 
 
 def test_solve_reads_input_file(tmp_path, capsys):
