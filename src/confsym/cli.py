@@ -120,6 +120,9 @@ def _load_lines(config: SessionConfig, args) -> tuple[MobiusSpace, NullLine, Nul
         if value is not None and not value.strip():
             raise InputError(f"{flag} needs a value")
     if args.file:
+        for flag, value in (("--u", args.u), ("--v", args.v), ("--w", args.w)):
+            if value is not None:
+                raise InputError(f"give --file or {flag}, not both")
         data = _read_json(args.file, "cannot read")
         if not isinstance(data, dict):
             raise InputError("input file must hold a JSON object")

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from ._record import FrozenRecord
 from .linalg import Matrix, Vector, rank
-from .scalars import ONE, ZERO, Scalar, as_scalar, check_field_parameter
+from .scalars import ONE, ZERO, Scalar, as_scalar, check_field_parameter, dot
 
 # Largest p + q accepted from the command line or an input file.  The cost
 # grows steeply with n, so hostile input must stop here.  At n = 12,
@@ -72,6 +72,7 @@ class MinkowskiForm:
         last = sig.ambient - 1
         self.sign = (1, *(sig.j_sign(i) for i in range(sig.n)), 1)
         self.perm = (last, *range(1, last), 0)
+        self._minus = tuple(i for i, s in enumerate(self.sign) if s < 0)
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -81,18 +82,22 @@ class MinkowskiForm:
             for s, k in zip(self.sign, self.perm)
         )
 
+    def apply(self, y: Vector) -> list:
+        """The entries of m y: y_{perm[i]}, negated where sign[i] = -1."""
+        ys = y.entries
+        out = [ys[k] for k in self.perm]
+        for i in self._minus:
+            x = out[i]
+            if x.a or x.b:
+                out[i] = -x
+        return out
+
     def pairing(self, x: Vector, y: Vector) -> Scalar:
-        """m(x, y) = sum_i sign[i] x_i y_{perm[i]}."""
+        """m(x, y) = sum_i x_i (m y)_i, one exact `dot`."""
         size = len(self.perm)
         if len(x) != size or len(y) != size:
             raise ValueError(f"vectors must have length {size}, got {len(x)}, {len(y)}")
-        out = ZERO
-        for e, s, k in zip(x.entries, self.sign, self.perm):
-            if e:
-                t = e * y[k]
-                if t:
-                    out = out + t if s > 0 else out - t
-        return out
+        return dot(x.entries, self.apply(y))
 
     def is_null(self, v: Vector) -> bool:
         return not self.pairing(v, v)
@@ -266,14 +271,15 @@ def reflection(space: MobiusSpace, v: Vector) -> Matrix:
     qv = space.pairing(v, v)
     if not qv:
         raise ValueError("cannot reflect in a null vector")
-    factor = Scalar(-2) / qv
-    form = space.form
-    mv = [v[k] if s > 0 else -v[k] for s, k in zip(form.sign, form.perm)]
-    # Entry by entry, the sum identity + outer(factor v, m v).
-    return Matrix._of_scalars(
-        [(ONE if i == j else ZERO) + fx * y for j, y in enumerate(mv)]
-        for i, fx in enumerate(factor * x for x in v)
-    )
+    mv = space.form.apply(v)
+    # Entry by entry, identity + outer(factor v, m v): ONE is added on the
+    # diagonal only, and a zero factor makes no product.
+    rows = []
+    for i, fx in enumerate(v.scale(Scalar(-2) / qv)):
+        row = [fx * y if y.a or y.b else y for y in mv] if fx.a or fx.b else [ZERO] * len(mv)
+        row[i] = ONE + row[i]
+        rows.append(row)
+    return Matrix._of_scalars(rows)
 
 
 def transitive_witness(space: MobiusSpace, w: NullLine) -> Matrix:

@@ -1,8 +1,10 @@
 """Small dense exact linear algebra over Q(sqrt(d)).
 
-Vectors and matrices are immutable dense containers of Scalar entries; the
-heavy lifting (kernels, ranks, affine solution sets) goes through the sparse
-row-echelon engine in confsym._core.  `kernel_sparse` is the one function that
+Vectors and matrices are immutable dense containers of Scalar entries.
+`Vector.dot`, `Matrix.matvec` and `Matrix @` form each entry as one
+`scalars.dot`, so a sum of products builds one Scalar.  The heavy lifting
+(kernels, ranks, affine solution sets) goes through the sparse row-echelon
+engine in confsym._core.  `kernel_sparse` is the one function that
 turns the engine's reduced rows into solution vectors, each as its nonzero
 terms: `kernel` makes them dense Vectors (`Vector.from_terms`), and
 `solve_affine` reads the kernel of the augmented system [M | -rhs].  Kernel
@@ -16,11 +18,14 @@ from math import lcm
 from collections.abc import Iterable, Sequence
 
 from . import _core
-from .scalars import ONE, ZERO, Scalar, as_scalar, one_field
+from .scalars import ONE, ZERO, Scalar, as_scalar, dot, one_field
 
 
 class Vector:
-    """Dense vector of Scalars; also used for covectors (rows of length p+q)."""
+    """Dense vector of Scalars; also used for covectors (rows of length p+q).
+
+    Sums, differences and scalings keep an entry as it is where the other
+    operand is zero, so they form a Scalar only for an entry that changes."""
 
     __slots__ = ("entries",)
 
@@ -47,26 +52,26 @@ class Vector:
 
     def __add__(self, other: Vector) -> Vector:
         _same_len(self, other)
-        return Vector._of_scalars(x + y for x, y in zip(self.entries, other.entries))
+        return Vector._of_scalars(
+            [x + y if y.a or y.b else x for x, y in zip(self.entries, other.entries)]
+        )
 
     def __sub__(self, other: Vector) -> Vector:
         _same_len(self, other)
-        return Vector._of_scalars(x - y for x, y in zip(self.entries, other.entries))
+        return Vector._of_scalars(
+            [x - y if y.a or y.b else x for x, y in zip(self.entries, other.entries)]
+        )
 
     def __neg__(self) -> Vector:
         return Vector._of_scalars(-x for x in self.entries)
 
     def scale(self, c) -> Vector:
         c = as_scalar(c)
-        return Vector._of_scalars(c * x for x in self.entries)
+        return Vector._of_scalars([c * x if x.a or x.b else x for x in self.entries])
 
     def dot(self, other: Vector) -> Scalar:
         _same_len(self, other)
-        out = ZERO
-        for x, y in zip(self.entries, other.entries):
-            if x and y:
-                out = out + x * y
-        return out
+        return dot(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -161,9 +166,6 @@ class Matrix:
             tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
 
-    def __neg__(self) -> Matrix:
-        return Matrix._of_scalars(tuple(-x for x in r) for r in self.rows)
-
     def scale(self, c) -> Matrix:
         c = as_scalar(c)
         return Matrix._of_scalars(tuple(c * x for x in r) for r in self.rows)
@@ -171,32 +173,26 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = other.ncols
+        cols = range(other.ncols)
         out = []
         for r in self.rows:
-            orow = [ZERO] * cols
-            for k, x in enumerate(r):
-                if not x:
-                    continue
-                srow = other.rows[k]
-                for j in range(cols):
-                    y = srow[j]
-                    if y:
-                        orow[j] = orow[j] + x * y
-            out.append(orow)
+            # Each entry's nonzero products, summed by one dot: a zero entry
+            # of either factor forms no product.
+            xs = [[] for _ in cols]
+            ys = [[] for _ in cols]
+            for x, srow in zip(r, other.rows):
+                if x.a or x.b:
+                    for j, y in enumerate(srow):
+                        if y.a or y.b:
+                            xs[j].append(x)
+                            ys[j].append(y)
+            out.append([dot(a, b) if a else ZERO for a, b in zip(xs, ys)])
         return Matrix._of_scalars(out)
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError(f"shape mismatch {self.shape} * {len(v)}")
-        out = []
-        for r in self.rows:
-            s = ZERO
-            for x, y in zip(r, v.entries):
-                if x and y:
-                    s = s + x * y
-            out.append(s)
-        return Vector._of_scalars(out)
+        return Vector._of_scalars([dot(r, v.entries) for r in self.rows])
 
     def transpose(self) -> Matrix:
         return Matrix._of_scalars(zip(*self.rows))

@@ -5,14 +5,21 @@ a, b, q in the canonical form q > 0, gcd(a, b, q) = 1, and d = 0 exactly when
 b = 0: a rational value lies in every field, so it carries none, whatever d
 it was built with.  Equal values are therefore equal slot for slot.  The
 field is a property of a system (a space, a tensor, a file), and
-`one_field` is the one function that reads it off a set of values.  A result
-takes the nonzero d of its operands; combining two irrational values from
-different fields raises FieldMismatchError.
+`one_field` is the one function that reads it off a set of values.
 
-The arithmetic leans on that form.  Any (a, b, 1) is canonical, so the
-constructor does no gcd work when q = 1, and a sum of two values with q = 1
-is (a + a', b + b', 1) as it stands.  A product of two rationals is
-(a a', 0, q q'), reduced by the constructor.
+The field rule: a result takes the nonzero d of its operands, and combining
+two irrational values from different fields raises FieldMismatchError
+(`_mismatch`).  Each operation reads it inline as `d = x.d or y.d`, raising
+only when y.d is nonzero and differs from that d, so the common case calls
+no function.
+
+The arithmetic leans on the canonical form.  Any (a, b, 1) is canonical, so
+the constructor does no gcd work when q = 1, and a sum of two values with
+q = 1 is (a + a', b + b', 1) as it stands.  A product of two rationals is
+(a a', 0, q q'), reduced by the constructor.  `dot` sums products on
+numerators over one denominator and builds one reduced Scalar at the end;
+it raises FieldMismatchError exactly where the sequential sum of Scalar
+products would.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
+def _mismatch(d: int, e: int):
+    """Two irrational values of Q(sqrt d) and Q(sqrt e), d != e, met."""
+    raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {e})")
+
+
 def one_field(ds) -> int:
     """The field of a system whose values have the field parameters `ds`:
     the one nonzero d among them, or 0 when all values are rational.  Raises
@@ -53,7 +65,7 @@ def one_field(ds) -> int:
     for d in ds:
         if d and d != out:
             if out:
-                raise FieldMismatchError(f"cannot mix Q(sqrt {out}) with Q(sqrt {d})")
+                _mismatch(out, d)
             out = d
     return out
 
@@ -118,19 +130,14 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _join_d(self, other: Scalar) -> int:
-        if not other.d or self.d == other.d:
-            return self.d
-        if not self.d:
-            return other.d
-        raise FieldMismatchError(f"cannot mix Q(sqrt {self.d}) with Q(sqrt {other.d})")
-
     def __add__(self, other) -> Scalar:
         if other.__class__ is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d = self._join_d(other)
+        d = self.d or other.d
+        if other.d and other.d != d:
+            _mismatch(d, other.d)
         if self.q == 1 and other.q == 1:
             return Scalar(self.a + other.a, self.b + other.b, 1, d)
         return Scalar(
@@ -150,22 +157,34 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self + (-other)
+        d = self.d or other.d
+        if other.d and other.d != d:
+            _mismatch(d, other.d)
+        if self.q == 1 and other.q == 1:
+            return Scalar(self.a - other.a, self.b - other.b, 1, d)
+        return Scalar(
+            self.a * other.q - other.a * self.q,
+            self.b * other.q - other.b * self.q,
+            self.q * other.q,
+            d,
+        )
 
     def __rsub__(self, other) -> Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> Scalar:
         if other.__class__ is not Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.b == 0 and other.b == 0:
+        if not (self.b or other.b):
             return Scalar(self.a * other.a, 0, self.q * other.q)
-        d = self._join_d(other)
+        d = self.d or other.d
+        if other.d and other.d != d:
+            _mismatch(d, other.d)
         return Scalar(
             self.a * other.a + d * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -222,6 +241,48 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar('{self}', d={self.d})"
+
+
+def dot(xs, ys) -> Scalar:
+    """sum_i xs[i] ys[i] over the Scalars of two sequences, paired as `zip`
+    pairs them.  Each product's numerators are summed over the product of
+    the denominators, and one Scalar is built and reduced at the end.
+
+    The field is that of the sequential sum ZERO + x_0 y_0 + x_1 y_1 + ...
+    of Scalar products, and FieldMismatchError is raised exactly where that
+    sum raises: each product checks the fields of its two factors, the
+    running sqrt(d) part keeps the field of the irrational products added
+    to it, and that field resets to rational whenever the running sqrt(d)
+    numerator returns to 0, as a Scalar drops d when b = 0."""
+    a = b = d = 0
+    q = 1
+    for x, y in zip(xs, ys):
+        if x.b or y.b:
+            e = x.d or y.d
+            if y.d and y.d != e:
+                _mismatch(e, y.d)
+            pa = x.a * y.a + e * x.b * y.b
+            pb = x.a * y.b + x.b * y.a
+            if pb and d != e:
+                if d:
+                    _mismatch(d, e)
+                d = e
+        else:
+            pa = x.a * y.a
+            if not pa:
+                continue
+            pb = 0
+        pq = x.q * y.q
+        if pq == q:
+            a += pa
+            b += pb
+        else:
+            a = a * pq + pa * q
+            b = b * pq + pb * q
+            q *= pq
+        if not b:
+            d = 0
+    return Scalar(a, b, q, d)
 
 
 def _coerce(x):

@@ -3,11 +3,19 @@
 All scalars travel as literals of the grammar in confsym.scalars; dictionaries
 are dumped with sorted keys so that parsing a machine report and re-serializing
 it is the identity.
+
+`dump_canonical` writes the text itself, by a small recursive writer over
+dicts with str keys, lists, tuples, strings, ints, bools and None, and prints
+exactly `json.dumps(obj, sort_keys=True, indent=2)`: `json` with an indent
+runs its pure-Python encoder.  Strings go through json's own
+`encode_basestring_ascii`, and any other value (a float, a non-str key, a
+Scalar) is a TypeError rather than a text that could differ from json's.
+`json` stays the reader.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .flatmodel import MobiusSpace, NullLine, OrbitLabel, checked_space
 from .linalg import AffineSubspace, Matrix, Vector
@@ -25,7 +33,42 @@ if TYPE_CHECKING:
 
 
 def dump_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The text `json.dumps(obj, sort_keys=True, indent=2)` would print."""
+    return _dump(obj, "\n")
+
+
+def _dump(obj, newline: str) -> str:
+    """obj as json writes it at the depth whose line break and indent is
+    `newline`; the type tests run in json's order.  A plain str member,
+    most of a report, is quoted in place."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_quote(x) if x.__class__ is str else _dump(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [
+            _quote(key) + ": " + (_quote(x) if x.__class__ is str else _dump(x, inner))
+            for key, x in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def vector_to_literals(v: Vector) -> list[str]:

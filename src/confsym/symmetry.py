@@ -20,8 +20,9 @@ Z), and mu = -1 at the origin, since s_Z e_0 = -e_0 for every Z.
 map `unmove` = g^{-1}: on its default path the witness's mirrors in reverse
 order, so no group element is formed as a matrix but the witness it
 reports; for a witness the caller passes in, the matrix g^{-1}.  Each
-solution is checked by applying s_Z to vectors in closed form; the matrix
-s_Z (`make_symmetry`) is for the other callers.
+solution is checked by applying s_Z to vectors in closed form and comparing
+the image with its expected line by proportion (`_spans`), so the check
+builds no line; the matrix s_Z (`make_symmetry`) is for the other callers.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ def find_symmetries(
     report.  A given witness must be an isometry whose first column spans w
     (ValueError otherwise); then `unmove` is the matrix g^{-1}.  u and v
     move by `unmove` in one statement, and every reported solution is
-    checked by applying s_Z to both moved lines in closed form.
+    checked by applying s_Z to both moved lines in closed form and reading
+    each image against its expected line by proportion (`_spans`).
     """
     orbit = classify_orbit(space, w, u, v)
     if witness is None:
@@ -224,8 +226,10 @@ def find_symmetries(
     ):
         for z in points.points():
             act = _symmetry_action(space, z)
-            moved = tuple(NullLine(space.form, act(L.representative)) for L in (u_local, v_local))
-            if moved != images:
+            if not all(
+                _spans(act(L.representative), M.representative)
+                for L, M in zip((u_local, v_local), images)
+            ):
                 raise AssertionError(f"solver reported a non-{kind} covector")
     return SymmetryReport(
         base_point=w,
@@ -235,6 +239,26 @@ def find_symmetries(
         swapping=swapping,
         preserve_first=keep_u,
         preserve_second=keep_v,
+    )
+
+
+def _spans(x: Vector, rep: Vector) -> bool:
+    """Whether x spans the line of the normalized representative rep, whose
+    lead entry rep_k is 1: exactly when x_k != 0 and x_i = x_k rep_i for
+    every i.
+
+    Proof: if x = c rep with c != 0, then x_k = c and x_i = x_k rep_i.
+    Conversely, x = x_k rep with x_k != 0 is nonzero, null because rep is
+    (m(x, x) = x_k^2 m(rep, rep) = 0), zero before k as rep is, and
+    x / x_k = rep, so NullLine(x) would be the line of rep.  So on the
+    images s_Z x that `find_symmetries` reads this answers what comparing
+    NullLine(s_Z x) with the expected line answered, and no null check is
+    lost: s_Z is an invertible isometry, so the image of a nonzero null
+    vector is nonzero and null."""
+    k = next(i for i, e in enumerate(rep.entries) if e)
+    xk = x[k]
+    return bool(xk) and all(
+        xi == xk * ri if ri else not xi for xi, ri in zip(x.entries, rep.entries)
     )
 
 

@@ -113,6 +113,19 @@ def test_incomplete_or_invalid_lines_are_one_error_line(capsys, argv, message):
     assert message in _bad_input(capsys, *argv)
 
 
+@pytest.mark.parametrize("command", ["solve", "classify"])
+@pytest.mark.parametrize("flag", ["--u", "--v", "--w"])
+def test_file_refuses_a_line_flag_beside_it(tmp_path, capsys, command, flag):
+    """A line given beside --file is refused, not dropped for the file's."""
+    path = tmp_path / "lines.json"
+    lines = {"p": 2, "q": 1, "u": ["0", "1", "0", "1", "0"], "v": ["0", "0", "0", "0", "1"]}
+    path.write_text(json.dumps(lines))
+    assert main([command, "--file", str(path)]) == 0
+    capsys.readouterr()
+    err = _bad_input(capsys, command, "--file", str(path), flag, "1,1*r,0,0,-1")
+    assert f"give --file or {flag}, not both" in err
+
+
 def test_solve_file_must_hold_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -15,6 +15,7 @@ from confsym.scalars import (
     Scalar,
     as_scalar,
     check_field_parameter,
+    dot,
     is_squarefree,
     one_field,
     parse_scalar,
@@ -260,6 +261,68 @@ def test_field_laws(x, y, z):
     assert x + Scalar(0) == x
     assert x * Scalar(1) == x
     assert x - x == Scalar(0)
+
+
+# Entries of Q, Q(sqrt 2) and Q(sqrt 3); a small b is often 0, so a third or
+# so are rational whatever d they were built with.
+_mixed = st.builds(
+    Scalar,
+    small,
+    st.integers(min_value=-2, max_value=2),
+    denom,
+    st.sampled_from([2, 3]),
+)
+
+
+@st.composite
+def _dot_pairs(draw):
+    """Two equal-length lists of mixed entries, where each drawn pair
+    (x, y) is followed by (-x, y) when a cancel flag is drawn, so the
+    running sqrt(d) part returns to 0 in the middle of the sum."""
+    xs, ys = [], []
+    for x, y, cancel in draw(st.lists(st.tuples(_mixed, _mixed, st.booleans()), max_size=8)):
+        xs.append(x)
+        ys.append(y)
+        if cancel:
+            xs.append(-x)
+            ys.append(y)
+    return xs, ys
+
+
+def _sequential(xs, ys):
+    out = Scalar(0)
+    for x, y in zip(xs, ys):
+        out = out + x * y
+    return out
+
+
+@given(_dot_pairs())
+@settings(max_examples=400, deadline=None)
+def test_dot_is_the_sequential_sum_of_products(pair):
+    """Equal slot for slot, and FieldMismatchError on exactly the same
+    draws."""
+    xs, ys = pair
+    try:
+        want = _sequential(xs, ys)
+    except FieldMismatchError:
+        with pytest.raises(FieldMismatchError):
+            dot(xs, ys)
+        return
+    got = dot(xs, ys)
+    assert (got.a, got.b, got.q, got.d) == (want.a, want.b, want.q, want.d)
+
+
+def test_dot_field_resets_when_the_radical_part_cancels():
+    """sqrt 2 - sqrt 2 leaves a rational running sum, which a sqrt 3 term
+    may join; without the cancelling term the sum mixes fields."""
+    r2, r3 = Scalar.sqrt_d(2), Scalar.sqrt_d(3)
+    assert dot([r2, -r2, r3], [ONE, ONE, ONE]) == r3
+    with pytest.raises(FieldMismatchError):
+        dot([r2, r3], [ONE, ONE])
+    with pytest.raises(FieldMismatchError):
+        dot([r2], [r3])
+    assert dot([r2], [r2]) == Scalar(2)
+    assert dot([], []) == Scalar(0)
 
 
 @given(scalars)

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsym.cli import SessionConfig
@@ -38,6 +38,39 @@ from conftest import (
     sparse_brackets,
 )
 from test_liealg import _TABLE_ENTRY, _antisymmetric_tables
+
+
+# Every string, control characters, non-ASCII text and lone surrogates
+# included; ints up to 1000 digits.
+_json_leaves = st.one_of(
+    st.text(st.characters(blacklist_categories=())),
+    st.integers(),
+    st.integers(min_value=-(10**1000), max_value=10**1000),
+    st.booleans(),
+    st.none(),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(blacklist_categories=())), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_trees)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "": [[[]]], "\u00e9\x00": (True, None, -(10**80))})
+@settings(max_examples=300, deadline=None)
+def test_dump_canonical_is_json_dumps(tree):
+    assert dump_canonical(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, [Scalar(1)], {"x": [0.0]}, {("a",): 1}])
+def test_dump_canonical_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        dump_canonical(value)
 
 
 def test_subspace_round_trip():

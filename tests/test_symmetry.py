@@ -414,3 +414,29 @@ def test_stabilizer_elements_fix_the_origin_line(space21, rng):
         h = stabilizer_element(space21, rand_covector(rng, 3), extra_flip=flip)
         assert h.transpose() @ m @ h == m
         assert apply_to_line(space21, h, space21.origin) == space21.origin
+
+
+@pytest.mark.parametrize(
+    "case_index, kind",
+    # Desk case 2 preserves both lines at Z = 0 alone, and desk case 1
+    # swaps them at one point and preserves neither.
+    [(1, "preserving"), (0, "swapping")],
+)
+def test_find_symmetries_refuses_a_wrong_solution(monkeypatch, case_index, kind):
+    """The self-check fires: with every set of solve_swap moved by e_1, the
+    reported points no longer preserve (swap) the lines."""
+    case = fixture_cases()[case_index]
+    space = MobiusSpace(case.p, case.q)
+    u, v = space.line(case.u), space.line(case.v)
+    solve = symmetry.solve_swap
+
+    def shifted(space, L1, L2):
+        s = solve(space, L1, L2)
+        if s.is_empty:
+            return s
+        return AffineSubspace(s.ambient, s.base + Vector.unit(s.ambient, 0), s.directions)
+
+    find_symmetries(space, u, v, space.origin)
+    monkeypatch.setattr(symmetry, "solve_swap", shifted)
+    with pytest.raises(AssertionError, match=f"^solver reported a non-{kind} covector$"):
+        find_symmetries(space, u, v, space.origin)
